@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "backend/inmemory_backend.h"
 #include "colt/colt.h"
 #include "cophy/cophy.h"
 #include "cophy/greedy.h"
@@ -39,7 +40,8 @@ void AblationInumParamSignatures() {
          "dropping INLJ signatures shrinks the cache but loses plans that "
          "join queries need");
 
-  WhatIfOptimizer exact(S.db);
+  InMemoryBackend backend(S.db);
+  WhatIfOptimizer exact(backend);
   // Random designs with join-column indexes (where INLJ plans live).
   Rng rng(31);
   std::vector<PhysicalDesign> designs;
@@ -68,14 +70,14 @@ void AblationInumParamSignatures() {
   for (bool enable_param : {true, false}) {
     InumOptions opts;
     opts.enable_param_signatures = enable_param;
-    InumCostModel inum(S.db, CostParams{}, opts);
+    InumCostModel inum(backend, opts);
     double total_err = 0.0;
     double worst = 0.0;
     int count = 0;
     for (const PhysicalDesign& d : designs) {
       for (const BoundQuery& q : S.workload.queries) {
         double fast = inum.Cost(q, d);
-        double full = exact.CostUnder(q, d);
+        double full = exact.TryCostUnder(q, d).value();
         double rel = std::abs(fast - full) / std::max(1.0, full);
         total_err += rel;
         worst = std::max(worst, rel);
@@ -94,7 +96,8 @@ void AblationCophyAtomCap() {
   Header("A2: CoPhy atom cap (per-query plan-space pruning)",
          "small caps speed the BIP up but can discard the optimal atom");
   double budget = 0.5 * DataPages(S.db);
-  std::vector<CandidateIndex> cands = GenerateCandidates(S.db, S.workload);
+  InMemoryBackend backend(S.db);
+  std::vector<CandidateIndex> cands = GenerateCandidates(backend, S.workload);
 
   std::printf("\n%-10s %10s %12s %12s %10s\n", "atom cap", "atoms",
               "cost", "solve (s)", "gap");
@@ -102,9 +105,9 @@ void AblationCophyAtomCap() {
     CoPhyOptions opts;
     opts.storage_budget_pages = budget;
     opts.max_atoms_per_query = cap;
-    CoPhyAdvisor advisor(S.db, CostParams{}, opts);
+    CoPhyAdvisor advisor(backend, opts);
     IndexRecommendation rec =
-        advisor.RecommendWithCandidates(S.workload, cands);
+        advisor.TryRecommendWithCandidates(S.workload, cands).value();
     std::printf("%-10d %10zu %12.1f %12.3f %9.2f%%\n", cap, rec.num_atoms,
                 rec.recommended_cost, rec.solve_time_sec, rec.gap * 100.0);
   }
@@ -142,8 +145,9 @@ void AblationCandidateGeneration() {
     CoPhyOptions opts;
     opts.storage_budget_pages = budget;
     opts.candidates = c.opts;
-    CoPhyAdvisor advisor(S.db, CostParams{}, opts);
-    IndexRecommendation rec = advisor.Recommend(S.workload);
+    InMemoryBackend backend(S.db);
+    CoPhyAdvisor advisor(backend, opts);
+    IndexRecommendation rec = advisor.TryRecommend(S.workload).value();
     if (base == 0.0) base = rec.base_cost;
     std::printf("%-22s %12zu %12.1f %11.1f%%\n", c.name, rec.num_candidates,
                 rec.recommended_cost, rec.improvement() * 100.0);
@@ -159,7 +163,8 @@ void AblationColtBudget() {
   std::vector<BoundQuery> stream = GenerateDriftingStream(
       S.db, {TemplateMix::PhaseSelections(), TemplateMix::PhaseJoins()}, 125,
       41);
-  InumCostModel oracle(S.db);
+  InMemoryBackend backend(S.db);
+  InumCostModel oracle(backend);
   double untuned = 0.0;
   for (const BoundQuery& q : stream) {
     untuned += oracle.Cost(q, PhysicalDesign{});
@@ -171,7 +176,7 @@ void AblationColtBudget() {
     ColtOptions opts;
     opts.epoch_length = 25;
     opts.whatif_budget_per_epoch = budget;
-    ColtTuner tuner(S.db, CostParams{}, opts);
+    ColtTuner tuner(backend, opts);
     for (const BoundQuery& q : stream) tuner.OnQuery(q);
     int builds = 0;
     for (const ColtEvent& e : tuner.events()) {
@@ -198,16 +203,17 @@ void AblationWorkloadCompression() {
   CoPhyOptions opts;
   opts.storage_budget_pages = budget;
 
-  CoPhyAdvisor full_advisor(S.db, CostParams{}, opts);
+  InMemoryBackend backend(S.db);
+  CoPhyAdvisor full_advisor(backend, opts);
   auto t0 = std::chrono::steady_clock::now();
-  IndexRecommendation full = full_advisor.Recommend(big);
+  IndexRecommendation full = full_advisor.TryRecommend(big).value();
   double full_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  CoPhyAdvisor comp_advisor(S.db, CostParams{}, opts);
+  CoPhyAdvisor comp_advisor(backend, opts);
   t0 = std::chrono::steady_clock::now();
-  IndexRecommendation comp = comp_advisor.Recommend(small);
+  IndexRecommendation comp = comp_advisor.TryRecommend(small).value();
   double comp_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

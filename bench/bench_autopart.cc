@@ -10,6 +10,7 @@
 
 #include "autopart/autopart.h"
 #include "bench_common.h"
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/report.h"
 
@@ -39,8 +40,9 @@ void RunExperiment() {
   for (double space : {1.0, 1.2, 1.5}) {
     AutoPartOptions opts;
     opts.replication_budget_factor = space;
-    AutoPartAdvisor advisor(S.db, CostParams{}, opts);
-    PartitionRecommendation rec = advisor.Recommend(S.workload);
+    InMemoryBackend backend(S.db);
+    AutoPartAdvisor advisor(backend, opts);
+    PartitionRecommendation rec = advisor.Recommend(S.workload).value();
 
     std::printf("\n--- replication space factor %.1fx ---\n", space);
     std::printf("%s", RenderPartitionPanel(S.db.catalog(), rec).c_str());
@@ -68,16 +70,18 @@ void RunExperiment() {
 void BM_AutoPartRecommend(benchmark::State& state) {
   Shared& S = shared();
   for (auto _ : state) {
-    AutoPartAdvisor advisor(S.db);
-    benchmark::DoNotOptimize(advisor.Recommend(S.workload));
+    InMemoryBackend backend(S.db);
+    AutoPartAdvisor advisor(backend);
+    benchmark::DoNotOptimize(advisor.Recommend(S.workload).value());
   }
 }
 BENCHMARK(BM_AutoPartRecommend)->Unit(benchmark::kMillisecond);
 
 void BM_RewriteQuery(benchmark::State& state) {
   Shared& S = shared();
-  AutoPartAdvisor advisor(S.db);
-  PartitionRecommendation rec = advisor.Recommend(S.workload);
+  InMemoryBackend backend(S.db);
+  AutoPartAdvisor advisor(backend);
+  PartitionRecommendation rec = advisor.Recommend(S.workload).value();
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(advisor.RewriteQuery(

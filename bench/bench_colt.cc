@@ -10,6 +10,7 @@
 //   offline oracle that knows each phase's workload in advance.
 
 #include "bench_common.h"
+#include "backend/inmemory_backend.h"
 #include "colt/colt.h"
 #include "cophy/cophy.h"
 
@@ -42,7 +43,8 @@ void RunExperiment() {
          "improves performance");
 
   // --- no tuning ---
-  InumCostModel oracle(S.db);
+  InMemoryBackend backend(S.db);
+  InumCostModel oracle(backend);
   double untuned = 0.0;
   std::vector<double> untuned_by_phase(S.phases.size(), 0.0);
   for (size_t i = 0; i < S.stream.size(); ++i) {
@@ -54,7 +56,7 @@ void RunExperiment() {
   // --- COLT ---
   ColtOptions opts;
   opts.epoch_length = 25;
-  ColtTuner tuner(S.db, CostParams{}, opts);
+  ColtTuner tuner(backend, opts);
   std::vector<double> colt_by_phase(S.phases.size(), 0.0);
   for (size_t i = 0; i < S.stream.size(); ++i) {
     colt_by_phase[i / static_cast<size_t>(S.per_phase)] +=
@@ -71,8 +73,8 @@ void RunExperiment() {
     }
     CoPhyOptions copts;
     copts.storage_budget_pages = DataPages(S.db);
-    CoPhyAdvisor advisor(S.db, CostParams{}, copts);
-    IndexRecommendation rec = advisor.Recommend(phase_w);
+    CoPhyAdvisor advisor(backend, copts);
+    IndexRecommendation rec = advisor.TryRecommend(phase_w).value();
     oracle_cost += rec.recommended_cost;
   }
 
@@ -120,7 +122,8 @@ void RunExperiment() {
 
 void BM_ColtOnQuery(benchmark::State& state) {
   Shared& S = shared();
-  ColtTuner tuner(S.db);
+  InMemoryBackend backend(S.db);
+  ColtTuner tuner(backend);
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(tuner.OnQuery(S.stream[i % S.stream.size()]));

@@ -92,7 +92,7 @@ void RunCompressionBench(JsonReporter& reporter) {
     InMemoryBackend be(db);
     CoPhyAdvisor raw_advisor(be, opts);
     auto t0 = std::chrono::steady_clock::now();
-    IndexRecommendation raw_rec = raw_advisor.Recommend(trace);
+    IndexRecommendation raw_rec = raw_advisor.TryRecommend(trace).value();
     RunResult raw;
     raw.ms = std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - t0)
@@ -104,7 +104,8 @@ void RunCompressionBench(JsonReporter& reporter) {
     raw_results.push_back(raw);
     PrintRow("raw_recommend", n, report.original_queries, raw);
 
-    Designer designer(db);
+    InMemoryBackend backend(db);
+    Designer designer(backend);
     DesignSession session(designer);
     DesignConstraints constraints;
     constraints.storage_budget_pages = budget;
@@ -131,7 +132,8 @@ void RunCompressionBench(JsonReporter& reporter) {
   // --- The full trace, compression on (raw would take minutes) ---
   Workload full =
       GenerateWorkload(db, TemplateMix::OfflineDefault(), full_n, 7);
-  Designer designer(db);
+  InMemoryBackend backend(db);
+  Designer designer(backend);
   DesignSession session(designer);
   DesignConstraints constraints;
   constraints.storage_budget_pages = budget;

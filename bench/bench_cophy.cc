@@ -7,6 +7,7 @@
 // quality of the suggested solutions."
 
 #include "bench_common.h"
+#include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "cophy/greedy.h"
 
@@ -19,10 +20,11 @@ using bench::MakeDb;
 
 struct Shared {
   Database db = MakeDb();
+  InMemoryBackend backend{db};
   Workload workload =
       GenerateWorkload(db, TemplateMix::OfflineDefault(), 24, 19);
   std::vector<CandidateIndex> candidates =
-      GenerateCandidates(db, workload);
+      GenerateCandidates(backend, workload);
 };
 
 Shared& shared() {
@@ -47,14 +49,16 @@ void RunBudgetSweep() {
   for (double factor : {0.25, 0.5, 1.0, 2.0}) {
     CoPhyOptions copts;
     copts.storage_budget_pages = factor * data_pages;
-    CoPhyAdvisor cophy(S.db, CostParams{}, copts);
+    InMemoryBackend backend(S.db);
+    CoPhyAdvisor cophy(backend, copts);
     IndexRecommendation rec =
-        cophy.RecommendWithCandidates(S.workload, S.candidates);
+        cophy.TryRecommendWithCandidates(S.workload, S.candidates).value();
 
     GreedyOptions gopts;
     gopts.storage_budget_pages = factor * data_pages;
-    GreedyAdvisor greedy(S.db, CostParams{}, gopts);
-    GreedyResult g = greedy.RecommendWithCandidates(S.workload, S.candidates);
+    GreedyAdvisor greedy(backend, gopts);
+    GreedyResult g =
+        greedy.TryRecommendWithCandidates(S.workload, S.candidates).value();
 
     // Evaluate both with a single oracle for the head-to-head column.
     PhysicalDesign cd;
@@ -87,9 +91,10 @@ void RunTimeQualityKnob() {
     CoPhyOptions opts;
     opts.storage_budget_pages = budget;
     opts.bnb.max_nodes = nodes;
-    CoPhyAdvisor advisor(S.db, CostParams{}, opts);
+    InMemoryBackend backend(S.db);
+    CoPhyAdvisor advisor(backend, opts);
     IndexRecommendation rec =
-        advisor.RecommendWithCandidates(S.workload, S.candidates);
+        advisor.TryRecommendWithCandidates(S.workload, S.candidates).value();
     std::printf("%-12d %-10.3f %-12.1f %6.2f%%  %s\n", nodes,
                 rec.solve_time_sec, rec.recommended_cost, rec.gap * 100.0,
                 rec.proven_optimal ? "yes" : "no");
@@ -102,9 +107,10 @@ void BM_CoPhyRecommend(benchmark::State& state) {
   opts.storage_budget_pages = 0.5 * DataPages(S.db);
   opts.bnb.max_nodes = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    CoPhyAdvisor advisor(S.db, CostParams{}, opts);
+    InMemoryBackend backend(S.db);
+    CoPhyAdvisor advisor(backend, opts);
     IndexRecommendation rec =
-        advisor.RecommendWithCandidates(S.workload, S.candidates);
+        advisor.TryRecommendWithCandidates(S.workload, S.candidates).value();
     benchmark::DoNotOptimize(rec.recommended_cost);
   }
 }
@@ -115,8 +121,10 @@ void BM_GreedyRecommend(benchmark::State& state) {
   GreedyOptions opts;
   opts.storage_budget_pages = 0.5 * DataPages(S.db);
   for (auto _ : state) {
-    GreedyAdvisor advisor(S.db, CostParams{}, opts);
-    GreedyResult r = advisor.RecommendWithCandidates(S.workload, S.candidates);
+    InMemoryBackend backend(S.db);
+    GreedyAdvisor advisor(backend, opts);
+    GreedyResult r =
+        advisor.TryRecommendWithCandidates(S.workload, S.candidates).value();
     benchmark::DoNotOptimize(r.final_cost);
   }
 }
@@ -125,7 +133,7 @@ BENCHMARK(BM_GreedyRecommend)->Unit(benchmark::kMillisecond);
 void BM_CandidateGeneration(benchmark::State& state) {
   Shared& S = shared();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GenerateCandidates(S.db, S.workload));
+    benchmark::DoNotOptimize(GenerateCandidates(S.backend, S.workload));
   }
 }
 BENCHMARK(BM_CandidateGeneration)->Unit(benchmark::kMillisecond);

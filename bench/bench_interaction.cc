@@ -7,6 +7,7 @@
 // interactions that are being displayed."
 
 #include "bench_common.h"
+#include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "interaction/graph.h"
 #include "util/str.h"
@@ -23,13 +24,14 @@ struct Shared {
   Workload workload =
       GenerateWorkload(db, TemplateMix::OfflineDefault(), 16, 5);
   std::vector<IndexDef> recommended;
-  InumCostModel inum{db};
+  InMemoryBackend backend{db};
+  InumCostModel inum{backend};
 
   Shared() {
     CoPhyOptions opts;
     opts.storage_budget_pages = DataPages(db);
-    CoPhyAdvisor advisor(db, CostParams{}, opts);
-    recommended = advisor.Recommend(workload).indexes;
+    CoPhyAdvisor advisor(backend, opts);
+    recommended = advisor.TryRecommend(workload).value().indexes;
   }
 };
 

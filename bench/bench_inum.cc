@@ -63,8 +63,9 @@ void RunExperiment() {
          "\"increase the efficiency of the selection tool by orders of "
          "magnitude\"");
 
-  WhatIfOptimizer exact(S.db);
-  InumCostModel inum(S.db);
+  InMemoryBackend backend(S.db);
+  WhatIfOptimizer exact(backend);
+  InumCostModel inum(backend);
 
   // Warm the INUM cache (populate phase), timed separately.
   auto t0 = std::chrono::steady_clock::now();
@@ -80,7 +81,7 @@ void RunExperiment() {
   t0 = std::chrono::steady_clock::now();
   for (const PhysicalDesign& d : S.designs) {
     for (const BoundQuery& q : S.workload.queries) {
-      exact_costs.push_back(exact.CostUnder(q, d));
+      exact_costs.push_back(exact.TryCostUnder(q, d).value());
     }
   }
   double exact_sec =
@@ -171,8 +172,9 @@ void RunComplexityScaling() {
       auto q = ParseAndBind(S.db.catalog(), sql);
       if (q.ok()) w.Add(std::move(q).value());
     }
-    WhatIfOptimizer exact(S.db);
-    InumCostModel inum(S.db);
+    InMemoryBackend backend(S.db);
+    WhatIfOptimizer exact(backend);
+    InumCostModel inum(backend);
     for (const BoundQuery& q : w.queries) inum.Prepare(q);
     // Warm the leaf memos so the measurement reflects steady state.
     for (const PhysicalDesign& d : S.designs) {
@@ -184,7 +186,7 @@ void RunComplexityScaling() {
     for (int r = 0; r < kReps; ++r) {
       for (const PhysicalDesign& d : S.designs) {
         for (const BoundQuery& q : w.queries) {
-          benchmark::DoNotOptimize(exact.CostUnder(q, d));
+          benchmark::DoNotOptimize(exact.TryCostUnder(q, d).value());
         }
       }
     }
@@ -230,17 +232,18 @@ void RunBatchedDesignEvaluation(bench::JsonReporter& reporter) {
   WhatIfOptimizer whatif(backend);
   double naive_check = 0.0;
   for (const PhysicalDesign& d : S.designs) {
-    naive_check += whatif.WorkloadCostUnder(S.workload, d);
+    naive_check += S.workload.WeightedTotal(
+        whatif.TryCostWorkload(S.workload, d).value());
   }
   double naive_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  // Batched: EvaluateDesigns reuses the INUM caches across all designs.
+  // Batched: TryEvaluateDesigns reuses the INUM caches across all designs.
   t0 = std::chrono::steady_clock::now();
   Designer designer(backend);
   std::vector<BenefitReport> reports =
-      designer.EvaluateDesigns(S.workload, S.designs);
+      designer.TryEvaluateDesigns(S.workload, S.designs).value();
   double batched_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -281,7 +284,8 @@ void RunBatchedDesignEvaluation(bench::JsonReporter& reporter) {
     InMemoryBackend scaled(S.db, params);
     Designer fresh(scaled);
     auto tt0 = std::chrono::steady_clock::now();
-    std::vector<BenefitReport> r = fresh.EvaluateDesigns(S.workload, S.designs);
+    std::vector<BenefitReport> r =
+        fresh.TryEvaluateDesigns(S.workload, S.designs).value();
     double sec = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - tt0)
                      .count();
@@ -305,12 +309,13 @@ void RunBatchedDesignEvaluation(bench::JsonReporter& reporter) {
 
 void BM_FullOptimizerCost(benchmark::State& state) {
   Shared& S = shared();
-  WhatIfOptimizer exact(S.db);
+  InMemoryBackend backend(S.db);
+  WhatIfOptimizer exact(backend);
   size_t i = 0;
   for (auto _ : state) {
     const BoundQuery& q = S.workload.queries[i % S.workload.size()];
     const PhysicalDesign& d = S.designs[i % S.designs.size()];
-    benchmark::DoNotOptimize(exact.CostUnder(q, d));
+    benchmark::DoNotOptimize(exact.TryCostUnder(q, d).value());
     ++i;
   }
 }
@@ -318,7 +323,8 @@ BENCHMARK(BM_FullOptimizerCost);
 
 void BM_InumReuseCost(benchmark::State& state) {
   Shared& S = shared();
-  InumCostModel inum(S.db);
+  InMemoryBackend backend(S.db);
+  InumCostModel inum(backend);
   for (const BoundQuery& q : S.workload.queries) inum.Prepare(q);
   size_t i = 0;
   for (auto _ : state) {
@@ -334,7 +340,8 @@ void BM_InumPopulate(benchmark::State& state) {
   Shared& S = shared();
   size_t i = 0;
   for (auto _ : state) {
-    InumCostModel fresh(S.db);
+    InMemoryBackend backend(S.db);
+    InumCostModel fresh(backend);
     fresh.Prepare(S.workload.queries[i % S.workload.size()]);
     benchmark::DoNotOptimize(fresh.stats().plans_cached);
     ++i;

@@ -25,6 +25,7 @@
 // how many times faster it ran than this run's initial recommend.
 
 #include "bench_common.h"
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/session.h"
 
@@ -78,7 +79,8 @@ void RunRefineLoop(JsonReporter& reporter) {
   for (int nq : {8, 16, 32}) {
     Workload workload =
         GenerateWorkload(db, TemplateMix::OfflineDefault(), nq, 19);
-    Designer designer(db);
+    InMemoryBackend backend(db);
+    Designer designer(backend);
     DesignSession session(designer);
     session.SetWorkload(workload);
     DesignConstraints constraints;
@@ -185,7 +187,8 @@ void BM_InitialRecommend(benchmark::State& state) {
                        static_cast<int>(state.range(0)), 19);
   double budget = 0.5 * DataPages(db);
   for (auto _ : state) {
-    Designer designer(db);
+    InMemoryBackend backend(db);
+    Designer designer(backend);
     DesignSession session(designer);
     session.SetWorkload(workload);
     DesignConstraints c;
@@ -202,7 +205,8 @@ void BM_RefineSolve(benchmark::State& state) {
   Workload workload =
       GenerateWorkload(db, TemplateMix::OfflineDefault(),
                        static_cast<int>(state.range(0)), 19);
-  Designer designer(db);
+  InMemoryBackend backend(db);
+  Designer designer(backend);
   DesignSession session(designer);
   session.SetWorkload(workload);
   DesignConstraints c;

@@ -43,7 +43,8 @@ int TraceQueries() {
 
 struct Shared {
   Database db = MakeDb();
-  Designer designer{db};
+  InMemoryBackend backend{db};
+  Designer designer{backend};
   DesignSession session{designer};
   Workload class_workload;  ///< compressed form the schedule is costed on
   std::vector<IndexDef> recommended;

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "core/constraints.h"
 #include "util/rng.h"
@@ -153,7 +154,8 @@ SolveRow Solve(const Database& db, const CoPhyPrepared& prep,
   CoPhyOptions opts;
   opts.storage_budget_pages = budget;
   opts.solve_mode = mode;
-  CoPhyAdvisor advisor(db, CostParams{}, opts);
+  InMemoryBackend backend(db);
+  CoPhyAdvisor advisor(backend, opts);
   auto t0 = std::chrono::steady_clock::now();
   Result<IndexRecommendation> rec = advisor.SolvePrepared(prep, cons, cache);
   SolveRow row;

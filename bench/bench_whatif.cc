@@ -49,13 +49,14 @@ void RunWhatIfVsBuild() {
                         "SELECT objid, ra, dec FROM photoobj "
                         "WHERE ra BETWEEN 100 AND 101 AND dec BETWEEN 0 AND 4");
 
-  WhatIfOptimizer whatif(S.db);
-  double base_cost = whatif.Cost(q.value());
+  InMemoryBackend backend(S.db);
+  WhatIfOptimizer whatif(backend);
+  double base_cost = whatif.TryCost(q.value()).value();
 
   // What-if: hypothetical index + one optimizer call.
   auto t0 = std::chrono::steady_clock::now();
   whatif.CreateHypotheticalIndex(idx);
-  double whatif_cost = whatif.Cost(q.value());
+  double whatif_cost = whatif.TryCost(q.value()).value();
   double whatif_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -67,7 +68,8 @@ void RunWhatIfVsBuild() {
   double build_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  double real_cost = whatif.CostUnder(q.value(), S.db.CurrentDesign());
+  double real_cost =
+      whatif.TryCostUnder(q.value(), S.db.CurrentDesign()).value();
   S.db.DropIndex(idx);
 
   std::printf("\nprobe: %s\n", q.value().ToSql(S.db.catalog()).c_str());
@@ -96,7 +98,8 @@ void RunJoinKnobs() {
   auto q = ParseAndBind(S.db.catalog(),
                         "SELECT p.objid, s.z FROM photoobj p JOIN specobj s "
                         "ON p.objid = s.bestobjid WHERE s.z > 0.2");
-  WhatIfOptimizer whatif(S.db);
+  InMemoryBackend backend(S.db);
+  WhatIfOptimizer whatif(backend);
   TableId photo = S.db.catalog().FindTable(kPhotoObj);
   whatif.CreateHypotheticalIndex(
       IndexDef{photo,
@@ -126,7 +129,7 @@ void RunJoinKnobs() {
               "plan cost");
   for (const KnobCase& kc : cases) {
     whatif.knobs() = kc.knobs;
-    PlanResult r = whatif.Plan(q.value());
+    PlanResult r = whatif.TryPlan(q.value()).value();
     const char* method = "none";
     std::function<void(const PlanNode&)> find = [&](const PlanNode& n) {
       switch (n.type) {
@@ -246,7 +249,8 @@ void RunBatchedCosting(bench::JsonReporter& reporter) {
   // --- Multicore scaling of the batched section ---
   // A wider stream (every query distinct) so there is one optimizer
   // round-trip of work per element to spread across the pool.
-  Workload wide = GenerateWorkload(S.db, TemplateMix::OfflineDefault(), 160, 33);
+  Workload wide =
+      GenerateWorkload(S.db, TemplateMix::OfflineDefault(), 160, 33);
   std::span<const BoundQuery> wide_span(wide.queries.data(),
                                         wide.queries.size());
   std::printf("\nCostBatch thread scaling (%zu distinct queries, %d hardware "
@@ -264,7 +268,8 @@ void RunBatchedCosting(bench::JsonReporter& reporter) {
     (void)scaled.CostBatch(wide_span, design, knobs);  // warm-up
     scaled.ResetCallCount();
     auto tt0 = std::chrono::steady_clock::now();
-    Result<std::vector<double>> costs = scaled.CostBatch(wide_span, design, knobs);
+    Result<std::vector<double>> costs =
+        scaled.CostBatch(wide_span, design, knobs);
     for (int r = 1; r < kReps; ++r) {
       costs = scaled.CostBatch(wide_span, design, knobs);
     }
@@ -294,14 +299,15 @@ void RunBatchedCosting(bench::JsonReporter& reporter) {
 
 void BM_WhatIfCostCall(benchmark::State& state) {
   Shared& S = shared();
-  WhatIfOptimizer whatif(S.db);
+  InMemoryBackend backend(S.db);
+  WhatIfOptimizer whatif(backend);
   TableId photo = S.db.catalog().FindTable(kPhotoObj);
   whatif.CreateHypotheticalIndex(
       IndexDef{photo, {S.db.catalog().table(photo).FindColumn("ra")}, false});
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        whatif.Cost(S.workload.queries[i % S.workload.size()]));
+        whatif.TryCost(S.workload.queries[i % S.workload.size()]).value());
     ++i;
   }
 }
@@ -312,7 +318,8 @@ void BM_HypotheticalIndexCreation(benchmark::State& state) {
   TableId photo = S.db.catalog().FindTable(kPhotoObj);
   IndexDef idx{photo, {S.db.catalog().table(photo).FindColumn("ra")}, false};
   for (auto _ : state) {
-    WhatIfOptimizer whatif(S.db);
+    InMemoryBackend backend(S.db);
+    WhatIfOptimizer whatif(backend);
     benchmark::DoNotOptimize(whatif.CreateHypotheticalIndex(idx));
   }
 }

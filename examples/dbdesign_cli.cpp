@@ -140,7 +140,7 @@ struct Shell {
       std::printf("error: %s\n", q.status().ToString().c_str());
       return;
     }
-    PlanResult plan = session.designer().whatif().Plan(q.value());
+    PlanResult plan = session.designer().whatif().TryPlan(q.value()).value();
     std::printf("%s\n", plan.root->ToString(db.catalog(), q.value()).c_str());
     auto rows = exec.Execute(q.value(), *plan.root);
     if (rows.ok()) {
@@ -187,10 +187,15 @@ struct Shell {
   }
 
   void CmdEval(DesignSession& session) {
-    BenefitReport report = session.designer().EvaluateDesign(
-        session.workload(), session.designer().whatif().hypothetical_design());
+    Designer& designer = session.designer();
+    auto reports = designer.TryEvaluateDesigns(
+        session.workload(), {designer.whatif().hypothetical_design()});
+    if (!reports.ok()) {
+      std::printf("error: %s\n", reports.status().ToString().c_str());
+      return;
+    }
     std::printf("%s", RenderBenefitPanel(db.catalog(), session.workload(),
-                                         report)
+                                         reports.value().front())
                           .c_str());
   }
 
@@ -266,7 +271,7 @@ struct Shell {
       std::printf("error: %s\n", rec.status().ToString().c_str());
       return;
     }
-    std::printf("%s", RenderOfflineRecommendation(db.catalog(), db,
+    std::printf("%s", RenderOfflineRecommendation(db.catalog(), backend,
                                                   session.workload(),
                                                   rec.value())
                           .c_str());
@@ -301,9 +306,13 @@ struct Shell {
       std::printf("recommend first, or create at least two what-if indexes\n");
       return;
     }
-    InteractionGraph graph =
+    auto graph =
         session.designer().AnalyzeInteractions(session.workload(), indexes);
-    std::printf("%s", graph.ToAscii().c_str());
+    if (!graph.ok()) {
+      std::printf("error: %s\n", graph.status().ToString().c_str());
+      return;
+    }
+    std::printf("%s", graph.value().ToAscii().c_str());
   }
 
   void CmdDeploy(DesignSession& session) {

@@ -47,9 +47,11 @@ int main() {
   PhysicalDesign candidate;
   candidate.AddIndex(ra_dec);
 
-  BenefitReport live = designer.EvaluateDesign(workload, candidate);
+  BenefitReport live =
+      designer.TryEvaluateDesigns(workload, {candidate}).value().front();
   // One batched backend round-trip (recorded into the trace).
-  double live_backend = designer.whatif().WorkloadCostUnder(workload, candidate);
+  double live_backend = workload.WeightedTotal(
+      designer.whatif().TryCostWorkload(workload, candidate).value());
   std::printf("live evaluation:   average benefit %.1f%% (cost %.1f -> %.1f; "
               "backend batch %.1f)\n",
               live.average_benefit() * 100.0, live.base_total, live.new_total,
@@ -68,9 +70,10 @@ int main() {
     return 1;
   }
   Designer offline(*replay.value());
-  BenefitReport replayed = offline.EvaluateDesign(workload, candidate);
-  double replay_backend =
-      offline.whatif().WorkloadCostUnder(workload, candidate);
+  BenefitReport replayed =
+      offline.TryEvaluateDesigns(workload, {candidate}).value().front();
+  double replay_backend = workload.WeightedTotal(
+      offline.whatif().TryCostWorkload(workload, candidate).value());
   std::printf("replay evaluation: average benefit %.1f%% (cost %.1f -> %.1f; "
               "backend batch %.1f)\n",
               replayed.average_benefit() * 100.0, replayed.base_total,

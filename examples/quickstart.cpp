@@ -45,7 +45,7 @@ int main() {
   // swap InMemoryBackend for your own implementation to port it.
   InMemoryBackend backend(db);
   WhatIfOptimizer whatif(backend);
-  PlanResult before = whatif.Plan(query.value());
+  PlanResult before = whatif.TryPlan(query.value()).value();
   std::printf("\n--- plan without indexes (cost %.1f) ---\n%s\n",
               before.cost,
               before.root->ToString(db.catalog(), query.value()).c_str());
@@ -56,7 +56,7 @@ int main() {
                    db.catalog().table(photo).FindColumn("dec")},
                   false};
   whatif.CreateHypotheticalIndex(ra_dec);
-  PlanResult after = whatif.Plan(query.value());
+  PlanResult after = whatif.TryPlan(query.value()).value();
   std::printf("--- plan with hypothetical %s (cost %.1f, %.1fx faster) ---\n%s\n",
               ra_dec.DisplayName(db.catalog()).c_str(), after.cost,
               before.cost / after.cost,
@@ -74,7 +74,8 @@ int main() {
   for (TableId t = 0; t < db.catalog().num_tables(); ++t) {
     data_pages += db.stats(t).HeapPages(db.catalog().table(t));
   }
-  OfflineRecommendation rec = designer.RecommendOffline(workload, data_pages);
+  OfflineRecommendation rec =
+      designer.TryRecommendOffline(workload, data_pages).value();
   std::printf("\n%s\n",
               RenderOfflineRecommendation(db.catalog(), backend, workload, rec)
                   .c_str());

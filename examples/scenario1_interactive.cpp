@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/report.h"
 #include "core/session.h"
@@ -59,7 +60,8 @@ int main() {
   Database db = BuildSdssDatabase(config);
   Workload workload =
       GenerateWorkload(db, TemplateMix::OfflineDefault(), 16, /*seed=*/42);
-  Designer designer(db);
+  InMemoryBackend backend(db);
+  Designer designer(backend);
   DesignSession session(designer);
   session.SetWorkload(workload);
 

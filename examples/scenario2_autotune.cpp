@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "autopart/autopart.h"
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/report.h"
 #include "exec/executor.h"
@@ -34,10 +35,12 @@ int main() {
   std::printf("database: %.0f heap pages (%s); storage budget: 1x data\n",
               data_pages, FormatBytes(data_pages * kPageSizeBytes).c_str());
 
-  Designer designer(db);
-  OfflineRecommendation rec = designer.RecommendOffline(workload, data_pages);
+  InMemoryBackend backend(db);
+  Designer designer(backend);
+  OfflineRecommendation rec =
+      designer.TryRecommendOffline(workload, data_pages).value();
   std::printf("\n%s\n",
-              RenderOfflineRecommendation(db.catalog(), db, workload, rec)
+              RenderOfflineRecommendation(db.catalog(), backend, workload, rec)
                   .c_str());
 
   // The user accepts: physically create the suggested indexes in
@@ -53,8 +56,8 @@ int main() {
                 s.ok() ? "ok" : s.ToString().c_str());
   }
   // Re-plan a probe query against the now-materialized design and run it.
-  WhatIfOptimizer whatif(db);
-  PlanResult plan = whatif.Plan(probe);
+  WhatIfOptimizer whatif(backend);
+  PlanResult plan = whatif.TryPlan(probe).value();
   auto rows = exec.Execute(probe, *plan.root);
   std::printf("\nprobe query: %s\n", probe.ToSql(db.catalog()).c_str());
   std::printf("%s\n", plan.root->ToString(db.catalog(), probe).c_str());
@@ -70,7 +73,7 @@ int main() {
   // Rewritten queries for the suggested partitions.
   if (rec.combined.HasPartitions()) {
     std::printf("\nRewritten queries for the suggested partitions:\n");
-    AutoPartAdvisor autopart(db);
+    AutoPartAdvisor autopart(backend);
     for (size_t i = 0; i < 3 && i < workload.size(); ++i) {
       std::printf("  q%zu: %s\n", i,
                   autopart.RewriteQuery(workload.queries[i], rec.combined)

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "backend/inmemory_backend.h"
 #include "colt/colt.h"
 #include "core/designer.h"
 #include "workload/queries.h"
@@ -33,8 +34,9 @@ int main() {
 
   ColtOptions opts;
   opts.epoch_length = 25;
-  ColtTuner tuner(db, CostParams{}, opts);
-  InumCostModel oracle(db);  // for the no-tuning baseline
+  InMemoryBackend backend(db);
+  ColtTuner tuner(backend, opts);
+  InumCostModel oracle(backend);  // for the no-tuning baseline
 
   double untuned = 0.0;
   for (size_t i = 0; i < stream.size(); ++i) {

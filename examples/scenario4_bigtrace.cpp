@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/session.h"
 #include "workload/queries.h"
@@ -49,7 +50,8 @@ int main() {
   config.photoobj_rows = 20000;
   std::printf("scenario 4 — big-trace tuning (template compression)\n\n");
   Database db = BuildSdssDatabase(config);
-  Designer designer(db);
+  InMemoryBackend backend(db);
+  Designer designer(backend);
   DesignSession session(designer);
 
   // --- Step 1: load a production-scale trace ---

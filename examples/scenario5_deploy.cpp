@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/session.h"
 #include "workload/queries.h"
@@ -58,7 +59,8 @@ int main() {
   config.photoobj_rows = 20000;
   std::printf("scenario 5 — deployment scheduling (the loop's last mile)\n\n");
   Database db = BuildSdssDatabase(config);
-  Designer designer(db);
+  InMemoryBackend backend(db);
+  Designer designer(backend);
   DesignSession session(designer);
 
   // --- Step 1: recommend for a compressed trace ---

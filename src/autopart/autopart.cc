@@ -12,13 +12,6 @@ namespace dbdesign {
 AutoPartAdvisor::AutoPartAdvisor(DbmsBackend& backend, AutoPartOptions options)
     : backend_(&backend), options_(options), inum_(backend) {}
 
-AutoPartAdvisor::AutoPartAdvisor(std::shared_ptr<DbmsBackend> owned,
-                                 AutoPartOptions options)
-    : owned_backend_(std::move(owned)),
-      backend_(owned_backend_.get()),
-      options_(options),
-      inum_(*backend_) {}
-
 std::vector<VerticalFragment> AutoPartAdvisor::AtomicFragments(
     TableId table, const Workload& workload) const {
   const TableDef& def = backend_->catalog().table(table);
@@ -45,11 +38,16 @@ std::vector<VerticalFragment> AutoPartAdvisor::AtomicFragments(
   return fragments;
 }
 
-PartitionRecommendation AutoPartAdvisor::Recommend(const Workload& workload) {
-  return Recommend(workload, DesignConstraints{});
+Result<PartitionRecommendation> AutoPartAdvisor::Recommend(
+    const Workload& workload, const DesignConstraints& constraints) {
+  try {
+    return Search(workload, constraints);
+  } catch (const StatusException& e) {
+    return e.status();
+  }
 }
 
-PartitionRecommendation AutoPartAdvisor::Recommend(
+PartitionRecommendation AutoPartAdvisor::Search(
     const Workload& workload, const DesignConstraints& constraints) {
   PartitionRecommendation rec;
   PhysicalDesign design;

@@ -20,7 +20,6 @@
 #ifndef DBDESIGN_AUTOPART_AUTOPART_H_
 #define DBDESIGN_AUTOPART_AUTOPART_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,8 +27,6 @@
 #include "inum/inum.h"
 
 namespace dbdesign {
-
-class Database;  // legacy convenience constructor only
 
 struct AutoPartOptions {
   /// Stored-bytes / original-bytes ceiling for column replication.
@@ -71,19 +68,13 @@ class AutoPartAdvisor {
   /// Attaches to a backend (non-owning); cost parameters come from it.
   explicit AutoPartAdvisor(DbmsBackend& backend, AutoPartOptions options = {});
 
-  /// Legacy convenience: wraps `db` in an owned InMemoryBackend (defined
-  /// in backend/compat.cc).
-  explicit AutoPartAdvisor(const Database& db, CostParams params = {},
-                           AutoPartOptions options = {});
-
-  PartitionRecommendation Recommend(const Workload& workload);
-
-  /// Constraint-aware variant: tables outside the constraints'
-  /// partitioning allow list (or on its deny list, or everything when
-  /// partitioning is disabled) are left untouched — no vertical
-  /// fragments, no horizontal ranges.
-  PartitionRecommendation Recommend(const Workload& workload,
-                                    const DesignConstraints& constraints);
+  /// Recommends vertical and horizontal partitions for the workload.
+  /// Tables outside the constraints' partitioning allow list (or on its
+  /// deny list, or everything when partitioning is disabled) are left
+  /// untouched — no vertical fragments, no horizontal ranges. Backend
+  /// failures surface as Status.
+  Result<PartitionRecommendation> Recommend(
+      const Workload& workload, const DesignConstraints& constraints = {});
 
   /// Rewrites a query onto the fragments of `design` (the demo's "save
   /// the rewritten queries" feature): fragments joined back on the
@@ -94,14 +85,14 @@ class AutoPartAdvisor {
   InumCostModel& inum() { return inum_; }
 
  private:
-  /// Owning constructor used by the legacy Database path.
-  AutoPartAdvisor(std::shared_ptr<DbmsBackend> owned, AutoPartOptions options);
+  /// Recommend's body; backend failures throw StatusException.
+  PartitionRecommendation Search(const Workload& workload,
+                                 const DesignConstraints& constraints);
 
   /// Builds atomic fragments for one table from query access patterns.
   std::vector<VerticalFragment> AtomicFragments(
       TableId table, const Workload& workload) const;
 
-  std::shared_ptr<DbmsBackend> owned_backend_;  // legacy path only
   DbmsBackend* backend_;
   AutoPartOptions options_;
   InumCostModel inum_;

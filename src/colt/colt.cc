@@ -29,13 +29,6 @@ ColtTuner::ColtTuner(DbmsBackend& backend, ColtOptions options)
       options_(options),
       inum_(backend, options_.inum) {}
 
-ColtTuner::ColtTuner(std::shared_ptr<DbmsBackend> owned, ColtOptions options)
-    : owned_backend_(std::move(owned)),
-      backend_(owned_backend_.get()),
-      params_(backend_->cost_params()),
-      options_(options),
-      inum_(*backend_, options_.inum) {}
-
 Status ColtTuner::SetConstraints(DesignConstraints constraints) {
   Status s = constraints.Validate(backend_->catalog());
   if (!s.ok()) return s;

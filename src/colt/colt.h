@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,8 +30,6 @@
 #include "workload/compress.h"
 
 namespace dbdesign {
-
-class Database;  // legacy convenience constructor only
 
 struct ColtOptions {
   int epoch_length = 25;  ///< queries per epoch
@@ -59,9 +56,6 @@ struct ColtOptions {
 double EstimateIndexBuildCost(const DbmsBackend& backend,
                               const IndexDef& index,
                               const CostParams& params);
-/// Legacy convenience overload (defined in backend/compat.cc).
-double EstimateIndexBuildCost(const Database& db, const IndexDef& index,
-                              const CostParams& params);
 
 struct ColtEvent {
   enum class Type { kBuild, kDrop, kAlert };
@@ -86,11 +80,6 @@ class ColtTuner {
  public:
   /// Attaches to a backend (non-owning); cost parameters come from it.
   explicit ColtTuner(DbmsBackend& backend, ColtOptions options = {});
-
-  /// Legacy convenience: wraps `db` in an owned InMemoryBackend (defined
-  /// in backend/compat.cc).
-  ColtTuner(const Database& db, CostParams params = {},
-            ColtOptions options = {});
 
   /// Feeds one query from the stream; returns its observed (modeled)
   /// cost under the current configuration. Bookkeeping is keyed by
@@ -162,9 +151,6 @@ class ColtTuner {
     bool pinned = false;  ///< DBA-mandated: always selected, never dropped
   };
 
-  /// Owning constructor used by the legacy Database path.
-  ColtTuner(std::shared_ptr<DbmsBackend> owned, ColtOptions options);
-
   void ExtractCandidates(const BoundQuery& query);
   void EndEpoch();
   /// Epoch rollup body; throws StatusException on backend failure
@@ -174,7 +160,6 @@ class ColtTuner {
   /// degraded epoch paths).
   void RollEpoch(ColtEpochReport report);
 
-  std::shared_ptr<DbmsBackend> owned_backend_;  // legacy path only
   DbmsBackend* backend_;
   CostParams params_;
   ColtOptions options_;

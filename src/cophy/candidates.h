@@ -20,8 +20,6 @@
 
 namespace dbdesign {
 
-class Database;  // legacy convenience overload only
-
 struct CandidateOptions {
   /// Maximum total candidates (kept by workload relevance).
   int max_candidates = 64;
@@ -43,11 +41,6 @@ struct CandidateIndex {
 /// Mines candidates from the workload.
 std::vector<CandidateIndex> GenerateCandidates(
     const DbmsBackend& backend, const Workload& workload,
-    const CandidateOptions& options = {});
-
-/// Legacy convenience overload (defined in backend/compat.cc).
-std::vector<CandidateIndex> GenerateCandidates(
-    const Database& db, const Workload& workload,
     const CandidateOptions& options = {});
 
 /// Appends the constraints' pinned indexes to `candidates` (sized via

@@ -155,15 +155,6 @@ CoPhyAdvisor::CoPhyAdvisor(DbmsBackend& backend, CoPhyOptions options)
       inum_(backend, options.inum),
       optimizer_(backend.catalog(), backend.all_stats(), params_) {}
 
-CoPhyAdvisor::CoPhyAdvisor(std::shared_ptr<DbmsBackend> owned,
-                           CoPhyOptions options)
-    : owned_backend_(std::move(owned)),
-      backend_(owned_backend_.get()),
-      params_(backend_->cost_params()),
-      options_(options),
-      inum_(*backend_, options.inum),
-      optimizer_(backend_->catalog(), backend_->all_stats(), params_) {}
-
 std::vector<CoPhyAtom> CoPhyAdvisor::BuildAtoms(
     const BoundQuery& query, const std::vector<CandidateIndex>& candidates) {
   inum_.Prepare(query);
@@ -350,29 +341,11 @@ std::vector<CoPhyAtom> CoPhyAdvisor::BuildAtoms(
   return atoms;
 }
 
-IndexRecommendation CoPhyAdvisor::Recommend(const Workload& workload) {
-  return RecommendWithCandidates(
-      workload, GenerateCandidates(*backend_, workload, options_.candidates));
-}
-
-IndexRecommendation CoPhyAdvisor::RecommendWithCandidates(
-    const Workload& workload,
-    const std::vector<CandidateIndex>& candidates) {
-  CoPhyPrepared prepared = Prepare(workload, candidates);
-  Result<IndexRecommendation> rec = SolvePrepared(prepared, {});
-  // Unconstrained solves cannot fail validation; keep the legacy
-  // non-Status signature for existing callers.
-  return rec.ok() ? std::move(rec).value() : IndexRecommendation{};
-}
-
 Result<IndexRecommendation> CoPhyAdvisor::TryRecommend(
     const Workload& workload, const DesignConstraints& constraints) {
-  Status s = constraints.Validate(backend_->catalog());
-  if (!s.ok()) return s;
-  std::vector<CandidateIndex> candidates =
-      GenerateCandidates(*backend_, workload, options_.candidates);
-  MergePinnedCandidates(*backend_, constraints, &candidates);
-  return SolvePrepared(Prepare(workload, std::move(candidates)), constraints);
+  return TryRecommendWithCandidates(
+      workload, GenerateCandidates(*backend_, workload, options_.candidates),
+      constraints);
 }
 
 Result<IndexRecommendation> CoPhyAdvisor::TryRecommendWithCandidates(
@@ -382,7 +355,9 @@ Result<IndexRecommendation> CoPhyAdvisor::TryRecommendWithCandidates(
   if (!s.ok()) return s;
   std::vector<CandidateIndex> merged = candidates;
   MergePinnedCandidates(*backend_, constraints, &merged);
-  return SolvePrepared(Prepare(workload, std::move(merged)), constraints);
+  Result<CoPhyPrepared> prepared = TryPrepare(workload, std::move(merged));
+  if (!prepared.ok()) return prepared.status();
+  return SolvePrepared(prepared.value(), constraints);
 }
 
 CoPhyPrepared CoPhyAdvisor::Prepare(const Workload& workload,

@@ -133,7 +133,7 @@ uint64_t CandidateUniverseFingerprint(
     const std::vector<CandidateIndex>& candidates);
 
 /// Cross-session atom-reuse seam. Implemented by the tuning server's
-/// AtomStore; consulted by CoPhyAdvisor::Prepare once per structurally
+/// AtomStore; consulted by CoPhyAdvisor::TryPrepare once per structurally
 /// distinct query. Implementations must be thread-safe, and must only
 /// return rows built against the same cost substrate (schema, stats,
 /// cost params — the store's keying contract) as the requesting
@@ -193,7 +193,7 @@ struct CoPhyPrepared {
   std::vector<int> row_cluster;
 
   /// Rebuilds `clusters` / `row_cluster` from the current rows and
-  /// candidates. Prepare calls this; incremental row edits (session
+  /// candidates. TryPrepare calls this; incremental row edits (session
   /// add/remove-queries paths) must call it again before the next solve.
   void RefreshClusters();
 
@@ -297,45 +297,30 @@ class CoPhyAdvisor {
   /// Attaches to a backend (non-owning); cost parameters come from it.
   explicit CoPhyAdvisor(DbmsBackend& backend, CoPhyOptions options = {});
 
-  /// Legacy convenience: wraps `db` in an owned InMemoryBackend (defined
-  /// in backend/compat.cc).
-  explicit CoPhyAdvisor(const Database& db, CostParams params = {},
-                        CoPhyOptions options = {});
-
-  /// Recommends an index set for the workload under the storage budget.
-  IndexRecommendation Recommend(const Workload& workload);
-
+  /// Recommends an index set for the workload under the storage budget
+  /// and DBA constraints: pins become y_i = 1 fixings, vetoes y_i = 0,
+  /// per-table caps extra BIP rows, and the effective budget is
+  /// min(options budget, constraint budget). Pinned indexes that do not
+  /// fit the budget are reported in IndexRecommendation::infeasible_pins
+  /// (smallest pins admitted first) rather than silently dropped.
+  /// Invalid constraints and backend failures surface as Status.
+  Result<IndexRecommendation> TryRecommend(
+      const Workload& workload, const DesignConstraints& constraints = {});
   /// Recommends from a caller-supplied candidate set (the paper's
-  /// interactive mode: the DBA seeds the search with her own candidates).
-  IndexRecommendation RecommendWithCandidates(
-      const Workload& workload, const std::vector<CandidateIndex>& candidates);
-
-  // --- Constraint-aware, Status-bearing API ---
-  /// Recommends under DBA constraints: pins become y_i = 1 fixings,
-  /// vetoes y_i = 0, per-table caps extra BIP rows, and the effective
-  /// budget is min(options budget, constraint budget). Pinned indexes
-  /// that do not fit the budget are reported in
-  /// IndexRecommendation::infeasible_pins (smallest pins admitted
-  /// first) rather than silently dropped. Errors (invalid constraints)
-  /// surface as Status.
-  Result<IndexRecommendation> TryRecommend(const Workload& workload,
-                                           const DesignConstraints& constraints);
+  /// interactive mode: the DBA seeds the search with their own
+  /// candidates); otherwise as TryRecommend.
   Result<IndexRecommendation> TryRecommendWithCandidates(
       const Workload& workload, const std::vector<CandidateIndex>& candidates,
-      const DesignConstraints& constraints);
+      const DesignConstraints& constraints = {});
 
   // --- Incremental API (prepare once, re-solve many times) ---
   /// Populates INUM for the workload and expands every query into atoms
   /// against `candidates` — the expensive half of a recommendation.
-  CoPhyPrepared Prepare(const Workload& workload,
-                        std::vector<CandidateIndex> candidates);
-
-  /// Status-returning form of Prepare. Populate and atom expansion are
-  /// client-side, but base-cost evaluation can fall back to the
-  /// backend; a backend failure there (e.g. the connection is down)
-  /// surfaces as its Status instead of aborting or poisoning the
-  /// prepared state. The first failing parallel shard cancels the
-  /// rest.
+  /// Populate and atom expansion are client-side, but base-cost
+  /// evaluation can fall back to the backend; a backend failure there
+  /// (e.g. the connection is down) surfaces as its Status instead of
+  /// aborting or poisoning the prepared state. The first failing
+  /// parallel shard cancels the rest.
   Result<CoPhyPrepared> TryPrepare(const Workload& workload,
                                    std::vector<CandidateIndex> candidates);
 
@@ -367,7 +352,7 @@ class CoPhyAdvisor {
   /// Expands one query into atomic configurations against `candidates`
   /// (exposed for tests and for the interaction analyzer). Safe to call
   /// concurrently for *distinct* queries once the INUM caches are
-  /// populated (Recommend* prepares them, then fans atom building out
+  /// populated (TryPrepare populates them, then fans atom building out
   /// across the pool); concurrent calls for unseen queries would race
   /// on the cache and need external synchronization.
   std::vector<CoPhyAtom> BuildAtoms(
@@ -376,19 +361,19 @@ class CoPhyAdvisor {
   InumCostModel& inum() { return inum_; }
 
   /// Attaches a cross-session atom source (non-owning; nullptr detaches).
-  /// Prepare then serves structurally distinct queries from the source
+  /// TryPrepare then serves structurally distinct queries from the source
   /// when possible — a hit skips that query's INUM populate entirely —
   /// and publishes every row it builds. Results are bit-identical with
-  /// or without a source: a cached row is exactly what Prepare would
+  /// or without a source: a cached row is exactly what TryPrepare would
   /// have built, because the source key pins schema, stats, cost
   /// params, SQL text, and candidate universe.
   void set_atom_source(CoPhyAtomSource* source) { atom_source_ = source; }
 
  private:
-  /// Owning constructor used by the legacy Database path.
-  CoPhyAdvisor(std::shared_ptr<DbmsBackend> owned, CoPhyOptions options);
+  /// TryPrepare's body; backend failures throw StatusException.
+  CoPhyPrepared Prepare(const Workload& workload,
+                        std::vector<CandidateIndex> candidates);
 
-  std::shared_ptr<DbmsBackend> owned_backend_;  // legacy path only
   DbmsBackend* backend_;
   CostParams params_;
   CoPhyOptions options_;

@@ -9,27 +9,6 @@ namespace dbdesign {
 GreedyAdvisor::GreedyAdvisor(DbmsBackend& backend, GreedyOptions options)
     : backend_(&backend), options_(options), inum_(backend) {}
 
-GreedyAdvisor::GreedyAdvisor(std::shared_ptr<DbmsBackend> owned,
-                             GreedyOptions options)
-    : owned_backend_(std::move(owned)),
-      backend_(owned_backend_.get()),
-      options_(options),
-      inum_(*backend_) {}
-
-GreedyResult GreedyAdvisor::Recommend(const Workload& workload) {
-  return RecommendWithCandidates(
-      workload, GenerateCandidates(*backend_, workload, options_.candidates));
-}
-
-GreedyResult GreedyAdvisor::RecommendWithCandidates(
-    const Workload& workload,
-    const std::vector<CandidateIndex>& candidates) {
-  // Unconstrained solves cannot fail; keep the legacy signature.
-  Result<GreedyResult> r =
-      TryRecommendWithCandidates(workload, candidates, {});
-  return r.ok() ? std::move(r).value() : GreedyResult{};
-}
-
 Result<GreedyResult> GreedyAdvisor::TryRecommend(
     const Workload& workload, const DesignConstraints& constraints) {
   return TryRecommendWithCandidates(
@@ -38,6 +17,17 @@ Result<GreedyResult> GreedyAdvisor::TryRecommend(
 }
 
 Result<GreedyResult> GreedyAdvisor::TryRecommendWithCandidates(
+    const Workload& workload,
+    const std::vector<CandidateIndex>& candidates,
+    const DesignConstraints& constraints) {
+  try {
+    return Search(workload, candidates, constraints);
+  } catch (const StatusException& e) {
+    return e.status();
+  }
+}
+
+Result<GreedyResult> GreedyAdvisor::Search(
     const Workload& workload,
     const std::vector<CandidateIndex>& candidates,
     const DesignConstraints& constraints) {

@@ -13,7 +13,6 @@
 #define DBDESIGN_COPHY_GREEDY_H_
 
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "cophy/candidates.h"
@@ -47,34 +46,28 @@ class GreedyAdvisor {
   /// Attaches to a backend (non-owning); cost parameters come from it.
   explicit GreedyAdvisor(DbmsBackend& backend, GreedyOptions options = {});
 
-  /// Legacy convenience: wraps `db` in an owned InMemoryBackend (defined
-  /// in backend/compat.cc).
-  explicit GreedyAdvisor(const Database& db, CostParams params = {},
-                         GreedyOptions options = {});
-
-  GreedyResult Recommend(const Workload& workload);
-  GreedyResult RecommendWithCandidates(
-      const Workload& workload, const std::vector<CandidateIndex>& candidates);
-
   /// Constraint-aware recommendation: vetoed candidates are filtered
   /// out, pinned indexes are seeded into the configuration before the
   /// greedy loop (consuming budget and table caps), and the loop honors
   /// per-table caps plus min(options budget, constraint budget). Pins
   /// that do not fit the budget are an error — the greedy baseline has
-  /// no partial-feasibility story to fall back on.
-  Result<GreedyResult> TryRecommend(const Workload& workload,
-                                    const DesignConstraints& constraints);
+  /// no partial-feasibility story to fall back on. Backend failures
+  /// surface as Status.
+  Result<GreedyResult> TryRecommend(
+      const Workload& workload, const DesignConstraints& constraints = {});
   Result<GreedyResult> TryRecommendWithCandidates(
       const Workload& workload, const std::vector<CandidateIndex>& candidates,
-      const DesignConstraints& constraints);
+      const DesignConstraints& constraints = {});
 
   InumCostModel& inum() { return inum_; }
 
  private:
-  /// Owning constructor used by the legacy Database path.
-  GreedyAdvisor(std::shared_ptr<DbmsBackend> owned, GreedyOptions options);
+  /// TryRecommendWithCandidates' greedy loop; backend failures throw
+  /// StatusException.
+  Result<GreedyResult> Search(const Workload& workload,
+                              const std::vector<CandidateIndex>& candidates,
+                              const DesignConstraints& constraints);
 
-  std::shared_ptr<DbmsBackend> owned_backend_;  // legacy path only
   DbmsBackend* backend_;
   GreedyOptions options_;
   InumCostModel inum_;

@@ -10,20 +10,7 @@ Designer::Designer(DbmsBackend& backend, DesignerOptions options)
       whatif_(backend),
       inum_(backend, options_.cophy.inum) {}
 
-Designer::Designer(std::shared_ptr<DbmsBackend> owned, DesignerOptions options)
-    : owned_backend_(std::move(owned)),
-      backend_(owned_backend_.get()),
-      options_(std::move(options)),
-      whatif_(*backend_),
-      inum_(*backend_, options_.cophy.inum) {}
-
-BenefitReport Designer::EvaluateDesign(const Workload& workload,
-                                       const PhysicalDesign& design) {
-  std::vector<BenefitReport> reports = EvaluateDesigns(workload, {design});
-  return std::move(reports.front());
-}
-
-std::vector<BenefitReport> Designer::EvaluateDesigns(
+Result<std::vector<BenefitReport>> Designer::TryEvaluateDesigns(
     const Workload& workload, const std::vector<PhysicalDesign>& designs) {
   // One INUM populate per query serves the baseline and every candidate
   // design; each additional design reprices only the plan leaves. The
@@ -34,8 +21,13 @@ std::vector<BenefitReport> Designer::EvaluateDesigns(
   all.reserve(designs.size() + 1);
   all.emplace_back();  // empty baseline design
   for (const PhysicalDesign& d : designs) all.push_back(d);
-  std::vector<std::vector<double>> matrix = inum_.CostMatrix(
-      workload, std::span<const PhysicalDesign>(all.data(), all.size()));
+  std::vector<std::vector<double>> matrix;
+  try {
+    matrix = inum_.CostMatrix(
+        workload, std::span<const PhysicalDesign>(all.data(), all.size()));
+  } catch (const StatusException& e) {
+    return e.status();
+  }
 
   std::vector<BenefitReport> reports;
   reports.reserve(designs.size());
@@ -43,38 +35,22 @@ std::vector<BenefitReport> Designer::EvaluateDesigns(
     BenefitReport report;
     report.base_costs = matrix[0];
     report.new_costs = std::move(matrix[d + 1]);
-    for (size_t i = 0; i < workload.size(); ++i) {
-      double w = workload.WeightOf(i);
-      report.base_total += w * report.base_costs[i];
-      report.new_total += w * report.new_costs[i];
-    }
+    report.base_total = workload.WeightedTotal(report.base_costs);
+    report.new_total = workload.WeightedTotal(report.new_costs);
     reports.push_back(std::move(report));
   }
   return reports;
 }
 
-Result<std::vector<BenefitReport>> Designer::TryEvaluateDesigns(
-    const Workload& workload, const std::vector<PhysicalDesign>& designs) {
+Result<InteractionGraph> Designer::AnalyzeInteractions(
+    const Workload& workload, const std::vector<IndexDef>& indexes) {
+  InteractionAnalyzer analyzer(inum_, options_.doi);
   try {
-    return EvaluateDesigns(workload, designs);
+    return InteractionGraph(backend_->catalog(), indexes,
+                            analyzer.Analyze(workload, indexes));
   } catch (const StatusException& e) {
     return e.status();
   }
-}
-
-InteractionGraph Designer::AnalyzeInteractions(
-    const Workload& workload, const std::vector<IndexDef>& indexes) {
-  InteractionAnalyzer analyzer(inum_, options_.doi);
-  std::vector<InteractionEdge> edges = analyzer.Analyze(workload, indexes);
-  return InteractionGraph(backend_->catalog(), indexes, std::move(edges));
-}
-
-OfflineRecommendation Designer::RecommendOffline(
-    const Workload& workload, double storage_budget_pages) {
-  Result<OfflineRecommendation> rec =
-      TryRecommendOffline(workload, storage_budget_pages, {});
-  // Unconstrained pipelines cannot fail validation.
-  return rec.ok() ? std::move(rec).value() : OfflineRecommendation{};
 }
 
 Result<OfflineRecommendation> Designer::TryRecommendOffline(
@@ -91,21 +67,27 @@ Result<OfflineRecommendation> Designer::TryRecommendOffline(
   rec.indexes = std::move(indexes).value();
 
   AutoPartAdvisor autopart(*backend_, options_.autopart);
-  rec.partitions = autopart.Recommend(workload, constraints);
+  Result<PartitionRecommendation> partitions =
+      autopart.Recommend(workload, constraints);
+  if (!partitions.ok()) return partitions.status();
+  rec.partitions = std::move(partitions).value();
 
   // Combined design: partitions plus the recommended indexes.
   rec.combined = rec.partitions.design;
   for (const IndexDef& idx : rec.indexes.indexes) rec.combined.AddIndex(idx);
 
-  rec.base_cost = inum_.WorkloadCost(workload, PhysicalDesign{});
-  rec.combined_cost = inum_.WorkloadCost(workload, rec.combined);
-
-  MaterializationScheduler scheduler(inum_);
-  rec.schedule = scheduler.Greedy(workload, rec.indexes.indexes);
+  try {
+    rec.base_cost = inum_.WorkloadCost(workload, PhysicalDesign{});
+    rec.combined_cost = inum_.WorkloadCost(workload, rec.combined);
+    MaterializationScheduler scheduler(inum_);
+    rec.schedule = scheduler.Greedy(workload, rec.indexes.indexes);
+  } catch (const StatusException& e) {
+    return e.status();
+  }
   return rec;
 }
 
-IndexRecommendation Designer::RecommendIndexes(
+Result<IndexRecommendation> Designer::RecommendIndexes(
     const Workload& workload,
     const std::vector<CandidateIndex>& seed_candidates) {
   CoPhyAdvisor cophy(*backend_, options_.cophy);
@@ -118,13 +100,17 @@ IndexRecommendation Designer::RecommendIndexes(
     for (const CandidateIndex& c : merged) dup |= c.index == seed.index;
     if (!dup) merged.push_back(seed);
   }
-  return cophy.RecommendWithCandidates(workload, merged);
+  return cophy.TryRecommendWithCandidates(workload, merged);
 }
 
-MaterializationSchedule Designer::ScheduleMaterialization(
+Result<MaterializationSchedule> Designer::ScheduleMaterialization(
     const Workload& workload, const std::vector<IndexDef>& indexes) {
   MaterializationScheduler scheduler(inum_);
-  return scheduler.Greedy(workload, indexes);
+  try {
+    return scheduler.Greedy(workload, indexes);
+  } catch (const StatusException& e) {
+    return e.status();
+  }
 }
 
 std::unique_ptr<ColtTuner> Designer::StartContinuousTuning() const {

@@ -36,10 +36,9 @@
 
 namespace dbdesign {
 
+/// Per-component options. Cost parameters are not among them: they
+/// belong to the DbmsBackend the Designer attaches to.
 struct DesignerOptions {
-  /// Cost parameters — used only by the legacy Database constructor when
-  /// it builds the owned InMemoryBackend; a DbmsBackend brings its own.
-  CostParams params;
   CoPhyOptions cophy;
   AutoPartOptions autopart;
   ColtOptions colt;
@@ -83,57 +82,44 @@ class Designer {
   /// Attaches to a backend (non-owning; the backend must outlive this).
   explicit Designer(DbmsBackend& backend, DesignerOptions options = {});
 
-  /// Legacy convenience: wraps `db` in an owned InMemoryBackend built
-  /// with options.params (defined in backend/compat.cc).
-  explicit Designer(const Database& db, DesignerOptions options = {});
-
   // --- Scenario 1: interactive session ---
   /// The what-if sub-system (hypothetical indexes/partitions, join knobs).
   WhatIfOptimizer& whatif() { return whatif_; }
 
-  /// Costs the workload under `design` vs the empty baseline, per query.
-  BenefitReport EvaluateDesign(const Workload& workload,
-                               const PhysicalDesign& design);
+  // Every operation below reports a backend failure in the costing
+  // fallback paths as its Status, never as a sentinel cost or an abort.
 
-  /// Batched variant: evaluates many candidate designs in one pass.
-  /// INUM populates each query's plan cache once and reprices only the
-  /// leaves per design, so evaluating K designs costs far less than K
-  /// independent EvaluateDesign calls — the hot path of scenario 2.
-  std::vector<BenefitReport> EvaluateDesigns(
-      const Workload& workload, const std::vector<PhysicalDesign>& designs);
-
-  /// Status-returning form of EvaluateDesigns: a backend failure in
-  /// the costing fallback paths surfaces as its Status instead of a
-  /// sentinel cost or an abort.
+  /// Costs the workload under each of `designs` vs the empty baseline,
+  /// per query, in one pass: INUM populates each query's plan cache
+  /// once and reprices only the leaves per design, so evaluating K
+  /// designs costs far less than K independent passes — the hot path
+  /// of scenario 2.
   Result<std::vector<BenefitReport>> TryEvaluateDesigns(
       const Workload& workload, const std::vector<PhysicalDesign>& designs);
 
   /// Builds the interaction graph (Figure 2) for a set of indexes.
-  InteractionGraph AnalyzeInteractions(const Workload& workload,
-                                       const std::vector<IndexDef>& indexes);
+  Result<InteractionGraph> AnalyzeInteractions(
+      const Workload& workload, const std::vector<IndexDef>& indexes);
 
   // --- Scenario 2: automatic tuning ---
   /// Full pipeline: CoPhy indexes + AutoPart partitions + schedule.
-  OfflineRecommendation RecommendOffline(const Workload& workload,
-                                         double storage_budget_pages);
-
-  /// Constraint-aware full pipeline: CoPhy honors pins/vetoes/per-table
-  /// caps under min(storage_budget_pages, constraint budget); AutoPart
-  /// honors the partitioning allow/deny lists. Invalid constraints
-  /// surface as Status.
+  /// CoPhy honors pins/vetoes/per-table caps under
+  /// min(storage_budget_pages, constraint budget); AutoPart honors the
+  /// partitioning allow/deny lists. Invalid constraints surface as
+  /// Status.
   Result<OfflineRecommendation> TryRecommendOffline(
       const Workload& workload, double storage_budget_pages,
-      const DesignConstraints& constraints);
+      const DesignConstraints& constraints = {});
 
   /// Index-only recommendation with user-seeded candidates (the paper's
   /// "control the physical design search by suggesting a candidate set
   /// of indexes as the starting point").
-  IndexRecommendation RecommendIndexes(
+  Result<IndexRecommendation> RecommendIndexes(
       const Workload& workload,
       const std::vector<CandidateIndex>& seed_candidates);
 
   /// Interaction-aware materialization schedule for a set of indexes.
-  MaterializationSchedule ScheduleMaterialization(
+  Result<MaterializationSchedule> ScheduleMaterialization(
       const Workload& workload, const std::vector<IndexDef>& indexes);
 
   // --- Scenario 3: continuous tuning ---
@@ -145,10 +131,6 @@ class Designer {
   const DesignerOptions& options() const { return options_; }
 
  private:
-  /// Owning constructor used by the legacy Database path.
-  Designer(std::shared_ptr<DbmsBackend> owned, DesignerOptions options);
-
-  std::shared_ptr<DbmsBackend> owned_backend_;  // legacy path only
   DbmsBackend* backend_;
   DesignerOptions options_;
   WhatIfOptimizer whatif_;

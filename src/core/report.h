@@ -11,8 +11,6 @@
 
 namespace dbdesign {
 
-class Database;  // legacy convenience overloads only
-
 /// Figure 3-style panel: per-query benefit plus the average workload
 /// benefit for a proposed design.
 std::string RenderBenefitPanel(const Catalog& catalog,
@@ -22,9 +20,6 @@ std::string RenderBenefitPanel(const Catalog& catalog,
 /// Suggested-index list with sizes, one row per index.
 std::string RenderIndexList(const Catalog& catalog,
                             const DbmsBackend& backend,
-                            const std::vector<IndexDef>& indexes);
-/// Legacy convenience overload (defined in backend/compat.cc).
-std::string RenderIndexList(const Catalog& catalog, const Database& db,
                             const std::vector<IndexDef>& indexes);
 
 /// Suggested-partition panel (fragments per table, replication factors,
@@ -40,11 +35,6 @@ std::string RenderSchedule(const Catalog& catalog,
 /// Scenario-2 summary combining all of the above.
 std::string RenderOfflineRecommendation(const Catalog& catalog,
                                         const DbmsBackend& backend,
-                                        const Workload& workload,
-                                        const OfflineRecommendation& rec);
-/// Legacy convenience overload (defined in backend/compat.cc).
-std::string RenderOfflineRecommendation(const Catalog& catalog,
-                                        const Database& db,
                                         const Workload& workload,
                                         const OfflineRecommendation& rec);
 

@@ -253,8 +253,10 @@ void DesignSession::AddQueries(const std::vector<BoundQuery>& queries,
       if (grew) {
         // The atom matrix is per-candidate-universe: rebuild it from the
         // warm INUM cache (only the new representatives populate).
-        prepared_ = cophy_->Prepare(classes_.ClassWorkload(),
-                                    std::move(universe));
+        Result<CoPhyPrepared> rebuilt =
+            cophy_->TryPrepare(classes_.ClassWorkload(), std::move(universe));
+        if (!rebuilt.ok()) throw StatusException(rebuilt.status());
+        prepared_ = std::move(rebuilt).value();
       } else {
         // Incremental atom maintenance: only the new classes' rows are
         // built; every existing row of the prepared matrix stays valid

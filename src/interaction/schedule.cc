@@ -70,7 +70,7 @@ MaterializationSchedule MaterializationScheduler::Build(
 
   // Invariant: the last step's incrementally maintained cost must equal
   // a from-scratch evaluation of the full scheduled design — the same
-  // number Designer::EvaluateDesigns reports for it. Recomputing from a
+  // number Designer::TryEvaluateDesigns reports for it. Recomputing from a
   // freshly assembled design (rather than trusting `built`) is what
   // catches bookkeeping drift; tests compare it to steps.back().
   PhysicalDesign full;

@@ -127,15 +127,6 @@ InumCostModel::InumCostModel(DbmsBackend& backend, InumOptions options)
       exact_(backend),
       optimizer_(backend.catalog(), backend.all_stats(), params_) {}
 
-InumCostModel::InumCostModel(std::shared_ptr<DbmsBackend> owned,
-                             InumOptions options)
-    : owned_backend_(std::move(owned)),
-      backend_(owned_backend_.get()),
-      params_(backend_->cost_params()),
-      options_(options),
-      exact_(*backend_),
-      optimizer_(backend_->catalog(), backend_->all_stats(), params_) {}
-
 const std::vector<InumCostModel::CachedPlan>* InumCostModel::CachedPlansFor(
     const BoundQuery& query) const {
   auto it = cache_.find(query.StructuralHash());
@@ -531,9 +522,9 @@ double InumCostModel::ExactCost(const BoundQuery& query,
   Result<double> cost = exact_.TryCostUnder(query, design);
   if (!cost.ok()) {
     // Never a sentinel: the failure travels as a Status (wrapped in the
-    // internal exception carrier so it can cross double-returning
-    // frames and cancel parallel shards) until a Try* boundary
-    // converts it back.
+    // engine-layer exception carrier so it can cross double-returning
+    // frames and cancel parallel shards) until an advisor or session
+    // boundary converts it back.
     throw StatusException(cost.status());
   }
   return cost.value();
@@ -571,16 +562,6 @@ double InumCostModel::CostCached(const BoundQuery& query,
                                  const PhysicalDesign& design,
                                  InumStats* stats) {
   return CostPrepared(query, design, stats);
-}
-
-Result<double> InumCostModel::TryCostCached(const BoundQuery& query,
-                                            const PhysicalDesign& design,
-                                            InumStats* stats) {
-  try {
-    return CostPrepared(query, design, stats);
-  } catch (const StatusException& e) {
-    return e.status();
-  }
 }
 
 double InumCostModel::CostPrepared(const BoundQuery& query,
@@ -649,33 +630,10 @@ std::vector<std::vector<double>> InumCostModel::CostMatrix(
   return out;
 }
 
-Result<std::vector<std::vector<double>>> InumCostModel::TryCostMatrix(
-    const Workload& workload, std::span<const PhysicalDesign> designs) {
-  try {
-    return CostMatrix(workload, designs);
-  } catch (const StatusException& e) {
-    return e.status();
-  }
-}
-
 double InumCostModel::WorkloadCost(const Workload& workload,
                                    const PhysicalDesign& design) {
-  std::vector<std::vector<double>> m =
-      CostMatrix(workload, std::span<const PhysicalDesign>(&design, 1));
-  double total = 0.0;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    total += workload.WeightOf(i) * m[0][i];
-  }
-  return total;
-}
-
-Result<double> InumCostModel::TryWorkloadCost(const Workload& workload,
-                                              const PhysicalDesign& design) {
-  try {
-    return WorkloadCost(workload, design);
-  } catch (const StatusException& e) {
-    return e.status();
-  }
+  return workload.WeightedTotal(
+      CostMatrix(workload, std::span<const PhysicalDesign>(&design, 1))[0]);
 }
 
 }  // namespace dbdesign

@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -76,22 +75,18 @@ class InumCostModel {
   /// backend so client-side reuse formulas agree with backend calls.
   explicit InumCostModel(DbmsBackend& backend, InumOptions options = {});
 
-  /// Legacy convenience: wraps `db` in an owned InMemoryBackend (defined
-  /// in backend/compat.cc so this header stays storage-free).
-  InumCostModel(const Database& db, CostParams params = {},
-                InumOptions options = {});
-
   /// Fast what-if cost of `query` under `design`. Populates the cache on
   /// first sight of the query.
   ///
   /// Error contract (applies to every double-returning costing entry
   /// point here): population and reuse are client-side and infallible,
   /// but the exact-optimizer fallback paths reach the backend. A
-  /// backend failure there propagates as a StatusException (internal
-  /// carrier — see util/status.h) rather than a silent sentinel cost;
-  /// the Try* wrappers below convert it to a Result for callers that
-  /// want Status-based handling. With an infallible backend these
-  /// entry points never throw.
+  /// backend failure there propagates as a StatusException (the
+  /// engine-layer carrier — see util/status.h) rather than a silent
+  /// sentinel cost. TryCost converts it for a single query; the
+  /// advisors and the session convert it at their own public
+  /// boundaries. With an infallible backend these entry points never
+  /// throw.
   double Cost(const BoundQuery& query, const PhysicalDesign& design);
 
   /// Status-returning form of Cost: a backend failure in the fallback
@@ -107,21 +102,11 @@ class InumCostModel {
   double WorkloadCost(const Workload& workload,
                       const PhysicalDesign& design);
 
-  /// Status-returning form of WorkloadCost.
-  Result<double> TryWorkloadCost(const Workload& workload,
-                                 const PhysicalDesign& design);
-
   /// Per-(design, query) cost matrix: result[d][i] is the cost of
   /// workload query i under designs[d]. The batched engine behind
-  /// WorkloadCost and Designer::EvaluateDesigns — each distinct query's
+  /// WorkloadCost and Designer::TryEvaluateDesigns — each distinct query's
   /// populate + per-design repricing runs on one worker.
   std::vector<std::vector<double>> CostMatrix(
-      const Workload& workload, std::span<const PhysicalDesign> designs);
-
-  /// Status-returning form of CostMatrix: the first backend failure
-  /// (by shard index) cancels the remaining parallel shards and
-  /// returns as a Status.
-  Result<std::vector<std::vector<double>>> TryCostMatrix(
       const Workload& workload, std::span<const PhysicalDesign> designs);
 
   /// Cached-atom costing: prices `query` under `design` purely from the
@@ -136,10 +121,6 @@ class InumCostModel {
   /// owns a query's leaf memos end to end).
   double CostCached(const BoundQuery& query, const PhysicalDesign& design,
                     InumStats* stats);
-
-  /// Status-returning form of CostCached.
-  Result<double> TryCostCached(const BoundQuery& query,
-                               const PhysicalDesign& design, InumStats* stats);
 
   /// Merges shard-local reuse/fallback counters gathered around
   /// CostCached back into stats() (populate/cache counters are owned by
@@ -229,9 +210,6 @@ class InumCostModel {
     std::unordered_map<uint64_t, double> param_memo;
   };
 
-  /// Owning constructor used by the legacy Database path.
-  InumCostModel(std::shared_ptr<DbmsBackend> owned, InumOptions options);
-
   /// A fully built (but not yet inserted) query cache.
   struct BuiltCache {
     QueryCache qc;
@@ -248,8 +226,7 @@ class InumCostModel {
   QueryCache& Populate(const BoundQuery& query);
   void PreparePtrs(const std::vector<const BoundQuery*>& missing);
   /// Exact-optimizer fallback: backend failures throw StatusException
-  /// (converted to Status by the Try* entry points) instead of
-  /// returning the legacy +inf sentinel.
+  /// instead of returning a +inf sentinel cost.
   double ExactCost(const BoundQuery& query, const PhysicalDesign& design);
   double ReuseCost(const BoundQuery& query, QueryCache& qc,
                    const PhysicalDesign& design);
@@ -259,7 +236,6 @@ class InumCostModel {
   double CostPrepared(const BoundQuery& query, const PhysicalDesign& design,
                       InumStats* stats);
 
-  std::shared_ptr<DbmsBackend> owned_backend_;  // legacy path only
   DbmsBackend* backend_;
   CostParams params_;
   InumOptions options_;

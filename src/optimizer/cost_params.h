@@ -25,7 +25,7 @@ struct CostParams {
   /// Minimum number of rows an estimate may produce.
   double min_rows = 1.0;
   /// Worker threads for batched costing (CostBatch, INUM populate and
-  /// workload costing, EvaluateDesigns, CoPhy atom building). 0 = use
+  /// workload costing, TryEvaluateDesigns, CoPhy atom building). 0 = use
   /// hardware concurrency, 1 = serial. Results are bit-identical at any
   /// setting; this knob trades only wall time. Not a PostgreSQL GUC —
   /// it configures the designer's client-side costing engine.

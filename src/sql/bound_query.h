@@ -130,6 +130,13 @@ struct Workload {
   double WeightOf(size_t i) const {
     return weights.empty() ? 1.0 : weights[i];
   }
+  /// Weighted sum of per-query costs (`costs[i]` belongs to query i),
+  /// accumulated in workload order.
+  double WeightedTotal(std::span<const double> costs) const {
+    double total = 0.0;
+    for (size_t i = 0; i < costs.size(); ++i) total += WeightOf(i) * costs[i];
+    return total;
+  }
   size_t size() const { return queries.size(); }
   bool empty() const { return queries.empty(); }
 };

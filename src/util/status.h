@@ -1,8 +1,9 @@
 // Status / Result error-handling primitives.
 //
-// The library does not throw exceptions across public API boundaries
-// (RocksDB-style convention): fallible operations return a Status, or a
-// Result<T> that carries either a value or a Status.
+// Fallible operations return a Status, or a Result<T> that carries
+// either a value or a Status (RocksDB-style convention). The one
+// exception carrier, StatusException, is confined to the engine layer;
+// see its comment for the exact contract.
 
 #ifndef DBDESIGN_UTIL_STATUS_H_
 #define DBDESIGN_UTIL_STATUS_H_
@@ -134,7 +135,7 @@ class Status {
 /// Either a value of type T or an error Status.
 ///
 /// Accessing the value of an error Result is a programming error and
-/// asserts in debug builds.
+/// aborts in every build type (DBD_CHECK, not DBD_DCHECK).
 template <typename T>
 class Result {
  public:
@@ -148,15 +149,15 @@ class Result {
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    DBD_DCHECK(ok() && "value() called on an error Result");
+    DBD_CHECK(ok() && "value() called on an error Result");
     return *value_;
   }
   T& value() & {
-    DBD_DCHECK(ok() && "value() called on an error Result");
+    DBD_CHECK(ok() && "value() called on an error Result");
     return *value_;
   }
   T&& value() && {
-    DBD_DCHECK(ok() && "value() called on an error Result");
+    DBD_CHECK(ok() && "value() called on an error Result");
     return std::move(*value_);
   }
 
@@ -191,13 +192,23 @@ struct DegradedResult {
   }
 };
 
-/// Internal carrier for propagating a Status out of code that cannot
-/// return one directly — principally ThreadPool::ParallelFor shards,
-/// where the first thrown StatusException cancels the remaining shards
-/// and is rethrown on the caller. Must be caught and converted back to
-/// a Status at the component boundary; it never crosses a public API
-/// (the library's no-exceptions convention applies to callers, not to
-/// this internal control-flow use).
+/// Engine-layer carrier for a backend Status that has to cross frames
+/// which cannot return one — double-returning cost functions and
+/// ThreadPool::ParallelFor shards, where the first thrown
+/// StatusException cancels the remaining shards and is rethrown on the
+/// caller.
+///
+/// Contract: these engine-layer entry points propagate it when a
+/// backend call on their exact-costing fallback path fails:
+///   * InumCostModel: Cost, WorkloadCost, CostMatrix, CostCached
+///     (TryCost is the converting form);
+///   * InteractionAnalyzer: Analyze, AnalyzeMatrix, ContributionRows
+///     (TryContributionRows is the converting form);
+///   * MaterializationScheduler: Greedy.
+/// Every advisor-layer API (WhatIfOptimizer, CoPhyAdvisor,
+/// GreedyAdvisor, AutoPartAdvisor, Designer, ColtTuner) and every
+/// DesignSession / TuningServer API catches it at its own boundary and
+/// returns the Status (or a DegradedResult) instead.
 class StatusException : public std::exception {
  public:
   explicit StatusException(Status status)

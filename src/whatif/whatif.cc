@@ -1,22 +1,9 @@
 #include "whatif/whatif.h"
 
-#include <limits>
-
-#include "util/logging.h"
-
 namespace dbdesign {
-
-namespace {
-constexpr double kErrorCost = std::numeric_limits<double>::infinity();
-}  // namespace
 
 WhatIfOptimizer::WhatIfOptimizer(DbmsBackend& backend)
     : backend_(&backend), design_(backend.CurrentDesign()) {}
-
-WhatIfOptimizer::WhatIfOptimizer(std::shared_ptr<DbmsBackend> owned)
-    : owned_backend_(std::move(owned)),
-      backend_(owned_backend_.get()),
-      design_(backend_->CurrentDesign()) {}
 
 Status WhatIfOptimizer::CreateHypotheticalIndex(const IndexDef& index) {
   if (index.table < 0 || index.table >= backend_->catalog().num_tables()) {
@@ -95,49 +82,6 @@ Result<std::vector<double>> WhatIfOptimizer::TryCostWorkload(
       std::span<const BoundQuery>(workload.queries.data(),
                                   workload.queries.size()),
       design, knobs_);
-}
-
-double WhatIfOptimizer::Cost(const BoundQuery& query) const {
-  return CostUnder(query, design_);
-}
-
-double WhatIfOptimizer::CostUnder(const BoundQuery& query,
-                                  const PhysicalDesign& design) const {
-  Result<double> cost = TryCostUnder(query, design);
-  if (!cost.ok()) {
-    DBD_LOG_ERROR("what-if cost call failed: " + cost.status().ToString());
-    return kErrorCost;
-  }
-  return cost.value();
-}
-
-PlanResult WhatIfOptimizer::Plan(const BoundQuery& query) const {
-  return PlanUnder(query, design_);
-}
-
-PlanResult WhatIfOptimizer::PlanUnder(const BoundQuery& query,
-                                      const PhysicalDesign& design) const {
-  Result<PlanResult> plan = TryPlanUnder(query, design);
-  if (!plan.ok()) {
-    DBD_LOG_ERROR("what-if plan call failed: " + plan.status().ToString());
-    return PlanResult{nullptr, kErrorCost};
-  }
-  return plan.value();
-}
-
-double WhatIfOptimizer::WorkloadCostUnder(const Workload& workload,
-                                          const PhysicalDesign& design) const {
-  Result<std::vector<double>> costs = TryCostWorkload(workload, design);
-  if (!costs.ok()) {
-    DBD_LOG_ERROR("batched what-if costing failed: " +
-                  costs.status().ToString());
-    return kErrorCost;
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    total += workload.WeightOf(i) * costs.value()[i];
-  }
-  return total;
 }
 
 }  // namespace dbdesign

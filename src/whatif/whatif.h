@@ -7,7 +7,7 @@
 //   (b) what-if tables   — hypothetical vertical/horizontal partitions,
 //   (c) what-if joins    — PlannerKnobs controlling join methods.
 //
-// The component owns a hypothetical PhysicalDesign overlay; Cost()
+// The component owns a hypothetical PhysicalDesign overlay; TryCost()
 // optimizes queries as if the overlay were materialized. All engine
 // interaction goes through the DbmsBackend interface — this class
 // compiles against any backend, which is what makes the tool portable.
@@ -15,23 +15,16 @@
 #ifndef DBDESIGN_WHATIF_WHATIF_H_
 #define DBDESIGN_WHATIF_WHATIF_H_
 
-#include <memory>
 #include <vector>
 
 #include "backend/backend.h"
 
 namespace dbdesign {
 
-class Database;  // legacy convenience constructor only
-
 class WhatIfOptimizer {
  public:
   /// Attaches to a backend (non-owning; the backend must outlive this).
   explicit WhatIfOptimizer(DbmsBackend& backend);
-
-  /// Legacy convenience: wraps `db` in an owned InMemoryBackend. Defined
-  /// in backend/compat.cc so this header stays storage-free.
-  explicit WhatIfOptimizer(const Database& db, CostParams params = {});
 
   // --- (a) What-if index sub-component ---
   /// Adds a hypothetical index. Fails if it already exists in the overlay.
@@ -57,10 +50,13 @@ class WhatIfOptimizer {
   PlannerKnobs& knobs() { return knobs_; }
   const PlannerKnobs& knobs() const { return knobs_; }
 
-  // --- Costing (Result-carrying; errors surface as Status) ---
+  // --- Costing (errors surface as Status) ---
+  /// Optimizer cost of `query` under the overlay design.
   Result<double> TryCost(const BoundQuery& query) const;
+  /// Cost under an explicit design (ignores the overlay).
   Result<double> TryCostUnder(const BoundQuery& query,
                               const PhysicalDesign& design) const;
+  /// Full plan under the overlay design.
   Result<PlanResult> TryPlan(const BoundQuery& query) const;
   Result<PlanResult> TryPlanUnder(const BoundQuery& query,
                                   const PhysicalDesign& design) const;
@@ -70,25 +66,6 @@ class WhatIfOptimizer {
   /// cost_params().num_threads workers with bit-identical results.
   Result<std::vector<double>> TryCostWorkload(
       const Workload& workload, const PhysicalDesign& design) const;
-
-  // --- Costing (legacy convenience) ---
-  /// Optimizer cost of `query` under the overlay design. On backend
-  /// error returns +infinity (the error is logged); callers that need
-  /// the cause use TryCost.
-  double Cost(const BoundQuery& query) const;
-  /// Cost under an explicit design (ignores the overlay).
-  double CostUnder(const BoundQuery& query,
-                   const PhysicalDesign& design) const;
-  /// Full plan under the overlay design.
-  PlanResult Plan(const BoundQuery& query) const;
-  PlanResult PlanUnder(const BoundQuery& query,
-                       const PhysicalDesign& design) const;
-  /// Weighted workload cost under an explicit design (batched).
-  double WorkloadCostUnder(const Workload& workload,
-                           const PhysicalDesign& design) const;
-  double WorkloadCost(const Workload& workload) const {
-    return WorkloadCostUnder(workload, design_);
-  }
 
   DbmsBackend& backend() const { return *backend_; }
   const CostParams& params() const { return backend_->cost_params(); }
@@ -100,10 +77,6 @@ class WhatIfOptimizer {
   void ResetCallCount() { backend_->ResetCallCount(); }
 
  private:
-  /// Owning constructor used by the legacy Database path.
-  explicit WhatIfOptimizer(std::shared_ptr<DbmsBackend> owned);
-
-  std::shared_ptr<DbmsBackend> owned_backend_;  // legacy path only
   DbmsBackend* backend_;
   PlannerKnobs knobs_;
   PhysicalDesign design_;

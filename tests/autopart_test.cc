@@ -6,6 +6,7 @@
 #include <set>
 
 #include "autopart/autopart.h"
+#include "backend/inmemory_backend.h"
 #include "sql/binder.h"
 #include "util/str.h"
 #include "workload/queries.h"
@@ -21,8 +22,11 @@ class AutoPartTest : public ::testing::Test {
     cfg.photoobj_rows = 6000;
     cfg.seed = 19;
     db_ = new Database(BuildSdssDatabase(cfg));
+    backend_ = new InMemoryBackend(*db_);
   }
   static void TearDownTestSuite() {
+    delete backend_;
+    backend_ = nullptr;
     delete db_;
     db_ = nullptr;
   }
@@ -34,9 +38,11 @@ class AutoPartTest : public ::testing::Test {
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
 };
 
 Database* AutoPartTest::db_ = nullptr;
+InMemoryBackend* AutoPartTest::backend_ = nullptr;
 
 TEST_F(AutoPartTest, NarrowWorkloadGetsVerticalPartitions) {
   // Queries touch only 4 of photoobj's 25 columns: vertical
@@ -46,8 +52,8 @@ TEST_F(AutoPartTest, NarrowWorkloadGetsVerticalPartitions) {
   w.Add(Q("SELECT objid, dec FROM photoobj WHERE dec BETWEEN 0 AND 12"));
   w.Add(Q("SELECT objid FROM photoobj WHERE ra > 300"));
 
-  AutoPartAdvisor advisor(*db_);
-  PartitionRecommendation rec = advisor.Recommend(w);
+  AutoPartAdvisor advisor(*backend_);
+  PartitionRecommendation rec = advisor.Recommend(w).value();
 
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   const VerticalPartitioning* vp = rec.design.vertical(photo);
@@ -66,8 +72,8 @@ TEST_F(AutoPartTest, ReplicationStaysWithinBudget) {
   Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 12, 21);
   AutoPartOptions opts;
   opts.replication_budget_factor = 1.15;
-  AutoPartAdvisor advisor(*db_, CostParams{}, opts);
-  PartitionRecommendation rec = advisor.Recommend(w);
+  AutoPartAdvisor advisor(*backend_, opts);
+  PartitionRecommendation rec = advisor.Recommend(w).value();
   for (const auto& report : rec.tables) {
     EXPECT_LE(report.replication_factor,
               opts.replication_budget_factor + 1e-9);
@@ -78,8 +84,8 @@ TEST_F(AutoPartTest, FullWidthWorkloadLeavesTableAlone) {
   // SELECT * touches every column: no useful vertical split exists.
   Workload w;
   w.Add(Q("SELECT * FROM plate WHERE quality >= 2"));
-  AutoPartAdvisor advisor(*db_);
-  PartitionRecommendation rec = advisor.Recommend(w);
+  AutoPartAdvisor advisor(*backend_);
+  PartitionRecommendation rec = advisor.Recommend(w).value();
   TableId plate = db_->catalog().FindTable(kPlate);
   const VerticalPartitioning* vp = rec.design.vertical(plate);
   EXPECT_TRUE(vp == nullptr || vp->fragments.size() <= 1u);
@@ -95,8 +101,8 @@ TEST_F(AutoPartTest, HorizontalPartitioningOnRangeColumn) {
                       static_cast<long long>(lo),
                       static_cast<long long>(lo + 25))));
   }
-  AutoPartAdvisor advisor(*db_);
-  PartitionRecommendation rec = advisor.Recommend(w);
+  AutoPartAdvisor advisor(*backend_);
+  PartitionRecommendation rec = advisor.Recommend(w).value();
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   const HorizontalPartitioning* hp = rec.design.horizontal(photo);
   ASSERT_NE(hp, nullptr);
@@ -112,8 +118,8 @@ TEST_F(AutoPartTest, HorizontalPartitioningOnRangeColumn) {
 TEST_F(AutoPartTest, RewriteMapsColumnsToFragments) {
   Workload w;
   w.Add(Q("SELECT objid, ra FROM photoobj WHERE ra BETWEEN 10 AND 40"));
-  AutoPartAdvisor advisor(*db_);
-  PartitionRecommendation rec = advisor.Recommend(w);
+  AutoPartAdvisor advisor(*backend_);
+  PartitionRecommendation rec = advisor.Recommend(w).value();
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   ASSERT_NE(rec.design.vertical(photo), nullptr);
 
@@ -127,7 +133,7 @@ TEST_F(AutoPartTest, RewriteMapsColumnsToFragments) {
 TEST_F(AutoPartTest, RewriteWithoutPartitionsIsPlainSql) {
   Workload w;
   w.Add(Q("SELECT plateid FROM plate WHERE quality >= 3"));
-  AutoPartAdvisor advisor(*db_);
+  AutoPartAdvisor advisor(*backend_);
   std::string sql = advisor.RewriteQuery(w.queries[0], PhysicalDesign{});
   EXPECT_EQ(sql.find("__f"), std::string::npos) << sql;
   EXPECT_NE(sql.find("FROM plate"), std::string::npos);
@@ -135,8 +141,8 @@ TEST_F(AutoPartTest, RewriteWithoutPartitionsIsPlainSql) {
 
 TEST_F(AutoPartTest, MixedWorkloadImproves) {
   Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 15, 27);
-  AutoPartAdvisor advisor(*db_);
-  PartitionRecommendation rec = advisor.Recommend(w);
+  AutoPartAdvisor advisor(*backend_);
+  PartitionRecommendation rec = advisor.Recommend(w).value();
   // The SDSS mix references a minority of photoobj's columns, so some
   // improvement is expected even on the mixed workload.
   EXPECT_GT(rec.improvement(), 0.05);

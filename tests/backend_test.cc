@@ -369,7 +369,7 @@ TEST_F(BackendTest, WhatIfOptimizerRunsAgainstReplay) {
   BoundQuery q = Q("SELECT objid FROM photoobj WHERE ra < 10");
   WhatIfOptimizer live(*recorder);
   ASSERT_TRUE(live.CreateHypotheticalIndex(Idx("photoobj", {"ra"})).ok());
-  double live_cost = live.Cost(q);
+  double live_cost = live.TryCost(q).value();
 
   auto replay = TraceBackend::FromJson(recorder->ToJson());
   ASSERT_TRUE(replay.ok());
@@ -395,11 +395,12 @@ TEST_F(BackendTest, DesignerEvaluateDesignsBatched) {
   PhysicalDesign d2;
   d2.AddIndex(Idx("photoobj", {"ra", "dec"}));
   std::vector<BenefitReport> reports =
-      designer.EvaluateDesigns(*workload_, {d1, d2});
+      designer.TryEvaluateDesigns(*workload_, {d1, d2}).value();
   ASSERT_EQ(reports.size(), 2u);
 
   // Batched evaluation agrees with one-at-a-time evaluation.
-  BenefitReport solo = designer.EvaluateDesign(*workload_, d1);
+  BenefitReport solo =
+      designer.TryEvaluateDesigns(*workload_, {d1}).value().front();
   ASSERT_EQ(solo.new_costs.size(), reports[0].new_costs.size());
   for (size_t i = 0; i < solo.new_costs.size(); ++i) {
     EXPECT_DOUBLE_EQ(solo.new_costs[i], reports[0].new_costs[i]);

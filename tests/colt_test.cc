@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/inmemory_backend.h"
 #include "colt/colt.h"
 #include "sql/binder.h"
 #include "workload/queries.h"
@@ -18,21 +19,26 @@ class ColtTest : public ::testing::Test {
     cfg.photoobj_rows = 6000;
     cfg.seed = 23;
     db_ = new Database(BuildSdssDatabase(cfg));
+    backend_ = new InMemoryBackend(*db_);
   }
   static void TearDownTestSuite() {
+    delete backend_;
+    backend_ = nullptr;
     delete db_;
     db_ = nullptr;
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
 };
 
 Database* ColtTest::db_ = nullptr;
+InMemoryBackend* ColtTest::backend_ = nullptr;
 
 TEST_F(ColtTest, BuildsIndexForRepeatedSelectiveQueries) {
   ColtOptions opts;
   opts.epoch_length = 10;
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
 
   Rng rng(31);
   std::vector<BoundQuery> stream;
@@ -62,7 +68,7 @@ TEST_F(ColtTest, BuildsIndexForRepeatedSelectiveQueries) {
 TEST_F(ColtTest, LaterEpochsCheaperThanBaseline) {
   ColtOptions opts;
   opts.epoch_length = 15;
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   Rng rng(37);
   for (int i = 0; i < 90; ++i) {
     BoundQuery q = GenerateSdssQuery(*db_, SdssTemplate::kConeSearch, rng);
@@ -79,7 +85,7 @@ TEST_F(ColtTest, RespectsWhatIfBudget) {
   ColtOptions opts;
   opts.epoch_length = 10;
   opts.whatif_budget_per_epoch = 3;
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   Rng rng(41);
   for (int i = 0; i < 50; ++i) {
     BoundQuery q = GenerateSdssQuery(*db_, SdssTemplate::kColorCut, rng);
@@ -94,7 +100,7 @@ TEST_F(ColtTest, RespectsWhatIfBudget) {
 TEST_F(ColtTest, DisabledTunerObservesButNeverChanges) {
   ColtOptions opts;
   opts.epoch_length = 10;
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   tuner.SetEnabled(false);
   Rng rng(43);
   for (int i = 0; i < 40; ++i) {
@@ -112,7 +118,7 @@ TEST_F(ColtTest, HysteresisBlocksBuildsForFleetingBenefit) {
   ColtOptions opts;
   opts.epoch_length = 10;
   opts.build_hysteresis = 1e9;  // effectively: never worth building
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   Rng rng(47);
   for (int i = 0; i < 40; ++i) {
     BoundQuery q = GenerateSdssQuery(*db_, SdssTemplate::kConeSearch, rng);
@@ -132,7 +138,7 @@ TEST_F(ColtTest, AdaptsToDriftAndDropsStaleIndexes) {
   opts.amortization_epochs = 3.0;
   opts.build_hysteresis = 1.0;
   opts.drop_fraction = 0.5;
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
 
   std::vector<BoundQuery> stream = GenerateDriftingStream(
       *db_, {TemplateMix::PhaseSelections(), TemplateMix::PhaseAggregates()},
@@ -174,7 +180,7 @@ TEST_F(ColtTest, SpaceBudgetLimitsConfiguration) {
   ColtOptions opts;
   opts.epoch_length = 10;
   opts.storage_budget_pages = one_index_pages * 1.5;  // room for ~1 index
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   Rng rng(59);
   for (int i = 0; i < 80; ++i) {
     // Mix of templates wanting several different indexes.
@@ -200,7 +206,7 @@ TEST_F(ColtTest, RepeatedTemplateInstancesShareEpochStatistics) {
   // the stream length.
   ColtOptions opts;
   opts.epoch_length = 25;
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   Rng rng(67);
   for (int i = 0; i < 100; ++i) {
     BoundQuery q = GenerateSdssQuery(*db_, SdssTemplate::kConeSearch, rng);
@@ -230,9 +236,9 @@ TEST_F(ColtTest, RepeatedTemplateInstancesShareEpochStatistics) {
 TEST_F(ColtTest, BuildCostEstimatePositiveAndMonotone) {
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   TableId plate = db_->catalog().FindTable(kPlate);
-  double big = EstimateIndexBuildCost(*db_, IndexDef{photo, {1}, false},
+  double big = EstimateIndexBuildCost(*backend_, IndexDef{photo, {1}, false},
                                       CostParams{});
-  double small = EstimateIndexBuildCost(*db_, IndexDef{plate, {1}, false},
+  double small = EstimateIndexBuildCost(*backend_, IndexDef{plate, {1}, false},
                                         CostParams{});
   EXPECT_GT(big, 0.0);
   EXPECT_GT(small, 0.0);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "sql/binder.h"
 #include "workload/compress.h"
@@ -92,10 +93,11 @@ TEST_F(CompressTest, AdvisorQualitySurvivesCompression) {
   CoPhyOptions opts;
   opts.storage_budget_pages = data_pages;
 
-  CoPhyAdvisor full_advisor(*db_, CostParams{}, opts);
-  IndexRecommendation full = full_advisor.Recommend(w);
-  CoPhyAdvisor comp_advisor(*db_, CostParams{}, opts);
-  IndexRecommendation comp = comp_advisor.Recommend(c);
+  InMemoryBackend backend(*db_);
+  CoPhyAdvisor full_advisor(backend, opts);
+  IndexRecommendation full = full_advisor.TryRecommend(w).value();
+  CoPhyAdvisor comp_advisor(backend, opts);
+  IndexRecommendation comp = comp_advisor.TryRecommend(c).value();
 
   // Evaluate the compressed-input recommendation on the FULL workload:
   // it must capture nearly all of the full recommendation's benefit.
@@ -276,10 +278,11 @@ TEST_F(CompressTest, IdenticalDuplicatesRecommendBitIdentically) {
   }
   CoPhyOptions opts;
   opts.storage_budget_pages = 0.5 * data_pages;
-  CoPhyAdvisor raw_advisor(*db_, CostParams{}, opts);
-  IndexRecommendation raw_rec = raw_advisor.Recommend(raw);
-  CoPhyAdvisor comp_advisor(*db_, CostParams{}, opts);
-  IndexRecommendation comp_rec = comp_advisor.Recommend(compressed);
+  InMemoryBackend backend(*db_);
+  CoPhyAdvisor raw_advisor(backend, opts);
+  IndexRecommendation raw_rec = raw_advisor.TryRecommend(raw).value();
+  CoPhyAdvisor comp_advisor(backend, opts);
+  IndexRecommendation comp_rec = comp_advisor.TryRecommend(compressed).value();
 
   EXPECT_EQ(raw_rec.indexes, comp_rec.indexes);
   EXPECT_DOUBLE_EQ(raw_rec.recommended_cost, comp_rec.recommended_cost);

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "autopart/autopart.h"
+#include "backend/inmemory_backend.h"
 #include "catalog/design_json.h"
 #include "colt/colt.h"
 #include "cophy/cophy.h"
@@ -29,10 +30,13 @@ class ConstraintsTest : public ::testing::Test {
     cfg.photoobj_rows = 4000;
     cfg.seed = 11;
     db_ = new Database(BuildSdssDatabase(cfg));
+    backend_ = new InMemoryBackend(*db_);
     workload_ = new Workload(
         GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 12, 23));
   }
   static void TearDownTestSuite() {
+    delete backend_;
+    backend_ = nullptr;
     delete db_;
     delete workload_;
     db_ = nullptr;
@@ -65,10 +69,12 @@ class ConstraintsTest : public ::testing::Test {
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
   static Workload* workload_;
 };
 
 Database* ConstraintsTest::db_ = nullptr;
+InMemoryBackend* ConstraintsTest::backend_ = nullptr;
 Workload* ConstraintsTest::workload_ = nullptr;
 
 // --- The constraint object itself ---
@@ -217,7 +223,7 @@ TEST_F(ConstraintsTest, CoPhyHonorsPinsEvenWhenUseless) {
   IndexDef pin = Index("photoobj", {"rerun"});
   DesignConstraints c;
   c.Pin(pin);
-  CoPhyAdvisor advisor(*db_);
+  CoPhyAdvisor advisor(*backend_);
   auto rec = advisor.TryRecommend(*workload_, c);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_TRUE(HasIndex(rec.value().indexes, pin));
@@ -227,14 +233,14 @@ TEST_F(ConstraintsTest, CoPhyHonorsPinsEvenWhenUseless) {
 TEST_F(ConstraintsTest, CoPhyHonorsVetoes) {
   CoPhyOptions opts;
   opts.storage_budget_pages = DataPages();
-  CoPhyAdvisor baseline(*db_, CostParams{}, opts);
-  IndexRecommendation unconstrained = baseline.Recommend(*workload_);
+  CoPhyAdvisor baseline(*backend_, opts);
+  IndexRecommendation unconstrained = baseline.TryRecommend(*workload_).value();
   ASSERT_FALSE(unconstrained.indexes.empty());
 
   // Veto every index of the unconstrained recommendation.
   DesignConstraints c;
   for (const IndexDef& idx : unconstrained.indexes) c.Veto(idx);
-  CoPhyAdvisor advisor(*db_, CostParams{}, opts);
+  CoPhyAdvisor advisor(*backend_, opts);
   auto rec = advisor.TryRecommend(*workload_, c);
   ASSERT_TRUE(rec.ok());
   for (const IndexDef& idx : rec.value().indexes) {
@@ -249,7 +255,7 @@ TEST_F(ConstraintsTest, CoPhyHonorsColumnVetoes) {
   TableId photo = Table("photoobj");
   DesignConstraints c;
   c.VetoColumn(ColumnRef{photo, Column(photo, "ra")});
-  CoPhyAdvisor advisor(*db_);
+  CoPhyAdvisor advisor(*backend_);
   auto rec = advisor.TryRecommend(*workload_, c);
   ASSERT_TRUE(rec.ok());
   for (const IndexDef& idx : rec.value().indexes) {
@@ -266,7 +272,7 @@ TEST_F(ConstraintsTest, CoPhyHonorsTableCapsAndBudget) {
   DesignConstraints c;
   c.max_indexes_per_table[photo] = 1;
   c.storage_budget_pages = 0.3 * DataPages();
-  CoPhyAdvisor advisor(*db_);
+  CoPhyAdvisor advisor(*backend_);
   auto rec = advisor.TryRecommend(*workload_, c);
   ASSERT_TRUE(rec.ok());
   int photo_indexes = 0;
@@ -283,7 +289,7 @@ TEST_F(ConstraintsTest, CoPhyReportsInfeasiblePins) {
   DesignConstraints c;
   c.Pin(big);
   c.storage_budget_pages = 1.0;  // one page: nothing fits
-  CoPhyAdvisor advisor(*db_);
+  CoPhyAdvisor advisor(*backend_);
   auto rec = advisor.TryRecommend(*workload_, c);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   ASSERT_EQ(rec.value().infeasible_pins.size(), 1u);
@@ -302,7 +308,7 @@ TEST_F(ConstraintsTest, GreedyHonorsConstraints) {
   c.max_indexes_per_table[photo] = 2;
   c.storage_budget_pages = 0.5 * DataPages();
 
-  GreedyAdvisor advisor(*db_);
+  GreedyAdvisor advisor(*backend_);
   auto rec = advisor.TryRecommend(*workload_, c);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_TRUE(HasIndex(rec.value().indexes, pin));
@@ -319,7 +325,7 @@ TEST_F(ConstraintsTest, GreedyRejectsInfeasiblePins) {
   DesignConstraints c;
   c.Pin(Index("photoobj", {"ra", "dec", "type", "psfmag_r"}));
   c.storage_budget_pages = 1.0;
-  GreedyAdvisor advisor(*db_);
+  GreedyAdvisor advisor(*backend_);
   auto rec = advisor.TryRecommend(*workload_, c);
   EXPECT_EQ(rec.status().code(), StatusCode::kResourceExhausted);
 }
@@ -333,7 +339,7 @@ TEST_F(ConstraintsTest, ColtHonorsConstraints) {
 
   ColtOptions opts;
   opts.epoch_length = 8;
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   DesignConstraints c;
   c.Pin(pin);
   c.VetoColumn(vetoed_col);
@@ -364,7 +370,7 @@ TEST_F(ConstraintsTest, ColtVetoDropsBuiltIndex) {
   ColtOptions opts;
   opts.epoch_length = 8;
   opts.build_hysteresis = 0.01;  // build eagerly so something materializes
-  ColtTuner tuner(*db_, CostParams{}, opts);
+  ColtTuner tuner(*backend_, opts);
   Workload stream =
       GenerateWorkload(*db_, TemplateMix::PhaseSelections(), 48, 29);
   for (const BoundQuery& q : stream.queries) tuner.OnQuery(q);
@@ -381,20 +387,21 @@ TEST_F(ConstraintsTest, ColtVetoDropsBuiltIndex) {
 // --- AutoPart under constraints ---
 
 TEST_F(ConstraintsTest, AutoPartRespectsPartitioningControl) {
-  AutoPartAdvisor advisor(*db_);
-  PartitionRecommendation unconstrained = advisor.Recommend(*workload_);
+  AutoPartAdvisor advisor(*backend_);
+  PartitionRecommendation unconstrained = advisor.Recommend(*workload_).value();
 
   DesignConstraints off;
   off.partitioning_enabled = false;
-  AutoPartAdvisor advisor2(*db_);
-  PartitionRecommendation none = advisor2.Recommend(*workload_, off);
+  AutoPartAdvisor advisor2(*backend_);
+  PartitionRecommendation none = advisor2.Recommend(*workload_, off).value();
   EXPECT_FALSE(none.design.HasPartitions());
 
   // Deny just photoobj: it keeps its layout, other tables may partition.
   DesignConstraints deny;
   deny.partition_denied_tables.push_back(Table("photoobj"));
-  AutoPartAdvisor advisor3(*db_);
-  PartitionRecommendation partial = advisor3.Recommend(*workload_, deny);
+  AutoPartAdvisor advisor3(*backend_);
+  PartitionRecommendation partial =
+      advisor3.Recommend(*workload_, deny).value();
   EXPECT_EQ(partial.design.vertical(Table("photoobj")), nullptr);
   EXPECT_EQ(partial.design.horizontal(Table("photoobj")), nullptr);
   (void)unconstrained;

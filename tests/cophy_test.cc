@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 
+#include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "cophy/greedy.h"
 #include "sql/binder.h"
@@ -23,10 +24,13 @@ class CoPhyTest : public ::testing::Test {
     cfg.photoobj_rows = 6000;
     cfg.seed = 5;
     db_ = new Database(BuildSdssDatabase(cfg));
+    backend_ = new InMemoryBackend(*db_);
     workload_ = new Workload(
         GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 14, 71));
   }
   static void TearDownTestSuite() {
+    delete backend_;
+    backend_ = nullptr;
     delete db_;
     delete workload_;
     db_ = nullptr;
@@ -34,14 +38,16 @@ class CoPhyTest : public ::testing::Test {
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
   static Workload* workload_;
 };
 
 Database* CoPhyTest::db_ = nullptr;
+InMemoryBackend* CoPhyTest::backend_ = nullptr;
 Workload* CoPhyTest::workload_ = nullptr;
 
 TEST_F(CoPhyTest, CandidatesCoverPredicateColumns) {
-  std::vector<CandidateIndex> cands = GenerateCandidates(*db_, *workload_);
+  std::vector<CandidateIndex> cands = GenerateCandidates(*backend_, *workload_);
   ASSERT_FALSE(cands.empty());
   // Every candidate must be structurally valid and sized.
   std::set<std::string> keys;
@@ -67,13 +73,13 @@ TEST_F(CoPhyTest, CandidateCapRespected) {
   CandidateOptions opts;
   opts.max_candidates = 10;
   std::vector<CandidateIndex> cands =
-      GenerateCandidates(*db_, *workload_, opts);
+      GenerateCandidates(*backend_, *workload_, opts);
   EXPECT_LE(cands.size(), 10u);
 }
 
 TEST_F(CoPhyTest, AtomsIncludeIndexFreeAnchor) {
-  CoPhyAdvisor advisor(*db_);
-  std::vector<CandidateIndex> cands = GenerateCandidates(*db_, *workload_);
+  CoPhyAdvisor advisor(*backend_);
+  std::vector<CandidateIndex> cands = GenerateCandidates(*backend_, *workload_);
   for (const BoundQuery& q : workload_->queries) {
     std::vector<CoPhyAtom> atoms = advisor.BuildAtoms(q, cands);
     ASSERT_FALSE(atoms.empty()) << q.ToSql(db_->catalog());
@@ -94,8 +100,8 @@ TEST_F(CoPhyTest, AtomsIncludeIndexFreeAnchor) {
 TEST_F(CoPhyTest, AtomCostsLowerBoundedByBestPlan) {
   // The cheapest atom must match INUM's cost under the all-candidates
   // design (same plan space).
-  CoPhyAdvisor advisor(*db_);
-  std::vector<CandidateIndex> cands = GenerateCandidates(*db_, *workload_);
+  CoPhyAdvisor advisor(*backend_);
+  std::vector<CandidateIndex> cands = GenerateCandidates(*backend_, *workload_);
   PhysicalDesign all;
   for (const CandidateIndex& c : cands) all.AddIndex(c.index);
   for (const BoundQuery& q : workload_->queries) {
@@ -114,8 +120,8 @@ TEST_F(CoPhyTest, RecommendationImprovesAndFitsBudget) {
     data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
   }
   opts.storage_budget_pages = data_pages;  // 1x data size
-  CoPhyAdvisor advisor(*db_, CostParams{}, opts);
-  IndexRecommendation rec = advisor.Recommend(*workload_);
+  CoPhyAdvisor advisor(*backend_, opts);
+  IndexRecommendation rec = advisor.TryRecommend(*workload_).value();
 
   EXPECT_FALSE(rec.indexes.empty());
   EXPECT_LT(rec.recommended_cost, rec.base_cost);
@@ -143,10 +149,10 @@ TEST_F(CoPhyTest, TightBudgetYieldsSmallerConfiguration) {
   CoPhyOptions small;
   small.storage_budget_pages = 0.1 * data_pages;
 
-  CoPhyAdvisor a_big(*db_, CostParams{}, big);
-  CoPhyAdvisor a_small(*db_, CostParams{}, small);
-  IndexRecommendation r_big = a_big.Recommend(*workload_);
-  IndexRecommendation r_small = a_small.Recommend(*workload_);
+  CoPhyAdvisor a_big(*backend_, big);
+  CoPhyAdvisor a_small(*backend_, small);
+  IndexRecommendation r_big = a_big.TryRecommend(*workload_).value();
+  IndexRecommendation r_small = a_small.TryRecommend(*workload_).value();
 
   EXPECT_LE(r_small.total_size_pages, small.storage_budget_pages + 1e-6);
   // More storage can only help the optimum.
@@ -161,7 +167,8 @@ TEST_F(CoPhyTest, MatchesExhaustiveOnSmallInstance) {
   CandidateOptions copts;
   copts.max_candidates = 8;
   copts.covering_candidates = false;
-  std::vector<CandidateIndex> cands = GenerateCandidates(*db_, small, copts);
+  std::vector<CandidateIndex> cands =
+      GenerateCandidates(*backend_, small, copts);
   ASSERT_LE(cands.size(), 8u);
 
   double budget = 0.0;
@@ -171,8 +178,9 @@ TEST_F(CoPhyTest, MatchesExhaustiveOnSmallInstance) {
   CoPhyOptions opts;
   opts.storage_budget_pages = budget;
   opts.candidates = copts;
-  CoPhyAdvisor advisor(*db_, CostParams{}, opts);
-  IndexRecommendation rec = advisor.RecommendWithCandidates(small, cands);
+  CoPhyAdvisor advisor(*backend_, opts);
+  IndexRecommendation rec =
+      advisor.TryRecommendWithCandidates(small, cands).value();
 
   // Brute force with the same cost oracle (INUM).
   double best = std::numeric_limits<double>::infinity();
@@ -194,7 +202,7 @@ TEST_F(CoPhyTest, MatchesExhaustiveOnSmallInstance) {
 }
 
 TEST_F(CoPhyTest, NeverWorseThanGreedyOnSharedCandidates) {
-  std::vector<CandidateIndex> cands = GenerateCandidates(*db_, *workload_);
+  std::vector<CandidateIndex> cands = GenerateCandidates(*backend_, *workload_);
   double data_pages = 0.0;
   for (TableId t = 0; t < db_->catalog().num_tables(); ++t) {
     data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
@@ -202,13 +210,15 @@ TEST_F(CoPhyTest, NeverWorseThanGreedyOnSharedCandidates) {
   for (double factor : {0.15, 0.5, 1.0}) {
     CoPhyOptions copts;
     copts.storage_budget_pages = factor * data_pages;
-    CoPhyAdvisor cophy(*db_, CostParams{}, copts);
-    IndexRecommendation rec = cophy.RecommendWithCandidates(*workload_, cands);
+    CoPhyAdvisor cophy(*backend_, copts);
+    IndexRecommendation rec =
+        cophy.TryRecommendWithCandidates(*workload_, cands).value();
 
     GreedyOptions gopts;
     gopts.storage_budget_pages = factor * data_pages;
-    GreedyAdvisor greedy(*db_, CostParams{}, gopts);
-    GreedyResult g = greedy.RecommendWithCandidates(*workload_, cands);
+    GreedyAdvisor greedy(*backend_, gopts);
+    GreedyResult g =
+        greedy.TryRecommendWithCandidates(*workload_, cands).value();
 
     // Evaluate both recommendations with one oracle.
     PhysicalDesign cophy_design;
@@ -229,8 +239,8 @@ TEST_F(CoPhyTest, GreedyRespectsBudgetAndImproves) {
   }
   GreedyOptions opts;
   opts.storage_budget_pages = 0.5 * data_pages;
-  GreedyAdvisor greedy(*db_, CostParams{}, opts);
-  GreedyResult r = greedy.Recommend(*workload_);
+  GreedyAdvisor greedy(*backend_, opts);
+  GreedyResult r = greedy.TryRecommend(*workload_).value();
   EXPECT_FALSE(r.indexes.empty());
   EXPECT_LT(r.final_cost, r.base_cost);
   EXPECT_LE(r.total_size_pages, opts.storage_budget_pages + 1e-6);
@@ -247,8 +257,8 @@ TEST_F(CoPhyTest, TimeQualityKnob) {
     data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
   }
   opts.storage_budget_pages = 0.3 * data_pages;
-  CoPhyAdvisor advisor(*db_, CostParams{}, opts);
-  IndexRecommendation rec = advisor.Recommend(*workload_);
+  CoPhyAdvisor advisor(*backend_, opts);
+  IndexRecommendation rec = advisor.TryRecommend(*workload_).value();
   EXPECT_LE(rec.recommended_cost, rec.base_cost + 1e-6);
   EXPECT_GE(rec.gap, 0.0);
 }

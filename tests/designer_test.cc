@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/report.h"
 #include "sql/binder.h"
@@ -19,25 +20,30 @@ class DesignerTest : public ::testing::Test {
     cfg.photoobj_rows = 6000;
     cfg.seed = 29;
     db_ = new Database(BuildSdssDatabase(cfg));
+    backend_ = new InMemoryBackend(*db_);
     workload_ = new Workload(
         GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 12, 83));
   }
   static void TearDownTestSuite() {
     delete workload_;
+    delete backend_;
+    backend_ = nullptr;
     delete db_;
     db_ = nullptr;
     workload_ = nullptr;
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
   static Workload* workload_;
 };
 
 Database* DesignerTest::db_ = nullptr;
+InMemoryBackend* DesignerTest::backend_ = nullptr;
 Workload* DesignerTest::workload_ = nullptr;
 
 TEST_F(DesignerTest, Scenario1InteractiveWhatIf) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   // The DBA proposes a design by hand.
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   const TableDef& def = db_->catalog().table(photo);
@@ -46,27 +52,28 @@ TEST_F(DesignerTest, Scenario1InteractiveWhatIf) {
       IndexDef{photo, {def.FindColumn("ra"), def.FindColumn("dec")}, false});
   manual.AddIndex(IndexDef{photo, {def.FindColumn("objid")}, false});
 
-  BenefitReport report = designer.EvaluateDesign(*workload_, manual);
+  BenefitReport report =
+      designer.TryEvaluateDesigns(*workload_, {manual}).value().front();
   ASSERT_EQ(report.base_costs.size(), workload_->size());
   EXPECT_GT(report.average_benefit(), 0.0);
   EXPECT_LE(report.new_total, report.base_total);
 
   // Interaction graph over the manual design.
   InteractionGraph graph =
-      designer.AnalyzeInteractions(*workload_, manual.indexes());
+      designer.AnalyzeInteractions(*workload_, manual.indexes()).value();
   EXPECT_EQ(graph.num_nodes(), 2);
   std::string panel = RenderBenefitPanel(db_->catalog(), *workload_, report);
   EXPECT_NE(panel.find("average workload benefit"), std::string::npos);
 }
 
 TEST_F(DesignerTest, Scenario2OfflineRecommendation) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   double data_pages = 0.0;
   for (TableId t = 0; t < db_->catalog().num_tables(); ++t) {
     data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
   }
   OfflineRecommendation rec =
-      designer.RecommendOffline(*workload_, data_pages);
+      designer.TryRecommendOffline(*workload_, data_pages).value();
 
   EXPECT_FALSE(rec.indexes.indexes.empty());
   EXPECT_LT(rec.combined_cost, rec.base_cost);
@@ -78,7 +85,7 @@ TEST_F(DesignerTest, Scenario2OfflineRecommendation) {
     EXPECT_TRUE(rec.combined.HasPartitions());
   }
 
-  std::string text = RenderOfflineRecommendation(db_->catalog(), *db_,
+  std::string text = RenderOfflineRecommendation(db_->catalog(), *backend_,
                                                  *workload_, rec);
   EXPECT_NE(text.find("CREATE INDEX"), std::string::npos);
   EXPECT_NE(text.find("Materialization schedule"), std::string::npos);
@@ -86,13 +93,13 @@ TEST_F(DesignerTest, Scenario2OfflineRecommendation) {
 }
 
 TEST_F(DesignerTest, CombinedDesignBeatsIndexesAlone) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   double data_pages = 0.0;
   for (TableId t = 0; t < db_->catalog().num_tables(); ++t) {
     data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
   }
   OfflineRecommendation rec =
-      designer.RecommendOffline(*workload_, data_pages);
+      designer.TryRecommendOffline(*workload_, data_pages).value();
   PhysicalDesign indexes_only;
   for (const IndexDef& idx : rec.indexes.indexes) indexes_only.AddIndex(idx);
   double idx_cost = designer.inum().WorkloadCost(*workload_, indexes_only);
@@ -101,7 +108,7 @@ TEST_F(DesignerTest, CombinedDesignBeatsIndexesAlone) {
 }
 
 TEST_F(DesignerTest, UserSeededCandidatesEnterTheSearch) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   // Seed with a deliberately odd covering index the miner skips.
   TableId spec = db_->catalog().FindTable(kSpecObj);
   const TableDef& def = db_->catalog().table(spec);
@@ -115,14 +122,15 @@ TEST_F(DesignerTest, UserSeededCandidatesEnterTheSearch) {
                         .total_pages();
   seed.relevant_queries = 1;
 
-  IndexRecommendation rec = designer.RecommendIndexes(*workload_, {seed});
+  IndexRecommendation rec =
+      designer.RecommendIndexes(*workload_, {seed}).value();
   EXPECT_LE(rec.recommended_cost, rec.base_cost);
   // The recommendation machinery must at least have considered it.
   EXPECT_GT(rec.num_candidates, 0u);
 }
 
 TEST_F(DesignerTest, Scenario3ContinuousTuning) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   auto tuner = designer.StartContinuousTuning();
   std::vector<BoundQuery> stream = GenerateDriftingStream(
       *db_, {TemplateMix::PhaseSelections()}, 75, 61);
@@ -132,13 +140,13 @@ TEST_F(DesignerTest, Scenario3ContinuousTuning) {
 }
 
 TEST_F(DesignerTest, WhatIfKnobsReachableThroughFacade) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   designer.whatif().knobs().enable_hashjoin = false;
   auto q = ParseAndBind(db_->catalog(),
                         "SELECT p.objid FROM photoobj p JOIN specobj s "
                         "ON p.objid = s.bestobjid");
   ASSERT_TRUE(q.ok());
-  PlanResult r = designer.whatif().Plan(q.value());
+  PlanResult r = designer.whatif().TryPlan(q.value()).value();
   ASSERT_NE(r.root, nullptr);
   std::function<bool(const PlanNode&)> has_hash =
       [&](const PlanNode& n) {
@@ -152,9 +160,11 @@ TEST_F(DesignerTest, WhatIfKnobsReachableThroughFacade) {
 }
 
 TEST_F(DesignerTest, BenefitReportAccounting) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   BenefitReport report =
-      designer.EvaluateDesign(*workload_, PhysicalDesign{});
+      designer.TryEvaluateDesigns(*workload_, {PhysicalDesign{}})
+          .value()
+          .front();
   // Empty design vs empty baseline: zero benefit everywhere.
   EXPECT_NEAR(report.average_benefit(), 0.0, 1e-9);
   for (size_t i = 0; i < workload_->size(); ++i) {
@@ -164,12 +174,13 @@ TEST_F(DesignerTest, BenefitReportAccounting) {
 
 
 TEST_F(DesignerTest, BenefitJsonExport) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   PhysicalDesign manual;
   manual.AddIndex(
       IndexDef{photo, {db_->catalog().table(photo).FindColumn("ra")}, false});
-  BenefitReport report = designer.EvaluateDesign(*workload_, manual);
+  BenefitReport report =
+      designer.TryEvaluateDesigns(*workload_, {manual}).value().front();
   std::string json = RenderBenefitJson(db_->catalog(), *workload_, report);
   EXPECT_NE(json.find("\"average_benefit\""), std::string::npos);
   EXPECT_NE(json.find("\"base_total\""), std::string::npos);

@@ -30,6 +30,7 @@
 #include "backend/resilient_backend.h"
 #include "backend/trace_backend.h"
 #include "colt/colt.h"
+#include "cophy/greedy.h"
 #include "core/session.h"
 #include "util/clock.h"
 #include "util/thread_pool.h"
@@ -572,6 +573,80 @@ TEST_F(FaultTest, ColtSurvivesOutageWithDegradedEpochs) {
   EXPECT_GE(tuner.degraded_epochs(), 1u);
   EXPECT_TRUE(tuner.last_backend_error().IsRetryable());
   EXPECT_EQ(tuner.cumulative_query_cost(), 0.0);  // no sentinel accounting
+}
+
+/// Runs `call` (which returns some Result<T>) and checks that a backend
+/// outage came back as a retryable Status instead of an exception.
+template <typename Call>
+void ExpectOutageStatus(const char* api, Call call) {
+  Status status;
+  EXPECT_NO_THROW(status = call().status()) << api;
+  EXPECT_TRUE(status.IsRetryable()) << api << ": " << status.ToString();
+}
+
+TEST_F(FaultTest, OutageAdvisorResultApisReturnStatusNotThrow) {
+  InMemoryBackend inner(*db_);
+  FaultInjectingBackend fault(inner, FaultPlan::Outage());
+  const BoundQuery& q = workload_.queries[0];
+  std::vector<CandidateIndex> cands = GenerateCandidates(fault, workload_);
+  ASSERT_FALSE(cands.empty());
+
+  WhatIfOptimizer whatif(fault);
+  ExpectOutageStatus("TryCost", [&] { return whatif.TryCost(q); });
+  ExpectOutageStatus("TryCostUnder",
+                     [&] { return whatif.TryCostUnder(q, {}); });
+  ExpectOutageStatus("TryPlan", [&] { return whatif.TryPlan(q); });
+  ExpectOutageStatus("TryPlanUnder",
+                     [&] { return whatif.TryPlanUnder(q, {}); });
+  ExpectOutageStatus("TryCostWorkload",
+                     [&] { return whatif.TryCostWorkload(workload_, {}); });
+
+  CoPhyAdvisor cophy(fault, ForceExactOptions().cophy);
+  ExpectOutageStatus("CoPhy TryRecommend",
+                     [&] { return cophy.TryRecommend(workload_); });
+  ExpectOutageStatus("CoPhy TryRecommendWithCandidates", [&] {
+    return cophy.TryRecommendWithCandidates(workload_, cands);
+  });
+  ExpectOutageStatus("CoPhy TryPrepare",
+                     [&] { return cophy.TryPrepare(workload_, cands); });
+
+  Designer designer(fault, ForceExactOptions());
+  PhysicalDesign design;
+  design.AddIndex(cands[0].index);
+  std::vector<IndexDef> indexes = {cands[0].index};
+  if (cands.size() > 1) indexes.push_back(cands[1].index);
+  ExpectOutageStatus("Designer TryEvaluateDesigns", [&] {
+    return designer.TryEvaluateDesigns(workload_, {design});
+  });
+  ExpectOutageStatus("Designer TryRecommendOffline", [&] {
+    return designer.TryRecommendOffline(workload_, 1e9);
+  });
+  ExpectOutageStatus("Designer RecommendIndexes", [&] {
+    return designer.RecommendIndexes(workload_, {});
+  });
+  ExpectOutageStatus("Designer AnalyzeInteractions", [&] {
+    return designer.AnalyzeInteractions(workload_, indexes);
+  });
+  ExpectOutageStatus("Designer ScheduleMaterialization", [&] {
+    return designer.ScheduleMaterialization(workload_, indexes);
+  });
+
+  // Greedy and AutoPart price designs with a default INUM, whose
+  // populate and reuse paths never leave the client: the outage is
+  // invisible to them and they still answer, without throwing.
+  GreedyAdvisor greedy(fault);
+  Result<GreedyResult> greedy_rec = Status::Internal("not run");
+  EXPECT_NO_THROW(greedy_rec = greedy.TryRecommend(workload_));
+  EXPECT_TRUE(greedy_rec.ok()) << greedy_rec.status().ToString();
+  EXPECT_NO_THROW(greedy_rec =
+                      greedy.TryRecommendWithCandidates(workload_, cands));
+  EXPECT_TRUE(greedy_rec.ok()) << greedy_rec.status().ToString();
+  AutoPartAdvisor autopart(fault);
+  Result<PartitionRecommendation> parts = Status::Internal("not run");
+  EXPECT_NO_THROW(parts = autopart.Recommend(workload_));
+  EXPECT_TRUE(parts.ok()) << parts.status().ToString();
+
+  EXPECT_GT(fault.counters().calls, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "backend/inmemory_backend.h"
 #include "core/designer.h"
 #include "core/report.h"
 #include "exec/executor.h"
@@ -24,6 +25,7 @@ class IntegrationTest : public ::testing::Test {
     cfg.photoobj_rows = 4000;
     cfg.seed = 97;
     db_ = std::make_unique<Database>(BuildSdssDatabase(cfg));
+    backend_ = std::make_unique<InMemoryBackend>(*db_);
     workload_ = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 10, 3);
   }
 
@@ -36,13 +38,14 @@ class IntegrationTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<InMemoryBackend> backend_;
   Workload workload_;
 };
 
 TEST_F(IntegrationTest, OfflinePipelineMaterializesAndExecutes) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   OfflineRecommendation rec =
-      designer.RecommendOffline(workload_, DataPages());
+      designer.TryRecommendOffline(workload_, DataPages()).value();
   ASSERT_FALSE(rec.indexes.indexes.empty());
 
   // Materialize every recommended index in schedule order.
@@ -53,11 +56,11 @@ TEST_F(IntegrationTest, OfflinePipelineMaterializesAndExecutes) {
 
   // Every workload query must now execute correctly under the
   // materialized design, and its plan must use at least the design.
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   Executor exec(*db_);
   int index_plans = 0;
   for (const BoundQuery& q : workload_.queries) {
-    PlanResult plan = whatif.PlanUnder(q, db_->CurrentDesign());
+    PlanResult plan = whatif.TryPlanUnder(q, db_->CurrentDesign()).value();
     ASSERT_NE(plan.root, nullptr);
     auto rows = exec.Execute(q, *plan.root);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
@@ -85,22 +88,23 @@ TEST_F(IntegrationTest, AdvisorCostClaimsMatchExactOptimizer) {
   // optimizer must agree under the materialized design.
   CoPhyOptions opts;
   opts.storage_budget_pages = DataPages();
-  CoPhyAdvisor advisor(*db_, CostParams{}, opts);
-  IndexRecommendation rec = advisor.Recommend(workload_);
+  CoPhyAdvisor advisor(*backend_, opts);
+  IndexRecommendation rec = advisor.TryRecommend(workload_).value();
 
   PhysicalDesign design;
   for (const IndexDef& idx : rec.indexes) design.AddIndex(idx);
-  WhatIfOptimizer exact(*db_);
-  double exact_cost = exact.WorkloadCostUnder(workload_, design);
+  WhatIfOptimizer exact(*backend_);
+  double exact_cost =
+      workload_.WeightedTotal(exact.TryCostWorkload(workload_, design).value());
   EXPECT_NEAR(exact_cost / rec.recommended_cost, 1.0, 0.05)
       << "advisor claim " << rec.recommended_cost << " vs optimizer "
       << exact_cost;
 }
 
 TEST_F(IntegrationTest, ScheduleMarginalsSumToTotalBenefit) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   OfflineRecommendation rec =
-      designer.RecommendOffline(workload_, DataPages());
+      designer.TryRecommendOffline(workload_, DataPages()).value();
   double sum = 0.0;
   for (const ScheduleStep& s : rec.schedule.steps) {
     sum += s.marginal_benefit;
@@ -116,7 +120,7 @@ TEST_F(IntegrationTest, ColtConvergesToOfflineRecommendationQuality) {
   // single-column candidates.
   ColtOptions copts;
   copts.epoch_length = 20;
-  ColtTuner tuner(*db_, CostParams{}, copts);
+  ColtTuner tuner(*backend_, copts);
   Rng rng(7);
   std::vector<BoundQuery> stream;
   for (int i = 0; i < 200; ++i) {
@@ -134,10 +138,10 @@ TEST_F(IntegrationTest, ColtConvergesToOfflineRecommendationQuality) {
   single.covering_candidates = false;
   GreedyOptions gopts;
   gopts.candidates = single;
-  GreedyAdvisor greedy(*db_, CostParams{}, gopts);
-  GreedyResult offline = greedy.Recommend(w);
+  GreedyAdvisor greedy(*backend_, gopts);
+  GreedyResult offline = greedy.TryRecommend(w).value();
 
-  InumCostModel oracle(*db_);
+  InumCostModel oracle(*backend_);
   double colt_cost = oracle.WorkloadCost(w, tuner.current_design());
   PhysicalDesign offline_design;
   for (const IndexDef& i : offline.indexes) offline_design.AddIndex(i);
@@ -151,18 +155,23 @@ TEST_F(IntegrationTest, ColtConvergesToOfflineRecommendationQuality) {
 }
 
 TEST_F(IntegrationTest, WhatIfSessionNeverMutatesDatabase) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   size_t indexes_before = db_->MaterializedIndexes().size();
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   const TableDef& def = db_->catalog().table(photo);
 
   designer.whatif().CreateHypotheticalIndex(
       IndexDef{photo, {def.FindColumn("ra")}, false});
-  designer.EvaluateDesign(workload_,
-                          designer.whatif().hypothetical_design());
-  designer.RecommendOffline(workload_, DataPages());
-  designer.AnalyzeInteractions(
-      workload_, designer.whatif().hypothetical_design().indexes());
+  ASSERT_TRUE(designer
+                  .TryEvaluateDesigns(workload_,
+                                      {designer.whatif().hypothetical_design()})
+                  .ok());
+  ASSERT_TRUE(designer.TryRecommendOffline(workload_, DataPages()).ok());
+  ASSERT_TRUE(designer
+                  .AnalyzeInteractions(
+                      workload_,
+                      designer.whatif().hypothetical_design().indexes())
+                  .ok());
 
   EXPECT_EQ(db_->MaterializedIndexes().size(), indexes_before)
       << "advisors must be read-only on the database";
@@ -171,30 +180,33 @@ TEST_F(IntegrationTest, WhatIfSessionNeverMutatesDatabase) {
 }
 
 TEST_F(IntegrationTest, PartitionRecommendationConsistentWithWhatIf) {
-  AutoPartAdvisor autopart(*db_);
-  PartitionRecommendation rec = autopart.Recommend(workload_);
+  AutoPartAdvisor autopart(*backend_);
+  PartitionRecommendation rec = autopart.Recommend(workload_).value();
   // Re-evaluate the recommended partitioning through the independent
   // what-if path; improvements must agree.
-  WhatIfOptimizer whatif(*db_);
-  double base = whatif.WorkloadCostUnder(workload_, PhysicalDesign{});
-  double with_parts = whatif.WorkloadCostUnder(workload_, rec.design);
+  WhatIfOptimizer whatif(*backend_);
+  double base = workload_.WeightedTotal(
+      whatif.TryCostWorkload(workload_, PhysicalDesign{}).value());
+  double with_parts = workload_.WeightedTotal(
+      whatif.TryCostWorkload(workload_, rec.design).value());
   EXPECT_NEAR(with_parts / rec.final_cost, 1.0, 0.05);
   EXPECT_NEAR(base / rec.base_cost, 1.0, 0.05);
 }
 
 TEST_F(IntegrationTest, ReportsRenderForFullPipeline) {
-  Designer designer(*db_);
+  Designer designer(*backend_);
   OfflineRecommendation rec =
-      designer.RecommendOffline(workload_, DataPages());
+      designer.TryRecommendOffline(workload_, DataPages()).value();
   std::string text =
-      RenderOfflineRecommendation(db_->catalog(), *db_, workload_, rec);
+      RenderOfflineRecommendation(db_->catalog(), *backend_, workload_, rec);
   // Every section must be present.
   for (const char* needle :
        {"Suggested indexes", "Suggested partitions",
         "Materialization schedule", "combined design cost"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
-  BenefitReport report = designer.EvaluateDesign(workload_, rec.combined);
+  BenefitReport report =
+      designer.TryEvaluateDesigns(workload_, {rec.combined}).value().front();
   std::string panel = RenderBenefitPanel(db_->catalog(), workload_, report);
   EXPECT_NE(panel.find("average workload benefit"), std::string::npos);
 }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "backend/inmemory_backend.h"
 #include "interaction/doi.h"
 #include "interaction/graph.h"
 #include "interaction/schedule.h"
@@ -22,12 +23,15 @@ class InteractionTest : public ::testing::Test {
     cfg.photoobj_rows = 6000;
     cfg.seed = 13;
     db_ = new Database(BuildSdssDatabase(cfg));
-    inum_ = new InumCostModel(*db_);
+    backend_ = new InMemoryBackend(*db_);
+    inum_ = new InumCostModel(*backend_);
   }
   static void TearDownTestSuite() {
     delete inum_;
+    delete backend_;
     delete db_;
     inum_ = nullptr;
+    backend_ = nullptr;
     db_ = nullptr;
   }
 
@@ -48,10 +52,12 @@ class InteractionTest : public ::testing::Test {
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
   static InumCostModel* inum_;
 };
 
 Database* InteractionTest::db_ = nullptr;
+InMemoryBackend* InteractionTest::backend_ = nullptr;
 InumCostModel* InteractionTest::inum_ = nullptr;
 
 TEST_F(InteractionTest, AlternativeIndexesInteractStrongly) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "backend/inmemory_backend.h"
 #include "inum/inum.h"
 #include "sql/binder.h"
 #include "workload/queries.h"
@@ -21,8 +22,11 @@ class InumTest : public ::testing::Test {
     cfg.photoobj_rows = 6000;
     cfg.seed = 17;
     db_ = new Database(BuildSdssDatabase(cfg));
+    backend_ = new InMemoryBackend(*db_);
   }
   static void TearDownTestSuite() {
+    delete backend_;
+    backend_ = nullptr;
     delete db_;
     db_ = nullptr;
   }
@@ -51,24 +55,26 @@ class InumTest : public ::testing::Test {
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
 };
 
 Database* InumTest::db_ = nullptr;
+InMemoryBackend* InumTest::backend_ = nullptr;
 
 TEST_F(InumTest, MatchesExactOnEmptyDesign) {
-  InumCostModel inum(*db_);
-  WhatIfOptimizer exact(*db_);
+  InumCostModel inum(*backend_);
+  WhatIfOptimizer exact(*backend_);
   Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 15, 23);
   for (const BoundQuery& q : w.queries) {
     double fast = inum.Cost(q, PhysicalDesign{});
-    double full = exact.CostUnder(q, PhysicalDesign{});
+    double full = exact.TryCostUnder(q, PhysicalDesign{}).value();
     EXPECT_NEAR(fast / full, 1.0, 0.02) << q.ToSql(db_->catalog());
   }
 }
 
 TEST_F(InumTest, TracksExactAcrossRandomDesigns) {
-  InumCostModel inum(*db_);
-  WhatIfOptimizer exact(*db_);
+  InumCostModel inum(*backend_);
+  WhatIfOptimizer exact(*backend_);
   Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 12, 29);
   Rng rng(31);
 
@@ -82,7 +88,7 @@ TEST_F(InumTest, TracksExactAcrossRandomDesigns) {
         if (rng.Bernoulli(0.5)) design.AddIndex(idx);
       }
       double fast = inum.Cost(q, design);
-      double full = exact.CostUnder(q, design);
+      double full = exact.TryCostUnder(q, design).value();
       ++checked;
       double rel = std::abs(fast - full) / std::max(1.0, full);
       if (rel < 0.05) ++close;
@@ -100,8 +106,8 @@ TEST_F(InumTest, TracksExactAcrossRandomDesigns) {
 TEST_F(InumTest, PartitionAwareReuse) {
   // The paper's extension: INUM reuse must stay accurate when the design
   // includes vertical partitions, without repopulating.
-  InumCostModel inum(*db_);
-  WhatIfOptimizer exact(*db_);
+  InumCostModel inum(*backend_);
+  WhatIfOptimizer exact(*backend_);
   auto q = ParseAndBind(db_->catalog(),
                         "SELECT objid, ra FROM photoobj WHERE ra > 350");
   ASSERT_TRUE(q.ok());
@@ -122,7 +128,7 @@ TEST_F(InumTest, PartitionAwareReuse) {
   design.SetVerticalPartitioning(vp);
 
   double fast = inum.Cost(q.value(), design);
-  double full = exact.CostUnder(q.value(), design);
+  double full = exact.TryCostUnder(q.value(), design).value();
   EXPECT_NEAR(fast / full, 1.0, 0.05);
 
   // And the partitioned cost must be far below the unpartitioned one.
@@ -130,7 +136,7 @@ TEST_F(InumTest, PartitionAwareReuse) {
 }
 
 TEST_F(InumTest, ReuseAvoidsFullOptimizations) {
-  InumCostModel inum(*db_);
+  InumCostModel inum(*backend_);
   Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 10, 41);
   // Warm the cache.
   for (const BoundQuery& q : w.queries) inum.Prepare(q);
@@ -154,7 +160,7 @@ TEST_F(InumTest, ReuseAvoidsFullOptimizations) {
 }
 
 TEST_F(InumTest, CachedPlansExposeSignatures) {
-  InumCostModel inum(*db_);
+  InumCostModel inum(*backend_);
   auto q = ParseAndBind(
       db_->catalog(),
       "SELECT p.objid, s.z FROM photoobj p JOIN specobj s "
@@ -182,8 +188,8 @@ TEST_F(InumTest, BenefitOrderingAgreesWithExact) {
   // The advisor only needs *relative* costs to rank candidates; check
   // that INUM orders single-index designs the same way the optimizer
   // does for a selective query.
-  InumCostModel inum(*db_);
-  WhatIfOptimizer exact(*db_);
+  InumCostModel inum(*backend_);
+  WhatIfOptimizer exact(*backend_);
   auto q = ParseAndBind(db_->catalog(),
                         "SELECT objid FROM photoobj "
                         "WHERE ra BETWEEN 30 AND 31 AND type = 3");
@@ -199,7 +205,7 @@ TEST_F(InumTest, BenefitOrderingAgreesWithExact) {
   std::vector<double> full;
   for (const PhysicalDesign& d : designs) {
     fast.push_back(inum.Cost(q.value(), d));
-    full.push_back(exact.CostUnder(q.value(), d));
+    full.push_back(exact.TryCostUnder(q.value(), d).value());
   }
   // Both must agree the ra-index is best and empty is worst.
   EXPECT_LT(fast[1], fast[0]);

@@ -2,7 +2,7 @@
 // serial execution at any thread count, for every batched entry point —
 // WhatIfOptimizer::TryCostWorkload (backend CostBatch),
 // InumCostModel::WorkloadCost (populate + reuse), and
-// Designer::EvaluateDesigns (cost matrix) — including the InumStats
+// Designer::TryEvaluateDesigns (cost matrix) — including the InumStats
 // counters. Plus unit coverage for util/thread_pool.
 
 #include <gtest/gtest.h>
@@ -239,8 +239,10 @@ TEST_F(ParallelDeterminismTest, EvaluateDesignsBitIdentical) {
   Designer serial(serial_backend);
   Designer parallel(parallel_backend);
 
-  std::vector<BenefitReport> a = serial.EvaluateDesigns(workload_, designs_);
-  std::vector<BenefitReport> b = parallel.EvaluateDesigns(workload_, designs_);
+  std::vector<BenefitReport> a =
+      serial.TryEvaluateDesigns(workload_, designs_).value();
+  std::vector<BenefitReport> b =
+      parallel.TryEvaluateDesigns(workload_, designs_).value();
 
   ASSERT_EQ(a.size(), b.size());
   for (size_t d = 0; d < a.size(); ++d) {
@@ -354,8 +356,8 @@ TEST_F(ParallelDeterminismTest, CoPhyRecommendationBitIdentical) {
   CoPhyAdvisor serial(serial_backend, opts);
   CoPhyAdvisor parallel(parallel_backend, opts);
 
-  IndexRecommendation a = serial.Recommend(workload_);
-  IndexRecommendation b = parallel.Recommend(workload_);
+  IndexRecommendation a = serial.TryRecommend(workload_).value();
+  IndexRecommendation b = parallel.TryRecommend(workload_).value();
   EXPECT_EQ(a.indexes, b.indexes);
   EXPECT_EQ(a.recommended_cost, b.recommended_cost);
   EXPECT_EQ(a.base_cost, b.base_cost);

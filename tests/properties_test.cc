@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 
+#include "backend/inmemory_backend.h"
 #include "catalog/stats.h"
 #include "interaction/doi.h"
 #include "interaction/schedule.h"
@@ -255,8 +256,9 @@ TEST_P(InumPropertyTest, ReuseNeverBeatsExactOnPartitionedDesigns) {
   Database db = BuildSdssDatabase(cfg);
   Workload w =
       GenerateWorkload(db, TemplateMix::OfflineDefault(), 8, GetParam());
-  InumCostModel inum(db);
-  WhatIfOptimizer exact(db);
+  InMemoryBackend backend(db);
+  InumCostModel inum(backend);
+  WhatIfOptimizer exact(backend);
   Rng rng(GetParam() ^ 0x5555);
 
   TableId photo = db.catalog().FindTable(kPhotoObj);
@@ -280,7 +282,7 @@ TEST_P(InumPropertyTest, ReuseNeverBeatsExactOnPartitionedDesigns) {
     }
     for (const BoundQuery& q : w.queries) {
       double fast = inum.Cost(q, design);
-      double full = exact.CostUnder(q, design);
+      double full = exact.TryCostUnder(q, design).value();
       EXPECT_GE(fast, full * 0.98) << q.ToSql(db.catalog());
       EXPECT_LE(fast, full * 1.25) << q.ToSql(db.catalog());
     }
@@ -299,7 +301,8 @@ class InteractionPropertyTest : public ::testing::TestWithParam<uint64_t> {
     cfg.photoobj_rows = 3000;
     cfg.seed = GetParam();
     db_ = std::make_unique<Database>(BuildSdssDatabase(cfg));
-    inum_ = std::make_unique<InumCostModel>(*db_);
+    backend_ = std::make_unique<InMemoryBackend>(*db_);
+    inum_ = std::make_unique<InumCostModel>(*backend_);
     workload_ =
         GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 8, GetParam());
     TableId photo = db_->catalog().FindTable(kPhotoObj);
@@ -316,6 +319,7 @@ class InteractionPropertyTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<InMemoryBackend> backend_;
   std::unique_ptr<InumCostModel> inum_;
   Workload workload_;
   std::vector<IndexDef> indexes_;

@@ -226,7 +226,8 @@ TEST(ServerTest, ConstraintIsolationAndCopyOnWrite) {
 
   // Solo baseline: one session, no neighbors.
   Database solo_db = SmallDb();
-  Designer solo_designer(solo_db);
+  InMemoryBackend solo_backend(solo_db);
+  Designer solo_designer(solo_backend);
   DesignSession solo(solo_designer);
   solo.SetWorkload(w);
   Result<IndexRecommendation> baseline = solo.Recommend();

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "backend/inmemory_backend.h"
 #include "core/session.h"
 #include "sql/binder.h"
 #include "workload/queries.h"
@@ -23,7 +24,8 @@ class SessionTest : public ::testing::Test {
     cfg.photoobj_rows = 2000;
     cfg.seed = 31;
     db_ = std::make_unique<Database>(BuildSdssDatabase(cfg));
-    designer_ = std::make_unique<Designer>(*db_);
+    backend_ = std::make_unique<InMemoryBackend>(*db_);
+    designer_ = std::make_unique<Designer>(*backend_);
     session_ = std::make_unique<DesignSession>(*designer_);
     photo_ = db_->catalog().FindTable(kPhotoObj);
     ra_ = db_->catalog().table(photo_).FindColumn("ra");
@@ -34,6 +36,7 @@ class SessionTest : public ::testing::Test {
   IndexDef DecIndex() const { return IndexDef{photo_, {dec_}, false}; }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<InMemoryBackend> backend_;
   std::unique_ptr<Designer> designer_;
   std::unique_ptr<DesignSession> session_;
   TableId photo_ = kInvalidTableId;
@@ -179,12 +182,17 @@ TEST_F(SessionTest, ActionLogReadsLikeAScript) {
 
 TEST_F(SessionTest, UndoRestoresCostExactly) {
   Workload w = GenerateWorkload(*db_, TemplateMix::PhaseSelections(), 5, 9);
-  double base = designer_->whatif().WorkloadCost(w);
+  WhatIfOptimizer& whatif = designer_->whatif();
+  auto cost = [&] {
+    return w.WeightedTotal(
+        whatif.TryCostWorkload(w, whatif.hypothetical_design()).value());
+  };
+  double base = cost();
   ASSERT_TRUE(session_->CreateIndex(RaIndex()).ok());
-  double tuned = designer_->whatif().WorkloadCost(w);
+  double tuned = cost();
   EXPECT_LT(tuned, base);
   ASSERT_TRUE(session_->Undo());
-  EXPECT_DOUBLE_EQ(designer_->whatif().WorkloadCost(w), base);
+  EXPECT_DOUBLE_EQ(cost(), base);
 }
 
 // --- The constraint-driven recommendation loop ---
@@ -253,7 +261,8 @@ TEST_F(SessionTest, RefineIsFreeAndBitIdenticalToFromScratch) {
 
   // ... and is bit-identical to a from-scratch solve under the same
   // constraints on a fresh designer/session.
-  Designer fresh_designer(*db_);
+  InMemoryBackend backend(*db_);
+  Designer fresh_designer(backend);
   DesignSession fresh(fresh_designer);
   fresh.SetWorkload(w);
   ASSERT_TRUE(fresh.SetConstraints(session_->constraints()).ok());
@@ -292,7 +301,8 @@ TEST_F(SessionTest, CertificateRefineIsInstantAndMatchesFromScratch) {
                    initial.value().recommended_cost);
 
   // ... and matches a from-scratch solve under the same constraints.
-  Designer fresh_designer(*db_);
+  InMemoryBackend backend(*db_);
+  Designer fresh_designer(backend);
   DesignSession fresh(fresh_designer);
   fresh.SetWorkload(w);
   ASSERT_TRUE(fresh.SetConstraints(session_->constraints()).ok());
@@ -613,7 +623,7 @@ TEST_F(SessionDeployTest, WarmPlanDeploymentMakesZeroBackendCalls) {
 
 TEST_F(SessionDeployTest, ScheduleFinalCostMatchesEvaluateDesigns) {
   // The schedule's incrementally maintained final cost must equal a
-  // from-scratch Designer::EvaluateDesigns of the full design — the
+  // from-scratch Designer::TryEvaluateDesigns of the full design — the
   // invariant that catches bookkeeping drift between the step costs
   // and the design they claim to describe.
   session_->SetWorkload(
@@ -626,8 +636,10 @@ TEST_F(SessionDeployTest, ScheduleFinalCostMatchesEvaluateDesigns) {
 
   PhysicalDesign full;
   for (const ScheduleStep& s : sched.steps) full.AddIndex(s.index);
-  Designer fresh(*db_);
-  BenefitReport report = fresh.EvaluateDesign(ClassWorkload(), full);
+  InMemoryBackend backend(*db_);
+  Designer fresh(backend);
+  BenefitReport report =
+      fresh.TryEvaluateDesigns(ClassWorkload(), {full}).value().front();
   EXPECT_DOUBLE_EQ(sched.final_cost, report.new_total);
   EXPECT_DOUBLE_EQ(sched.base_cost, report.base_total);
   EXPECT_DOUBLE_EQ(sched.steps.back().cost_after, sched.final_cost);
@@ -794,8 +806,12 @@ TEST_F(SessionDeployTest, ClassSwapWithSameWeightsRebuildsSchedule) {
   const MaterializationSchedule& sched = plan.value().schedule;
   PhysicalDesign full;
   for (const ScheduleStep& s : sched.steps) full.AddIndex(s.index);
-  Designer fresh_designer(*db_);
-  BenefitReport report = fresh_designer.EvaluateDesign(ClassWorkload(), full);
+  InMemoryBackend backend(*db_);
+  Designer fresh_designer(backend);
+  BenefitReport report =
+      fresh_designer.TryEvaluateDesigns(ClassWorkload(), {full})
+          .value()
+          .front();
   EXPECT_DOUBLE_EQ(sched.base_cost, report.base_total);
   EXPECT_DOUBLE_EQ(sched.final_cost, report.new_total);
 }
@@ -824,7 +840,8 @@ TEST_F(SessionTest, SessionJsonRoundTrip) {
   session_->SaveSnapshot("tuned");
 
   Json j = session_->ToJson();
-  Designer fresh_designer(*db_);
+  InMemoryBackend backend(*db_);
+  Designer fresh_designer(backend);
   DesignSession resumed(fresh_designer);
   ASSERT_TRUE(resumed.LoadFromJson(j).ok());
 
@@ -848,7 +865,8 @@ TEST_F(SessionTest, SessionFileRoundTrip) {
 
   std::string path = ::testing::TempDir() + "dbdesign_session_test.json";
   ASSERT_TRUE(session_->SaveToFile(path).ok());
-  Designer fresh_designer(*db_);
+  InMemoryBackend backend(*db_);
+  Designer fresh_designer(backend);
   DesignSession resumed(fresh_designer);
   ASSERT_TRUE(resumed.LoadFromFile(path).ok());
   EXPECT_TRUE(resumed.design().HasIndex(RaIndex()));

@@ -15,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "core/constraints.h"
 #include "util/rng.h"
@@ -149,7 +150,8 @@ IndexRecommendation Solve(const Database& db, const CoPhyPrepared& prep,
   CoPhyOptions opts;
   opts.storage_budget_pages = budget_pages;
   opts.solve_mode = mode;
-  CoPhyAdvisor advisor(db, CostParams{}, opts);
+  InMemoryBackend backend(db);
+  CoPhyAdvisor advisor(backend, opts);
   Result<IndexRecommendation> rec = advisor.SolvePrepared(prep, cons, cache);
   EXPECT_TRUE(rec.ok()) << rec.status().ToString();
   return std::move(rec).value();

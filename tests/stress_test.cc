@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/inmemory_backend.h"
 #include "colt/colt.h"
 #include "cophy/cophy.h"
 #include "exec/executor.h"
@@ -58,15 +59,16 @@ TEST(StressTest, InumHandlesSelfJoins) {
       "SELECT a.objid FROM photoobj a JOIN photoobj b ON a.parentid = b.objid "
       "WHERE b.type = 3 AND a.nchild > 0");
   ASSERT_TRUE(q.ok());
-  InumCostModel inum(db);
-  WhatIfOptimizer exact(db);
+  InMemoryBackend backend(db);
+  InumCostModel inum(backend);
+  WhatIfOptimizer exact(backend);
   TableId photo = db.catalog().FindTable(kPhotoObj);
   const TableDef& def = db.catalog().table(photo);
   for (const char* col : {"objid", "parentid", "type"}) {
     PhysicalDesign design;
     design.AddIndex(IndexDef{photo, {def.FindColumn(col)}, false});
     double fast = inum.Cost(q.value(), design);
-    double full = exact.CostUnder(q.value(), design);
+    double full = exact.TryCostUnder(q.value(), design).value();
     EXPECT_GE(fast, full * 0.98) << col;
     EXPECT_LE(fast, full * 1.25) << col;
   }
@@ -85,8 +87,9 @@ TEST(StressTest, FiftyThousandRowPipeline) {
   }
   CoPhyOptions opts;
   opts.storage_budget_pages = pages;
-  CoPhyAdvisor advisor(db, CostParams{}, opts);
-  IndexRecommendation rec = advisor.Recommend(w);
+  InMemoryBackend backend(db);
+  CoPhyAdvisor advisor(backend, opts);
+  IndexRecommendation rec = advisor.TryRecommend(w).value();
   EXPECT_GT(rec.improvement(), 0.3);
   EXPECT_LE(rec.gap, 0.05);
 }
@@ -99,7 +102,8 @@ TEST(StressTest, LongColtStreamStaysBounded) {
   ColtOptions opts;
   opts.epoch_length = 25;
   opts.max_candidates = 16;
-  ColtTuner tuner(db, CostParams{}, opts);
+  InMemoryBackend backend(db);
+  ColtTuner tuner(backend, opts);
   std::vector<BoundQuery> stream = GenerateDriftingStream(
       db,
       {TemplateMix::PhaseSelections(), TemplateMix::PhaseJoins(),

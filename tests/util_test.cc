@@ -47,6 +47,9 @@ TEST(ResultTest, HoldsError) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(r.value_or(7), 7);
+  // Reading the value of an error Result aborts in every build type.
+  EXPECT_DEATH(static_cast<void>(r.value()),
+               "value\\(\\) called on an error Result");
 }
 
 TEST(RngTest, DeterministicAcrossReseed) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/inmemory_backend.h"
 #include "sql/binder.h"
 #include "whatif/whatif.h"
 #include "workload/queries.h"
@@ -19,8 +20,11 @@ class WhatIfTest : public ::testing::Test {
     cfg.photoobj_rows = 6000;
     cfg.seed = 3;
     db_ = new Database(BuildSdssDatabase(cfg));
+    backend_ = new InMemoryBackend(*db_);
   }
   static void TearDownTestSuite() {
+    delete backend_;
+    backend_ = nullptr;
     delete db_;
     db_ = nullptr;
   }
@@ -42,30 +46,32 @@ class WhatIfTest : public ::testing::Test {
   }
 
   static Database* db_;
+  static InMemoryBackend* backend_;
 };
 
 Database* WhatIfTest::db_ = nullptr;
+InMemoryBackend* WhatIfTest::backend_ = nullptr;
 
 TEST_F(WhatIfTest, HypotheticalIndexReducesCostWithoutBuilding) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   BoundQuery q = Q("SELECT objid FROM photoobj WHERE ra BETWEEN 20 AND 20.4");
-  double before = whatif.Cost(q);
+  double before = whatif.TryCost(q).value();
   ASSERT_TRUE(whatif.CreateHypotheticalIndex(Idx("photoobj", {"ra"})).ok());
-  double after = whatif.Cost(q);
+  double after = whatif.TryCost(q).value();
   EXPECT_LT(after, before * 0.5);
   // Nothing was materialized.
   EXPECT_TRUE(db_->MaterializedIndexes().empty());
 }
 
 TEST_F(WhatIfTest, DuplicateHypotheticalIndexRejected) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   ASSERT_TRUE(whatif.CreateHypotheticalIndex(Idx("photoobj", {"dec"})).ok());
   Status dup = whatif.CreateHypotheticalIndex(Idx("photoobj", {"dec"}));
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
 }
 
 TEST_F(WhatIfTest, InvalidIndexRejected) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   IndexDef bad;
   bad.table = 999;
   bad.columns = {0};
@@ -83,22 +89,22 @@ TEST_F(WhatIfTest, InvalidIndexRejected) {
 }
 
 TEST_F(WhatIfTest, DropAndResetRestoreBaseline) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   BoundQuery q = Q("SELECT objid FROM photoobj WHERE ra BETWEEN 20 AND 20.4");
-  double base = whatif.Cost(q);
+  double base = whatif.TryCost(q).value();
   IndexDef idx = Idx("photoobj", {"ra"});
   ASSERT_TRUE(whatif.CreateHypotheticalIndex(idx).ok());
   ASSERT_TRUE(whatif.DropHypotheticalIndex(idx).ok());
-  EXPECT_DOUBLE_EQ(whatif.Cost(q), base);
+  EXPECT_DOUBLE_EQ(whatif.TryCost(q).value(), base);
   ASSERT_TRUE(whatif.CreateHypotheticalIndex(idx).ok());
   whatif.ResetHypothetical();
-  EXPECT_DOUBLE_EQ(whatif.Cost(q), base);
+  EXPECT_DOUBLE_EQ(whatif.TryCost(q).value(), base);
   EXPECT_EQ(whatif.DropHypotheticalIndex(idx).code(), StatusCode::kNotFound);
 }
 
 TEST_F(WhatIfTest, HypotheticalIndexSizeIsHonest) {
   // The paper criticizes tools that assume zero-size what-if indexes.
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   IndexSizeEstimate sz = whatif.HypotheticalIndexSize(Idx("photoobj", {"ra"}));
   EXPECT_GT(sz.total_pages(), 5.0);  // 6000 rows cannot fit in 5 pages
   IndexSizeEstimate sz3 = whatif.HypotheticalIndexSize(
@@ -107,9 +113,9 @@ TEST_F(WhatIfTest, HypotheticalIndexSizeIsHonest) {
 }
 
 TEST_F(WhatIfTest, HypotheticalVerticalPartitioning) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   BoundQuery q = Q("SELECT objid, ra FROM photoobj WHERE ra > 350");
-  double wide = whatif.Cost(q);
+  double wide = whatif.TryCost(q).value();
 
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   const TableDef& def = db_->catalog().table(photo);
@@ -124,16 +130,17 @@ TEST_F(WhatIfTest, HypotheticalVerticalPartitioning) {
   vp.table = photo;
   vp.fragments = {narrow, rest};
   whatif.SetHypotheticalVerticalPartitioning(vp);
-  EXPECT_LT(whatif.Cost(q), wide * 0.5);
+  EXPECT_LT(whatif.TryCost(q).value(), wide * 0.5);
 
   whatif.ClearHypotheticalVerticalPartitioning(photo);
-  EXPECT_DOUBLE_EQ(whatif.Cost(q), wide);
+  EXPECT_DOUBLE_EQ(whatif.TryCost(q).value(), wide);
 }
 
 TEST_F(WhatIfTest, HypotheticalHorizontalPartitioning) {
-  WhatIfOptimizer whatif(*db_);
-  BoundQuery q = Q("SELECT objid FROM photoobj WHERE mjd BETWEEN 51050 AND 51080");
-  double base = whatif.Cost(q);
+  WhatIfOptimizer whatif(*backend_);
+  BoundQuery q =
+      Q("SELECT objid FROM photoobj WHERE mjd BETWEEN 51050 AND 51080");
+  double base = whatif.TryCost(q).value();
   TableId photo = db_->catalog().FindTable(kPhotoObj);
   HorizontalPartitioning hp;
   hp.table = photo;
@@ -142,45 +149,46 @@ TEST_F(WhatIfTest, HypotheticalHorizontalPartitioning) {
     hp.bounds.push_back(Value(int64_t{51000} + b * 40));
   }
   whatif.SetHypotheticalHorizontalPartitioning(hp);
-  EXPECT_LT(whatif.Cost(q), base);
+  EXPECT_LT(whatif.TryCost(q).value(), base);
   whatif.ClearHypotheticalHorizontalPartitioning(photo);
-  EXPECT_DOUBLE_EQ(whatif.Cost(q), base);
+  EXPECT_DOUBLE_EQ(whatif.TryCost(q).value(), base);
 }
 
 TEST_F(WhatIfTest, JoinKnobsSteerPlans) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   BoundQuery q = Q(
       "SELECT p.objid FROM photoobj p JOIN specobj s "
       "ON p.objid = s.bestobjid");
-  PlanResult base = whatif.Plan(q);
+  PlanResult base = whatif.TryPlan(q).value();
   ASSERT_NE(base.root, nullptr);
 
   // Disabling the method the optimizer picked must change the plan (or
   // at least not reduce cost).
   whatif.knobs().enable_hashjoin = false;
   whatif.knobs().enable_mergejoin = false;
-  PlanResult restricted = whatif.Plan(q);
+  PlanResult restricted = whatif.TryPlan(q).value();
   ASSERT_NE(restricted.root, nullptr);
   EXPECT_GE(restricted.cost, base.cost * 0.9999);
 }
 
 TEST_F(WhatIfTest, WorkloadCostAggregatesWeights) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   Workload w;
   w.Add(Q("SELECT objid FROM photoobj WHERE ra < 5"), 2.0);
   w.Add(Q("SELECT objid FROM photoobj WHERE dec > 80"), 3.0);
-  double c0 = whatif.CostUnder(w.queries[0], PhysicalDesign{});
-  double c1 = whatif.CostUnder(w.queries[1], PhysicalDesign{});
-  EXPECT_NEAR(whatif.WorkloadCostUnder(w, PhysicalDesign{}),
-              2.0 * c0 + 3.0 * c1, 1e-6);
+  double c0 = whatif.TryCostUnder(w.queries[0], PhysicalDesign{}).value();
+  double c1 = whatif.TryCostUnder(w.queries[1], PhysicalDesign{}).value();
+  std::vector<double> costs =
+      whatif.TryCostWorkload(w, PhysicalDesign{}).value();
+  EXPECT_NEAR(w.WeightedTotal(costs), 2.0 * c0 + 3.0 * c1, 1e-6);
 }
 
 TEST_F(WhatIfTest, OptimizerCallCounterAdvances) {
-  WhatIfOptimizer whatif(*db_);
+  WhatIfOptimizer whatif(*backend_);
   whatif.ResetCallCount();
   BoundQuery q = Q("SELECT objid FROM photoobj WHERE ra < 5");
-  whatif.Cost(q);
-  whatif.Cost(q);
+  whatif.TryCost(q).value();
+  whatif.TryCost(q).value();
   EXPECT_EQ(whatif.num_optimizer_calls(), 2u);
 }
 

@@ -48,6 +48,12 @@ C++ sources and flags exactly those hazards:
                         is the single place allowed to loop on a backend
                         error, so retry amplification and backoff stay
                         centrally budgeted and deterministic.
+  legacy-api            (a) any `owned_backend_`; (b) a `const Database&`
+                        in a header outside storage/, exec/, workload/
+                        and backend/inmemory_backend.h.  Components
+                        attach to a DbmsBackend& and never own one, and
+                        only the in-memory backend names the concrete
+                        Database: that is the portability boundary.
 
 Escape hatch: a finding's line may carry
 
@@ -83,6 +89,9 @@ RULES = {
     "unsanctioned-retry":
         "raw sleep or retry loop outside the resilience layer "
         "(backend/resilient_backend.* is the only sanctioned retrier)",
+    "legacy-api":
+        "owned backend member, or a header taking const Database& outside "
+        "the engine layers (components attach to a DbmsBackend&)",
 }
 
 CPP_EXTENSIONS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -91,6 +100,9 @@ CPP_EXTENSIONS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
 RANDOM_EXEMPT = ("util/rng.h", "util/rng.cc")
 MUTEX_WRAPPER = ("util/thread_annotations.h",)
 RETRY_EXEMPT = ("backend/resilient_backend.h", "backend/resilient_backend.cc")
+DATABASE_REF_DIRS = ("storage/", "exec/", "workload/")
+DATABASE_REF_FILES = ("backend/inmemory_backend.h",)
+HEADER_EXTENSIONS = (".h", ".hpp")
 
 NOLINT_RE = re.compile(r"//\s*NOLINT\(determinism\)(?::\s*(\S.*))?")
 
@@ -130,6 +142,9 @@ RAW_SLEEP_RE = re.compile(
 RETRY_LOOP_RE = re.compile(
     r"\b(?:for|while)\s*\([^)]*\b(?:attempt|attempts|retry|retries|"
     r"backoff|num_tries)\b")
+OWNED_BACKEND_RE = re.compile(r"\bowned_backend_\b")
+DATABASE_REF_RE = re.compile(
+    r"\bconst\s+(?:dbdesign::)?Database\s*&|\bDatabase\s+const\s*&")
 
 
 class Finding:
@@ -191,6 +206,16 @@ def strip_comments_and_strings(lines):
 def path_matches(path, suffixes):
     norm = path.replace(os.sep, "/")
     return any(norm.endswith(s) for s in suffixes)
+
+
+def may_name_database(path):
+    """True where a header may take the concrete Database: the engine
+    layers and the in-memory backend that wraps them."""
+    norm = path.replace(os.sep, "/")
+    if not norm.endswith(HEADER_EXTENSIONS):
+        return True
+    return (path_matches(path, DATABASE_REF_FILES) or
+            any("/" + d in "/" + norm for d in DATABASE_REF_DIRS))
 
 
 def lint_file(path, findings):
@@ -281,6 +306,15 @@ def lint_file(path, findings):
                        "retry loop outside backend/resilient_backend.*: "
                        "ResilientBackend is the single sanctioned retrier "
                        "(centralized budget, deterministic backoff)")
+        if OWNED_BACKEND_RE.search(line):
+            report(lineno, "legacy-api",
+                   "components attach to a caller-owned DbmsBackend&; an "
+                   "owned backend is a second construction path")
+        if DATABASE_REF_RE.search(line) and not may_name_database(path):
+            report(lineno, "legacy-api",
+                   "const Database& outside storage/, exec/, workload/ and "
+                   "backend/inmemory_backend.h: take a DbmsBackend& so the "
+                   "component stays portable")
 
     # --- Unordered iteration feeding an ordered sink ---
     WINDOW = 8

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Self-test for determinism_lint.py.
 
-Runs the linter over the seeded-violation corpus and asserts every
-expected (rule, line-marker) pair fires, then over the clean corpus and
+Runs the linter over the seeded-violation corpora and asserts every
+expected (rule, line-marker) pair fires, then over the clean corpora and
 asserts zero findings.  Registered with ctest as lint.selftest so a
 regression in the linter itself fails CI the same way a regression in
 the library would.
@@ -48,38 +48,39 @@ def main():
     failures = []
 
     # --- Seeded violations: every marker must fire. ---
-    vpath = os.path.join(TESTDATA, "violations.cc")
-    rc, findings = run_linter(vpath)
-    if rc != 1:
-        failures.append(f"violations.cc: expected exit 1, got {rc}")
-    flagged = set(findings)
-    flagged_lines = {line for line, _ in findings}
-    for lineno, rule in expected_violations(vpath):
-        if rule is None:
-            if lineno not in flagged_lines:
+    for name in ("violations.cc", "violations.h"):
+        vpath = os.path.join(TESTDATA, name)
+        rc, findings = run_linter(vpath)
+        if rc != 1:
+            failures.append(f"{name}: expected exit 1, got {rc}")
+        flagged = set(findings)
+        flagged_lines = {line for line, _ in findings}
+        for lineno, rule in expected_violations(vpath):
+            if rule is None:
+                if lineno not in flagged_lines:
+                    failures.append(
+                        f"{name}:{lineno}: bare NOLINT(determinism) "
+                        "was not flagged")
+            elif (lineno, rule) not in flagged:
                 failures.append(
-                    f"violations.cc:{lineno}: bare NOLINT(determinism) "
-                    "was not flagged")
-        elif (lineno, rule) not in flagged:
-            failures.append(
-                f"violations.cc:{lineno}: expected [{rule}] was not flagged")
+                    f"{name}:{lineno}: expected [{rule}] was not flagged")
 
-    # Everything flagged must correspond to a marker (no false positives
-    # in our own corpus).
-    marker_lines = {l for l, _ in expected_violations(vpath)}
-    for lineno, rule in findings:
-        if lineno not in marker_lines:
-            failures.append(
-                f"violations.cc:{lineno}: unexpected [{rule}] finding "
-                "(no VIOLATION marker on that line)")
+        # Everything flagged must correspond to a marker (no false
+        # positives in our own corpus).
+        marker_lines = {l for l, _ in expected_violations(vpath)}
+        for lineno, rule in findings:
+            if lineno not in marker_lines:
+                failures.append(
+                    f"{name}:{lineno}: unexpected [{rule}] finding "
+                    "(no VIOLATION marker on that line)")
 
-    # --- Clean corpus: zero findings. ---
-    cpath = os.path.join(TESTDATA, "clean.cc")
-    rc, findings = run_linter(cpath)
-    if rc != 0 or findings:
-        failures.append(
-            f"clean.cc: expected exit 0 with no findings, got exit {rc} "
-            f"with {findings}")
+    # --- Clean corpora: zero findings. ---
+    for name in ("clean.cc", os.path.join("storage", "clean.h")):
+        rc, findings = run_linter(os.path.join(TESTDATA, name))
+        if rc != 0 or findings:
+            failures.append(
+                f"{name}: expected exit 0 with no findings, got exit {rc} "
+                f"with {findings}")
 
     # --- --list-rules exits 0 and names every rule id used above. ---
     proc = subprocess.run(
@@ -89,7 +90,7 @@ def main():
         failures.append(f"--list-rules: expected exit 0, got {proc.returncode}")
     for rule in ("unordered-iteration", "unsanctioned-random", "wall-clock",
                  "pointer-keyed-order", "unannotated-mutex", "bare-assert",
-                 "unsanctioned-retry"):
+                 "unsanctioned-retry", "legacy-api"):
         if rule not in proc.stdout:
             failures.append(f"--list-rules output is missing '{rule}'")
 

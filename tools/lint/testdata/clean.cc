@@ -58,6 +58,11 @@ class Counter {
   int count_ DBD_GUARDED_BY(mu_) = 0;
 };
 
+// Source files may name the concrete Database (to build the
+// InMemoryBackend a component attaches to); only headers are checked.
+class Database;
+double DataPages(const Database& db);
+
 // Always-on invariant instead of a bare assert.
 int Half(int x) {
   DBD_CHECK_EQ(x % 2, 0);

@@ -163,31 +163,12 @@ void DesignSession::SetCacheBudget(const CacheBudget& budget) {
   if (cache_budget_.solver_cache_bytes != 0) {
     solver_cache_.TrimToBytes(cache_budget_.solver_cache_bytes);
   }
-  EvictDoiRowsToBudget();
-}
-
-size_t DesignSession::DoiRowsBytes() const {
-  size_t bytes = 0;
-  for (const auto& [key, entry] : doi_rows_) {
-    bytes += ContributionRowBytes(key, entry.row);
-  }
-  return bytes;
-}
-
-void DesignSession::EvictDoiRowsToBudget() {
-  if (cache_budget_.doi_rows_bytes == 0) return;
-  while (!doi_rows_.empty() && DoiRowsBytes() > cache_budget_.doi_rows_bytes) {
-    auto victim = doi_rows_.begin();
-    for (auto it = std::next(doi_rows_.begin()); it != doi_rows_.end(); ++it) {
-      if (it->second.lru < victim->second.lru) victim = it;
-    }
-    doi_rows_.erase(victim);
-    ++doi_rows_evicted_;
-  }
+  doi_rows_.set_budget(cache_budget_.doi_rows_bytes);
+  doi_rows_evicted_ += doi_rows_.EvictToBudget();
 }
 
 void DesignSession::InvalidateDeployment() {
-  doi_rows_.clear();
+  doi_rows_.Clear();
   doi_indexes_.clear();
   deployment_.reset();
   deployment_class_keys_.clear();
@@ -695,7 +676,7 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
   // templates — their atoms changed) compute one, priced purely from
   // the cached INUM atoms. Rows of dropped classes are pruned.
   if (doi_indexes_ != indexes) {
-    doi_rows_.clear();
+    doi_rows_.Clear();
     doi_indexes_ = indexes;
   }
   const Catalog& catalog = designer_->backend().catalog();
@@ -705,7 +686,7 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
   std::vector<size_t> missing_class;
   for (size_t c = 0; c < classes.size(); ++c) {
     keys[c] = classes[c].representative.ToSql(catalog);
-    if (doi_rows_.find(keys[c]) == doi_rows_.end()) {
+    if (!doi_rows_.Contains(keys[c])) {
       missing.push_back(classes[c].representative);
       missing_class.push_back(c);
     }
@@ -726,16 +707,18 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
         analyzer.TryContributionRows(missing, indexes);
     if (!rows.ok()) return rows.status();
     for (size_t m = 0; m < missing.size(); ++m) {
-      doi_rows_[keys[missing_class[m]]].row = std::move(rows.value()[m]);
+      std::vector<double>& row = rows.value()[m];
+      size_t bytes = ContributionRowBytes(keys[missing_class[m]], row);
+      doi_rows_.Put(keys[missing_class[m]], std::move(row), bytes);
     }
   }
   plan.doi_rows_computed = missing.size();
   plan.doi_rows_reused = classes.size() - missing.size();
   {
     std::set<std::string> live(keys.begin(), keys.end());
-    for (auto it = doi_rows_.begin(); it != doi_rows_.end();) {
-      it = live.count(it->first) != 0 ? std::next(it) : doi_rows_.erase(it);
-    }
+    doi_rows_.EraseIf([&live](const std::string& key, const auto&) {
+      return live.count(key) == 0;
+    });
   }
 
   // Weighted DoI per pair, reduced in class order — deterministic and
@@ -745,17 +728,16 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
   size_t num_pairs = indexes.size() * (indexes.size() - 1) / 2;
   matrix.doi.assign(num_pairs, 0.0);
   for (size_t c = 0; c < classes.size(); ++c) {
-    DoiRowEntry& entry = doi_rows_[keys[c]];
     // Touched in class order every build: recency — and the eviction
     // order a budget derives from it — is deterministic.
-    entry.lru = ++doi_lru_tick_;
-    const std::vector<double>& row = entry.row;
+    const std::vector<double>* row = doi_rows_.Find(keys[c]);
+    DBD_CHECK(row != nullptr);
     // A cached contribution row is only reusable if it was computed
     // against THIS index set (doi_indexes_ == indexes, checked above):
     // its length must cover the current pair triangle exactly.
-    DBD_DCHECK_EQ(row.size(), num_pairs);
+    DBD_DCHECK_EQ(row->size(), num_pairs);
     for (size_t p = 0; p < num_pairs; ++p) {
-      matrix.doi[p] += classes[c].weight * row[p];
+      matrix.doi[p] += classes[c].weight * (*row)[p];
     }
   }
   plan.edges = matrix.Edges();
@@ -797,7 +779,7 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
   // Budget applies only after the plan is built: the build that
   // computed a row always gets to use it, so a tiny budget costs
   // recomputation on the NEXT build, never a failed one.
-  EvictDoiRowsToBudget();
+  doi_rows_evicted_ += doi_rows_.EvictToBudget();
   return plan;
 }
 

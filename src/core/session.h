@@ -37,6 +37,7 @@
 
 #include "core/constraints.h"
 #include "core/designer.h"
+#include "util/budgeted_lru.h"
 #include "util/cache_budget.h"
 #include "workload/compress.h"
 
@@ -236,7 +237,6 @@ class DesignSession {
   /// Recommend/Refine/PlanDeployment result stays bit-identical to the
   /// unbounded session. Zero fields (the default) mean unbounded.
   void SetCacheBudget(const CacheBudget& budget);
-  const CacheBudget& cache_budget() const { return cache_budget_; }
 
   /// Lifetime count of DoI contribution rows evicted by the budget
   /// (each one is recomputed from cached atoms if its class is still
@@ -319,13 +319,6 @@ class DesignSession {
   Result<IndexRecommendation> DegradedRecommendation(Status cause);
   /// Drops every cached deployment artifact (DoI rows + plan).
   void InvalidateDeployment();
-  /// Evicts least-recently-used DoI rows until the cache fits
-  /// cache_budget_.doi_rows_bytes (no-op when unbounded). Called after
-  /// a plan is built, so the call that computed a row always gets to
-  /// use it.
-  void EvictDoiRowsToBudget();
-  /// Budget-accounted footprint of doi_rows_.
-  size_t DoiRowsBytes() const;
   /// True when the cached schedule is still exactly what a rebuild
   /// under the current class workload (identified by `keys` and
   /// `weights`) and constraints would produce.
@@ -368,24 +361,19 @@ class DesignSession {
   bool certificate_valid_ = false;
 
   // --- Deployment-stage cache ---
-  /// One cached DoI contribution row plus its LRU recency (rows are
-  /// touched in class order on every plan build, so recency — and with
-  /// it eviction order under a budget — is deterministic).
-  struct DoiRowEntry {
-    std::vector<double> row;
-    uint64_t lru = 0;
-  };
   /// Unweighted per-class DoI contribution rows, keyed by the class
   /// representative's SQL rendering and valid for doi_indexes_ only.
   /// The SQL text is structurally faithful (it is what session
   /// persistence round-trips through the parser), so unlike a 64-bit
   /// hash it cannot collide across different templates — the same
   /// reason CompressWorkload verifies every signature hit. Workload
-  /// deltas leave untouched rows valid; stale keys are pruned lazily,
-  /// and cache_budget_.doi_rows_bytes evicts LRU rows (recomputed from
-  /// cached atoms when needed again).
-  std::map<std::string, DoiRowEntry> doi_rows_;
-  uint64_t doi_lru_tick_ = 0;
+  /// deltas leave untouched rows valid; stale keys are pruned lazily.
+  /// Each row is charged its ContributionRowBytes once, on insert, and
+  /// cache_budget_.doi_rows_bytes evicts least-recently-used rows
+  /// (recomputed from cached atoms when needed again). Every plan build
+  /// touches the live rows in class order, so recency — and with it
+  /// eviction order — is deterministic.
+  BudgetedLru<std::string, std::vector<double>> doi_rows_;
   uint64_t doi_rows_evicted_ = 0;
   CacheBudget cache_budget_;
   /// The index set doi_rows_ was computed against.

@@ -48,10 +48,6 @@ struct InumOptions {
   int max_combos = 128;
   /// Consider index-nested-loop (parameterized) signatures.
   bool enable_param_signatures = true;
-  /// When reuse produces a cost that is worse than this factor times the
-  /// best cached bound... (diagnostic only; exactness is validated in
-  /// tests against the full optimizer).
-  double fallback_slack = 0.0;  // 0 = never fall back on slack
   /// Route every costing call through the exact (backend-backed)
   /// optimizer instead of the client-side reuse cache. Models a port
   /// whose reuse layer is unavailable: every cost call traverses the

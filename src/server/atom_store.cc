@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <vector>
 
 #include "catalog/stats.h"
 #include "cophy/atom_codec.h"
@@ -109,7 +110,8 @@ uint64_t SchemaFingerprint(const DbmsBackend& backend) {
   return fnv.digest();
 }
 
-AtomStore::AtomStore(AtomStoreOptions options) : options_(std::move(options)) {
+AtomStore::AtomStore(AtomStoreOptions options)
+    : options_(std::move(options)), hot_(options_.budget_bytes) {
   if (options_.spill_dir.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(options_.spill_dir, ec);
@@ -160,7 +162,7 @@ bool AtomStore::WriteSpill(const Key& key, const CoPhyAtomRow& row) {
   return out.good();
 }
 
-std::shared_ptr<const CoPhyAtomRow> AtomStore::TryReload(const Key& key) {
+AtomStore::Row AtomStore::ReadSpill(const Key& key) {
   std::ifstream in(SpillPath(key), std::ios::binary);
   if (!in.is_open()) return nullptr;
   std::ostringstream buf;
@@ -184,59 +186,47 @@ std::shared_ptr<const CoPhyAtomRow> AtomStore::TryReload(const Key& key) {
   return std::make_shared<const CoPhyAtomRow>(std::move(row).value());
 }
 
-void AtomStore::Touch(const Key& key, Entry& entry) {
-  if (entry.lru != 0) lru_order_.erase(entry.lru);
-  entry.lru = ++lru_tick_;
-  lru_order_.emplace(entry.lru, key);
-}
-
-void AtomStore::AddHot(const Key& key, Entry& entry,
-                       std::shared_ptr<const CoPhyAtomRow> row) {
-  entry.bytes = AtomRowBytes(*row);
-  entry.row = std::move(row);
-  hot_bytes_ += entry.bytes;
-  Touch(key, entry);
-}
-
-void AtomStore::EvictToBudget() {
-  if (options_.budget_bytes == 0) {
-    if (hot_bytes_ > peak_hot_bytes_) peak_hot_bytes_ = hot_bytes_;
-    return;
-  }
-  while (hot_bytes_ > options_.budget_bytes && !lru_order_.empty()) {
-    auto lru_it = lru_order_.begin();
-    auto it = rows_.find(lru_it->second);
-    DBD_DCHECK(it != rows_.end());
-    Entry& entry = it->second;
+void AtomStore::PutHot(const Key& key, Row row) {
+  size_t bytes = AtomRowBytes(*row);
+  hot_.Put(key, std::move(row), bytes);
+  // Victims are spilled after the pass, so every guarded access stays
+  // in this annotated scope: the thread-safety analysis treats a
+  // closure as an unannotated function.
+  std::vector<std::pair<Key, Row>> victims;
+  hot_.EvictToBudget([&victims](const Key& victim, const Row& victim_row) {
+    victims.emplace_back(victim, victim_row);
+  });
+  for (const auto& [victim, victim_row] : victims) {
     ++stats_.evictions;
-    if (spill_enabled_ && !entry.on_disk) {
-      // First eviction writes the cold copy; rows are immutable, so a
-      // reload-then-re-evict cycle never rewrites the file. A write
-      // failure leaves the entry cold-tier-less and it is dropped
-      // below — the next lookup misses and the session repopulates.
-      if (WriteSpill(it->first, *entry.row)) {
-        entry.on_disk = true;
-        ++stats_.spills;
-      }
+    // First eviction writes the cold copy; rows are immutable, so a
+    // reload-then-re-evict cycle never rewrites the file. A write
+    // failure leaves the key without a cold copy: the next lookup
+    // misses and the session repopulates.
+    if (spill_enabled_ && spilled_.count(victim) == 0 &&
+        WriteSpill(victim, *victim_row)) {
+      spilled_.insert(victim);
+      ++stats_.spills;
     }
-    hot_bytes_ -= entry.bytes;
-    entry.bytes = 0;
-    entry.row.reset();
-    entry.lru = 0;
-    lru_order_.erase(lru_it);
-    if (!entry.on_disk) rows_.erase(it);
   }
-  // The bench-enforced bound: hot bytes never exceed the budget after
-  // any mutation. (Every hot entry is in lru_order_, so the loop can
-  // always drain hot_bytes_ to zero — even a single row larger than
-  // the whole budget evicts itself; its caller still holds the
-  // shared_ptr.)
-  DBD_CHECK(hot_bytes_ <= options_.budget_bytes);
-  // Peak is recorded AFTER evicting, so it tracks the externally
-  // observable gauge: on a bounded store, peak <= budget always (the
-  // transient AddHot overshoot inside this critical section is never
-  // visible through hot_bytes()).
-  if (hot_bytes_ > peak_hot_bytes_) peak_hot_bytes_ = hot_bytes_;
+  // Recorded after evicting, so the peak tracks the gauge hot_bytes()
+  // can observe: on a bounded store it never exceeds the budget.
+  if (hot_.bytes() > peak_hot_bytes_) peak_hot_bytes_ = hot_.bytes();
+}
+
+AtomStore::Row AtomStore::FindRow(const Key& key) {
+  if (const Row* hot = hot_.Find(key)) return *hot;
+  if (spilled_.count(key) == 0) return nullptr;
+  Row row = ReadSpill(key);
+  if (row == nullptr) {
+    ++stats_.reload_failures;
+    std::error_code ec;
+    std::filesystem::remove(SpillPath(key), ec);
+    spilled_.erase(key);
+    return nullptr;
+  }
+  ++stats_.reloads;
+  PutHot(key, row);
+  return row;
 }
 
 std::shared_ptr<const CoPhyAtomRow> AtomStore::Lookup(
@@ -244,34 +234,8 @@ std::shared_ptr<const CoPhyAtomRow> AtomStore::Lookup(
     uint64_t universe_fingerprint) {
   MutexLock lock(mu_);
   ++stats_.lookups;
-  Key key(schema_fingerprint, sql_key, universe_fingerprint);
-  auto it = rows_.find(key);
-  if (it == rows_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  Entry& entry = it->second;
-  if (entry.row != nullptr) {
-    ++stats_.hits;
-    Touch(key, entry);
-    return entry.row;
-  }
-  // Cold tier: reload, promote to hot, re-evict to budget. The local
-  // copy is returned even if the promotion immediately evicts it again
-  // (budget smaller than this one row).
-  std::shared_ptr<const CoPhyAtomRow> row = TryReload(key);
-  if (row == nullptr) {
-    ++stats_.reload_failures;
-    ++stats_.misses;
-    std::error_code ec;
-    std::filesystem::remove(SpillPath(key), ec);
-    rows_.erase(it);
-    return nullptr;
-  }
-  ++stats_.reloads;
-  ++stats_.hits;
-  AddHot(key, entry, row);
-  EvictToBudget();
+  Row row = FindRow(Key(schema_fingerprint, sql_key, universe_fingerprint));
+  row == nullptr ? ++stats_.misses : ++stats_.hits;
   return row;
 }
 
@@ -280,38 +244,17 @@ std::shared_ptr<const CoPhyAtomRow> AtomStore::Publish(
     uint64_t universe_fingerprint, std::shared_ptr<const CoPhyAtomRow> row) {
   MutexLock lock(mu_);
   Key key(schema_fingerprint, sql_key, universe_fingerprint);
-  auto it = rows_.find(key);
-  if (it != rows_.end()) {
-    // Two sessions built the same row concurrently; the first write is
-    // canonical and the duplicate is dropped so every holder shares
-    // one object.
-    Entry& entry = it->second;
-    if (entry.row != nullptr) {
-      ++stats_.races_discarded;
-      Touch(key, entry);
-      return entry.row;
-    }
-    // The canonical row was already evicted to the cold tier (the
-    // publisher raced an eviction). Reload it so both holders still
-    // converge on one object; if the spill is unreadable, fall through
-    // and let the freshly built row take over the entry.
-    std::shared_ptr<const CoPhyAtomRow> stored = TryReload(key);
-    if (stored != nullptr) {
-      ++stats_.races_discarded;
-      ++stats_.reloads;
-      AddHot(key, entry, stored);
-      EvictToBudget();
-      return stored;
-    }
-    ++stats_.reload_failures;
-    std::error_code ec;
-    std::filesystem::remove(SpillPath(key), ec);
-    entry.on_disk = false;
-  } else {
-    it = rows_.emplace(key, Entry{}).first;
+  // Two sessions built the same row concurrently; the first write is
+  // canonical and the duplicate is dropped so every holder shares one
+  // object. A canonical row already evicted to the cold tier (the
+  // publisher raced an eviction) is reloaded so both holders still
+  // converge on one object; if its spill is unreadable, the freshly
+  // built row takes over the key.
+  if (Row stored = FindRow(key)) {
+    ++stats_.races_discarded;
+    return stored;
   }
-  std::shared_ptr<const CoPhyAtomRow> canonical = std::move(row);
-  AddHot(key, it->second, canonical);
+  PutHot(key, row);
   ++stats_.publishes;
   if (!seen_queries_.emplace(schema_fingerprint, sql_key).second) {
     // Same (schema, query) published before under another universe —
@@ -319,8 +262,7 @@ std::shared_ptr<const CoPhyAtomRow> AtomStore::Publish(
     // way the populate was paid again.
     ++stats_.repopulates;
   }
-  EvictToBudget();
-  return canonical;
+  return row;
 }
 
 AtomStoreStats AtomStore::stats() const {
@@ -330,17 +272,19 @@ AtomStoreStats AtomStore::stats() const {
 
 size_t AtomStore::entries() const {
   MutexLock lock(mu_);
-  return rows_.size();
+  size_t n = hot_.size();
+  for (const Key& key : spilled_) n += hot_.Contains(key) ? 0 : 1;
+  return n;
 }
 
 size_t AtomStore::hot_entries() const {
   MutexLock lock(mu_);
-  return lru_order_.size();
+  return hot_.size();
 }
 
 size_t AtomStore::hot_bytes() const {
   MutexLock lock(mu_);
-  return hot_bytes_;
+  return hot_.bytes();
 }
 
 size_t AtomStore::peak_hot_bytes() const {
@@ -349,8 +293,7 @@ size_t AtomStore::peak_hot_bytes() const {
 }
 
 void AtomStore::RemoveSpillFiles() {
-  for (const auto& [key, entry] : rows_) {
-    if (!entry.on_disk) continue;
+  for (const Key& key : spilled_) {
     std::error_code ec;
     std::filesystem::remove(SpillPath(key), ec);
   }
@@ -359,11 +302,9 @@ void AtomStore::RemoveSpillFiles() {
 void AtomStore::Clear() {
   MutexLock lock(mu_);
   RemoveSpillFiles();
-  rows_.clear();
-  lru_order_.clear();
+  hot_.Clear();
+  spilled_.clear();
   seen_queries_.clear();
-  lru_tick_ = 0;
-  hot_bytes_ = 0;
   peak_hot_bytes_ = 0;
   // Counters reset with the entries: a cleared store is a fresh store,
   // and a hit_rate() mixing pre- and post-clear epochs would misreport

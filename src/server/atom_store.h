@@ -23,23 +23,23 @@
 // growth. With AtomStoreOptions::budget_bytes set, rows live in up to
 // three tiers:
 //
-//   hot   — shared_ptr in memory; the only tier that counts against
-//           the budget. LRU order per entry (entry granularity IS
-//           (schema, template-class) granularity: the SQL key is the
-//           template class's representative rendering).
-//   cold  — evicted rows spilled to a compact versioned little-endian
-//           file (cophy/atom_codec.h) under AtomStoreOptions::
-//           spill_dir; a later lookup transparently reloads, promotes
-//           the row back to hot, and re-evicts to budget.
+//   hot   — shared_ptr rows in a BudgetedLru (util/budgeted_lru.h),
+//           the only tier that counts against the budget; one entry
+//           per (schema, template class): the SQL key is the template
+//           class's representative rendering.
+//   cold  — rows spilled on their first eviction to a compact
+//           versioned little-endian file (cophy/atom_codec.h) under
+//           AtomStoreOptions::spill_dir; a later lookup reloads,
+//           promotes the row back to hot, and re-evicts to budget.
 //   gone  — with no spill_dir (or an unwritable one), eviction drops
 //           the entry outright and the next lookup misses; the session
 //           rebuilds and republishes (a `repopulate`).
 //
 // Every transition is counted (evictions / spills / reloads /
-// reload_failures) and the hot-byte gauge is DBD_CHECK'd against the
-// budget after every mutation, so benches can hard-assert bounded
-// memory. Eviction never touches `seen_queries_`, which is what keeps
-// the repopulate-vs-fresh-publish distinction exact across evictions.
+// reload_failures) and the LRU DBD_CHECKs hot bytes against the budget
+// after every insertion, so benches can hard-assert bounded memory.
+// Eviction never touches `seen_queries_`, which is what keeps the
+// repopulate-vs-fresh-publish distinction exact across evictions.
 //
 // Keying notes. The SQL text component is collision-free by
 // construction (same lesson as the INUM cache tripwires: text keys,
@@ -64,7 +64,6 @@
 #define DBDESIGN_SERVER_ATOM_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -73,6 +72,7 @@
 
 #include "backend/backend.h"
 #include "cophy/cophy.h"
+#include "util/budgeted_lru.h"
 #include "util/thread_annotations.h"
 
 namespace dbdesign {
@@ -170,8 +170,6 @@ class AtomStore {
   size_t hot_bytes() const;
   size_t peak_hot_bytes() const;
 
-  const AtomStoreOptions& options() const { return options_; }
-
   /// Drops every entry AND every spill file, and resets counters and
   /// gauges to a fresh store (rows sessions hold stay alive via
   /// shared_ptr). Unlike eviction, this also forgets seen_queries_:
@@ -181,36 +179,23 @@ class AtomStore {
 
  private:
   using Key = std::tuple<uint64_t, std::string, uint64_t>;
+  using Row = std::shared_ptr<const CoPhyAtomRow>;
 
-  struct Entry {
-    /// Hot row, or nullptr when the entry lives only in the cold tier.
-    std::shared_ptr<const CoPhyAtomRow> row;
-    size_t bytes = 0;  ///< AtomRowBytes of `row` (0 while spilled)
-    /// A spill file with this entry's payload exists (the row was
-    /// written on first eviction; rows are immutable, so a re-eviction
-    /// never rewrites it).
-    bool on_disk = false;
-    /// LRU tick in lru_order_, or 0 while not hot.
-    uint64_t lru = 0;
-  };
-
-  /// Marks an entry most-recently-used.
-  void Touch(const Key& key, Entry& entry) DBD_REQUIRES(mu_);
-  /// Evicts least-recently-used hot rows (spilling them when the cold
-  /// tier is available) until hot_bytes_ fits the budget, then CHECKs
-  /// the invariant. A no-op on an unbounded store.
-  void EvictToBudget() DBD_REQUIRES(mu_);
-  /// Accounts a row becoming hot.
-  void AddHot(const Key& key, Entry& entry,
-              std::shared_ptr<const CoPhyAtomRow> row) DBD_REQUIRES(mu_);
-  /// Reads + decodes + key-verifies this entry's spill file; nullptr on
-  /// any failure.
-  std::shared_ptr<const CoPhyAtomRow> TryReload(const Key& key)
-      DBD_REQUIRES(mu_);
+  /// Makes `row` hot under `key`, evicts least-recently-used rows to
+  /// the budget (spilling each on its first eviction when the cold
+  /// tier is available) and updates the peak gauge.
+  void PutHot(const Key& key, Row row) DBD_REQUIRES(mu_);
+  /// The row under `key`, or nullptr. A cold row is promoted back to
+  /// hot from its spill file (and returned even if that evicts it
+  /// again); an unreadable file is counted, deleted and forgotten.
+  Row FindRow(const Key& key) DBD_REQUIRES(mu_);
+  /// Reads + decodes + key-verifies the spill file; nullptr on any
+  /// failure.
+  Row ReadSpill(const Key& key) DBD_REQUIRES(mu_);
   /// Writes the spill file for (key, row); false on I/O failure.
   bool WriteSpill(const Key& key, const CoPhyAtomRow& row) DBD_REQUIRES(mu_);
   std::string SpillPath(const Key& key) const;
-  /// Best-effort removal of every spill file owned by current entries.
+  /// Best-effort removal of every spill file of the cold tier.
   void RemoveSpillFiles() DBD_REQUIRES(mu_);
 
   const AtomStoreOptions options_;
@@ -219,11 +204,11 @@ class AtomStore {
   bool spill_enabled_ = false;
 
   mutable Mutex mu_;
-  std::map<Key, Entry> rows_ DBD_GUARDED_BY(mu_);
-  /// LRU tick -> key, hot entries only; begin() is the eviction victim.
-  std::map<uint64_t, Key> lru_order_ DBD_GUARDED_BY(mu_);
-  uint64_t lru_tick_ DBD_GUARDED_BY(mu_) = 0;
-  size_t hot_bytes_ DBD_GUARDED_BY(mu_) = 0;
+  /// Hot tier, bytes as measured by AtomRowBytes.
+  BudgetedLru<Key, Row> hot_ DBD_GUARDED_BY(mu_);
+  /// Cold tier: keys with a spill file. Rows are immutable, so a key
+  /// may stay here while hot again after a reload.
+  std::set<Key> spilled_ DBD_GUARDED_BY(mu_);
   size_t peak_hot_bytes_ DBD_GUARDED_BY(mu_) = 0;
   /// (schema, sql) pairs ever published — distinguishes a repopulate
   /// (same query, new universe or evicted entry) from a first-time

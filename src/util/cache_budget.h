@@ -8,9 +8,12 @@
 // template class), and each session's CoPhy solver cache (one frontier
 // per interaction cluster). A CacheBudget carries a byte ceiling for
 // each tier; 0 means unbounded (the pre-budget behavior, and the
-// default). Budgets bound MEMORY only — eviction is always
-// transparent: evicted state is reloaded from the spill tier or
-// recomputed, and results stay bit-identical to the unbounded run.
+// default). The atom store and the DoI rows evict least-recently-used
+// entries through the one eviction primitive, util/budgeted_lru.h; the
+// solver cache trims frontiers instead (CoPhySolverCache::TrimToBytes).
+// Budgets bound MEMORY only — eviction is always transparent: evicted
+// state is reloaded from the spill tier or recomputed, and results stay
+// bit-identical to the unbounded run.
 
 #ifndef DBDESIGN_UTIL_CACHE_BUDGET_H_
 #define DBDESIGN_UTIL_CACHE_BUDGET_H_
@@ -29,27 +32,6 @@ struct CacheBudget {
   /// Ceiling on each session's CoPhy solver cache (cluster frontiers,
   /// warm bases). 0 = unbounded.
   size_t solver_cache_bytes = 0;
-
-  bool unbounded() const {
-    return atom_store_bytes == 0 && doi_rows_bytes == 0 &&
-           solver_cache_bytes == 0;
-  }
-
-  /// Splits one process-wide ceiling across the tiers: the atom store
-  /// dominates (rows are the expensive-to-rebuild tier and the shared
-  /// one), DoI rows next, solver frontiers last (cheapest to recompute
-  /// — a trimmed frontier just re-enumerates lazily). Every share is
-  /// at least 1 byte so a nonzero total never silently unbounds a tier.
-  static CacheBudget FromTotal(size_t total_bytes) {
-    CacheBudget b;
-    if (total_bytes == 0) return b;
-    b.atom_store_bytes = total_bytes - total_bytes / 10 * 3;  // ~70%
-    b.doi_rows_bytes = total_bytes / 10 * 2;                  // ~20%
-    b.solver_cache_bytes = total_bytes / 10;                  // ~10%
-    if (b.doi_rows_bytes == 0) b.doi_rows_bytes = 1;
-    if (b.solver_cache_bytes == 0) b.solver_cache_bytes = 1;
-    return b;
-  }
 };
 
 }  // namespace dbdesign

@@ -3,7 +3,8 @@
 // extrema-only fingerprint), AtomStore counter semantics (Clear resets
 // stats; eviction preserves the repopulate-vs-fresh distinction), the
 // budgeted tiered LRU (budget invariant, spill/reload round trips,
-// spill-file loss degrading to a miss), the binary atom codec, and the
+// spill-file loss degrading to a miss), the BudgetedLru primitive
+// under both byte-budgeted caches, the binary atom codec, and the
 // differential contract: a bounded store/session produces bit-identical
 // Recommend/Refine/PlanDeployment results to an unbounded one — budgets
 // bound memory, never answers.
@@ -24,6 +25,7 @@
 #include "core/session.h"
 #include "server/atom_store.h"
 #include "server/server.h"
+#include "util/budgeted_lru.h"
 #include "util/cache_budget.h"
 #include "workload/queries.h"
 #include "workload/sdss.h"
@@ -253,7 +255,7 @@ TEST(AtomStoreTest, EvictionPreservesRepopulateDistinction) {
   AtomStoreStats s = store.stats();
   EXPECT_EQ(s.publishes, 1u);
   EXPECT_EQ(s.repopulates, 0u);
-  EXPECT_GE(s.evictions, 1u);
+  EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.spills, 0u);  // no spill dir
   EXPECT_EQ(store.hot_bytes(), 0u);
 
@@ -267,6 +269,7 @@ TEST(AtomStoreTest, EvictionPreservesRepopulateDistinction) {
   // semantics, must survive the budgeted rewrite).
   store.Publish(7, "q1", 11, SharedRow(5.0, 3));
   EXPECT_EQ(store.stats().repopulates, 2u);
+  EXPECT_EQ(store.stats().evictions, 3u);  // one per publish
 
   // Clear() resets the distinction: the next publish is fresh again.
   store.Clear();
@@ -305,8 +308,8 @@ TEST_F(SpillDirTest, SpillAndReloadRoundTrip) {
   // A second row pushes q1 to the cold tier.
   store.Publish(1, "q2", 10, SharedRow(7.0, 6, 200));
   AtomStoreStats s = store.stats();
-  EXPECT_GE(s.evictions, 1u);
-  EXPECT_GE(s.spills, 1u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.spills, 1u);
   EXPECT_LE(store.hot_bytes(), options.budget_bytes);
   EXPECT_LE(store.peak_hot_bytes(), options.budget_bytes);
   EXPECT_EQ(store.entries(), 2u);  // both alive, one hot + one cold
@@ -317,9 +320,12 @@ TEST_F(SpillDirTest, SpillAndReloadRoundTrip) {
   ASSERT_NE(back, nullptr);
   ExpectBitIdenticalRows(*original, *back);
   s = store.stats();
-  EXPECT_GE(s.reloads, 1u);
+  EXPECT_EQ(s.reloads, 1u);
   EXPECT_EQ(s.reload_failures, 0u);
-  EXPECT_GE(s.hits, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  // Promoting q1 pushed q2, now least recent, to the cold tier.
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.spills, 2u);
   EXPECT_LE(store.hot_bytes(), options.budget_bytes);
 
   // Clear() removes the spill files along with the entries.
@@ -354,23 +360,112 @@ TEST_F(SpillDirTest, LostSpillFileDegradesToMiss) {
   EXPECT_EQ(store.stats().repopulates, 1u);
 }
 
-// --- CacheBudget ---
+// --- BudgetedLru: the one eviction primitive under both caches ---
 
-TEST(CacheBudgetTest, FromTotalSplitsAndNeverUnboundsATier) {
-  EXPECT_TRUE(CacheBudget{}.unbounded());
-  EXPECT_TRUE(CacheBudget::FromTotal(0).unbounded());
+using StringLru = BudgetedLru<std::string, int>;
 
-  CacheBudget b = CacheBudget::FromTotal(1000);
-  EXPECT_FALSE(b.unbounded());
-  EXPECT_EQ(b.atom_store_bytes, 700u);
-  EXPECT_EQ(b.doi_rows_bytes, 200u);
-  EXPECT_EQ(b.solver_cache_bytes, 100u);
+// Evicts to budget and returns the victims' keys in eviction order.
+std::vector<std::string> EvictKeys(StringLru& lru) {
+  std::vector<std::string> victims;
+  lru.EvictToBudget([&victims](const std::string& key, const int&) {
+    victims.push_back(key);
+  });
+  return victims;
+}
 
-  // A tiny total still bounds every tier (0 would mean "unbounded").
-  CacheBudget tiny = CacheBudget::FromTotal(5);
-  EXPECT_GE(tiny.atom_store_bytes, 1u);
-  EXPECT_GE(tiny.doi_rows_bytes, 1u);
-  EXPECT_GE(tiny.solver_cache_bytes, 1u);
+TEST(BudgetedLruTest, FindMarksMostRecentlyUsed) {
+  StringLru lru(30);
+  lru.Put("a", 1, 10);
+  lru.Put("b", 2, 10);
+  lru.Put("c", 3, 10);
+  ASSERT_NE(lru.Find("a"), nullptr);  // recency now b, c, a
+  EXPECT_EQ(*lru.Find("a"), 1);
+  EXPECT_EQ(lru.Find("z"), nullptr);
+  EXPECT_TRUE(lru.Contains("b"));  // Contains leaves recency alone
+
+  lru.Put("d", 4, 10);
+  EXPECT_EQ(EvictKeys(lru), std::vector<std::string>({"b"}));
+  lru.set_budget(10);
+  EXPECT_EQ(EvictKeys(lru), std::vector<std::string>({"c", "a"}));
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_TRUE(lru.Contains("d"));
+}
+
+TEST(BudgetedLruTest, ReplacingPutReaccountsBytes) {
+  StringLru lru(100);
+  lru.Put("a", 1, 40);
+  lru.Put("b", 2, 30);
+  EXPECT_EQ(lru.bytes(), 70u);
+  lru.Put("a", 5, 10);  // replaces value and bytes, and touches "a"
+  EXPECT_EQ(lru.bytes(), 40u);
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(*lru.Find("a"), 5);
+
+  lru.Put("b", 6, 95);  // grows past the budget: "a" is least recent
+  EXPECT_EQ(lru.bytes(), 105u);
+  EXPECT_EQ(EvictKeys(lru), std::vector<std::string>({"a"}));
+  EXPECT_EQ(lru.bytes(), 95u);
+}
+
+TEST(BudgetedLruTest, EntryLargerThanBudgetEvictsItself) {
+  StringLru lru(50);
+  lru.Put("small", 1, 20);
+  lru.Put("huge", 2, 80);
+  EXPECT_EQ(EvictKeys(lru), std::vector<std::string>({"small", "huge"}));
+  EXPECT_EQ(lru.size(), 0u);
+  EXPECT_EQ(lru.bytes(), 0u);
+}
+
+// The callback sees every victim, least recent first, while the entry
+// is still in the cache (the atom store writes its spill file there).
+TEST(BudgetedLruTest, OnEvictSeesVictimsInLruOrderBeforeRemoval) {
+  StringLru lru(25);
+  for (int i = 0; i < 5; ++i) lru.Put("k" + std::to_string(i), i, 10);
+  lru.Find("k1");  // recency: k0, k2, k3, k4, k1
+
+  std::vector<std::pair<std::string, int>> seen;
+  std::vector<bool> present;
+  size_t evicted = lru.EvictToBudget([&](const std::string& key, const int& v) {
+    seen.emplace_back(key, v);
+    present.push_back(lru.Contains(key));
+  });
+  EXPECT_EQ(evicted, 3u);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, int>>{
+                      {"k0", 0}, {"k2", 2}, {"k3", 3}}));
+  EXPECT_EQ(present, std::vector<bool>({true, true, true}));
+  EXPECT_EQ(lru.bytes(), 20u);
+  EXPECT_FALSE(lru.Contains("k0"));
+  EXPECT_TRUE(lru.Contains("k1"));
+}
+
+TEST(BudgetedLruTest, EraseIfAndClearKeepBytesConsistent) {
+  StringLru lru;
+  for (int i = 0; i < 6; ++i) lru.Put("k" + std::to_string(i), i, 1u + i);
+  EXPECT_EQ(lru.bytes(), 21u);
+
+  lru.EraseIf([](const std::string&, const int& v) { return v % 2 == 0; });
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.bytes(), 2u + 4u + 6u);  // k1, k3, k5 remain
+
+  EXPECT_TRUE(lru.Erase("k3"));
+  EXPECT_FALSE(lru.Erase("k3"));
+  EXPECT_EQ(lru.bytes(), 8u);
+
+  lru.Clear();
+  EXPECT_EQ(lru.size(), 0u);
+  EXPECT_EQ(lru.bytes(), 0u);
+  lru.Put("k1", 1, 3);  // a cleared cache accounts from zero
+  EXPECT_EQ(lru.bytes(), 3u);
+}
+
+TEST(BudgetedLruTest, ZeroBudgetNeverEvicts) {
+  StringLru lru;
+  for (int i = 0; i < 100; ++i) {
+    lru.Put("k" + std::to_string(i), i, 1000);
+  }
+  EXPECT_TRUE(EvictKeys(lru).empty());
+  EXPECT_EQ(lru.size(), 100u);
+  EXPECT_EQ(lru.bytes(), 100000u);
 }
 
 // --- Differential: bounded == unbounded, bit for bit ---
@@ -533,7 +628,8 @@ TEST(CacheDifferentialTest, DoiRowBudgetPreservesPlans) {
   ASSERT_TRUE(p1.ok()) << p1.status().ToString();
   ASSERT_TRUE(p2.ok()) << p2.status().ToString();
   ExpectSamePlan(p1.value(), p2.value());
-  EXPECT_GT(bounded.doi_rows_evicted(), 0u);
+  // Every row of the five template classes is evicted after the build.
+  EXPECT_EQ(bounded.doi_rows_evicted(), 5u);
   EXPECT_EQ(unbounded.doi_rows_evicted(), 0u);
 
   // A refine forces a replan; the bounded session recomputes its
@@ -551,6 +647,8 @@ TEST(CacheDifferentialTest, DoiRowBudgetPreservesPlans) {
   ASSERT_TRUE(q1.ok());
   ASSERT_TRUE(q2.ok());
   ExpectSamePlan(q1.value(), q2.value());
+  EXPECT_EQ(bounded.doi_rows_evicted(), 10u);
+  EXPECT_EQ(unbounded.doi_rows_evicted(), 0u);
 }
 
 // Solver-cache budget: trimming frontiers/entries after every solve

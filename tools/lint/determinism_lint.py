@@ -54,6 +54,14 @@ C++ sources and flags exactly those hazards:
                         attach to a DbmsBackend& and never own one, and
                         only the in-memory backend names the concrete
                         Database: that is the portability boundary.
+  hand-rolled-lru       LRU recency bookkeeping outside
+                        util/budgeted_lru.h: any snake_case identifier
+                        with an `lru` component (`lru`, `lru_tick_`,
+                        `lru_order_`, `doi_lru_tick_`, ...), the
+                        per-entry tick, tick counter or tick-ordered
+                        index of a home-grown LRU.  BudgetedLru is the
+                        one eviction primitive: name a cache built on it
+                        after what it holds, not after its policy.
 
 Escape hatch: a finding's line may carry
 
@@ -92,6 +100,9 @@ RULES = {
     "legacy-api":
         "owned backend member, or a header taking const Database& outside "
         "the engine layers (components attach to a DbmsBackend&)",
+    "hand-rolled-lru":
+        "LRU recency bookkeeping outside util/budgeted_lru.h (BudgetedLru "
+        "is the one eviction primitive)",
 }
 
 CPP_EXTENSIONS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -103,6 +114,7 @@ RETRY_EXEMPT = ("backend/resilient_backend.h", "backend/resilient_backend.cc")
 DATABASE_REF_DIRS = ("storage/", "exec/", "workload/")
 DATABASE_REF_FILES = ("backend/inmemory_backend.h",)
 HEADER_EXTENSIONS = (".h", ".hpp")
+LRU_EXEMPT = ("util/budgeted_lru.h",)
 
 NOLINT_RE = re.compile(r"//\s*NOLINT\(determinism\)(?::\s*(\S.*))?")
 
@@ -145,6 +157,7 @@ RETRY_LOOP_RE = re.compile(
 OWNED_BACKEND_RE = re.compile(r"\bowned_backend_\b")
 DATABASE_REF_RE = re.compile(
     r"\bconst\s+(?:dbdesign::)?Database\s*&|\bDatabase\s+const\s*&")
+LRU_NAME_RE = re.compile(r"\b(?:[A-Za-z0-9]+_)*lru(?:_[A-Za-z0-9]+)*_?\b")
 
 
 class Finding:
@@ -315,6 +328,11 @@ def lint_file(path, findings):
                    "const Database& outside storage/, exec/, workload/ and "
                    "backend/inmemory_backend.h: take a DbmsBackend& so the "
                    "component stays portable")
+        if LRU_NAME_RE.search(line) and not path_matches(path, LRU_EXEMPT):
+            report(lineno, "hand-rolled-lru",
+                   "LRU recency bookkeeping outside util/budgeted_lru.h: "
+                   "build the cache on BudgetedLru (byte-accounted, "
+                   "deterministic, with an eviction callback) instead")
 
     # --- Unordered iteration feeding an ordered sink ---
     WINDOW = 8

@@ -75,7 +75,8 @@ def main():
                     "(no VIOLATION marker on that line)")
 
     # --- Clean corpora: zero findings. ---
-    for name in ("clean.cc", os.path.join("storage", "clean.h")):
+    for name in ("clean.cc", os.path.join("storage", "clean.h"),
+                 os.path.join("util", "budgeted_lru.h")):
         rc, findings = run_linter(os.path.join(TESTDATA, name))
         if rc != 0 or findings:
             failures.append(
@@ -90,7 +91,7 @@ def main():
         failures.append(f"--list-rules: expected exit 0, got {proc.returncode}")
     for rule in ("unordered-iteration", "unsanctioned-random", "wall-clock",
                  "pointer-keyed-order", "unannotated-mutex", "bare-assert",
-                 "unsanctioned-retry", "legacy-api"):
+                 "unsanctioned-retry", "legacy-api", "hand-rolled-lru"):
         if rule not in proc.stdout:
             failures.append(f"--list-rules output is missing '{rule}'")
 

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/budgeted_lru.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_annotations.h"
@@ -62,6 +63,21 @@ class Counter {
 // InMemoryBackend a component attaches to); only headers are checked.
 class Database;
 double DataPages(const Database& db);
+
+// A byte-budgeted cache built on the sanctioned BudgetedLru, named
+// after what it holds; the eviction callback sees each victim.
+class RowCache {
+ public:
+  void Add(const std::string& key, std::vector<double> row) {
+    size_t bytes = row.size() * sizeof(double);
+    rows_.Put(key, std::move(row), bytes);
+    evicted_ += rows_.EvictToBudget();
+  }
+
+ private:
+  BudgetedLru<std::string, std::vector<double>> rows_{1024};
+  uint64_t evicted_ = 0;
+};
 
 // Always-on invariant instead of a bare assert.
 int Half(int x) {

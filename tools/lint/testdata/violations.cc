@@ -84,6 +84,24 @@ bool CallWithHomegrownRetries(int max_attempts) {
   return false;
 }
 
+// hand-rolled-lru: tick-based recency bookkeeping outside
+// util/budgeted_lru.h.
+struct RowCacheEntry {
+  std::vector<double> row;
+  uint64_t lru = 0;  // VIOLATION hand-rolled-lru
+};
+class RowCache {
+ public:
+  void Touch(const std::string& key, RowCacheEntry& entry) {
+    if (entry.lru != 0) lru_order_.erase(entry.lru);  // VIOLATION hand-rolled-lru
+    entry.lru = ++doi_lru_tick_;  // VIOLATION hand-rolled-lru
+  }
+
+ private:
+  std::map<uint64_t, std::string> lru_order_;  // VIOLATION hand-rolled-lru
+  uint64_t doi_lru_tick_ = 0;  // VIOLATION hand-rolled-lru
+};
+
 // NOLINT without a justification is itself a finding.
 int PickOther(int n) {
   return rand() % n;  // NOLINT(determinism)

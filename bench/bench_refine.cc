@@ -43,6 +43,8 @@ struct Timing {
   uint64_t populates = 0;
   size_t indexes = 0;
   double cost = 0.0;
+  int lp_pivots = 0;
+  int bnb_nodes = 0;
 };
 
 template <typename Fn>
@@ -60,6 +62,8 @@ Timing Timed(DesignSession& session, Fn&& fn) {
   if (rec.ok()) {
     t.indexes = rec.value().indexes.size();
     t.cost = rec.value().recommended_cost;
+    t.lp_pivots = rec.value().lp_pivots;
+    t.bnb_nodes = rec.value().bnb_nodes;
   }
   return t;
 }
@@ -158,16 +162,30 @@ void RunRefineLoop(JsonReporter& reporter) {
 
     if (nq == 32) {
       reporter.Report("recommend_initial", initial.ms, 1.0,
-                      initial.backend_calls);
+                      initial.backend_calls, initial.populates);
       reporter.Report("refine_pin_recommended", pinned.ms, speedup,
-                      pinned.backend_calls);
+                      pinned.backend_calls, pinned.populates);
       reporter.Report("refine_veto_top", revised.ms, speedup2,
-                      revised.backend_calls);
+                      revised.backend_calls, revised.populates);
       reporter.Report("refine_budget_cut", tightened.ms, speedup3,
-                      tightened.backend_calls);
+                      tightened.backend_calls, tightened.populates);
       reporter.Report("add_queries_refine", add_ms + delta.ms,
                       initial.ms / std::max(0.001, add_ms + delta.ms),
-                      delta.backend_calls);
+                      delta.backend_calls, delta.populates);
+      // Solver work per op: simplex pivots and B&B nodes.
+      Json solver = Json::Object();
+      using OpTiming = std::pair<const char*, const Timing*>;
+      for (const auto& [op, t] : {OpTiming{"recommend_initial", &initial},
+                                  OpTiming{"refine_pin_recommended", &pinned},
+                                  OpTiming{"refine_veto_top", &revised},
+                                  OpTiming{"refine_budget_cut", &tightened},
+                                  OpTiming{"add_queries_refine", &delta}}) {
+        Json row = Json::Object();
+        row["lp_pivots"] = Json::Number(t->lp_pivots);
+        row["bnb_nodes"] = Json::Number(t->bnb_nodes);
+        solver[op] = std::move(row);
+      }
+      reporter.Extra("solver", std::move(solver));
       std::printf("\npin-recommended refine vs initial: %.1fx faster, %llu "
                   "new optimizer calls, %llu new INUM populations %s\n",
                   speedup,

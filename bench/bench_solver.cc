@@ -25,11 +25,15 @@
 // correctness spine, not a separate accuracy claim.
 //
 // Writes BENCH_solver.json; decomposed rows carry their speedup over
-// the monolithic solve of the same universe.
+// the monolithic solve of the same universe. extra.node_cold_solves
+// records, per op, the B&B node LPs that could not reoptimize from their
+// parent's tableau by dual simplex and were solved from scratch; every
+// one of them must be 0 (DBD_CHECK-enforced).
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -193,6 +197,11 @@ void RunSolverScaling(JsonReporter& reporter) {
   std::printf("-----------+-----------------------------------------+"
               "--------------------\n");
 
+  Json cold_solves = Json::Object();
+  auto record_cold = [&](const std::string& op, const SolveRow& row) {
+    cold_solves[op] = Json::Number(row.rec.node_cold_solves);
+    DBD_CHECK_EQ(row.rec.node_cold_solves, 0);
+  };
   for (int n : {50, 200, 1000, 4000}) {
     CoPhyPrepared prep = MakePrepared(db, n);
     double budget = TotalSize(prep);
@@ -228,9 +237,14 @@ void RunSolverScaling(JsonReporter& reporter) {
     reporter.Report("monolithic" + suffix, mono.ms, 1.0);
     reporter.Report("decomposed" + suffix, decomp.ms, speedup);
     reporter.Report("decomposed_warm" + suffix, warm.ms, warm_speedup);
+    record_cold("monolithic" + suffix, mono);
+    record_cold("decomposed" + suffix, decomp);
+    record_cold("decomposed_warm" + suffix, warm);
+    record_cold("monolithic_veto" + suffix, mono_veto);
   }
-  std::printf("\nall decomposed optima bit-identical to monolithic "
-              "[DBD_CHECK-enforced]\n");
+  reporter.Extra("node_cold_solves", std::move(cold_solves));
+  std::printf("\nall decomposed optima bit-identical to monolithic, no B&B "
+              "node solved from scratch [DBD_CHECK-enforced]\n");
 }
 
 void BM_DecomposedSolve(benchmark::State& state) {

@@ -75,7 +75,8 @@ namespace {
 size_t SolverEntryBytes(const CoPhySolverCache::Entry& e) {
   size_t bytes = sizeof(CoPhySolverCache::Entry);
   bytes += e.chosen.size() * sizeof(int);
-  bytes += e.root_basis.size() * sizeof(int);
+  bytes += (e.root_basis.basic.size() + e.root_basis.at_upper.size()) *
+           sizeof(int);
   for (const CoPhySolverCache::Entry::ParetoPoint& p : e.frontier) {
     bytes += sizeof(CoPhySolverCache::Entry::ParetoPoint);
     bytes += p.chosen.size() * sizeof(int);
@@ -906,6 +907,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         }
         rec.bnb_nodes += bnb.nodes_explored;
         rec.lp_pivots += bnb.lp_pivots;
+        rec.node_cold_solves += bnb.node_cold_solves;
         rec.solve_time_sec += bnb.solve_time_sec;
         rec.num_variables += static_cast<size_t>(sub.lp.num_vars);
         rec.num_constraints += sub.lp.constraints.size();
@@ -1296,6 +1298,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
                                      have_warm ? &warm : nullptr);
       rec.bnb_nodes += bnb.nodes_explored;
       rec.lp_pivots += bnb.lp_pivots;
+      rec.node_cold_solves += bnb.node_cold_solves;
       rec.solve_time_sec += bnb.solve_time_sec;
       rec.proven_optimal = bnb.proven_optimal;
       solver_lower = bnb.lower_bound;

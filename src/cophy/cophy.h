@@ -100,6 +100,9 @@ struct IndexRecommendation {
   int clusters_reused = 0;   ///< cluster optima reused from the solver cache
   bool solved_monolithic = false;  ///< the monolithic BIP ran (mode/fallback)
   int lp_pivots = 0;               ///< simplex pivots across all BIPs
+  /// B&B node LPs solved from scratch because the dual simplex could not
+  /// reoptimize them from the parent (see BnbResult::node_cold_solves).
+  int node_cold_solves = 0;
 
   /// Set when this recommendation was served from cached session state
   /// because the backend was down (see util/status.h). A degraded
@@ -230,7 +233,7 @@ struct CoPhySolverCache {
     std::vector<int> chosen;  ///< proven-optimal y set (global candidate ids)
     double objective = 0.0;   ///< subproblem objective (incl. tie-break)
     double lower_bound = 0.0;
-    std::vector<int> root_basis;  ///< canonical basis of the last root solved
+    LpBasis root_basis;  ///< canonical basis of the last root solved
 
     /// One proven point on a cluster's budget/cost frontier: the optimum
     /// of the cluster BIP under "footprint <= some budget", recorded as

@@ -464,6 +464,8 @@ IndexRecommendation DesignSession::ReweightedLastRecommendation() const {
   rec.lower_bound = rec.recommended_cost;
   rec.gap = 0.0;
   rec.bnb_nodes = 0;
+  rec.lp_pivots = 0;
+  rec.node_cold_solves = 0;
   rec.solve_time_sec = 0.0;
   return rec;
 }

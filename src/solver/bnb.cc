@@ -15,14 +15,14 @@ namespace dbdesign {
 namespace {
 
 struct Node {
-  std::vector<std::pair<int, int>> fixings;  ///< (var, 0 or 1)
-  double bound;                              ///< parent LP bound
-  /// Parent's canonical basis (augmented row space), shared by both
-  /// children: the child LP differs from the parent's by one fixing, so
-  /// warm-starting from it typically costs a handful of pivots where the
-  /// root basis costs dozens. Null at the root (falls back to the root
-  /// basis / caller's warm start).
-  std::shared_ptr<const std::vector<int>> warm_basis;
+  double bound;  ///< parent LP bound
+  /// Reduced column this child fixes, and its value; -1 for the root,
+  /// whose LP is already solved.
+  int var = -1;
+  double value = 0.0;
+  /// The parent's final tableau, shared by both children and released
+  /// once both have been popped (the root node holds its own).
+  std::shared_ptr<const Tableau> tableau;
 
   bool operator<(const Node& other) const {
     return bound > other.bound;  // min-heap by bound (best-first)
@@ -37,12 +37,13 @@ double Now() {
       .count();
 }
 
-/// The base problem with all current fixings substituted out. Fixed
-/// columns are removed entirely; their objective contribution moves to
-/// `offset` and their constraint contribution into each row's rhs. Rows
-/// that become empty are KEPT (with no terms) so the row space — and
-/// therefore the canonical basis encoding — is stable across different
-/// fixing sets; their feasibility is checked directly here instead.
+/// The root presolve: the problem with the root fixings substituted
+/// out. Fixed columns are removed entirely; their objective contribution
+/// moves to `offset` and their constraint contribution into each row's
+/// rhs. Binaries keep the column bound [0, 1]. Rows that become empty
+/// are KEPT (with no terms) so the row space, and therefore the
+/// canonical basis encoding, is stable across different fixing sets;
+/// their feasibility is checked directly here instead.
 struct ReducedLp {
   LpProblem lp;
   std::vector<int> old_to_new;  ///< per original var; -1 = fixed
@@ -54,7 +55,9 @@ struct ReducedLp {
   bool infeasible = false;
 };
 
-ReducedLp Reduce(const LpProblem& base, const std::vector<signed char>& fix) {
+ReducedLp Reduce(const MipProblem& problem,
+                 const std::vector<signed char>& fix) {
+  const LpProblem& base = problem.lp;
   ReducedLp red;
   red.fix = fix;
   // Forcing-row propagation to fixpoint: every variable is nonnegative,
@@ -98,11 +101,17 @@ ReducedLp Reduce(const LpProblem& base, const std::vector<signed char>& fix) {
     }
   }
   int num_orig = base.num_vars;
+  std::vector<double> upper = base.upper;
+  for (int b : problem.binary_vars) {
+    double& up = upper[static_cast<size_t>(b)];
+    up = std::min(up, 1.0);
+  }
   red.old_to_new.assign(static_cast<size_t>(num_orig), -1);
   for (int v = 0; v < num_orig; ++v) {
     if (red.fix[static_cast<size_t>(v)] < 0) {
-      red.old_to_new[static_cast<size_t>(v)] =
-          red.lp.AddVariable(base.objective[static_cast<size_t>(v)]);
+      red.old_to_new[static_cast<size_t>(v)] = red.lp.AddVariable(
+          base.objective[static_cast<size_t>(v)], 0.0,
+          upper[static_cast<size_t>(v)]);
       red.new_to_old.push_back(v);
     } else if (red.fix[static_cast<size_t>(v)] == 1) {
       red.offset += base.objective[static_cast<size_t>(v)];
@@ -143,21 +152,8 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
   double t0 = Now();
   BnbResult result;
   const int num_vars = problem.lp.num_vars;
-  const size_t num_rows_hint =
-      problem.lp.constraints.size() + problem.binary_vars.size();
-
-  // Augmented base LP: original problem + x_b <= 1 rows for ALL binaries
-  // (in binary_vars order, fixed or not). Keeping the row set independent
-  // of the fixings is what lets a canonical basis from one solve warm-
-  // start another solve with different pins/vetoes.
-  LpProblem base = problem.lp;
-  for (int b : problem.binary_vars) {
-    LpConstraint ub;
-    ub.terms = {{b, 1.0}};
-    ub.rel = LpRelation::kLe;
-    ub.rhs = 1.0;
-    base.AddConstraint(std::move(ub));
-  }
+  const int num_rows = static_cast<int>(problem.lp.constraints.size());
+  for (double lo : problem.lp.lower) DBD_CHECK_EQ(lo, 0.0);
 
   // Root fixings as a dense assignment (-1 = free).
   std::vector<signed char> root_fix(static_cast<size_t>(num_vars), -1);
@@ -173,66 +169,64 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
     slot = v;
   }
 
-  // Solves one node: presolve the fixings away, solve the reduced LP
-  // (warm-started when a canonical basis is available), and expand the
-  // solution back to the original variable space.
-  auto solve_node = [&](const std::vector<signed char>& fix,
-                        const std::vector<int>* warm_canon) -> LpSolution {
-    ReducedLp red = Reduce(base, fix);
-    if (red.infeasible) {
-      LpSolution s;
-      s.status = LpStatus::kInfeasible;
-      return s;
-    }
-    LpSolution s;
-    if (red.lp.num_vars == 0) {
-      // Everything is fixed; Reduce already verified every (empty) row.
-      s.status = LpStatus::kOptimal;
-      s.objective = 0.0;
-      s.basis.assign(red.lp.constraints.size(), -1);
-    } else {
-      // Translate the canonical warm basis into the reduced space (fixed
-      // structural vars map to -1; row indices are unchanged).
-      std::vector<int> warm_red;
-      if (warm_canon != nullptr && warm_canon->size() == num_rows_hint) {
-        warm_red.reserve(warm_canon->size());
-        for (int b : *warm_canon) {
-          if (b < 0) {
-            warm_red.push_back(-1);
-          } else if (b < num_vars) {
-            warm_red.push_back(red.old_to_new[static_cast<size_t>(b)]);
-          } else {
-            warm_red.push_back(red.lp.num_vars + (b - num_vars));
-          }
-        }
-      }
-      s = SolveLp(red.lp, options.simplex,
-                  warm_red.empty() ? nullptr : &warm_red);
-    }
-    result.lp_pivots += s.pivots;
-    if (!s.optimal()) return s;
+  ReducedLp red = Reduce(problem, root_fix);
+  if (red.infeasible) {
+    result.lower_bound = std::numeric_limits<double>::infinity();
+    result.solve_time_sec = Now() - t0;
+    return result;
+  }
+  const int num_red = red.lp.num_vars;
 
-    LpSolution out;
-    out.status = LpStatus::kOptimal;
-    out.objective = s.objective + red.offset;
-    out.pivots = s.pivots;
-    out.values.assign(static_cast<size_t>(num_vars), 0.0);
-    for (int v = 0; v < num_vars; ++v) {
-      signed char f = red.fix[static_cast<size_t>(v)];
-      out.values[static_cast<size_t>(v)] =
-          f >= 0 ? static_cast<double>(f)
-                 : s.values[static_cast<size_t>(
-                       red.old_to_new[static_cast<size_t>(v)])];
+  // Canonical ids in the reduced space: structurals renumber through the
+  // presolve maps, row slacks shift with the structural count, and
+  // columns the presolve fixed drop out.
+  auto to_reduced = [&](const LpBasis& b) {
+    LpBasis out;
+    for (int id : b.basic) {
+      if (id >= 0 && id < num_vars) {
+        int v = red.old_to_new[static_cast<size_t>(id)];
+        if (v >= 0) out.basic.push_back(v);
+      } else if (id >= num_vars && id - num_vars < num_rows) {
+        out.basic.push_back(num_red + (id - num_vars));
+      }
     }
-    out.basis.assign(num_rows_hint, -1);
-    for (size_t r = 0; r < s.basis.size(); ++r) {
-      int b = s.basis[r];
-      if (b < 0) continue;
-      out.basis[r] = b < red.lp.num_vars
-                         ? red.new_to_old[static_cast<size_t>(b)]
-                         : num_vars + (b - red.lp.num_vars);
+    for (int id : b.at_upper) {
+      if (id < 0 || id >= num_vars) continue;
+      int v = red.old_to_new[static_cast<size_t>(id)];
+      if (v >= 0) out.at_upper.push_back(v);
     }
     return out;
+  };
+  auto to_original = [&](const LpBasis& b) {
+    LpBasis out;
+    for (int id : b.basic) {
+      out.basic.push_back(id < num_red ? red.new_to_old[static_cast<size_t>(id)]
+                                       : num_vars + (id - num_red));
+    }
+    for (int id : b.at_upper) {
+      out.at_upper.push_back(red.new_to_old[static_cast<size_t>(id)]);
+    }
+    return out;
+  };
+
+  // A solved node LP, expanded back to the original variable space.
+  struct NodeLp {
+    double objective = 0.0;
+    std::vector<double> values;
+  };
+  auto expand = [&](const Tableau& t) {
+    NodeLp lp;
+    lp.objective = t.Objective() + red.offset;
+    std::vector<double> reduced = t.Values();
+    lp.values.assign(static_cast<size_t>(num_vars), 0.0);
+    for (int v = 0; v < num_vars; ++v) {
+      signed char f = red.fix[static_cast<size_t>(v)];
+      lp.values[static_cast<size_t>(v)] =
+          f >= 0 ? static_cast<double>(f)
+                 : reduced[static_cast<size_t>(
+                       red.old_to_new[static_cast<size_t>(v)])];
+    }
+    return lp;
   };
 
   double incumbent = std::numeric_limits<double>::infinity();
@@ -267,24 +261,31 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
     }
   }
 
-  LpSolution root =
-      solve_node(root_fix, warm != nullptr ? &warm->basis : nullptr);
-  if (root.status == LpStatus::kInfeasible) {
+  LpBasis warm_basis;
+  if (warm != nullptr) warm_basis = to_reduced(warm->basis);
+  LpStatus root_status;
+  auto root_tableau = std::make_shared<const Tableau>(Tableau::Solve(
+      red.lp, options.simplex, warm_basis.empty() ? nullptr : &warm_basis,
+      &root_status));
+  result.lp_pivots += root_tableau->pivots();
+  if (root_status == LpStatus::kInfeasible) {
     result.lower_bound = std::numeric_limits<double>::infinity();
     result.solve_time_sec = Now() - t0;
     return result;
   }
-  if (!root.optimal()) {
+  if (root_status != LpStatus::kOptimal) {
     // Unbounded or iteration limit at the root: give up gracefully.
     result.solve_time_sec = Now() - t0;
     return result;
   }
+  NodeLp root = expand(*root_tableau);
   result.lower_bound = root.objective;
-  result.root_basis = root.basis;
+  result.root_basis = to_original(root_tableau->Basis());
   try_heuristic(root.values);
 
   std::priority_queue<Node> open;
-  open.push(Node{{}, root.objective, nullptr});
+  open.push(Node{root.objective, -1, 0.0, root_tableau});
+  root_tableau.reset();
 
   // Most-fractional branching: pick the binary farthest from an integer.
   // Fixed binaries are exactly integral in the expanded values, so they
@@ -305,11 +306,8 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
 
   // Best-first search: nodes pop in non-decreasing parent-bound order, so
   // the popped node's bound is the global lower bound at that moment.
-  // Node LPs warm-start from the ROOT basis: storing one basis per open
-  // node would cost O(nodes x rows) memory for little extra benefit.
   double global_lb = root.objective;
   bool exhausted = false;
-  std::vector<signed char> node_fix;
   while (true) {
     if (open.empty()) {
       exhausted = true;
@@ -337,36 +335,51 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
       break;  // good enough per the caller's time/quality knob
     }
 
-    node_fix = root_fix;
-    for (auto [var, val] : node.fixings) {
-      node_fix[static_cast<size_t>(var)] = val != 0 ? 1 : 0;
-    }
-    LpSolution lp = solve_node(
-        node_fix, node.warm_basis ? node.warm_basis.get() : &result.root_basis);
     ++result.nodes_explored;
-    if (!lp.optimal()) continue;  // infeasible subtree
+    std::shared_ptr<const Tableau> solved;
+    NodeLp lp;
+    if (node.var < 0) {
+      solved = std::move(node.tableau);
+      lp = root;
+    } else {
+      // Copy the parent's tableau, fix the branching variable and
+      // reoptimize by dual simplex.
+      Tableau t = *node.tableau;
+      node.tableau.reset();
+      int before = t.pivots();
+      t.SetBounds(node.var, node.value, node.value);
+      LpStatus s = t.Reoptimize();
+      result.lp_pivots += t.pivots() - before;
+      if (s == LpStatus::kIterLimit) {
+        // Numerical give-up: solve this node from scratch under the same
+        // bounds.
+        LpProblem bounded = red.lp;
+        for (int j = 0; j < num_red; ++j) {
+          bounded.lower[static_cast<size_t>(j)] = t.lower(j);
+          bounded.upper[static_cast<size_t>(j)] = t.upper(j);
+        }
+        t = Tableau::Solve(bounded, options.simplex, nullptr, &s);
+        result.lp_pivots += t.pivots();
+        ++result.node_cold_solves;
+      }
+      if (s != LpStatus::kOptimal) continue;  // infeasible subtree
+      lp = expand(t);
+      solved = std::make_shared<const Tableau>(std::move(t));
+    }
     if (lp.objective >= incumbent - 1e-12) continue;
-
-    try_heuristic(lp.values);
+    if (node.var >= 0) try_heuristic(lp.values);  // the root's ran above
 
     int branch = fractional_var(lp.values);
     if (branch < 0) {
       // Integral: candidate incumbent.
       if (lp.objective < incumbent - 1e-12) {
         incumbent = lp.objective;
-        incumbent_values = lp.values;
+        incumbent_values = std::move(lp.values);
       }
       continue;
     }
-    auto basis = std::make_shared<const std::vector<int>>(lp.basis);
-    for (int v : {1, 0}) {
-      Node child;
-      child.fixings = node.fixings;
-      child.fixings.emplace_back(branch, v);
-      child.bound = lp.objective;
-      child.warm_basis = basis;
-      open.push(child);
-    }
+    int col = red.old_to_new[static_cast<size_t>(branch)];
+    for (double v : {1.0, 0.0}) open.push(Node{lp.objective, col, v, solved});
   }
 
   if (exhausted && std::isfinite(incumbent)) {
@@ -381,9 +394,10 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
     result.values = std::move(incumbent_values);
   }
   result.solve_time_sec = Now() - t0;
-  DBD_LOG_DEBUG(StrFormat("B&B: %d nodes, %d pivots, obj=%.3f bound=%.3f gap=%.4f",
-                          result.nodes_explored, result.lp_pivots,
-                          result.objective, result.lower_bound, result.gap()));
+  DBD_LOG_DEBUG(StrFormat(
+      "B&B: %d nodes, %d pivots, %d cold nodes, obj=%.3f bound=%.3f gap=%.4f",
+      result.nodes_explored, result.lp_pivots, result.node_cold_solves,
+      result.objective, result.lower_bound, result.gap()));
   return result;
 }
 

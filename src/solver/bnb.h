@@ -5,9 +5,15 @@
 //
 // Root-level fixings (MipProblem::fixed_vars) are eliminated by
 // substitution before any simplex runs: fixed columns never enter the
-// tableau, their objective contribution becomes a constant offset, and a
-// fully-fixed problem solves without a single pivot. Node fixings reuse
-// the same presolve, so deep subtrees solve ever-smaller LPs.
+// tableau, their objective contribution becomes a constant offset, and
+// forcing rows propagate further zeros (a vetoed index erases every atom
+// column that needs it). A fully-fixed problem solves without a single
+// pivot. Binaries carry the bound [0, 1] on their column, not as rows.
+//
+// Below the root, no LP is built from scratch: each child copies its
+// parent's final tableau, fixes the branching variable (lower = upper =
+// 0 or 1) and reoptimizes by dual simplex, typically in a few pivots. A
+// dual ray proves the child infeasible.
 
 #ifndef DBDESIGN_SOLVER_BNB_H_
 #define DBDESIGN_SOLVER_BNB_H_
@@ -20,12 +26,14 @@
 
 namespace dbdesign {
 
-/// A minimization LP plus a set of variables restricted to {0, 1}.
+/// A minimization LP plus a set of variables restricted to {0, 1}. Every
+/// variable's lower bound must be 0; binaries get upper bound 1 (an
+/// upper bound in `lp` is kept if tighter).
 struct MipProblem {
   LpProblem lp;
   std::vector<int> binary_vars;
   /// Root-level variable fixings applied before search: (var, 0 or 1),
-  /// eliminated by presolve substitution at every node. CoPhy encodes
+  /// eliminated by the root presolve's substitution. CoPhy encodes
   /// DBA pins (y_i = 1) and vetoes (y_i = 0) here, so constraint edits
   /// change only these fixings — the rest of the problem (and any cached
   /// atom matrix behind it) is reused verbatim.
@@ -50,18 +58,18 @@ struct BnbOptions {
 
 /// Carry-over state from a previous solve of a near-identical problem.
 /// Both members are optional (leave empty to skip):
-///  - `basis` warm-starts every LP in the tree. It is the canonical
-///    basis of the previous solve's ROOT relaxation over the augmented
-///    row space (original constraints followed by one x_b <= 1 row per
-///    binary_vars entry, in order) — i.e. a previous BnbResult::root_basis
-///    for a problem with the same rows. A stale basis degrades to a cold
-///    solve, never to a wrong answer.
+///  - `basis` warm-starts the ROOT relaxation (nodes below it reoptimize
+///    from their parent). It is a canonical basis (see LpBasis) over the
+///    problem's own variables and rows, i.e. a previous
+///    BnbResult::root_basis for a problem with the same rows; the
+///    fixings may differ; columns they eliminate are dropped from it. A
+///    stale basis degrades to a cold solve, never to a wrong answer.
 ///  - `values`/`objective` seed the initial incumbent and are trusted
 ///    verbatim, exactly like a PrimalHeuristic result: the caller must
 ///    guarantee feasibility. Entries for fixed_vars are cross-checked
 ///    against the fixings and the incumbent is dropped on mismatch.
 struct BnbWarmStart {
-  std::vector<int> basis;
+  LpBasis basis;
   std::vector<double> values;
   double objective = 0.0;
 };
@@ -75,11 +83,15 @@ struct BnbResult {
   int nodes_explored = 0;
   double solve_time_sec = 0.0;
   int lp_pivots = 0;               ///< simplex pivots across all nodes
+  /// Node LPs that could not reoptimize from the parent's tableau (the
+  /// dual simplex gave up, a numerical failure) and were solved from
+  /// scratch instead.
+  int node_cold_solves = 0;
 
-  /// Canonical basis of the root relaxation (augmented row space, see
-  /// BnbWarmStart::basis); feed back as a warm start for the next solve
-  /// of a near-identical problem. Empty if the root LP did not solve.
-  std::vector<int> root_basis;
+  /// Canonical basis of the root relaxation (see BnbWarmStart::basis);
+  /// feed back as a warm start for the next solve of a near-identical
+  /// problem. Empty if the root LP did not solve.
+  LpBasis root_basis;
 
   /// Relative optimality gap; 0 when proven optimal.
   double gap() const {
@@ -96,7 +108,7 @@ using PrimalHeuristic =
                        std::vector<double>* out_values, double* out_obj)>;
 
 /// Solves min c^T x, constraints, x >= 0, x_b in {0,1} for b in
-/// binary_vars. Upper bound rows (x_b <= 1) are added internally.
+/// binary_vars.
 BnbResult SolveBinaryMip(const MipProblem& problem,
                          const BnbOptions& options = {},
                          const PrimalHeuristic& heuristic = nullptr,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/logging.h"
+
 namespace dbdesign {
 
 namespace {
@@ -13,420 +15,567 @@ namespace {
 /// eps) and keeping them would re-densify the tableau over pivots.
 constexpr double kDropTol = 1e-13;
 
-/// One tableau row: (column, value) pairs sorted by column.
-using SparseRow = std::vector<std::pair<int, double>>;
+/// A basic value this far outside its bounds is primal infeasible.
+constexpr double kPrimalTol = 1e-7;
 
-/// Sparse tableau: rows = constraints, columns = structural + slack +
-/// artificial variables. The rhs column and the reduced-cost row are
-/// kept dense; everything else is sorted column/value pairs.
-class Tableau {
- public:
-  Tableau(const LpProblem& p, const SimplexOptions& options)
-      : options_(options), m_(static_cast<int>(p.constraints.size())) {
-    // Column layout: [structural | slack/surplus | artificial].
-    n_struct_ = p.num_vars;
-    int n_slack = 0;
-    int n_art = 0;
-    for (const LpConstraint& c : p.constraints) {
-      bool flip = c.rhs < 0.0;
-      LpRelation rel = c.rel;
-      if (flip) {
-        rel = rel == LpRelation::kLe
-                  ? LpRelation::kGe
-                  : (rel == LpRelation::kGe ? LpRelation::kLe : LpRelation::kEq);
-      }
-      if (rel == LpRelation::kLe) {
-        ++n_slack;
-      } else if (rel == LpRelation::kGe) {
-        ++n_slack;
-        ++n_art;
-      } else {
-        ++n_art;
-      }
-    }
-    n_total_ = n_struct_ + n_slack + n_art;
-    rows_.assign(static_cast<size_t>(m_), {});
-    rhs_.assign(static_cast<size_t>(m_), 0.0);
-    basis_.assign(static_cast<size_t>(m_), -1);
-    slack_col_of_row_.assign(static_cast<size_t>(m_), -1);
-    slack_row_.assign(static_cast<size_t>(n_slack), -1);
+/// The smallest |entry| the crash will pivot on.
+constexpr double kCrashPivotTol = 1e-7;
 
-    int slack_at = n_struct_;
-    int art_at = n_struct_ + n_slack;
-    first_art_ = art_at;
-    SparseRow terms;
-    for (int r = 0; r < m_; ++r) {
-      const LpConstraint& c = p.constraints[static_cast<size_t>(r)];
-      double sign = c.rhs < 0.0 ? -1.0 : 1.0;
-      // Accumulate (duplicate variable mentions sum) and sort by column.
-      terms.assign(c.terms.begin(), c.terms.end());
-      std::sort(terms.begin(), terms.end());
-      SparseRow& row = rows_[static_cast<size_t>(r)];
-      row.clear();
-      for (const auto& [var, coef] : terms) {
-        if (!row.empty() && row.back().first == var) {
-          row.back().second += sign * coef;
-        } else {
-          row.emplace_back(var, sign * coef);
-        }
-      }
-      row.erase(std::remove_if(row.begin(), row.end(),
-                               [](const std::pair<int, double>& e) {
-                                 return std::abs(e.second) <= kDropTol;
-                               }),
-                row.end());
-      rhs_[static_cast<size_t>(r)] = sign * c.rhs;
-      LpRelation rel = c.rel;
-      if (sign < 0) {
-        rel = rel == LpRelation::kLe
-                  ? LpRelation::kGe
-                  : (rel == LpRelation::kGe ? LpRelation::kLe : LpRelation::kEq);
-      }
-      if (rel == LpRelation::kLe) {
-        row.emplace_back(slack_at, 1.0);
-        slack_col_of_row_[static_cast<size_t>(r)] = slack_at;
-        slack_row_[static_cast<size_t>(slack_at - n_struct_)] = r;
-        basis_[static_cast<size_t>(r)] = slack_at++;
-      } else if (rel == LpRelation::kGe) {
-        row.emplace_back(slack_at, -1.0);
-        slack_col_of_row_[static_cast<size_t>(r)] = slack_at;
-        slack_row_[static_cast<size_t>(slack_at - n_struct_)] = r;
-        ++slack_at;
-        row.emplace_back(art_at, 1.0);
-        basis_[static_cast<size_t>(r)] = art_at++;
-      } else {
-        row.emplace_back(art_at, 1.0);
-        basis_[static_cast<size_t>(r)] = art_at++;
-      }
-    }
-    num_art_ = n_art;
-  }
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  /// Coefficient of column c in row r (binary search; 0 if absent).
-  double Coef(int r, int c) const {
-    const SparseRow& row = rows_[static_cast<size_t>(r)];
-    auto it = std::lower_bound(
-        row.begin(), row.end(), c,
-        [](const std::pair<int, double>& e, int col) { return e.first < col; });
-    return (it != row.end() && it->first == c) ? it->second : 0.0;
-  }
-
-  /// Runs the simplex on objective `cost` (length n_total_, minimize).
-  /// Returns kOptimal/kUnbounded/kIterLimit; reduced costs/obj in z.
-  LpStatus Iterate(const std::vector<double>& cost, double* objective,
-                   bool forbid_artificials) {
-    // Reduced cost row: z_j = c_j - c_B^T B^{-1} A_j, maintained densely.
-    std::vector<double> z(static_cast<size_t>(n_total_) + 1, 0.0);
-    for (int j = 0; j < n_total_; ++j) {
-      z[static_cast<size_t>(j)] = cost[static_cast<size_t>(j)];
-    }
-    for (int r = 0; r < m_; ++r) {
-      double cb = cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
-      if (cb == 0.0) continue;
-      for (const auto& [col, val] : rows_[static_cast<size_t>(r)]) {
-        z[static_cast<size_t>(col)] -= cb * val;
-      }
-      z[static_cast<size_t>(n_total_)] -= cb * rhs_[static_cast<size_t>(r)];
-    }
-
-    for (int iter = 0; iter < options_.max_iterations; ++iter) {
-      // Entering variable: most negative reduced cost (Dantzig), falling
-      // back to Bland's rule when cycling is suspected.
-      int enter = -1;
-      bool bland = iter > 4 * (m_ + n_total_);
-      double best = -options_.eps;
-      for (int j = 0; j < n_total_; ++j) {
-        if (forbid_artificials && j >= first_art_) continue;
-        double rc = z[static_cast<size_t>(j)];
-        if (bland) {
-          if (rc < -options_.eps) {
-            enter = j;
-            break;
-          }
-        } else if (rc < best) {
-          best = rc;
-          enter = j;
-        }
-      }
-      if (enter < 0) {
-        *objective = -z[static_cast<size_t>(n_total_)];
-        return LpStatus::kOptimal;
-      }
-
-      // Ratio test.
-      int leave = -1;
-      double best_ratio = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < m_; ++r) {
-        double col = Coef(r, enter);
-        if (col > options_.eps) {
-          double ratio = rhs_[static_cast<size_t>(r)] / col;
-          if (ratio < best_ratio - options_.eps ||
-              (ratio < best_ratio + options_.eps &&
-               (leave < 0 || basis_[static_cast<size_t>(r)] <
-                                 basis_[static_cast<size_t>(leave)]))) {
-            best_ratio = ratio;
-            leave = r;
-          }
-        }
-      }
-      if (leave < 0) return LpStatus::kUnbounded;
-
-      Pivot(leave, enter, z);
-    }
-    return LpStatus::kIterLimit;
-  }
-
-  void Pivot(int leave, int enter, std::vector<double>& z) {
-    SparseRow& prow = rows_[static_cast<size_t>(leave)];
-    double piv = Coef(leave, enter);
-    if (piv != 1.0) {
-      for (auto& e : prow) e.second /= piv;
-      rhs_[static_cast<size_t>(leave)] /= piv;
-    }
-    for (int r = 0; r < m_; ++r) {
-      if (r == leave) continue;
-      double f = Coef(r, enter);
-      if (std::abs(f) < kDropTol) continue;
-      AddScaled(rows_[static_cast<size_t>(r)], prow, -f);
-      rhs_[static_cast<size_t>(r)] -= f * rhs_[static_cast<size_t>(leave)];
-    }
-    double zf = z[static_cast<size_t>(enter)];
-    if (std::abs(zf) > kDropTol) {
-      for (const auto& [col, val] : prow) {
-        z[static_cast<size_t>(col)] -= zf * val;
-      }
-      z[static_cast<size_t>(n_total_)] -= zf * rhs_[static_cast<size_t>(leave)];
-    }
-    basis_[static_cast<size_t>(leave)] = enter;
-    ++pivots_;
-  }
-
-  /// Drives any basic artificial variable out of the basis (or prunes a
-  /// redundant row) after phase 1.
-  void EvictArtificials() {
-    std::vector<double> dummy(static_cast<size_t>(n_total_) + 1, 0.0);
-    for (int r = 0; r < m_; ++r) {
-      if (basis_[static_cast<size_t>(r)] < first_art_) continue;
-      int enter = -1;
-      for (const auto& [col, val] : rows_[static_cast<size_t>(r)]) {
-        if (col >= first_art_) break;  // sorted: no real columns past here
-        if (std::abs(val) > 1e-7) {
-          enter = col;
-          break;
-        }
-      }
-      if (enter >= 0) Pivot(r, enter, dummy);
-      // else: the row is redundant (all-zero over real vars); leave the
-      // artificial basic at value zero — harmless with cost zero.
-    }
-  }
-
-  /// True iff no basic artificial carries real value, i.e. the tableau
-  /// solution satisfies the original rows and not merely the
-  /// artificial-extended ones.
-  bool BasicArtificialsAtZero() const {
-    for (int r = 0; r < m_; ++r) {
-      if (basis_[static_cast<size_t>(r)] >= first_art_ &&
-          rhs_[static_cast<size_t>(r)] > 1e-7) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Crash-pivots toward a basis in the canonical encoding (see
-  /// LpSolution::basis). Returns true iff the resulting basis is primal
-  /// feasible, in which case phase 1 can be skipped entirely. On false
-  /// the tableau is spent and the caller must rebuild it.
-  bool ApplyWarmBasis(const std::vector<int>& canon) {
-    if (static_cast<int>(canon.size()) != m_) return false;
-    std::vector<char> in_basis(static_cast<size_t>(n_total_), 0);
-    for (int r = 0; r < m_; ++r) {
-      in_basis[static_cast<size_t>(basis_[static_cast<size_t>(r)])] = 1;
-    }
-    std::vector<double> dummy(static_cast<size_t>(n_total_) + 1, 0.0);
-    for (int r = 0; r < m_; ++r) {
-      int want = canon[static_cast<size_t>(r)];
-      if (want < 0) continue;  // artificial stays basic (redundant row)
-      int col;
-      if (want < n_struct_) {
-        col = want;
-      } else {
-        int row = want - n_struct_;
-        if (row >= m_) return false;
-        col = slack_col_of_row_[static_cast<size_t>(row)];
-        if (col < 0) continue;  // that row has no slack in this problem
-      }
-      if (basis_[static_cast<size_t>(r)] == col) continue;
-      if (in_basis[static_cast<size_t>(col)]) continue;  // basic elsewhere
-      double piv = Coef(r, col);
-      if (std::abs(piv) < 1e-7) continue;  // would be numerically singular
-      in_basis[static_cast<size_t>(basis_[static_cast<size_t>(r)])] = 0;
-      Pivot(r, col, dummy);
-      in_basis[static_cast<size_t>(col)] = 1;
-    }
-    // The crash can leave artificials basic in non-redundant rows (a
-    // wanted column was singular or basic elsewhere, or the canonical
-    // basis marked a row redundant that is binding in this problem).
-    // Evict them now, as the cold path does after phase 1: otherwise a
-    // basic artificial at zero can be pumped to a real value by phase-2
-    // pivots on other rows, and the "optimal" solution silently
-    // violates its original row.
-    EvictArtificials();
-    for (int r = 0; r < m_; ++r) {
-      if (rhs_[static_cast<size_t>(r)] < -1e-7) return false;
-      if (basis_[static_cast<size_t>(r)] >= first_art_ &&
-          rhs_[static_cast<size_t>(r)] > 1e-7) {
-        return false;  // a basic artificial would carry real value
-      }
-    }
-    for (int r = 0; r < m_; ++r) {
-      if (rhs_[static_cast<size_t>(r)] < 0.0) {
-        rhs_[static_cast<size_t>(r)] = 0.0;  // clamp crash noise
-      }
-    }
-    return true;
-  }
-
-  LpSolution Extract(double objective) const {
-    LpSolution sol;
-    sol.status = LpStatus::kOptimal;
-    sol.objective = objective;
-    sol.values.assign(static_cast<size_t>(n_struct_), 0.0);
-    sol.basis.assign(static_cast<size_t>(m_), -1);
-    sol.pivots = pivots_;
-    for (int r = 0; r < m_; ++r) {
-      int b = basis_[static_cast<size_t>(r)];
-      if (b < n_struct_) {
-        sol.values[static_cast<size_t>(b)] = rhs_[static_cast<size_t>(r)];
-        sol.basis[static_cast<size_t>(r)] = b;
-      } else if (b < first_art_) {
-        sol.basis[static_cast<size_t>(r)] =
-            n_struct_ + slack_row_[static_cast<size_t>(b - n_struct_)];
-      }
-      // else: artificial basic at zero -> -1 (redundant row).
-    }
-    return sol;
-  }
-
-  int n_total() const { return n_total_; }
-  int n_struct() const { return n_struct_; }
-  int first_art() const { return first_art_; }
-  int num_art() const { return num_art_; }
-  int pivots() const { return pivots_; }
-
- private:
-  /// dst += f * src over sorted sparse rows; drops |value| <= kDropTol.
-  void AddScaled(SparseRow& dst, const SparseRow& src, double f) {
-    scratch_.clear();
-    size_t i = 0;
-    size_t j = 0;
-    while (i < dst.size() || j < src.size()) {
-      if (j >= src.size() ||
-          (i < dst.size() && dst[i].first < src[j].first)) {
-        scratch_.push_back(dst[i]);
-        ++i;
-      } else if (i >= dst.size() || src[j].first < dst[i].first) {
-        double v = f * src[j].second;
-        if (std::abs(v) > kDropTol) scratch_.emplace_back(src[j].first, v);
-        ++j;
-      } else {
-        double v = dst[i].second + f * src[j].second;
-        if (std::abs(v) > kDropTol) scratch_.emplace_back(dst[i].first, v);
-        ++i;
-        ++j;
-      }
-    }
-    dst.swap(scratch_);
-  }
-
-  SimplexOptions options_;
-  int m_;
-  int n_struct_ = 0;
-  int n_total_ = 0;
-  int first_art_ = 0;
-  int num_art_ = 0;
-  int pivots_ = 0;
-  std::vector<SparseRow> rows_;
-  std::vector<double> rhs_;
-  std::vector<int> basis_;
-  std::vector<int> slack_col_of_row_;  ///< per row: its slack column or -1
-  std::vector<int> slack_row_;         ///< per slack column: owning row
-  SparseRow scratch_;                  ///< AddScaled merge buffer
-};
-
-/// Builds the phase-2 cost vector (structural costs, zeros elsewhere).
-std::vector<double> Phase2Cost(const LpProblem& problem, const Tableau& t) {
-  std::vector<double> cost(static_cast<size_t>(t.n_total()), 0.0);
-  for (int j = 0; j < problem.num_vars; ++j) {
-    cost[static_cast<size_t>(j)] = problem.objective[static_cast<size_t>(j)];
-  }
-  return cost;
+LpRelation Flipped(LpRelation rel) {
+  return rel == LpRelation::kLe   ? LpRelation::kGe
+         : rel == LpRelation::kGe ? LpRelation::kLe
+                                  : LpRelation::kEq;
 }
 
 }  // namespace
 
-LpSolution SolveLp(const LpProblem& problem, const SimplexOptions& options,
-                   const std::vector<int>* warm_basis) {
-  int wasted_pivots = 0;
-  if (warm_basis != nullptr && !warm_basis->empty()) {
-    Tableau t(problem, options);
-    if (t.ApplyWarmBasis(*warm_basis)) {
-      // The warm basis is primal feasible and artificials have been
-      // evicted into redundant rows only: run phase 2 directly, exactly
-      // as after a cold phase 1. The post-solve artificial check is
-      // belt-and-braces against numerical drift — on failure the warm
-      // result is discarded and the cold solve below is authoritative.
-      std::vector<double> cost = Phase2Cost(problem, t);
-      double obj = 0.0;
-      LpStatus s = t.Iterate(cost, &obj, /*forbid_artificials=*/true);
-      if (s == LpStatus::kOptimal && t.BasicArtificialsAtZero()) {
-        return t.Extract(obj);
-      }
-      // Non-optimal from a warm start: distrust it and solve cold below
-      // so warm-started and cold solves always agree on status.
+Tableau::Tableau(const LpProblem& p, const SimplexOptions& options)
+    : options_(options),
+      m_(static_cast<int>(p.constraints.size())),
+      n_struct_(p.num_vars) {
+  DBD_CHECK_EQ(p.objective.size(), static_cast<size_t>(n_struct_));
+  DBD_CHECK_EQ(p.lower.size(), static_cast<size_t>(n_struct_));
+  DBD_CHECK_EQ(p.upper.size(), static_cast<size_t>(n_struct_));
+
+  // Each row is signed so that its residual b - A x_N (every structural
+  // at its lower bound) is nonnegative; a row then starts with its slack
+  // basic when the signed relation is <=, else with an artificial.
+  std::vector<double> resid(static_cast<size_t>(m_));
+  std::vector<LpRelation> rel(static_cast<size_t>(m_));
+  int n_slack = 0;
+  int n_art = 0;
+  for (int r = 0; r < m_; ++r) {
+    const LpConstraint& c = p.constraints[static_cast<size_t>(r)];
+    double res = c.rhs;
+    for (const auto& [var, coef] : c.terms) {
+      res -= coef * p.lower[static_cast<size_t>(var)];
     }
-    wasted_pivots = t.pivots();
+    resid[static_cast<size_t>(r)] = res;
+    rel[static_cast<size_t>(r)] = res < 0.0 ? Flipped(c.rel) : c.rel;
+    if (c.rel != LpRelation::kEq) ++n_slack;
+    if (rel[static_cast<size_t>(r)] != LpRelation::kLe) ++n_art;
   }
 
-  Tableau t(problem, options);
+  // Column layout: [structural | slack/surplus | artificial].
+  n_total_ = n_struct_ + n_slack + n_art;
+  first_art_ = n_struct_ + n_slack;
+  rows_.assign(static_cast<size_t>(m_), {});
+  beta_.assign(static_cast<size_t>(m_), 0.0);
+  basis_.assign(static_cast<size_t>(m_), -1);
+  lo_.assign(static_cast<size_t>(n_total_), 0.0);
+  up_.assign(static_cast<size_t>(n_total_), kInf);
+  state_.assign(static_cast<size_t>(n_total_), kAtLower);
+  cost_.assign(static_cast<size_t>(n_total_), 0.0);
+  z_.assign(static_cast<size_t>(n_total_), 0.0);
+  slack_col_of_row_.assign(static_cast<size_t>(m_), -1);
+  slack_row_.assign(static_cast<size_t>(n_slack), -1);
+  for (int j = 0; j < n_struct_; ++j) {
+    lo_[static_cast<size_t>(j)] = p.lower[static_cast<size_t>(j)];
+    up_[static_cast<size_t>(j)] = p.upper[static_cast<size_t>(j)];
+    cost_[static_cast<size_t>(j)] = p.objective[static_cast<size_t>(j)];
+  }
 
-  // Phase 1: minimize the sum of artificials.
-  if (t.num_art() > 0) {
-    std::vector<double> phase1(static_cast<size_t>(t.n_total()), 0.0);
-    for (int j = t.first_art(); j < t.n_total(); ++j) {
+  int slack_at = n_struct_;
+  int art_at = first_art_;
+  SparseRow terms;
+  for (int r = 0; r < m_; ++r) {
+    const LpConstraint& c = p.constraints[static_cast<size_t>(r)];
+    double sign = resid[static_cast<size_t>(r)] < 0.0 ? -1.0 : 1.0;
+    // Accumulate (duplicate variable mentions sum) and sort by column.
+    terms.assign(c.terms.begin(), c.terms.end());
+    std::sort(terms.begin(), terms.end());
+    SparseRow& row = rows_[static_cast<size_t>(r)];
+    for (const auto& [var, coef] : terms) {
+      if (!row.empty() && row.back().first == var) {
+        row.back().second += sign * coef;
+      } else {
+        row.emplace_back(var, sign * coef);
+      }
+    }
+    row.erase(std::remove_if(row.begin(), row.end(),
+                             [](const std::pair<int, double>& e) {
+                               return std::abs(e.second) <= kDropTol;
+                             }),
+              row.end());
+    beta_[static_cast<size_t>(r)] = sign * resid[static_cast<size_t>(r)];
+    LpRelation signed_rel = rel[static_cast<size_t>(r)];
+    if (signed_rel != LpRelation::kEq) {
+      row.emplace_back(slack_at, signed_rel == LpRelation::kLe ? 1.0 : -1.0);
+      slack_col_of_row_[static_cast<size_t>(r)] = slack_at;
+      slack_row_[static_cast<size_t>(slack_at - n_struct_)] = r;
+      if (signed_rel == LpRelation::kLe) {
+        basis_[static_cast<size_t>(r)] = slack_at;
+      }
+      ++slack_at;
+    }
+    if (signed_rel != LpRelation::kLe) {
+      row.emplace_back(art_at, 1.0);
+      basis_[static_cast<size_t>(r)] = art_at++;
+    }
+    state_[static_cast<size_t>(basis_[static_cast<size_t>(r)])] = kBasic;
+  }
+}
+
+Tableau Tableau::Solve(const LpProblem& problem, const SimplexOptions& options,
+                       const LpBasis* warm, LpStatus* status) {
+  int wasted_pivots = 0;
+  if (warm != nullptr && !warm->empty()) {
+    Tableau t(problem, options);
+    LpStatus s = t.SolveWarm(*warm);
+    if (s != LpStatus::kIterLimit) {
+      *status = s;
+      return t;
+    }
+    wasted_pivots = t.pivots_;
+  }
+  Tableau t(problem, options);
+  *status = t.SolveCold();
+  t.pivots_ += wasted_pivots;
+  return t;
+}
+
+double Tableau::Coef(int r, int c) const {
+  const SparseRow& row = rows_[static_cast<size_t>(r)];
+  auto it = std::lower_bound(
+      row.begin(), row.end(), c,
+      [](const std::pair<int, double>& e, int col) { return e.first < col; });
+  return (it != row.end() && it->first == c) ? it->second : 0.0;
+}
+
+void Tableau::GatherColumn(int c, Column* col) const {
+  col->clear();
+  for (int r = 0; r < m_; ++r) {
+    double v = Coef(r, c);
+    if (v != 0.0) col->emplace_back(r, v);
+  }
+}
+
+double Tableau::NonbasicValue(int j) const {
+  return state_[static_cast<size_t>(j)] == kAtUpper
+             ? up_[static_cast<size_t>(j)]
+             : lo_[static_cast<size_t>(j)];
+}
+
+/// Nonbasic column j moved by `delta`: every basic value absorbs it.
+void Tableau::ShiftBasics(int j, double delta) {
+  if (delta == 0.0) return;
+  for (int r = 0; r < m_; ++r) {
+    double a = Coef(r, j);
+    if (a != 0.0) beta_[static_cast<size_t>(r)] -= a * delta;
+  }
+}
+
+void Tableau::ComputeReducedCosts(const std::vector<double>& cost) {
+  // z_j = c_j - c_B^T B^{-1} A_j, maintained densely by PivotTo after this.
+  z_ = cost;
+  for (int r = 0; r < m_; ++r) {
+    double cb = cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
+    if (cb == 0.0) continue;
+    for (const auto& [col, val] : rows_[static_cast<size_t>(r)]) {
+      z_[static_cast<size_t>(col)] -= cb * val;
+    }
+  }
+  for (int r = 0; r < m_; ++r) {
+    z_[static_cast<size_t>(basis_[static_cast<size_t>(r)])] = 0.0;
+  }
+}
+
+/// Replaces row `leave`'s basic column by `enter` (whose tableau column
+/// is `col`), the leaving column settling at `leave_value` (one of its
+/// bounds). The entering column moves by exactly what that takes, and
+/// every other basic value follows.
+void Tableau::PivotTo(int leave, int enter, double leave_value,
+                      const Column& col) {
+  double piv = 0.0;
+  for (const auto& [r, a] : col) {
+    if (r == leave) piv = a;
+  }
+  const size_t lv = static_cast<size_t>(leave);
+  double delta = (beta_[lv] - leave_value) / piv;
+  double entered = NonbasicValue(enter) + delta;
+  for (const auto& [r, a] : col) {
+    if (r != leave) beta_[static_cast<size_t>(r)] -= a * delta;
+  }
+  beta_[lv] = entered;
+  int out = basis_[lv];
+  state_[static_cast<size_t>(out)] =
+      leave_value == lo_[static_cast<size_t>(out)] ? kAtLower : kAtUpper;
+  state_[static_cast<size_t>(enter)] = kBasic;
+  basis_[lv] = enter;
+
+  SparseRow& prow = rows_[lv];
+  if (piv != 1.0) {
+    for (auto& e : prow) e.second /= piv;
+  }
+  for (const auto& [r, a] : col) {
+    if (r == leave || std::abs(a) < kDropTol) continue;
+    AddScaled(rows_[static_cast<size_t>(r)], prow, -a);
+  }
+  double zf = z_[static_cast<size_t>(enter)];
+  if (std::abs(zf) > kDropTol) {
+    for (const auto& [c, val] : prow) z_[static_cast<size_t>(c)] -= zf * val;
+  }
+  z_[static_cast<size_t>(enter)] = 0.0;
+  ++pivots_;
+}
+
+LpStatus Tableau::Primal() {
+  Column col;
+  const double eps = options_.eps;
+  for (int iter = 0; iter < options_.max_iterations; ++iter) {
+    // Entering column: the most attractive reduced cost (Dantzig) in the
+    // direction its bound state allows, falling back to Bland's rule
+    // (lowest index) when cycling is suspected.
+    int enter = -1;
+    bool bland = iter > 4 * (m_ + n_total_);
+    double best = eps;
+    for (int j = 0; j < n_total_; ++j) {
+      const size_t uj = static_cast<size_t>(j);
+      signed char s = state_[uj];
+      if (s == kBasic || lo_[uj] == up_[uj]) continue;
+      double gain = s == kAtLower ? -z_[uj] : z_[uj];
+      if (gain <= eps) continue;
+      if (bland) {
+        enter = j;
+        break;
+      }
+      if (gain > best) {
+        best = gain;
+        enter = j;
+      }
+    }
+    if (enter < 0) return LpStatus::kOptimal;
+
+    // Ratio test: the entering column moves in direction `dir` until a
+    // basic value hits a bound or it reaches its own opposite bound.
+    double dir = state_[static_cast<size_t>(enter)] == kAtLower ? 1.0 : -1.0;
+    GatherColumn(enter, &col);
+    int leave = -1;
+    double leave_value = 0.0;
+    double best_ratio = kInf;
+    for (const auto& [r, a] : col) {
+      double alpha = a * dir;  // the basic value falls by alpha per unit
+      int b = basis_[static_cast<size_t>(r)];
+      double ratio;
+      double target;
+      if (alpha > eps) {
+        target = lo_[static_cast<size_t>(b)];
+        ratio = (beta_[static_cast<size_t>(r)] - target) / alpha;
+      } else if (alpha < -eps && std::isfinite(up_[static_cast<size_t>(b)])) {
+        target = up_[static_cast<size_t>(b)];
+        ratio = (target - beta_[static_cast<size_t>(r)]) / -alpha;
+      } else {
+        continue;
+      }
+      ratio = std::max(ratio, 0.0);
+      if (ratio < best_ratio - eps ||
+          (ratio < best_ratio + eps &&
+           (leave < 0 || b < basis_[static_cast<size_t>(leave)]))) {
+        best_ratio = ratio;
+        leave = r;
+        leave_value = target;
+      }
+    }
+    double span =
+        up_[static_cast<size_t>(enter)] - lo_[static_cast<size_t>(enter)];
+    if (leave < 0 && !std::isfinite(span)) return LpStatus::kUnbounded;
+    if (leave < 0 || span <= best_ratio) {
+      // Bound flip: the entering column crosses its box, no basis change.
+      for (const auto& [r, a] : col) {
+        beta_[static_cast<size_t>(r)] -= a * dir * span;
+      }
+      state_[static_cast<size_t>(enter)] = dir > 0 ? kAtUpper : kAtLower;
+      continue;
+    }
+    PivotTo(leave, enter, leave_value, col);
+  }
+  return LpStatus::kIterLimit;
+}
+
+LpStatus Tableau::Dual() {
+  Column col;
+  const double eps = options_.eps;
+  for (int iter = 0; iter < options_.max_iterations; ++iter) {
+    // Leaving row: the largest bound violation (lowest row on ties); under
+    // the anti-cycling fallback, the violated basic column of lowest index.
+    bool bland = iter > 4 * (m_ + n_total_);
+    int leave = -1;
+    double worst = kPrimalTol;
+    double target = 0.0;
+    for (int r = 0; r < m_; ++r) {
+      int b = basis_[static_cast<size_t>(r)];
+      double v = beta_[static_cast<size_t>(r)];
+      double lo = lo_[static_cast<size_t>(b)];
+      double up = up_[static_cast<size_t>(b)];
+      double violation = v < lo ? lo - v : v - up;
+      if (violation <= kPrimalTol) continue;
+      bool take = bland ? (leave < 0 || b < basis_[static_cast<size_t>(leave)])
+                        : violation > worst;
+      if (take) {
+        worst = violation;
+        leave = r;
+        target = v < lo ? lo : up;
+      }
+    }
+    if (leave < 0) return LpStatus::kOptimal;
+
+    // Entering column: the dual ratio test over the leaving row. Moving
+    // nonbasic x_j along its feasible direction changes the leaving value
+    // by -a_j per unit; only columns pushing it toward `target` qualify,
+    // and the smallest |z_j / a_j| keeps every reduced cost dual feasible.
+    double toward = target > beta_[static_cast<size_t>(leave)] ? 1.0 : -1.0;
+    int enter = -1;
+    double best_ratio = kInf;
+    for (const auto& [j, a] : rows_[static_cast<size_t>(leave)]) {
+      const size_t uj = static_cast<size_t>(j);
+      signed char s = state_[uj];
+      if (s == kBasic || lo_[uj] == up_[uj]) continue;
+      double dir = s == kAtLower ? 1.0 : -1.0;
+      if (-a * dir * toward <= eps) continue;
+      double dj = std::max(0.0, dir * z_[uj]);
+      double ratio = dj / std::abs(a);
+      if (ratio < best_ratio - eps) {
+        best_ratio = ratio;
+        enter = j;
+      }
+    }
+    if (enter < 0) return LpStatus::kInfeasible;  // dual unbounded
+    GatherColumn(enter, &col);
+    PivotTo(leave, enter, target, col);
+  }
+  return LpStatus::kIterLimit;
+}
+
+bool Tableau::PrimalFeasible() const {
+  for (int r = 0; r < m_; ++r) {
+    int b = basis_[static_cast<size_t>(r)];
+    double v = beta_[static_cast<size_t>(r)];
+    if (v < lo_[static_cast<size_t>(b)] - kPrimalTol ||
+        v > up_[static_cast<size_t>(b)] + kPrimalTol) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Puts every boxed nonbasic column at the bound its reduced cost
+/// prefers. False if some column unbounded above has a negative reduced
+/// cost: no bound choice makes the basis dual feasible.
+bool Tableau::MakeDualFeasible() {
+  for (int j = 0; j < n_total_; ++j) {
+    signed char s = state_[static_cast<size_t>(j)];
+    double lo = lo_[static_cast<size_t>(j)];
+    double up = up_[static_cast<size_t>(j)];
+    if (s == kBasic || lo == up) continue;
+    double z = z_[static_cast<size_t>(j)];
+    if (s == kAtLower && z < -options_.eps) {
+      if (!std::isfinite(up)) return false;
+      state_[static_cast<size_t>(j)] = kAtUpper;
+      ShiftBasics(j, up - lo);
+    } else if (s == kAtUpper && z > options_.eps) {
+      state_[static_cast<size_t>(j)] = kAtLower;
+      ShiftBasics(j, lo - up);
+    }
+  }
+  return true;
+}
+
+LpStatus Tableau::SolveCold() {
+  if (first_art_ < n_total_) {
+    // Phase 1: minimize the sum of artificials.
+    std::vector<double> phase1(static_cast<size_t>(n_total_), 0.0);
+    for (int j = first_art_; j < n_total_; ++j) {
       phase1[static_cast<size_t>(j)] = 1.0;
     }
-    double obj1 = 0.0;
-    LpStatus s1 = t.Iterate(phase1, &obj1, /*forbid_artificials=*/false);
-    if (s1 == LpStatus::kIterLimit) {
-      LpSolution sol;
-      sol.status = LpStatus::kIterLimit;
-      sol.pivots = wasted_pivots + t.pivots();
-      return sol;
+    ComputeReducedCosts(phase1);
+    LpStatus s1 = Primal();
+    if (s1 == LpStatus::kIterLimit) return s1;
+    double infeasibility = 0.0;
+    for (int r = 0; r < m_; ++r) {
+      if (basis_[static_cast<size_t>(r)] >= first_art_) {
+        infeasibility += beta_[static_cast<size_t>(r)];
+      }
     }
-    if (s1 == LpStatus::kUnbounded || obj1 > 1e-6) {
-      LpSolution sol;
-      sol.status = LpStatus::kInfeasible;
-      sol.pivots = wasted_pivots + t.pivots();
-      return sol;
+    if (s1 == LpStatus::kUnbounded || infeasibility > 1e-6) {
+      return LpStatus::kInfeasible;
     }
-    t.EvictArtificials();
+    // Feasible within tolerance: an artificial still basic carries only
+    // round-off. Zero it, or a later dual pass would chase that residue
+    // in a row it cannot leave and call the LP infeasible.
+    for (int r = 0; r < m_; ++r) {
+      if (basis_[static_cast<size_t>(r)] >= first_art_) {
+        beta_[static_cast<size_t>(r)] = 0.0;
+      }
+    }
+  }
+  // Phase 2: artificials are fixed at zero, so nonbasic ones never
+  // re-enter and basic ones (redundant rows) block any step that would
+  // give them value.
+  for (int j = first_art_; j < n_total_; ++j) up_[static_cast<size_t>(j)] = 0.0;
+  ComputeReducedCosts(cost_);
+  return Primal();
+}
+
+LpStatus Tableau::SolveWarm(const LpBasis& basis) {
+  // Canonical ids -> columns; ids naming nothing in this problem are
+  // ignored (a stale basis only costs pivots).
+  std::vector<char> want(static_cast<size_t>(n_total_), 0);
+  for (int id : basis.basic) {
+    if (id >= 0 && id < n_struct_) {
+      want[static_cast<size_t>(id)] = 1;
+    } else if (id >= n_struct_ && id - n_struct_ < m_) {
+      int c = slack_col_of_row_[static_cast<size_t>(id - n_struct_)];
+      if (c >= 0) want[static_cast<size_t>(c)] = 1;
+    }
+  }
+  for (int v : basis.at_upper) {
+    if (v < 0 || v >= n_struct_ || want[static_cast<size_t>(v)]) continue;
+    double lo = lo_[static_cast<size_t>(v)];
+    double up = up_[static_cast<size_t>(v)];
+    if (std::isfinite(up) && up != lo) {
+      state_[static_cast<size_t>(v)] = kAtUpper;
+      ShiftBasics(v, up - lo);
+    }
   }
 
-  // Phase 2: original objective (artificials forbidden from re-entering).
-  std::vector<double> cost = Phase2Cost(problem, t);
-  double obj = 0.0;
-  LpStatus s2 = t.Iterate(cost, &obj, /*forbid_artificials=*/true);
-  if (s2 != LpStatus::kOptimal) {
-    LpSolution sol;
-    sol.status = s2;
-    sol.pivots = wasted_pivots + t.pivots();
-    return sol;
+  // Crash: each wanted column pivots into the row, among those whose
+  // basic column is unwanted, where its entry is largest (lowest row on
+  // ties). A column with no such entry stays nonbasic. Only wanted
+  // columns enter, so every displaced column is a slack or an
+  // artificial and settles at zero.
+  Column col;
+  for (int c = 0; c < first_art_; ++c) {
+    const size_t uc = static_cast<size_t>(c);
+    if (!want[uc] || state_[uc] == kBasic) continue;
+    GatherColumn(c, &col);
+    int row = -1;
+    double best = kCrashPivotTol;
+    for (const auto& [r, a] : col) {
+      if (want[static_cast<size_t>(basis_[static_cast<size_t>(r)])]) continue;
+      if (std::abs(a) > best) {
+        best = std::abs(a);
+        row = r;
+      }
+    }
+    if (row >= 0) PivotTo(row, c, 0.0, col);
   }
-  LpSolution sol = t.Extract(obj);
-  sol.pivots += wasted_pivots;
+
+  // Artificials are fixed at zero from here on: a basic one carrying
+  // value is a primal infeasibility like any other.
+  for (int j = first_art_; j < n_total_; ++j) up_[static_cast<size_t>(j)] = 0.0;
+  ComputeReducedCosts(cost_);
+  if (PrimalFeasible()) return Primal();
+  if (MakeDualFeasible()) return Reoptimize();
+  return LpStatus::kIterLimit;
+}
+
+void Tableau::SetBounds(int var, double lo, double up) {
+  const size_t v = static_cast<size_t>(var);
+  if (state_[v] == kBasic) {
+    lo_[v] = lo;
+    up_[v] = up;
+    return;
+  }
+  double before = NonbasicValue(var);
+  lo_[v] = lo;
+  up_[v] = up;
+  if (state_[v] == kAtUpper && (!std::isfinite(up) || up == lo)) {
+    state_[v] = kAtLower;
+  }
+  ShiftBasics(var, NonbasicValue(var) - before);
+}
+
+LpStatus Tableau::Reoptimize() {
+  LpStatus s = Dual();
+  if (s != LpStatus::kOptimal) return s;
+  return Primal();
+}
+
+std::vector<double> Tableau::Values() const {
+  std::vector<double> values(static_cast<size_t>(n_struct_));
+  for (int j = 0; j < n_struct_; ++j) {
+    values[static_cast<size_t>(j)] = NonbasicValue(j);
+  }
+  for (int r = 0; r < m_; ++r) {
+    int b = basis_[static_cast<size_t>(r)];
+    if (b < n_struct_) {
+      values[static_cast<size_t>(b)] =
+          std::clamp(beta_[static_cast<size_t>(r)], lo_[static_cast<size_t>(b)],
+                     up_[static_cast<size_t>(b)]);
+    }
+  }
+  return values;
+}
+
+double Tableau::Objective() const {
+  std::vector<double> values = Values();
+  double obj = 0.0;
+  for (int j = 0; j < n_struct_; ++j) {
+    obj += cost_[static_cast<size_t>(j)] * values[static_cast<size_t>(j)];
+  }
+  return obj;
+}
+
+LpBasis Tableau::Basis() const {
+  LpBasis basis;
+  for (int r = 0; r < m_; ++r) {
+    int b = basis_[static_cast<size_t>(r)];
+    if (b < n_struct_) {
+      basis.basic.push_back(b);
+    } else if (b < first_art_) {
+      basis.basic.push_back(n_struct_ +
+                            slack_row_[static_cast<size_t>(b - n_struct_)]);
+    }
+    // else: an artificial basic at zero (redundant row) is not named.
+  }
+  std::sort(basis.basic.begin(), basis.basic.end());
+  for (int j = 0; j < n_struct_; ++j) {
+    if (state_[static_cast<size_t>(j)] == kAtUpper) basis.at_upper.push_back(j);
+  }
+  return basis;
+}
+
+LpSolution Tableau::Solution(LpStatus status) const {
+  LpSolution sol;
+  sol.status = status;
+  sol.pivots = pivots_;
+  if (status != LpStatus::kOptimal) return sol;
+  sol.values = Values();
+  sol.objective = Objective();
+  sol.basis = Basis();
   return sol;
+}
+
+/// dst += f * src over sorted sparse rows; drops |value| <= kDropTol.
+void Tableau::AddScaled(SparseRow& dst, const SparseRow& src, double f) {
+  scratch_.clear();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < dst.size() || j < src.size()) {
+    if (j >= src.size() || (i < dst.size() && dst[i].first < src[j].first)) {
+      scratch_.push_back(dst[i]);
+      ++i;
+    } else if (i >= dst.size() || src[j].first < dst[i].first) {
+      double v = f * src[j].second;
+      if (std::abs(v) > kDropTol) scratch_.emplace_back(src[j].first, v);
+      ++j;
+    } else {
+      double v = dst[i].second + f * src[j].second;
+      if (std::abs(v) > kDropTol) scratch_.emplace_back(dst[i].first, v);
+      ++i;
+      ++j;
+    }
+  }
+  dst.swap(scratch_);
+}
+
+LpSolution SolveLp(const LpProblem& problem, const SimplexOptions& options,
+                   const LpBasis* warm) {
+  LpStatus status;
+  Tableau t = Tableau::Solve(problem, options, warm, &status);
+  return t.Solution(status);
 }
 
 }  // namespace dbdesign

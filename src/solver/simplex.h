@@ -1,23 +1,44 @@
-// Sparse two-phase primal simplex for linear programs.
+// Sparse bounded-variable simplex (primal and dual) for linear programs.
 //
 // CoPhy formulates index selection as a binary integer program and the
 // paper relies on "sophisticated and mature solvers". No external solver
 // is available in this environment, so the repo ships a self-contained
-// LP solver: two-phase primal simplex with Bland's anti-cycling rule.
-// Constraint rows are stored sparsely (sorted column/value pairs), which
-// is what makes thousand-candidate CoPhy instances tractable: atom rows
-// touch a handful of variables each, so pivots cost O(nnz) instead of
-// O(rows x columns).
+// LP solver. Constraint rows of the tableau are stored sparsely (sorted
+// column/value pairs), which is what makes thousand-candidate CoPhy
+// instances tractable: atom rows touch a handful of variables each, so
+// pivots cost O(nnz) instead of O(rows x columns).
 //
-// A solve can additionally export its optimal basis and warm-start a
-// later solve from it (see LpSolution::basis / SolveLp's warm_basis):
-// the per-cluster CoPhy re-solves triggered by one constraint edit are
-// near-identical LPs, and reinstating the previous basis skips most of
-// phase 1/2.
+// Every column carries bounds [lower, upper] (default [0, +inf)). A
+// nonbasic column sits at one of its bounds, so a binary needs no
+// "x <= 1" row and a branch-and-bound fixing is just lower = upper = v.
+//
+// Three ways to reach an optimum:
+//  - Cold: two-phase primal simplex from the slack/artificial basis,
+//    Dantzig pricing with a fall-back to Bland's rule against cycling.
+//  - Warm (the `warm` argument of SolveLp / Tableau::Solve): crash
+//    toward a previous optimal basis, given as a SET of basic columns
+//    plus the set of structurals nonbasic at their upper bound
+//    (LpBasis). Each wanted column pivots into any row whose basic
+//    column is unwanted, at the largest |pivot|. If the crashed basis is
+//    primal feasible, primal phase 2 finishes. Otherwise boxed columns
+//    move to the bound their reduced cost prefers and, if that makes the
+//    basis dual feasible, the dual simplex finishes. Otherwise the solve
+//    falls back to cold. A stale basis costs pivots, never correctness.
+//  - Reoptimization (Tableau::SetBounds + Tableau::Reoptimize): an
+//    optimal tableau stays dual feasible when a bound moves, so the dual
+//    simplex restores primal feasibility in a few pivots. Branch and
+//    bound copies the parent's final tableau, fixes one variable and
+//    reoptimizes; a dual ray proves the child infeasible.
+//
+// Pricing and ratio-test ties break by lowest index, so every solve is
+// deterministic.
 
 #ifndef DBDESIGN_SOLVER_SIMPLEX_H_
 #define DBDESIGN_SOLVER_SIMPLEX_H_
 
+#include <cstddef>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace dbdesign {
@@ -31,14 +52,19 @@ struct LpConstraint {
   double rhs = 0.0;
 };
 
-/// minimize c^T x  subject to constraints, x >= 0.
+/// minimize c^T x  subject to constraints, lower <= x <= upper.
 struct LpProblem {
   int num_vars = 0;
   std::vector<double> objective;  ///< length num_vars
+  std::vector<double> lower;      ///< length num_vars, finite
+  std::vector<double> upper;      ///< length num_vars, may be +inf
   std::vector<LpConstraint> constraints;
 
-  int AddVariable(double cost) {
+  int AddVariable(double cost, double lo = 0.0,
+                  double up = std::numeric_limits<double>::infinity()) {
     objective.push_back(cost);
+    lower.push_back(lo);
+    upper.push_back(up);
     return num_vars++;
   }
   void AddConstraint(LpConstraint c) { constraints.push_back(std::move(c)); }
@@ -46,24 +72,31 @@ struct LpProblem {
 
 enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit };
 
+/// A basis in problem-level terms, so it survives renumbering (the B&B
+/// presolve drops fixed columns) and row reordering. Canonical column
+/// ids: v in [0, num_vars) is structural variable v, num_vars + r is the
+/// slack/surplus of constraint r. Artificials are never named: a row
+/// whose artificial stayed basic (a redundant row) simply contributes no
+/// entry.
+struct LpBasis {
+  std::vector<int> basic;     ///< canonical ids of basic columns, sorted
+  std::vector<int> at_upper;  ///< structurals nonbasic at upper, sorted
+
+  bool empty() const { return basic.empty() && at_upper.empty(); }
+};
+
 struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   double objective = 0.0;
   std::vector<double> values;  ///< length num_vars
 
-  /// Number of simplex pivots performed (both phases, plus any pivots
-  /// spent attempting a warm basis that was then abandoned).
+  /// Number of simplex pivots performed (all phases, plus any pivots
+  /// spent on a warm basis that was then abandoned). Bound flips of a
+  /// boxed entering column are not pivots and are not counted.
   int pivots = 0;
 
-  /// Optimal basis in canonical encoding, one entry per constraint row
-  /// (filled only when status == kOptimal):
-  ///   v in [0, num_vars)      -> structural variable v is basic here
-  ///   num_vars + r            -> the slack/surplus of constraint r
-  ///   -1                      -> an artificial is basic (redundant row)
-  /// The encoding names problem-level objects (variables and rows), not
-  /// tableau columns, so a basis survives being translated through the
-  /// B&B presolve's variable renumbering.
-  std::vector<int> basis;
+  /// Optimal basis (filled only when status == kOptimal).
+  LpBasis basis;
 
   bool optimal() const { return status == LpStatus::kOptimal; }
 };
@@ -73,17 +106,97 @@ struct SimplexOptions {
   double eps = 1e-9;
 };
 
-/// Solves the LP. All variables are implicitly >= 0; upper bounds must be
-/// expressed as constraints.
-///
-/// If `warm_basis` is non-null it must use the canonical encoding above
-/// against this problem's variable/row space. The solver crash-pivots
-/// toward that basis and, when the result is primal feasible, starts
-/// phase 2 from it directly. Any mismatch (wrong size, infeasible basis,
-/// relation changes) silently falls back to a cold two-phase solve, so a
-/// stale basis can cost pivots but never correctness.
+/// The simplex tableau: B^-1 A row-wise over [structural | slack |
+/// artificial] columns, the values of the basic variables, the bound
+/// state of every nonbasic column and the reduced costs. Copyable, so a
+/// branch-and-bound child can start from its parent's final tableau.
+class Tableau {
+ public:
+  /// Builds the slack/artificial starting basis with every structural
+  /// nonbasic at its lower bound.
+  Tableau(const LpProblem& problem, const SimplexOptions& options);
+
+  /// Solves `problem`, from `warm` when that basis yields a verdict and
+  /// cold otherwise; `*status` receives the outcome. Pivots spent on an
+  /// abandoned warm basis are included in the result's pivots().
+  static Tableau Solve(const LpProblem& problem, const SimplexOptions& options,
+                       const LpBasis* warm, LpStatus* status);
+
+  /// Moves structural `var`'s bounds to [lo, up], keeping the basis. A
+  /// nonbasic `var` moves to the bound matching its state. Follow with
+  /// Reoptimize().
+  void SetBounds(int var, double lo, double up);
+
+  /// Dual simplex from a dual feasible basis (an optimal tableau after
+  /// SetBounds), then a primal pass that mops up any dual infeasibility
+  /// left by round-off. kInfeasible means the dual is unbounded;
+  /// kIterLimit means no verdict.
+  LpStatus Reoptimize();
+
+  /// Solution under `status`: values, objective, basis and pivots when
+  /// optimal, just the status and pivots otherwise.
+  LpSolution Solution(LpStatus status) const;
+
+  /// Structural values of the current basic solution, clamped to bounds.
+  std::vector<double> Values() const;
+  /// c^T x over Values().
+  double Objective() const;
+  /// The current basis in canonical encoding.
+  LpBasis Basis() const;
+
+  double lower(int var) const { return lo_[static_cast<size_t>(var)]; }
+  double upper(int var) const { return up_[static_cast<size_t>(var)]; }
+  int pivots() const { return pivots_; }
+
+ private:
+  enum State : signed char { kBasic, kAtLower, kAtUpper };
+  using SparseRow = std::vector<std::pair<int, double>>;
+  using Column = std::vector<std::pair<int, double>>;  ///< (row, value)
+
+  /// Two-phase primal simplex from the starting basis.
+  LpStatus SolveCold();
+
+  /// Crash toward `basis`, then primal phase 2 (primal feasible) or dual
+  /// simplex (dual feasible). Returns kIterLimit without a verdict when
+  /// the crashed basis is neither, or the iteration limit hits: the
+  /// tableau is then spent and the caller must solve cold.
+  LpStatus SolveWarm(const LpBasis& basis);
+
+  double Coef(int r, int c) const;
+  void GatherColumn(int c, Column* col) const;
+  double NonbasicValue(int j) const;
+  void ShiftBasics(int j, double delta);
+  void ComputeReducedCosts(const std::vector<double>& cost);
+  void PivotTo(int leave, int enter, double leave_value, const Column& col);
+  LpStatus Primal();
+  LpStatus Dual();
+  bool PrimalFeasible() const;
+  bool MakeDualFeasible();
+  void AddScaled(SparseRow& dst, const SparseRow& src, double f);
+
+  SimplexOptions options_;
+  int m_ = 0;
+  int n_struct_ = 0;
+  int n_total_ = 0;
+  int first_art_ = 0;
+  int pivots_ = 0;
+  std::vector<SparseRow> rows_;
+  std::vector<double> beta_;          ///< per row: value of its basic column
+  std::vector<int> basis_;            ///< per row: basic column
+  std::vector<double> lo_, up_;       ///< per column bounds
+  std::vector<signed char> state_;    ///< per column State
+  std::vector<double> cost_;          ///< per column phase-2 cost
+  std::vector<double> z_;             ///< per column reduced cost
+  std::vector<int> slack_col_of_row_; ///< per row: its slack column or -1
+  std::vector<int> slack_row_;        ///< per slack column: owning row
+  SparseRow scratch_;                 ///< AddScaled merge buffer
+};
+
+/// Solves the LP. If `warm` is non-null it must use the canonical
+/// encoding (see LpBasis) against this problem's variable/row space; a
+/// basis that does not fit degrades to a cold solve.
 LpSolution SolveLp(const LpProblem& problem, const SimplexOptions& options = {},
-                   const std::vector<int>* warm_basis = nullptr);
+                   const LpBasis* warm = nullptr);
 
 }  // namespace dbdesign
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -561,7 +562,7 @@ TEST(SimplexTest, WarmBasisReproducesOptimumWithFewerPivots) {
   LpSolution cold = SolveLp(p);
   ASSERT_TRUE(cold.optimal());
   ASSERT_GT(cold.pivots, 0);
-  ASSERT_EQ(cold.basis.size(), p.constraints.size());
+  ASSERT_EQ(cold.basis.basic.size(), p.constraints.size());
 
   LpSolution warm = SolveLp(p, {}, &cold.basis);
   ASSERT_TRUE(warm.optimal());
@@ -574,8 +575,9 @@ TEST(SimplexTest, WarmBasisReproducesOptimumWithFewerPivots) {
 
 TEST(SimplexTest, WarmBasisSurvivesRhsPerturbation) {
   // Warm-starting a NEIGHBOR problem (same rows, shifted rhs) must stay
-  // correct: either the basis crash succeeds and phase 2 finishes, or
-  // the solver falls back to a cold solve — both land on the optimum.
+  // correct: the crashed basis finishes by primal phase 2 or by the dual
+  // simplex, or the solver falls back to a cold solve — all land on the
+  // optimum.
   Rng rng(17);
   for (int trial = 0; trial < 20; ++trial) {
     LpProblem p;
@@ -605,6 +607,101 @@ TEST(SimplexTest, WarmBasisSurvivesRhsPerturbation) {
           << "trial " << trial;
     }
   }
+}
+
+TEST(SimplexTest, WarmBasisIsASetNotARowAssignment) {
+  // Equality rows: a cold solve needs phase 1. Warm-starting the optimum
+  // of the same LP with its rows listed in reverse must not: the basis
+  // names a SET of columns, so the crash places each basic structural in
+  // whatever row takes it (the <= rows' slacks start basic) and phase 2
+  // has nothing left to do.
+  LpProblem p;
+  int x = p.AddVariable(2.0);
+  int y = p.AddVariable(3.0);
+  int z = p.AddVariable(1.0);
+  int w = p.AddVariable(4.0);
+  p.AddConstraint(
+      {{{x, 1.0}, {y, 1.0}, {z, 1.0}, {w, 1.0}}, LpRelation::kEq, 10.0});
+  p.AddConstraint({{{x, 1.0}, {w, -1.0}}, LpRelation::kEq, 4.0});
+  p.AddConstraint({{{y, 1.0}, {z, 1.0}}, LpRelation::kLe, 6.0});
+  p.AddConstraint({{{x, 1.0}}, LpRelation::kLe, 7.0});
+  p.AddConstraint({{{x, 1.0}, {w, 1.0}}, LpRelation::kLe, 8.0});
+  LpSolution cold = SolveLp(p);
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_NEAR(cold.objective, 2.0 * 4.0 + 1.0 * 6.0, 1e-9);  // x=4, z=6
+
+  const int m = static_cast<int>(p.constraints.size());
+  LpProblem permuted = p;
+  std::reverse(permuted.constraints.begin(), permuted.constraints.end());
+  LpBasis basis;
+  int basic_structurals = 0;
+  for (int id : cold.basis.basic) {
+    if (id < p.num_vars) {
+      basis.basic.push_back(id);
+      ++basic_structurals;
+    } else {
+      basis.basic.push_back(p.num_vars + (m - 1 - (id - p.num_vars)));
+    }
+  }
+  std::sort(basis.basic.begin(), basis.basic.end());
+  basis.at_upper = cold.basis.at_upper;
+
+  LpSolution warm = SolveLp(permuted, {}, &basis);
+  ASSERT_TRUE(warm.optimal());
+  EXPECT_LE(warm.pivots, basic_structurals);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
+  for (size_t i = 0; i < cold.values.size(); ++i) {
+    EXPECT_NEAR(warm.values[i], cold.values[i], 1e-9) << "var " << i;
+  }
+}
+
+TEST(SimplexTest, WarmBasisKeepsNonbasicAtUpperBound) {
+  // min -3x - 2y - z, x + y + z <= 2.5, x, y in [0, 1]: the optimum has
+  // x and y nonbasic at their upper bound and z basic at 0.5. A warm
+  // start from it must put them back at the bound, not at zero.
+  LpProblem p;
+  int x = p.AddVariable(-3.0, 0.0, 1.0);
+  int y = p.AddVariable(-2.0, 0.0, 1.0);
+  int z = p.AddVariable(-1.0);
+  p.AddConstraint({{{x, 1.0}, {y, 1.0}, {z, 1.0}}, LpRelation::kLe, 2.5});
+  LpSolution cold = SolveLp(p);
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_NEAR(cold.objective, -5.5, 1e-9);
+  ASSERT_EQ(cold.basis.at_upper, (std::vector<int>{x, y}));
+
+  LpSolution warm = SolveLp(p, {}, &cold.basis);
+  ASSERT_TRUE(warm.optimal());
+  EXPECT_EQ(warm.values[static_cast<size_t>(x)], 1.0);
+  EXPECT_EQ(warm.values[static_cast<size_t>(y)], 1.0);
+  EXPECT_NEAR(warm.values[static_cast<size_t>(z)], 0.5, 1e-12);
+  EXPECT_EQ(warm.basis.at_upper, cold.basis.at_upper);
+  EXPECT_LE(warm.pivots, 1);  // z's crash pivot, nothing else
+}
+
+TEST(SimplexTest, DualSimplexReoptimizesAfterBoundChange) {
+  // The optimal tableau of min -x - y, x + y <= 1.5, x, y in [0, 1]
+  // stays dual feasible when a bound moves: fixing x = 1 reoptimizes to
+  // y = 0.5, and then fixing y = 1 as well has no feasible point, which
+  // the dual simplex reports as a dual ray (kInfeasible).
+  LpProblem p;
+  int x = p.AddVariable(-1.0, 0.0, 1.0);
+  int y = p.AddVariable(-1.0, 0.0, 1.0);
+  p.AddConstraint({{{x, 1.0}, {y, 1.0}}, LpRelation::kLe, 1.5});
+  LpStatus status;
+  Tableau t = Tableau::Solve(p, {}, nullptr, &status);
+  ASSERT_EQ(status, LpStatus::kOptimal);
+  EXPECT_NEAR(t.Objective(), -1.5, 1e-12);
+
+  Tableau child = t;
+  child.SetBounds(x, 1.0, 1.0);
+  ASSERT_EQ(child.Reoptimize(), LpStatus::kOptimal);
+  EXPECT_EQ(child.Values()[static_cast<size_t>(x)], 1.0);
+  EXPECT_NEAR(child.Values()[static_cast<size_t>(y)], 0.5, 1e-12);
+  EXPECT_NEAR(child.Objective(), -1.5, 1e-12);
+
+  Tableau grandchild = child;
+  grandchild.SetBounds(y, 1.0, 1.0);
+  EXPECT_EQ(grandchild.Reoptimize(), LpStatus::kInfeasible);
 }
 
 TEST(BnbTest, WarmStartReproducesColdSolve) {
@@ -675,6 +772,162 @@ TEST(BnbTest, WarmIncumbentInconsistentWithFixingsIsDiscarded) {
   EXPECT_TRUE(r.proven_optimal);
   EXPECT_NEAR(r.objective, -10.0, 1e-6);  // {b, c}
   EXPECT_NEAR(r.values[static_cast<size_t>(a)], 0.0, 1e-12);
+}
+
+// --- Differential: B&B against exhaustive enumeration ---
+
+TEST(BnbTest, InfeasibleChildrenProvedByDualRay) {
+  // a + b + c = 1.5 over binaries: the root LP is feasible, every
+  // integral point is not. Each branch reoptimizes from its parent until
+  // a dual ray proves it infeasible; no node falls back to a cold solve.
+  MipProblem mip;
+  for (int i = 0; i < 3; ++i) {
+    mip.lp.AddVariable(1.0 + i);
+    mip.binary_vars.push_back(i);
+  }
+  mip.lp.AddConstraint({{{0, 1.0}, {1, 1.0}, {2, 1.0}}, LpRelation::kEq, 1.5});
+  BnbResult r = SolveBinaryMip(mip);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_GT(r.nodes_explored, 1);
+  EXPECT_EQ(r.node_cold_solves, 0);
+}
+
+/// A random CoPhy-shaped BIP: index variables y, per-query atom
+/// variables x (one per query by an equality row), link rows tying each
+/// atom to the indexes it uses, a storage budget, per-table caps, and
+/// DBA pins and vetoes as fixings. Every variable is binary, so
+/// enumeration over all 2^n assignments is the exact optimum.
+MipProblem RandomCoPhyBip(uint64_t seed) {
+  Rng rng(seed);
+  MipProblem mip;
+  const int num_idx = 2 + static_cast<int>(rng.UniformInt(0, 2));
+  const int num_q = 2 + static_cast<int>(rng.UniformInt(0, 1));
+  std::vector<double> size;
+  std::vector<int> table;
+  for (int i = 0; i < num_idx; ++i) {
+    size.push_back(rng.UniformDouble(50.0, 400.0));
+    table.push_back(static_cast<int>(rng.UniformInt(0, 1)));
+    mip.lp.AddVariable(1e-5 * size.back());
+    mip.binary_vars.push_back(i);
+  }
+  for (int q = 0; q < num_q; ++q) {
+    double base = rng.UniformDouble(80.0, 160.0);
+    double weight = rng.UniformDouble(0.5, 2.0);
+    const int num_atoms = 2 + static_cast<int>(rng.UniformInt(0, 1));
+    // Some queries lack the index-free atom, so they need an index:
+    // with a tight budget or cap, branches run out of feasible points.
+    bool free_atom = rng.Bernoulli(0.7);
+    LpConstraint one;
+    std::vector<std::vector<int>> link(static_cast<size_t>(num_idx));
+    for (int a = 0; a < num_atoms; ++a) {
+      std::vector<int> used;
+      if (a > 0 || !free_atom) {
+        used.push_back(static_cast<int>(rng.UniformInt(0, num_idx - 1)));
+        if (rng.Bernoulli(0.4)) {
+          int other = static_cast<int>(rng.UniformInt(0, num_idx - 1));
+          if (other != used[0]) used.push_back(other);
+        }
+      }
+      double cost = used.empty() ? base : base * rng.UniformDouble(0.2, 0.95);
+      int x = mip.lp.AddVariable(weight * cost);
+      mip.binary_vars.push_back(x);
+      one.terms.emplace_back(x, 1.0);
+      for (int i : used) link[static_cast<size_t>(i)].push_back(x);
+    }
+    one.rel = LpRelation::kEq;
+    one.rhs = 1.0;
+    mip.lp.AddConstraint(std::move(one));
+    for (int i = 0; i < num_idx; ++i) {
+      if (link[static_cast<size_t>(i)].empty()) continue;
+      LpConstraint row;
+      for (int x : link[static_cast<size_t>(i)]) row.terms.emplace_back(x, 1.0);
+      row.terms.emplace_back(i, -1.0);
+      row.rel = LpRelation::kLe;
+      row.rhs = 0.0;
+      mip.lp.AddConstraint(std::move(row));
+    }
+  }
+  double total = 0.0;
+  LpConstraint budget;
+  for (int i = 0; i < num_idx; ++i) {
+    budget.terms.emplace_back(i, size[static_cast<size_t>(i)]);
+    total += size[static_cast<size_t>(i)];
+  }
+  budget.rel = LpRelation::kLe;
+  budget.rhs = total * rng.UniformDouble(0.2, 0.8);
+  mip.lp.AddConstraint(std::move(budget));
+  for (int t = 0; t < 2; ++t) {
+    LpConstraint cap;
+    for (int i = 0; i < num_idx; ++i) {
+      if (table[static_cast<size_t>(i)] == t) cap.terms.emplace_back(i, 1.0);
+    }
+    if (cap.terms.empty()) continue;
+    cap.rel = LpRelation::kLe;
+    cap.rhs = static_cast<double>(rng.UniformInt(1, 2));
+    mip.lp.AddConstraint(std::move(cap));
+  }
+  auto some_index = [&] {
+    return static_cast<int>(rng.UniformInt(0, num_idx - 1));
+  };
+  int pin = rng.Bernoulli(0.3) ? some_index() : -1;
+  int veto = rng.Bernoulli(0.3) ? some_index() : -1;
+  if (pin >= 0) mip.fixed_vars.emplace_back(pin, 1);
+  if (veto >= 0 && veto != pin) mip.fixed_vars.emplace_back(veto, 0);
+  return mip;
+}
+
+bool SatisfiesRows(const MipProblem& mip, const std::vector<double>& x) {
+  for (const LpConstraint& con : mip.lp.constraints) {
+    double lhs = 0.0;
+    for (auto [v, coef] : con.terms) lhs += coef * x[static_cast<size_t>(v)];
+    bool ok = con.rel == LpRelation::kEq   ? std::abs(lhs - con.rhs) < 1e-6
+              : con.rel == LpRelation::kLe ? lhs <= con.rhs + 1e-6
+                                           : lhs >= con.rhs - 1e-6;
+    if (!ok) return false;
+  }
+  for (auto [v, val] : mip.fixed_vars) {
+    if (std::abs(x[static_cast<size_t>(v)] - val) > 1e-9) return false;
+  }
+  return true;
+}
+
+TEST(BnbTest, CoPhyShapedBipsMatchExhaustiveEnumeration) {
+  int branched = 0;
+  int infeasible = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    MipProblem mip = RandomCoPhyBip(seed * 7919);
+    const int n = mip.lp.num_vars;
+    ASSERT_LE(n, 14) << "seed " << seed;
+
+    double best = std::numeric_limits<double>::infinity();
+    std::vector<double> x(static_cast<size_t>(n));
+    for (int mask = 0; mask < (1 << n); ++mask) {
+      for (int v = 0; v < n; ++v) x[static_cast<size_t>(v)] = (mask >> v) & 1;
+      if (!SatisfiesRows(mip, x)) continue;
+      double obj = 0.0;
+      for (int v = 0; v < n; ++v) {
+        const size_t uv = static_cast<size_t>(v);
+        obj += mip.lp.objective[uv] * x[uv];
+      }
+      best = std::min(best, obj);
+    }
+
+    BnbResult r = SolveBinaryMip(mip);
+    EXPECT_EQ(r.node_cold_solves, 0) << "seed " << seed;
+    branched += r.nodes_explored > 1 ? 1 : 0;
+    if (!std::isfinite(best)) {
+      ++infeasible;
+      EXPECT_FALSE(r.feasible) << "seed " << seed;
+      continue;
+    }
+    ASSERT_TRUE(r.feasible) << "seed " << seed;
+    EXPECT_TRUE(r.proven_optimal) << "seed " << seed;
+    EXPECT_NEAR(r.objective, best, 1e-6) << "seed " << seed;
+    EXPECT_TRUE(SatisfiesRows(mip, r.values)) << "seed " << seed;
+  }
+  // The sweep must actually branch, and must include infeasible BIPs.
+  EXPECT_GE(branched, 10);
+  EXPECT_GE(infeasible, 5);
 }
 
 }  // namespace

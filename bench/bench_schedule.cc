@@ -15,15 +15,24 @@
 //       orders and the adversarial reverse, as cumulative-benefit
 //       prefix curves (exported under extra.benefit_curves),
 //   (c) DoI matrix wall time, serial vs multicore (bit-identical
-//       results; speedup exported).
+//       results; speedup exported), and (d) its thread scaling at 1, 2
+//       and 4 threads on a populated model.
+//
+// Gate: the warm-session plan's DoI matrix, clusters and schedule must
+// be bit-identical to the reference path (tests/interaction_reference.h)
+// that prices every DoI sample and greedy trial as an assembled
+// PhysicalDesign; the bench aborts (DBD_CHECK) otherwise.
 
 #include <algorithm>
+#include <string>
 
 #include "backend/inmemory_backend.h"
 #include "bench_common.h"
 #include "core/session.h"
 #include "interaction/doi.h"
 #include "interaction/schedule.h"
+#include "interaction_reference.h"
+#include "util/logging.h"
 
 namespace dbdesign {
 namespace {
@@ -90,6 +99,53 @@ void PrintCurve(const char* name, const MaterializationSchedule& sched) {
   std::printf(" | area %10.1f\n", sched.BenefitArea());
 }
 
+/// The CI gate: recomputes the warm plan's stage on fresh models, once
+/// through the library's entry points (subset pricing; its INUM
+/// reuse/fallback calls are exported as the plan's) and once through
+/// the assembled-design reference, and requires bit-identical results.
+void CheckAgainstReference(Shared& S, const DeploymentPlan& plan,
+                           JsonReporter& reporter) {
+  const DesignConstraints& constraints = S.session.constraints();
+  InumCostModel lib_inum(S.backend);
+  lib_inum.PrepareWorkload(S.class_workload);
+  InumStats before = lib_inum.stats();
+  InteractionAnalyzer lib(lib_inum, S.designer.options().doi);
+  DoiMatrix got = lib.AnalyzeMatrix(S.class_workload, S.recommended);
+  MaterializationSchedule got_schedule = MaterializationScheduler(lib_inum)
+      .Greedy(S.class_workload, S.recommended, constraints);
+  InumStats after = lib_inum.stats();
+
+  auto t0 = std::chrono::steady_clock::now();
+  InumCostModel ref_inum(S.backend);
+  InteractionAnalyzer ref(ref_inum, S.designer.options().doi);
+  DoiMatrix want =
+      reference::Matrix(ref_inum, ref, S.class_workload, S.recommended);
+  MaterializationSchedule want_schedule = reference::Greedy(
+      ref_inum, S.class_workload, S.recommended, constraints);
+  double ref_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+
+  bool identical =
+      got.doi == want.doi && got.contributions == want.contributions &&
+      plan.edges == want.Edges() && plan.clusters == want.Clusters() &&
+      reference::SameSchedule(got_schedule, want_schedule) &&
+      reference::SameSchedule(plan.schedule, want_schedule);
+  uint64_t reuse = after.reuse_calls - before.reuse_calls;
+  uint64_t fallback = after.fallback_calls - before.fallback_calls;
+  std::printf("reference check (assembled designs, %.1f ms): DoI matrix, "
+              "clusters and schedule %s; plan stage = %llu INUM reuse "
+              "calls, %llu fallbacks\n",
+              ref_ms, identical ? "bit-identical" : "MISMATCH",
+              static_cast<unsigned long long>(reuse),
+              static_cast<unsigned long long>(fallback));
+  DBD_CHECK(identical);
+  Json calls = Json::Object();
+  calls["reuse_calls"] = Json::Number(static_cast<double>(reuse));
+  calls["fallback_calls"] = Json::Number(static_cast<double>(fallback));
+  reporter.Extra("deploy_plan_warm_session", std::move(calls));
+}
+
 void RunExperiment(JsonReporter& reporter) {
   Shared& S = shared();
   Header("E5a: deployment planning as a session stage",
@@ -124,6 +180,7 @@ void RunExperiment(JsonReporter& reporter) {
               static_cast<unsigned long long>(plan_pops));
   reporter.Report("deploy_plan_warm_session", plan_ms, 1.0, plan_calls,
                   plan_pops);
+  CheckAgainstReference(S, plan.value(), reporter);
 
   // Replan after a schedule-neutral refine: reuse outright.
   TableId photo = S.db.catalog().FindTable(kPhotoObj);
@@ -283,6 +340,37 @@ void RunExperiment(JsonReporter& reporter) {
   reporter.Report("doi_matrix_serial", serial_ms, 1.0);
   reporter.Report("doi_matrix_multicore", multi_ms,
                   serial_ms / std::max(0.001, multi_ms));
+
+  // --- E5d: thread scaling of the DoI matrix alone ---
+  Header("E5d: DoI matrix thread scaling (populated model)",
+         "the per-query rows shard across the pool; populate excluded, "
+         "median of 5 runs per thread count");
+  double one_thread_ms = 0.0;
+  for (int threads : {1, 2, 4}) {
+    CostParams params;
+    params.num_threads = threads;
+    InMemoryBackend backend(S.db, params);
+    InumCostModel inum(backend);
+    inum.PrepareWorkload(S.class_workload);
+    InteractionAnalyzer analyzer(inum);
+    std::vector<double> times;
+    for (int rep = 0; rep < 5; ++rep) {
+      t0 = std::chrono::steady_clock::now();
+      DoiMatrix m = analyzer.AnalyzeMatrix(S.class_workload, S.recommended);
+      times.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+      DBD_CHECK(m.doi == m1.doi);
+    }
+    std::sort(times.begin(), times.end());
+    double median = times[times.size() / 2];
+    if (threads == 1) one_thread_ms = median;
+    double speedup = one_thread_ms / std::max(0.001, median);
+    std::printf("%d thread(s): %.2f ms (min %.2f, max %.2f), %.2fx\n",
+                threads, median, times.front(), times.back(), speedup);
+    reporter.Report("doi_matrix_warm_threads_" + std::to_string(threads),
+                    median, speedup);
+  }
 }
 
 void BM_GreedySchedule(benchmark::State& state) {

@@ -743,7 +743,7 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
     }
   }
   plan.edges = matrix.Edges();
-  plan.clusters = matrix.Clusters();
+  plan.clusters = ClustersFromEdges(matrix.num_indexes, plan.edges);
 
   std::vector<double> weights;
   weights.reserve(classes.size());

@@ -11,64 +11,57 @@ namespace dbdesign {
 
 namespace {
 
-PhysicalDesign DesignFrom(const std::vector<IndexDef>& indexes,
-                          const std::vector<int>& members) {
-  PhysicalDesign d;
-  for (int i : members) d.AddIndex(indexes[static_cast<size_t>(i)]);
-  return d;
-}
-
-/// The four costed configurations of one sampled X for a pair (a, b):
-/// X, X∪{a}, X∪{b}, X∪{a,b}. Query-independent — built once per pair
-/// and shared read-only across the per-query workers.
-struct SampleDesigns {
-  PhysicalDesign dx;
-  PhysicalDesign dxa;
-  PhysicalDesign dxb;
-  PhysicalDesign dxab;
-};
-
-SampleDesigns BuildSampleDesigns(const std::vector<IndexDef>& indexes, int a,
-                                 int b, const std::vector<int>& x) {
-  SampleDesigns d;
-  d.dx = DesignFrom(indexes, x);
-  d.dxa = d.dx;
-  d.dxa.AddIndex(indexes[static_cast<size_t>(a)]);
-  d.dxb = d.dx;
-  d.dxb.AddIndex(indexes[static_cast<size_t>(b)]);
-  d.dxab = d.dxb;
-  d.dxab.AddIndex(indexes[static_cast<size_t>(a)]);
-  return d;
-}
-
 /// One query's worst-case interaction over one pair's samples,
-/// normalized by `base` (the query's empty-design cost).
-double WorstInteraction(InumCostModel& inum, const BoundQuery& query,
-                        const std::vector<SampleDesigns>& samples,
-                        double base, InumStats* stats) {
+/// normalized by `base` (the query's empty-design cost). `members` is
+/// all zeros on entry and on exit; each sample X is priced as X,
+/// X∪{a}, X∪{b}, X∪{a,b}, in that order.
+double WorstInteraction(InumCostModel::SubsetPricer& pricer, int a, int b,
+                        const std::vector<std::vector<int>>& samples,
+                        double base, std::vector<uint8_t>& members) {
+  uint8_t& in_a = members[static_cast<size_t>(a)];
+  uint8_t& in_b = members[static_cast<size_t>(b)];
   double worst = 0.0;
-  for (const SampleDesigns& d : samples) {
-    double benefit_without_b = inum.CostCached(query, d.dx, stats) -
-                               inum.CostCached(query, d.dxa, stats);
-    double benefit_with_b = inum.CostCached(query, d.dxb, stats) -
-                            inum.CostCached(query, d.dxab, stats);
+  for (const std::vector<int>& x : samples) {
+    for (int i : x) members[static_cast<size_t>(i)] = 1;
+    double cx = pricer.Cost(members);
+    in_a = 1;
+    double cxa = pricer.Cost(members);
+    in_a = 0;
+    in_b = 1;
+    double cxb = pricer.Cost(members);
+    in_a = 1;
+    double cxab = pricer.Cost(members);
+    in_a = 0;
+    in_b = 0;
+    for (int i : x) members[static_cast<size_t>(i)] = 0;
+    double benefit_without_b = cx - cxa;
+    double benefit_with_b = cxb - cxab;
     worst = std::max(worst,
                      std::abs(benefit_without_b - benefit_with_b) / base);
   }
   return worst;
 }
 
-/// One query's unweighted contribution row (all pairs), priced purely
-/// from the populated cache; reuse counters land in `stats`.
+/// One query's unweighted contribution row (all pairs, PairIndex
+/// order), priced purely from the populated cache; reuse counters land
+/// in `stats`.
 std::vector<double> QueryRow(
     InumCostModel& inum, const BoundQuery& query,
-    const std::vector<std::vector<SampleDesigns>>& pair_samples,
+    const std::vector<IndexDef>& indexes,
+    const std::vector<std::vector<std::vector<int>>>& pair_samples,
     InumStats* stats) {
   std::vector<double> row(pair_samples.size(), 0.0);
-  double base = inum.CostCached(query, PhysicalDesign{}, stats);
+  InumCostModel::SubsetPricer pricer =
+      inum.BindSubsets(query, indexes, stats);
+  std::vector<uint8_t> members(indexes.size(), 0);
+  double base = pricer.Cost(members);
   if (base <= 0) return row;
-  for (size_t p = 0; p < pair_samples.size(); ++p) {
-    row[p] = WorstInteraction(inum, query, pair_samples[p], base, stats);
+  int n = static_cast<int>(indexes.size());
+  size_t p = 0;
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b, ++p) {
+      row[p] = WorstInteraction(pricer, a, b, pair_samples[p], base, members);
+    }
   }
   return row;
 }
@@ -188,20 +181,14 @@ std::vector<std::vector<double>> InteractionAnalyzer::ContributionRows(
     const std::vector<IndexDef>& indexes) {
   inum_->PrepareQueries(
       std::span<const BoundQuery>(queries.data(), queries.size()));
-  // Sample configurations and their costed designs depend only on the
-  // pair, not the query: build them once, share them read-only.
+  // Sample configurations depend only on the pair, not the query: draw
+  // them once, share them read-only.
   int n = static_cast<int>(indexes.size());
-  std::vector<std::vector<SampleDesigns>> pair_samples;
+  std::vector<std::vector<std::vector<int>>> pair_samples;
   pair_samples.reserve(static_cast<size_t>(n) * (static_cast<size_t>(n) - 1) /
                        2);
   for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      std::vector<SampleDesigns> samples;
-      for (const std::vector<int>& x : PairSamples(n, a, b)) {
-        samples.push_back(BuildSampleDesigns(indexes, a, b, x));
-      }
-      pair_samples.push_back(std::move(samples));
-    }
+    for (int b = a + 1; b < n; ++b) pair_samples.push_back(PairSamples(n, a, b));
   }
   // Shard by query: one worker owns a query's cache memos end to end
   // (the engine's ownership model), each writing its own pre-sized row —
@@ -217,7 +204,7 @@ std::vector<std::vector<double>> InteractionAnalyzer::ContributionRows(
   ThreadPool::Shared().ParallelFor(
       dedup.distinct.size(), threads, [&](size_t u) {
         per_distinct[u] = QueryRow(*inum_, queries[dedup.distinct[u]],
-                                   pair_samples, &deltas[u]);
+                                   indexes, pair_samples, &deltas[u]);
       });
   for (const InumStats& delta : deltas) inum_->AccumulateStats(delta);
 
@@ -268,19 +255,18 @@ double InteractionAnalyzer::PairDoi(const Workload& workload,
   if (a > b) std::swap(a, b);
   inum_->PrepareWorkload(workload);
   int n = static_cast<int>(indexes.size());
-  std::vector<SampleDesigns> samples;
-  for (const std::vector<int>& x : PairSamples(n, a, b)) {
-    samples.push_back(BuildSampleDesigns(indexes, a, b, x));
-  }
+  std::vector<std::vector<int>> samples = PairSamples(n, a, b);
 
   InumStats stats;
+  std::vector<uint8_t> members(indexes.size(), 0);
   double total = 0.0;
   for (size_t qi = 0; qi < workload.size(); ++qi) {
-    const BoundQuery& q = workload.queries[qi];
-    double base = inum_->CostCached(q, PhysicalDesign{}, &stats);
+    InumCostModel::SubsetPricer pricer =
+        inum_->BindSubsets(workload.queries[qi], indexes, &stats);
+    double base = pricer.Cost(members);
     if (base <= 0) continue;
     total += workload.WeightOf(qi) *
-             WorstInteraction(*inum_, q, samples, base, &stats);
+             WorstInteraction(pricer, a, b, samples, base, members);
   }
   inum_->AccumulateStats(stats);
   return total;

@@ -10,8 +10,10 @@
 // maximization over X is exponential; following the paper's stability
 // observation we sample structured subsets (empty, singletons, the full
 // remainder, plus random subsets) — INUM makes the 4 cost calls per
-// sample cheap, and every cost here is a cached-atom reprice
-// (InumCostModel::CostCached): once the workload is populated, a full
+// sample cheap. Each query is bound once to the candidate list
+// (InumCostModel::BindSubsets), and every sample is a subset reprice of
+// that binding — a minimum over the cached plans with no per-call
+// hashing or design assembly: once the workload is populated, a full
 // DoI matrix makes ZERO backend optimizer calls.
 //
 // Hard properties (tested in properties_test):
@@ -153,13 +155,14 @@ class InteractionAnalyzer {
   double SoloBenefit(const Workload& workload,
                      const std::vector<IndexDef>& indexes, int a);
 
- private:
-  /// The sampled configurations X ⊆ S∖{a,b} for one (canonical) pair.
-  /// Depends only on (n, a, b, options) — query-independent, so the
-  /// matrix entry points build each pair's sample designs once and
-  /// share them read-only across the per-query workers.
+  /// The sampled configurations X ⊆ S∖{a,b} (positions into the
+  /// candidate list) for one (canonical, a < b) pair. Depends only on
+  /// (n, a, b, options) — query-independent, so the matrix entry points
+  /// draw each pair's samples once and share them read-only across the
+  /// per-query workers.
   std::vector<std::vector<int>> PairSamples(int n, int a, int b) const;
 
+ private:
   InumCostModel* inum_;
   DoiOptions options_;
 };

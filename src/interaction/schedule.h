@@ -18,7 +18,13 @@
 // schedule ever exceeds the budget.
 //
 // Every cost below is an INUM cached-atom reprice: scheduling a warm
-// workload makes zero backend optimizer calls.
+// workload makes zero backend optimizer calls. Each structurally
+// distinct query is bound once to the index list
+// (InumCostModel::BindSubsets), and every greedy trial and schedule
+// step prices a membership subset of it, reduced in workload order
+// exactly like InumCostModel::WorkloadCost — so a trial's cost is
+// bit-identical to WorkloadCost of the assembled design, without
+// assembling one.
 
 #ifndef DBDESIGN_INTERACTION_SCHEDULE_H_
 #define DBDESIGN_INTERACTION_SCHEDULE_H_
@@ -91,22 +97,6 @@ class MaterializationScheduler {
       const Workload& workload, const std::vector<IndexDef>& indexes);
 
  private:
-  /// Materializes `order` into a schedule under the (possibly
-  /// unconstrained) budget, then re-derives final_cost from a freshly
-  /// assembled design — the invariant that the incremental bookkeeping
-  /// matches a from-scratch evaluation of the full design.
-  MaterializationSchedule Build(const Workload& workload,
-                                const std::vector<IndexDef>& indexes,
-                                const std::vector<int>& order,
-                                const DesignConstraints& constraints);
-
-  /// Greedy benefit-rate ordering of `candidates` given `built`;
-  /// appends chosen positions to `order` and updates built/current.
-  void GreedyPhase(const Workload& workload,
-                   const std::vector<IndexDef>& indexes,
-                   std::vector<int> candidates, PhysicalDesign* built,
-                   double* current, std::vector<int>* order);
-
   InumCostModel* inum_;
 };
 

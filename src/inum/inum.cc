@@ -293,7 +293,8 @@ InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
   DBD_LOG_DEBUG(StrFormat("INUM populated %zu plans for query", plans.size()));
 
   // Assemble the reuse-side acceleration structures: the distinct order
-  // requirements per slot and each plan's requirement index.
+  // requirements per slot and each plan's requirement index, and the
+  // distinct lookups and each INLJ term's lookup group.
   BuiltCache built;
   built.combos = combos.size();
   QueryCache& qc = built.qc;
@@ -315,6 +316,18 @@ InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
         reqs.push_back(sig.order);
       }
       plan.order_req[static_cast<size_t>(s)] = found;
+    }
+    for (CachedPlan::InljTerm& term : plan.inlj_terms) {
+      auto& groups = qc.lookup_groups;
+      auto it = std::find_if(groups.begin(), groups.end(),
+                             [&](const LookupGroup& g) {
+                               return g.slot == term.slot &&
+                                      g.col == term.inner_col;
+                             });
+      if (it == groups.end()) {
+        it = groups.insert(groups.end(), LookupGroup{term.slot, term.inner_col});
+      }
+      term.group = static_cast<int>(it - groups.begin());
     }
   }
   return built;
@@ -399,99 +412,87 @@ uint64_t PartitionHash(const PhysicalDesign& design, TableId t) {
   return h;
 }
 
+/// The one fallback-and-counter policy behind every costing entry
+/// point: one reuse call per priced design; the exact optimizer answers
+/// when the query is not reusable (force_exact, over-wide, unpopulated)
+/// or when no cached plan is usable under the design.
+template <typename Reuse, typename Exact>
+double ReuseOrExact(InumStats* stats, bool reusable, Reuse&& reuse,
+                    Exact&& exact) {
+  if (!reusable) {
+    ++stats->fallback_calls;
+    return exact();
+  }
+  ++stats->reuse_calls;
+  double cost = reuse();
+  if (std::isfinite(cost)) return cost;
+  ++stats->fallback_calls;
+  return exact();
+}
+
 }  // namespace
 
-double InumCostModel::ReuseCost(const BoundQuery& query, QueryCache& qc,
-                                const PhysicalDesign& design) {
-  PlannerContext ctx = optimizer_.MakeContext(query, design);
-  int n = query.num_slots();
-  using Kind = SlotSignature::Kind;
+double InumCostModel::SeqPrice(QueryCache& qc, const PlannerContext& ctx,
+                               int slot, uint64_t partition_hash) {
+  uint64_t key =
+      MixHash(partition_hash ^ (static_cast<uint64_t>(slot) + 0x51ULL));
+  auto [it, inserted] = qc.seq_memo.try_emplace(key, 0.0);
+  if (inserted) it->second = CostSeqLeaf(ctx, slot);
+  return it->second;
+}
 
-  // Per-slot leaf prices under this design, via the query's leaf memo.
-  // slot_any[s] = cheapest unordered leaf; slot_order[s][k] = cheapest
-  // leaf delivering order requirement k. Fixed-size scratch: at most 16
-  // slots and 16 order requirements per slot (enforced at populate).
-  double slot_any[16];
-  double slot_order[16][16];
-  for (int s = 0; s < n; ++s) {
-    TableId t = query.tables[s];
-    uint64_t ph = PartitionHash(design, t);
-
-    uint64_t seq_key = MixHash(ph ^ (static_cast<uint64_t>(s) + 0x51ULL));
-    auto [seq_it, seq_new] = qc.seq_memo.try_emplace(seq_key, 0.0);
-    if (seq_new) seq_it->second = CostSeqLeaf(ctx, s);
-
-    double any = seq_it->second;
-    double* order_min = slot_order[s];
-    size_t num_orders = qc.slot_orders[static_cast<size_t>(s)].size();
-    for (size_t k = 0; k < num_orders; ++k) order_min[k] = kInf;
-
-    auto [first, last] = design.IndexRange(t);
-    for (const IndexDef* idx = first; idx != last; ++idx) {
-      uint64_t lkey =
-          MixHash(IndexHash(*idx) ^ ph ^ (static_cast<uint64_t>(s) << 32));
-      auto [it, inserted] = qc.leaf_memo.try_emplace(lkey);
-      if (inserted) {
-        IndexLeafCost lc = CostIndexLeaf(ctx, s, *idx);
-        it->second.scan_cost = lc.scan_cost;
-        it->second.index_only_cost = lc.index_only_cost;
-        it->second.satisfies_mask = 0;
-        const auto& reqs = qc.slot_orders[static_cast<size_t>(s)];
-        for (size_t k = 0; k < reqs.size(); ++k) {
-          if (OrderSatisfies(lc.order, reqs[k])) {
-            it->second.satisfies_mask |= uint32_t{1} << k;
-          }
-        }
-      }
-      const LeafEntry& e = it->second;
-      double best = std::min(e.scan_cost, e.index_only_cost);
-      if (best < any) any = best;
-      uint32_t mask = e.satisfies_mask;
-      while (mask != 0) {
-        int k = std::countr_zero(mask);
-        mask &= mask - 1;
-        if (best < order_min[static_cast<size_t>(k)]) {
-          order_min[static_cast<size_t>(k)] = best;
-        }
+const InumCostModel::LeafEntry& InumCostModel::LeafPrice(
+    QueryCache& qc, const PlannerContext& ctx, int slot,
+    const IndexDef& index, uint64_t partition_hash) {
+  uint64_t key = MixHash(IndexHash(index) ^ partition_hash ^
+                         (static_cast<uint64_t>(slot) << 32));
+  auto [it, inserted] = qc.leaf_memo.try_emplace(key);
+  if (inserted) {
+    IndexLeafCost lc = CostIndexLeaf(ctx, slot, index);
+    it->second.scan_cost = lc.scan_cost;
+    it->second.index_only_cost = lc.index_only_cost;
+    it->second.satisfies_mask = 0;
+    const auto& reqs = qc.slot_orders[static_cast<size_t>(slot)];
+    for (size_t k = 0; k < reqs.size(); ++k) {
+      if (OrderSatisfies(lc.order, reqs[k])) {
+        it->second.satisfies_mask |= uint32_t{1} << k;
       }
     }
-    slot_any[s] = any;
   }
+  return it->second;
+}
 
-  // Parameterized lookup price per (slot, column) under this design.
-  auto param_cost = [&](int s, const BoundColumn& col) {
-    TableId t = query.tables[s];
-    double best = kInf;
-    auto [first, last] = design.IndexRange(t);
-    for (const IndexDef* idx = first; idx != last; ++idx) {
-      uint64_t pkey =
-          MixHash(IndexHash(*idx) ^
-                  (static_cast<uint64_t>(col.column) + 7) ^
-                  (static_cast<uint64_t>(s) << 48));
-      auto [it, inserted] = qc.param_memo.try_emplace(pkey, kInf);
-      if (inserted) {
-        auto lk = CostIndexParamLookup(ctx, s, col, *idx);
-        if (lk.has_value()) it->second = lk->per_lookup.total;
-      }
-      best = std::min(best, it->second);
-    }
-    return best;
-  };
+double InumCostModel::LookupPrice(QueryCache& qc, const PlannerContext& ctx,
+                                  int slot, const BoundColumn& col,
+                                  const IndexDef& index) {
+  uint64_t key = MixHash(IndexHash(index) ^
+                         (static_cast<uint64_t>(col.column) + 7) ^
+                         (static_cast<uint64_t>(slot) << 48));
+  auto [it, inserted] = qc.param_memo.try_emplace(key, kInf);
+  if (inserted) {
+    auto lk = CostIndexParamLookup(ctx, slot, col, index);
+    if (lk.has_value()) it->second = lk->per_lookup.total;
+  }
+  return it->second;
+}
 
+template <typename TermPrice>
+double InumCostModel::PlanMinimum(const QueryCache& qc, int num_slots,
+                                  const LeafPrices& leaves,
+                                  TermPrice&& term_price) {
+  using Kind = SlotSignature::Kind;
   double best = kInf;
   for (const CachedPlan& plan : qc.plans) {
     double cost = plan.internal_cost;
     bool usable = true;
-    for (int s = 0; s < n && usable; ++s) {
+    for (int s = 0; s < num_slots && usable; ++s) {
       const SlotSignature& sig = plan.slots[static_cast<size_t>(s)];
       switch (sig.kind) {
         case Kind::kAny:
-          cost += slot_any[s];
+          cost += leaves.any[s];
           break;
         case Kind::kOrdered: {
-          double leaf = slot_order[static_cast<size_t>(s)]
-                                  [static_cast<size_t>(
-                                      plan.order_req[static_cast<size_t>(s)])];
+          double leaf = leaves.order[s][plan.order_req[static_cast<size_t>(s)]];
           if (!std::isfinite(leaf)) {
             usable = false;
           } else {
@@ -505,7 +506,7 @@ double InumCostModel::ReuseCost(const BoundQuery& query, QueryCache& qc,
     }
     if (!usable) continue;
     for (const CachedPlan::InljTerm& term : plan.inlj_terms) {
-      double lk = param_cost(term.slot, term.inner_col);
+      double lk = term_price(term);
       if (!std::isfinite(lk)) {
         usable = false;
         break;
@@ -515,6 +516,49 @@ double InumCostModel::ReuseCost(const BoundQuery& query, QueryCache& qc,
     if (usable && cost < best) best = cost;
   }
   return best;
+}
+
+double InumCostModel::ReuseCost(const BoundQuery& query, QueryCache& qc,
+                                const PhysicalDesign& design) {
+  PlannerContext ctx = optimizer_.MakeContext(query, design);
+  int n = query.num_slots();
+
+  // Per-slot leaf prices under this design, via the query's leaf memo.
+  LeafPrices leaves;
+  for (int s = 0; s < n; ++s) {
+    TableId t = query.tables[s];
+    uint64_t ph = PartitionHash(design, t);
+    double any = SeqPrice(qc, ctx, s, ph);
+    double* order_min = leaves.order[s];
+    size_t num_orders = qc.slot_orders[static_cast<size_t>(s)].size();
+    for (size_t k = 0; k < num_orders; ++k) order_min[k] = kInf;
+
+    auto [first, last] = design.IndexRange(t);
+    for (const IndexDef* idx = first; idx != last; ++idx) {
+      const LeafEntry& e = LeafPrice(qc, ctx, s, *idx, ph);
+      double best = std::min(e.scan_cost, e.index_only_cost);
+      if (best < any) any = best;
+      uint32_t mask = e.satisfies_mask;
+      while (mask != 0) {
+        int k = std::countr_zero(mask);
+        mask &= mask - 1;
+        if (best < order_min[k]) order_min[k] = best;
+      }
+    }
+    leaves.any[s] = any;
+  }
+
+  // Parameterized lookup price per INLJ term: the design's cheapest
+  // index on the term's table for the term's inner column.
+  return PlanMinimum(qc, n, leaves, [&](const CachedPlan::InljTerm& term) {
+    double best = kInf;
+    auto [first, last] = design.IndexRange(query.tables[term.slot]);
+    for (const IndexDef* idx = first; idx != last; ++idx) {
+      best = std::min(best,
+                      LookupPrice(qc, ctx, term.slot, term.inner_col, *idx));
+    }
+    return best;
+  });
 }
 
 double InumCostModel::ExactCost(const BoundQuery& query,
@@ -530,23 +574,21 @@ double InumCostModel::ExactCost(const BoundQuery& query,
   return cost.value();
 }
 
+double InumCostModel::CostResolved(const BoundQuery& query, QueryCache* qc,
+                                   const PhysicalDesign& design,
+                                   InumStats* stats) {
+  return ReuseOrExact(
+      stats, qc != nullptr, [&] { return ReuseCost(query, *qc, design); },
+      [&] { return ExactCost(query, design); });
+}
+
 double InumCostModel::Cost(const BoundQuery& query,
                            const PhysicalDesign& design) {
-  if (options_.force_exact || query.num_slots() > 16) {
-    // force_exact routes everything to the backend; num_slots is the
-    // reuse scratch capacity (never hit by the engine, which caps FROM
-    // lists well below this). Either way: answer exactly.
-    ++stats_.fallback_calls;
-    return ExactCost(query, design);
-  }
-  QueryCache& qc = Populate(query);
-  ++stats_.reuse_calls;
-  double cost = ReuseCost(query, qc, design);
-  if (!std::isfinite(cost)) {
-    ++stats_.fallback_calls;
-    return ExactCost(query, design);
-  }
-  return cost;
+  // force_exact routes everything to the backend; kMaxReuseSlots is the
+  // reuse scratch capacity (never hit by the engine, which caps FROM
+  // lists well below this). Either way: answer exactly, unpopulated.
+  QueryCache* qc = ReuseEligible(query) ? &Populate(query) : nullptr;
+  return CostResolved(query, qc, design, &stats_);
 }
 
 Result<double> InumCostModel::TryCost(const BoundQuery& query,
@@ -558,34 +600,6 @@ Result<double> InumCostModel::TryCost(const BoundQuery& query,
   }
 }
 
-double InumCostModel::CostCached(const BoundQuery& query,
-                                 const PhysicalDesign& design,
-                                 InumStats* stats) {
-  return CostPrepared(query, design, stats);
-}
-
-double InumCostModel::CostPrepared(const BoundQuery& query,
-                                   const PhysicalDesign& design,
-                                   InumStats* stats) {
-  if (options_.force_exact || query.num_slots() > 16) {
-    ++stats->fallback_calls;
-    return ExactCost(query, design);
-  }
-  auto it = cache_.find(query.StructuralHash());
-  if (it == cache_.end()) {
-    // Callers populate first; an unseen query still answers correctly.
-    ++stats->fallback_calls;
-    return ExactCost(query, design);
-  }
-  ++stats->reuse_calls;
-  double cost = ReuseCost(query, it->second, design);
-  if (!std::isfinite(cost)) {
-    ++stats->fallback_calls;
-    return ExactCost(query, design);
-  }
-  return cost;
-}
-
 std::vector<std::vector<double>> InumCostModel::CostMatrix(
     const Workload& workload, std::span<const PhysicalDesign> designs) {
   // Shard by query: distinct queries (first-seen order) are the work
@@ -595,15 +609,24 @@ std::vector<std::vector<double>> InumCostModel::CostMatrix(
       workload.queries.data(), workload.queries.size()));
   const std::vector<size_t>& distinct = dedup.distinct;
 
-  // Populate reuse-eligible caches up front (parallel inside).
+  // Populate reuse-eligible caches up front (parallel inside), then
+  // resolve each distinct query's cache once for every design (map
+  // nodes are stable, so the pointers survive later insertions).
+  std::vector<uint64_t> keys(distinct.size(), 0);
   std::vector<const BoundQuery*> to_prepare;
-  for (size_t u : distinct) {
-    const BoundQuery& q = workload.queries[u];
-    if (q.num_slots() <= 16 && cache_.find(q.StructuralHash()) == cache_.end()) {
-      to_prepare.push_back(&q);
-    }
+  for (size_t u = 0; u < distinct.size(); ++u) {
+    const BoundQuery& q = workload.queries[distinct[u]];
+    if (q.num_slots() > kMaxReuseSlots) continue;
+    keys[u] = q.StructuralHash();
+    if (cache_.find(keys[u]) == cache_.end()) to_prepare.push_back(&q);
   }
   PreparePtrs(to_prepare);
+  std::vector<QueryCache*> caches(distinct.size(), nullptr);
+  for (size_t u = 0; u < distinct.size(); ++u) {
+    if (!ReuseEligible(workload.queries[distinct[u]])) continue;
+    auto it = cache_.find(keys[u]);
+    if (it != cache_.end()) caches[u] = &it->second;
+  }
 
   std::vector<std::vector<double>> per_distinct(
       designs.size(), std::vector<double>(distinct.size(), 0.0));
@@ -612,13 +635,10 @@ std::vector<std::vector<double>> InumCostModel::CostMatrix(
   ThreadPool::Shared().ParallelFor(distinct.size(), threads, [&](size_t u) {
     const BoundQuery& q = workload.queries[distinct[u]];
     for (size_t d = 0; d < designs.size(); ++d) {
-      per_distinct[d][u] = CostPrepared(q, designs[d], &deltas[u]);
+      per_distinct[d][u] = CostResolved(q, caches[u], designs[d], &deltas[u]);
     }
   });
-  for (const InumStats& delta : deltas) {
-    stats_.reuse_calls += delta.reuse_calls;
-    stats_.fallback_calls += delta.fallback_calls;
-  }
+  for (const InumStats& delta : deltas) AccumulateStats(delta);
 
   std::vector<std::vector<double>> out(
       designs.size(), std::vector<double>(workload.size(), 0.0));
@@ -634,6 +654,104 @@ double InumCostModel::WorkloadCost(const Workload& workload,
                                    const PhysicalDesign& design) {
   return workload.WeightedTotal(
       CostMatrix(workload, std::span<const PhysicalDesign>(&design, 1))[0]);
+}
+
+InumCostModel::SubsetPricer InumCostModel::BindSubsets(
+    const BoundQuery& query, std::span<const IndexDef> indexes,
+    InumStats* stats) {
+  SubsetPricer p;
+  p.model_ = this;
+  p.query_ = &query;
+  p.indexes_ = indexes;
+  p.stats_ = stats != nullptr ? stats : &stats_;
+  if (!ReuseEligible(query)) return p;
+  auto hit = cache_.find(query.StructuralHash());
+  if (hit == cache_.end()) return p;
+  QueryCache& qc = hit->second;
+  p.qc_ = &qc;
+
+  // Index-only designs leave every table unpartitioned: partition hash
+  // 0 and an empty design behind the planner context.
+  PhysicalDesign empty;
+  PlannerContext ctx = optimizer_.MakeContext(query, empty);
+  int n = query.num_slots();
+  p.seq_.resize(static_cast<size_t>(n));
+  p.leaf_begin_.push_back(0);
+  for (int s = 0; s < n; ++s) {
+    p.seq_[static_cast<size_t>(s)] = SeqPrice(qc, ctx, s, 0);
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (indexes[i].table != query.tables[s]) continue;
+      const LeafEntry& e = LeafPrice(qc, ctx, s, indexes[i], 0);
+      double best = std::min(e.scan_cost, e.index_only_cost);
+      // An unusable leaf (+inf) never lowers a minimum: drop it.
+      if (best < kInf) p.leaves_.push_back({i, best, e.satisfies_mask});
+    }
+    p.leaf_begin_.push_back(p.leaves_.size());
+  }
+  p.lookup_begin_.push_back(0);
+  for (const LookupGroup& g : qc.lookup_groups) {
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (indexes[i].table != query.tables[g.slot]) continue;
+      double price = LookupPrice(qc, ctx, g.slot, g.col, indexes[i]);
+      if (price < kInf) p.lookups_.push_back({i, price});
+    }
+    p.lookup_begin_.push_back(p.lookups_.size());
+  }
+  p.group_price_.resize(qc.lookup_groups.size());
+  return p;
+}
+
+double InumCostModel::SubsetPricer::Cost(std::span<const uint8_t> members) {
+  DBD_DCHECK_EQ(members.size(), indexes_.size());
+  return ReuseOrExact(
+      stats_, qc_ != nullptr,
+      [&] {
+        LeafPrices leaves;
+        int n = static_cast<int>(seq_.size());
+        for (int s = 0; s < n; ++s) {
+          double any = seq_[static_cast<size_t>(s)];
+          double* order_min = leaves.order[s];
+          size_t num_orders = qc_->slot_orders[static_cast<size_t>(s)].size();
+          for (size_t k = 0; k < num_orders; ++k) order_min[k] = kInf;
+          for (size_t l = leaf_begin_[static_cast<size_t>(s)];
+               l < leaf_begin_[static_cast<size_t>(s) + 1]; ++l) {
+            const Leaf& leaf = leaves_[l];
+            if (members[leaf.pos] == 0) continue;
+            if (leaf.best < any) any = leaf.best;
+            uint32_t mask = leaf.satisfies_mask;
+            while (mask != 0) {
+              int k = std::countr_zero(mask);
+              mask &= mask - 1;
+              if (leaf.best < order_min[k]) order_min[k] = leaf.best;
+            }
+          }
+          leaves.any[s] = any;
+        }
+        for (size_t g = 0; g < group_price_.size(); ++g) {
+          double best = kInf;
+          for (size_t l = lookup_begin_[g]; l < lookup_begin_[g + 1]; ++l) {
+            if (members[lookups_[l].pos] != 0) {
+              best = std::min(best, lookups_[l].price);
+            }
+          }
+          group_price_[g] = best;
+        }
+        return PlanMinimum(*qc_, n, leaves,
+                           [this](const CachedPlan::InljTerm& term) {
+                             return group_price_[static_cast<size_t>(
+                                 term.group)];
+                           });
+      },
+      [&] { return model_->ExactCost(*query_, Assemble(members)); });
+}
+
+PhysicalDesign InumCostModel::SubsetPricer::Assemble(
+    std::span<const uint8_t> members) const {
+  PhysicalDesign design;
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    if (members[i] != 0) design.AddIndex(indexes_[i]);
+  }
+  return design;
 }
 
 }  // namespace dbdesign

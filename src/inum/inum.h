@@ -105,21 +105,29 @@ class InumCostModel {
   std::vector<std::vector<double>> CostMatrix(
       const Workload& workload, std::span<const PhysicalDesign> designs);
 
-  /// Cached-atom costing: prices `query` under `design` purely from the
-  /// already-populated plan cache (leaf repricing only — no backend
-  /// optimizer calls, no new populations for cached queries; an unseen
-  /// query falls back to the exact optimizer). Reuse/fallback counters
-  /// accumulate into caller-owned `stats` instead of the model's, so
-  /// parallel drivers (the interaction analyzer's DoI matrix, the cost
-  /// matrix) keep shard-local counters and merge them deterministically
-  /// via AccumulateStats. Thread-compatibility contract matches the rest
-  /// of the engine: concurrent callers must shard by query (one worker
-  /// owns a query's leaf memos end to end).
-  double CostCached(const BoundQuery& query, const PhysicalDesign& design,
-                    InumStats* stats);
+  /// Prices one populated query under subsets of a fixed index list
+  /// (defined below the class).
+  class SubsetPricer;
 
-  /// Merges shard-local reuse/fallback counters gathered around
-  /// CostCached back into stats() (populate/cache counters are owned by
+  /// Binds `query` to the index list `indexes` for subset pricing. The
+  /// query's cache is resolved once and every listed index's leaf and
+  /// lookup price is read through the memos once, so each later
+  /// SubsetPricer::Cost is a plain minimum over the cached plans: no
+  /// hashing, no design assembly, no backend optimizer calls. The query
+  /// must already be populated (an unseen one prices every subset
+  /// through the exact optimizer, like any fallback). Reuse/fallback
+  /// counters go to `stats` when given — shard-local counters for
+  /// parallel drivers such as the DoI matrix, merged afterwards with
+  /// AccumulateStats — else to stats(). `query` and `indexes` must
+  /// outlive the pricer. Thread-compatibility matches CostMatrix:
+  /// concurrent binders must shard by query (one worker owns a query's
+  /// leaf memos end to end).
+  SubsetPricer BindSubsets(const BoundQuery& query,
+                           std::span<const IndexDef> indexes,
+                           InumStats* stats = nullptr);
+
+  /// Merges shard-local reuse/fallback counters gathered by subset
+  /// pricers back into stats() (populate/cache counters are owned by
   /// the model itself and ignored here).
   void AccumulateStats(const InumStats& delta) {
     stats_.reuse_calls += delta.reuse_calls;
@@ -162,11 +170,14 @@ class InumCostModel {
     /// Per slot: index into the query's order-requirement list when the
     /// signature is kOrdered, -1 otherwise (reuse-path acceleration).
     std::vector<int> order_req;
-    /// Index-nested-loop contributions: (slot, inner col, outer rows).
+    /// Index-nested-loop contributions: (slot, inner col, outer rows),
+    /// plus the term's position in the query's lookup-group list (the
+    /// distinct (slot, inner col) pairs — reuse-path acceleration).
     struct InljTerm {
       int slot;
       BoundColumn inner_col;
       double outer_rows;
+      int group = -1;
     };
     std::vector<InljTerm> inlj_terms;
   };
@@ -175,6 +186,11 @@ class InumCostModel {
   const std::vector<CachedPlan>* CachedPlansFor(const BoundQuery& query) const;
 
  private:
+  /// Reuse scratch capacity: slots per query and order requirements per
+  /// slot (a query wider than kMaxReuseSlots always prices exactly).
+  static constexpr int kMaxReuseSlots = 16;
+  static constexpr int kMaxSlotOrders = 16;
+
   /// Memoized leaf price of one index for one slot: the best scan cost
   /// plus a bitmask of which of the query's order requirements the
   /// index satisfies. Keyed by (slot, index key, partition fingerprint),
@@ -184,6 +200,13 @@ class InumCostModel {
     double scan_cost = 0.0;        ///< plain index scan (may be +inf)
     double index_only_cost = 0.0;  ///< covering scan (may be +inf)
     uint32_t satisfies_mask = 0;   ///< bit k: provides slot order-req k
+  };
+
+  /// One distinct parameterized lookup of a query: the (slot, inner
+  /// join column) its INLJ terms probe.
+  struct LookupGroup {
+    int slot;
+    BoundColumn col;
   };
 
   /// Everything cached for one query.
@@ -197,6 +220,9 @@ class InumCostModel {
     /// Distinct kOrdered requirements per slot, in first-seen order
     /// (indexes into satisfies_mask bits).
     std::vector<std::vector<std::vector<BoundColumn>>> slot_orders;
+    /// Distinct lookups over all plans' INLJ terms, in first-seen order
+    /// (InljTerm::group indexes into it).
+    std::vector<LookupGroup> lookup_groups;
     /// mix(slot, index hash, partition hash) -> leaf price.
     std::unordered_map<uint64_t, LeafEntry> leaf_memo;
     /// mix(slot, partition hash) -> sequential scan price.
@@ -204,6 +230,15 @@ class InumCostModel {
     /// mix(slot, lookup column, index hash) -> per-probe lookup price
     /// (+inf = index unusable for that lookup).
     std::unordered_map<uint64_t, double> param_memo;
+  };
+
+  /// One design's per-slot leaf prices: any[s] = cheapest unordered
+  /// leaf, order[s][k] = cheapest leaf delivering order requirement k.
+  /// Hot-path scratch: each call fills only the query's slots and order
+  /// requirements, and PlanMinimum reads nothing else.
+  struct LeafPrices {
+    double any[kMaxReuseSlots];
+    double order[kMaxReuseSlots][kMaxSlotOrders];
   };
 
   /// A fully built (but not yet inserted) query cache.
@@ -221,16 +256,40 @@ class InumCostModel {
 
   QueryCache& Populate(const BoundQuery& query);
   void PreparePtrs(const std::vector<const BoundQuery*>& missing);
+  /// Whether `query` may be priced from its plan cache at all.
+  bool ReuseEligible(const BoundQuery& query) const {
+    return !options_.force_exact && query.num_slots() <= kMaxReuseSlots;
+  }
   /// Exact-optimizer fallback: backend failures throw StatusException
   /// instead of returning a +inf sentinel cost.
   double ExactCost(const BoundQuery& query, const PhysicalDesign& design);
   double ReuseCost(const BoundQuery& query, QueryCache& qc,
                    const PhysicalDesign& design);
-  /// Reuse-or-fallback costing against an already populated cache;
+  /// Reuse-or-fallback costing against a resolved cache (`qc` null: not
+  /// reuse-eligible or not populated, so the answer is exact);
   /// reuse/fallback counters accumulate into `stats` (shard-local in
   /// parallel runs, merged afterwards).
-  double CostPrepared(const BoundQuery& query, const PhysicalDesign& design,
-                      InumStats* stats);
+  double CostResolved(const BoundQuery& query, QueryCache* qc,
+                      const PhysicalDesign& design, InumStats* stats);
+
+  /// Memoized leaf and lookup prices (partition hash 0 = the table is
+  /// unpartitioned, as in every index-only design).
+  static double SeqPrice(QueryCache& qc, const PlannerContext& ctx, int slot,
+                         uint64_t partition_hash);
+  static const LeafEntry& LeafPrice(QueryCache& qc, const PlannerContext& ctx,
+                                    int slot, const IndexDef& index,
+                                    uint64_t partition_hash);
+  static double LookupPrice(QueryCache& qc, const PlannerContext& ctx,
+                            int slot, const BoundColumn& col,
+                            const IndexDef& index);
+
+  /// The reuse minimum shared by ReuseCost and SubsetPricer: min over
+  /// the cached plans of internal cost + leaf prices + INLJ lookups,
+  /// where `term_price(term)` is the design's per-probe price of one
+  /// INLJ term. +inf when no cached plan is usable.
+  template <typename TermPrice>
+  static double PlanMinimum(const QueryCache& qc, int num_slots,
+                            const LeafPrices& leaves, TermPrice&& term_price);
 
   DbmsBackend* backend_;
   CostParams params_;
@@ -239,6 +298,52 @@ class InumCostModel {
   Optimizer optimizer_;  // all knobs enabled; used for abstract DP runs
   std::unordered_map<uint64_t, QueryCache> cache_;
   InumStats stats_;
+};
+
+/// One query bound to a fixed index list (InumCostModel::BindSubsets).
+/// Binding reads every listed index's leaf entry per slot and its lookup
+/// price per lookup group; Cost then only takes minima over the members
+/// of a subset. Every subset counts one reuse call and falls back to the
+/// exact optimizer on the assembled design exactly where
+/// InumCostModel::Cost would (force_exact, an over-wide or unpopulated
+/// query, no usable cached plan), so results and counters match
+/// costing the assembled design through the model bit for bit.
+class InumCostModel::SubsetPricer {
+ public:
+  /// Cost of the query under the design of the listed indexes whose
+  /// `members` entry is nonzero (one entry per listed index, any list
+  /// length). Allocation-free unless it falls back.
+  double Cost(std::span<const uint8_t> members);
+
+ private:
+  friend class InumCostModel;
+
+  /// A listed index usable by one slot: its best scan price and the
+  /// slot order requirements it satisfies.
+  struct Leaf {
+    size_t pos;
+    double best;
+    uint32_t satisfies_mask;
+  };
+  /// A listed index usable for one lookup group, with its probe price.
+  struct Lookup {
+    size_t pos;
+    double price;
+  };
+
+  PhysicalDesign Assemble(std::span<const uint8_t> members) const;
+
+  InumCostModel* model_ = nullptr;
+  const BoundQuery* query_ = nullptr;
+  std::span<const IndexDef> indexes_;
+  InumStats* stats_ = nullptr;
+  const QueryCache* qc_ = nullptr;    ///< null: every subset prices exactly
+  std::vector<double> seq_;           ///< per slot
+  std::vector<Leaf> leaves_;          ///< grouped by slot
+  std::vector<size_t> leaf_begin_;    ///< slot s: [begin[s], begin[s+1])
+  std::vector<Lookup> lookups_;       ///< grouped by lookup group
+  std::vector<size_t> lookup_begin_;  ///< group g: [begin[g], begin[g+1])
+  std::vector<double> group_price_;   ///< Cost scratch, one per group
 };
 
 }  // namespace dbdesign

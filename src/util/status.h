@@ -200,8 +200,8 @@ struct DegradedResult {
 ///
 /// Contract: these engine-layer entry points propagate it when a
 /// backend call on their exact-costing fallback path fails:
-///   * InumCostModel: Cost, WorkloadCost, CostMatrix, CostCached
-///     (TryCost is the converting form);
+///   * InumCostModel: Cost, WorkloadCost, CostMatrix, and
+///     SubsetPricer::Cost (TryCost is the converting form);
 ///   * InteractionAnalyzer: Analyze, AnalyzeMatrix, ContributionRows
 ///     (TryContributionRows is the converting form);
 ///   * MaterializationScheduler: Greedy.

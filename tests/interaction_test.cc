@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "backend/inmemory_backend.h"
 #include "interaction/doi.h"
 #include "interaction/graph.h"
 #include "interaction/schedule.h"
+#include "interaction_reference.h"
 #include "sql/binder.h"
 #include "workload/queries.h"
 #include "workload/sdss.h"
@@ -349,6 +351,124 @@ TEST_F(InteractionTest, JsonExportIsWellFormed) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// The library prices DoI samples and greedy trials as subsets of a
+// bound index list; the reference prices every one as an assembled
+// PhysicalDesign through InumCostModel::Cost / WorkloadCost. Every row,
+// pair, edge, cluster and step must agree bit for bit.
+TEST_F(InteractionTest, SubsetPricedDoiMatchesAssembledDesignReference) {
+  Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 12, 95);
+  w.Add(Q("SELECT p.objid, s.z FROM specobj s JOIN photoobj p "
+          "ON s.bestobjid = p.objid WHERE s.z BETWEEN 2.8 AND 3.0"));
+  w.Add(Q("SELECT objid, ra FROM photoobj WHERE ra BETWEEN 100 AND 104 "
+          "ORDER BY ra"));
+  std::vector<IndexDef> indexes = {
+      Idx("photoobj", {"ra", "dec"}),  Idx("photoobj", {"ra"}),
+      Idx("photoobj", {"objid"}),      Idx("photoobj", {"run", "camcol"}),
+      Idx("photoobj", {"type"}),       Idx("specobj", {"bestobjid"}),
+      Idx("specobj", {"z"}),           Idx("specobj", {"z", "bestobjid"}),
+      Idx("photoobj", {"ra"}),  // duplicate entry
+  };
+  InumCostModel lib_inum(*backend_);
+  InumCostModel ref_inum(*backend_);
+  InteractionAnalyzer lib(lib_inum);
+  InteractionAnalyzer ref(ref_inum);
+
+  DoiMatrix got = lib.AnalyzeMatrix(w, indexes);
+  DoiMatrix want = reference::Matrix(ref_inum, ref, w, indexes);
+  EXPECT_EQ(got.contributions, want.contributions);
+  EXPECT_EQ(got.doi, want.doi);
+  EXPECT_EQ(got.Edges(), want.Edges());
+  EXPECT_EQ(got.Clusters(), want.Clusters());
+  // The matrix is not trivially zero: some pairs interact.
+  EXPECT_FALSE(got.Edges().empty());
+
+  int n = static_cast<int>(indexes.size());
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; b += 3) {
+      EXPECT_EQ(lib.PairDoi(w, indexes, a, b),
+                reference::PairDoi(ref_inum, ref, w, indexes, a, b))
+          << a << "," << b;
+    }
+  }
+}
+
+TEST_F(InteractionTest, SubsetPricedGreedyMatchesAssembledDesignReference) {
+  Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 12, 97);
+  w.Add(Q("SELECT run, COUNT(*) FROM photoobj GROUP BY run"));
+  std::vector<IndexDef> indexes = {
+      Idx("photoobj", {"ra", "dec"}),
+      Idx("photoobj", {"ra"}),
+      Idx("photoobj", {"run", "camcol", "field"}),
+      Idx("photoobj", {"objid"}),
+      Idx("specobj", {"bestobjid"}),
+      Idx("specobj", {"z"}),
+      Idx("photoobj", {"type"}),
+  };
+  InumCostModel lib_inum(*backend_);
+  InumCostModel ref_inum(*backend_);
+  MaterializationScheduler scheduler(lib_inum);
+
+  MaterializationSchedule all = scheduler.Greedy(w, indexes);
+  ASSERT_EQ(all.steps.size(), indexes.size());
+  std::vector<DesignConstraints> cases(4);
+  cases[1].Pin(indexes[2]);
+  cases[1].Pin(indexes[5]);
+  cases[2].Veto(indexes[0]);
+  cases[2].Veto(indexes[4]);
+  // Binding budget: room for about half the builds, plus a pin and a
+  // veto on top.
+  cases[3].storage_budget_pages = all.steps[3].cumulative_pages;
+  cases[3].Pin(indexes[6]);
+  cases[3].Veto(indexes[1]);
+  for (size_t k = 0; k < cases.size(); ++k) {
+    MaterializationSchedule got = scheduler.Greedy(w, indexes, cases[k]);
+    MaterializationSchedule want =
+        reference::Greedy(ref_inum, w, indexes, cases[k]);
+    EXPECT_TRUE(reference::SameSchedule(got, want)) << "case " << k;
+    EXPECT_EQ(got.steps.back().cost_after, got.final_cost) << "case " << k;
+  }
+  MaterializationSchedule capped = scheduler.Greedy(w, indexes, cases[3]);
+  EXPECT_LT(capped.steps.size(), indexes.size() - 1);  // the budget binds
+}
+
+TEST_F(InteractionTest, SubsetPricingMatchesReferenceBeyond64Indexes) {
+  // Membership is a byte per listed index: a list longer than 64 prices
+  // exactly like the assembled designs.
+  Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 6, 99);
+  const Catalog& catalog = db_->catalog();
+  std::vector<IndexDef> indexes;
+  for (TableId t = 0; t < catalog.num_tables(); ++t) {
+    for (ColumnId c = 0; c < catalog.table(t).num_columns(); ++c) {
+      indexes.push_back(IndexDef{t, {c}, false});
+    }
+  }
+  TableId photo = catalog.FindTable(kPhotoObj);
+  for (ColumnId c = 0; c + 1 < catalog.table(photo).num_columns(); ++c) {
+    indexes.push_back(IndexDef{photo, {c, c + 1}, false});
+  }
+  ASSERT_GT(indexes.size(), 64u);
+  int n = static_cast<int>(indexes.size());
+
+  InumCostModel lib_inum(*backend_);
+  InumCostModel ref_inum(*backend_);
+  InteractionAnalyzer lib(lib_inum);
+  InteractionAnalyzer ref(ref_inum);
+  for (auto [a, b] :
+       {std::pair{0, n - 1}, std::pair{3, 65}, std::pair{64, n - 2}}) {
+    EXPECT_EQ(lib.PairDoi(w, indexes, a, b),
+              reference::PairDoi(ref_inum, ref, w, indexes, a, b))
+        << a << "," << b;
+  }
+
+  DesignConstraints c;
+  c.Pin(indexes[static_cast<size_t>(n - 1)]);
+  c.Veto(indexes[70]);
+  MaterializationScheduler scheduler(lib_inum);
+  EXPECT_TRUE(reference::SameSchedule(
+      scheduler.Greedy(w, indexes, c),
+      reference::Greedy(ref_inum, w, indexes, c)));
 }
 
 }  // namespace

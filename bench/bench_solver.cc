@@ -27,8 +27,11 @@
 // Writes BENCH_solver.json; decomposed rows carry their speedup over
 // the monolithic solve of the same universe. extra.node_cold_solves
 // records, per op, the B&B node LPs that could not reoptimize from their
-// parent's tableau by dual simplex and were solved from scratch; every
-// one of them must be 0 (DBD_CHECK-enforced).
+// parent's tableau by dual simplex and were solved from scratch.
+// extra.solver records, per op, the simplex pivots (lp_pivots) and the
+// root LPs whose warm basis gave no verdict and were solved cold
+// (root_warm_fallbacks). Both failure counts must be 0 on every op
+// (DBD_CHECK-enforced).
 
 #include <algorithm>
 #include <cstdio>
@@ -198,9 +201,14 @@ void RunSolverScaling(JsonReporter& reporter) {
               "--------------------\n");
 
   Json cold_solves = Json::Object();
-  auto record_cold = [&](const std::string& op, const SolveRow& row) {
+  Json pivots = Json::Object();
+  Json warm_fallbacks = Json::Object();
+  auto record_counts = [&](const std::string& op, const SolveRow& row) {
     cold_solves[op] = Json::Number(row.rec.node_cold_solves);
+    pivots[op] = Json::Number(row.rec.lp_pivots);
+    warm_fallbacks[op] = Json::Number(row.rec.root_warm_fallbacks);
     DBD_CHECK_EQ(row.rec.node_cold_solves, 0);
+    DBD_CHECK_EQ(row.rec.root_warm_fallbacks, 0);
   };
   for (int n : {50, 200, 1000, 4000}) {
     CoPhyPrepared prep = MakePrepared(db, n);
@@ -237,14 +245,19 @@ void RunSolverScaling(JsonReporter& reporter) {
     reporter.Report("monolithic" + suffix, mono.ms, 1.0);
     reporter.Report("decomposed" + suffix, decomp.ms, speedup);
     reporter.Report("decomposed_warm" + suffix, warm.ms, warm_speedup);
-    record_cold("monolithic" + suffix, mono);
-    record_cold("decomposed" + suffix, decomp);
-    record_cold("decomposed_warm" + suffix, warm);
-    record_cold("monolithic_veto" + suffix, mono_veto);
+    record_counts("monolithic" + suffix, mono);
+    record_counts("decomposed" + suffix, decomp);
+    record_counts("decomposed_warm" + suffix, warm);
+    record_counts("monolithic_veto" + suffix, mono_veto);
   }
   reporter.Extra("node_cold_solves", std::move(cold_solves));
+  Json solver = Json::Object();
+  solver["lp_pivots"] = std::move(pivots);
+  solver["root_warm_fallbacks"] = std::move(warm_fallbacks);
+  reporter.Extra("solver", std::move(solver));
   std::printf("\nall decomposed optima bit-identical to monolithic, no B&B "
-              "node solved from scratch [DBD_CHECK-enforced]\n");
+              "node and no warm root solved from scratch "
+              "[DBD_CHECK-enforced]\n");
 }
 
 void BM_DecomposedSolve(benchmark::State& state) {

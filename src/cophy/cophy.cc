@@ -531,22 +531,31 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   // the chosen indexes plus each row's cheapest compatible atom. With
   // all rows this mirrors the monolithic MIP objective; with a cluster's
   // rows and a chosen set inside the cluster it mirrors the cluster
-  // subproblem's objective — both paths price incumbents with it.
+  // subproblem's objective — both paths price incumbents with it. It
+  // runs at every B&B node, so membership is a marker allocated once
+  // here (the solve is serial), set from the chosen set and cleared from
+  // it again: a call costs O(|chosen| + atoms), never O(candidates).
+  std::vector<char> in_chosen(candidates.size(), 0);
   auto complete_rows = [&](const std::set<int>& chosen_set,
                            const std::vector<int>& row_subset) {
     double obj = 0.0;
     for (int i : chosen_set) {
       obj += kTieBreakPerPage * candidates[static_cast<size_t>(i)].size_pages;
+      in_chosen[static_cast<size_t>(i)] = 1;
     }
+    auto compatible = [&](const CoPhyAtom& a) {
+      return std::all_of(a.used.begin(), a.used.end(), [&](int i) {
+        return in_chosen[static_cast<size_t>(i)] != 0;
+      });
+    };
     for (int q : row_subset) {
       double best = std::numeric_limits<double>::infinity();
       for (const CoPhyAtom& a : atoms(static_cast<size_t>(q))) {
-        bool ok = true;
-        for (int i : a.used) ok &= chosen_set.count(i) > 0;
-        if (ok) best = std::min(best, a.cost);
+        if (compatible(a)) best = std::min(best, a.cost);
       }
       obj += prepared.weights[static_cast<size_t>(q)] * best;
     }
+    for (int i : chosen_set) in_chosen[static_cast<size_t>(i)] = 0;
     return obj;
   };
 
@@ -908,6 +917,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         rec.bnb_nodes += bnb.nodes_explored;
         rec.lp_pivots += bnb.lp_pivots;
         rec.node_cold_solves += bnb.node_cold_solves;
+        rec.root_warm_fallbacks += bnb.root_warm_fallbacks;
         rec.solve_time_sec += bnb.solve_time_sec;
         rec.num_variables += static_cast<size_t>(sub.lp.num_vars);
         rec.num_constraints += sub.lp.constraints.size();
@@ -1299,6 +1309,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
       rec.bnb_nodes += bnb.nodes_explored;
       rec.lp_pivots += bnb.lp_pivots;
       rec.node_cold_solves += bnb.node_cold_solves;
+      rec.root_warm_fallbacks += bnb.root_warm_fallbacks;
       rec.solve_time_sec += bnb.solve_time_sec;
       rec.proven_optimal = bnb.proven_optimal;
       solver_lower = bnb.lower_bound;

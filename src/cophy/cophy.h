@@ -103,6 +103,9 @@ struct IndexRecommendation {
   /// B&B node LPs solved from scratch because the dual simplex could not
   /// reoptimize them from the parent (see BnbResult::node_cold_solves).
   int node_cold_solves = 0;
+  /// Root LPs whose warm basis gave no verdict and were solved cold (see
+  /// BnbResult::root_warm_fallbacks).
+  int root_warm_fallbacks = 0;
 
   /// Set when this recommendation was served from cached session state
   /// because the backend was down (see util/status.h). A degraded

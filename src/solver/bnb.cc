@@ -268,6 +268,7 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
       red.lp, options.simplex, warm_basis.empty() ? nullptr : &warm_basis,
       &root_status));
   result.lp_pivots += root_tableau->pivots();
+  result.root_warm_fallbacks = root_tableau->warm_fell_back() ? 1 : 0;
   if (root_status == LpStatus::kInfeasible) {
     result.lower_bound = std::numeric_limits<double>::infinity();
     result.solve_time_sec = Now() - t0;
@@ -395,8 +396,10 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
   }
   result.solve_time_sec = Now() - t0;
   DBD_LOG_DEBUG(StrFormat(
-      "B&B: %d nodes, %d pivots, %d cold nodes, obj=%.3f bound=%.3f gap=%.4f",
+      "B&B: %d nodes, %d pivots, %d cold nodes, %d root warm fallbacks, "
+      "obj=%.3f bound=%.3f gap=%.4f",
       result.nodes_explored, result.lp_pivots, result.node_cold_solves,
+      result.root_warm_fallbacks,
       result.objective, result.lower_bound, result.gap()));
   return result;
 }

@@ -10,10 +10,14 @@
 // column that needs it). A fully-fixed problem solves without a single
 // pivot. Binaries carry the bound [0, 1] on their column, not as rows.
 //
-// Below the root, no LP is built from scratch: each child copies its
-// parent's final tableau, fixes the branching variable (lower = upper =
-// 0 or 1) and reoptimizes by dual simplex, typically in a few pivots. A
-// dual ray proves the child infeasible.
+// The root LP solves warm when the caller passes a previous root basis:
+// the crash toward it finishes by primal phase 2 or by a cost-shifted
+// dual simplex (see simplex.h), so only the iteration limit sends it to
+// a cold solve (BnbResult::root_warm_fallbacks). Below the root, no LP
+// is built from scratch: each child copies its parent's final tableau,
+// fixes the branching variable (lower = upper = 0 or 1) and reoptimizes
+// by dual simplex, typically in a few pivots. A dual ray proves the
+// child infeasible.
 
 #ifndef DBDESIGN_SOLVER_BNB_H_
 #define DBDESIGN_SOLVER_BNB_H_
@@ -63,7 +67,7 @@ struct BnbOptions {
 ///    problem's own variables and rows, i.e. a previous
 ///    BnbResult::root_basis for a problem with the same rows; the
 ///    fixings may differ; columns they eliminate are dropped from it. A
-///    stale basis degrades to a cold solve, never to a wrong answer.
+///    stale basis costs extra pivots, never a wrong answer.
 ///  - `values`/`objective` seed the initial incumbent and are trusted
 ///    verbatim, exactly like a PrimalHeuristic result: the caller must
 ///    guarantee feasibility. Entries for fixed_vars are cross-checked
@@ -87,6 +91,9 @@ struct BnbResult {
   /// dual simplex gave up, a numerical failure) and were solved from
   /// scratch instead.
   int node_cold_solves = 0;
+  /// Root LPs whose warm basis gave no verdict (the iteration limit) and
+  /// were then solved cold; 0 or 1 per solve.
+  int root_warm_fallbacks = 0;
 
   /// Canonical basis of the root relaxation (see BnbWarmStart::basis);
   /// feed back as a warm start for the next solve of a near-identical

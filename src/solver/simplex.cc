@@ -1,6 +1,7 @@
 #include "solver/simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -116,6 +117,24 @@ Tableau::Tableau(const LpProblem& p, const SimplexOptions& options)
     }
     state_[static_cast<size_t>(basis_[static_cast<size_t>(r)])] = kBasic;
   }
+
+  // The column pattern costs ceil(m / 64) words per column. It is kept
+  // only if that is no more than the rows' own storage, so a tableau
+  // stays O(nnz); without it a gather scans every row.
+  size_t nnz = 0;
+  for (const SparseRow& row : rows_) nnz += row.size();
+  size_t words = static_cast<size_t>((m_ + 63) / 64) *
+                 static_cast<size_t>(n_total_);
+  if (words * sizeof(uint64_t) <= nnz * sizeof(SparseRow::value_type)) {
+    col_words_ = (m_ + 63) / 64;
+    col_bits_.assign(words, 0);
+    for (int r = 0; r < m_; ++r) {
+      const uint64_t bit = uint64_t{1} << (r % 64);
+      for (const auto& [c, v] : rows_[static_cast<size_t>(r)]) {
+        col_bits_[ColumnWordAt(c) + static_cast<size_t>(r / 64)] |= bit;
+      }
+    }
+  }
 }
 
 Tableau Tableau::Solve(const LpProblem& problem, const SimplexOptions& options,
@@ -133,6 +152,7 @@ Tableau Tableau::Solve(const LpProblem& problem, const SimplexOptions& options,
   Tableau t(problem, options);
   *status = t.SolveCold();
   t.pivots_ += wasted_pivots;
+  t.warm_fell_back_ = warm != nullptr && !warm->empty();
   return t;
 }
 
@@ -144,12 +164,42 @@ double Tableau::Coef(int r, int c) const {
   return (it != row.end() && it->first == c) ? it->second : 0.0;
 }
 
+template <typename F>
+void Tableau::ForEachInColumn(int c, F&& f) const {
+  if (col_words_ == 0) {
+    for (int r = 0; r < m_; ++r) {
+      double v = Coef(r, c);
+      if (v != 0.0) f(r, v);
+    }
+    return;
+  }
+  const uint64_t* words = col_bits_.data() + ColumnWordAt(c);
+  for (int w = 0; w < col_words_; ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      int r = w * 64 + std::countr_zero(bits);
+      double v = Coef(r, c);
+      if (v != 0.0) f(r, v);
+    }
+  }
+}
+
 void Tableau::GatherColumn(int c, Column* col) const {
   col->clear();
+  ForEachInColumn(c, [col](int r, double v) { col->emplace_back(r, v); });
+  DBD_DCHECK(ColumnMatchesRowScan(c, *col));
+}
+
+/// The column pattern's invariant: `col` is exactly what a scan of every
+/// row finds for column c, in row order.
+bool Tableau::ColumnMatchesRowScan(int c, const Column& col) const {
+  size_t k = 0;
   for (int r = 0; r < m_; ++r) {
     double v = Coef(r, c);
-    if (v != 0.0) col->emplace_back(r, v);
+    if (v == 0.0) continue;
+    if (k == col.size() || col[k] != std::make_pair(r, v)) return false;
+    ++k;
   }
+  return k == col.size();
 }
 
 double Tableau::NonbasicValue(int j) const {
@@ -161,10 +211,9 @@ double Tableau::NonbasicValue(int j) const {
 /// Nonbasic column j moved by `delta`: every basic value absorbs it.
 void Tableau::ShiftBasics(int j, double delta) {
   if (delta == 0.0) return;
-  for (int r = 0; r < m_; ++r) {
-    double a = Coef(r, j);
-    if (a != 0.0) beta_[static_cast<size_t>(r)] -= a * delta;
-  }
+  ForEachInColumn(j, [this, delta](int r, double a) {
+    beta_[static_cast<size_t>(r)] -= a * delta;
+  });
 }
 
 void Tableau::ComputeReducedCosts(const std::vector<double>& cost) {
@@ -211,7 +260,7 @@ void Tableau::PivotTo(int leave, int enter, double leave_value,
   }
   for (const auto& [r, a] : col) {
     if (r == leave || std::abs(a) < kDropTol) continue;
-    AddScaled(rows_[static_cast<size_t>(r)], prow, -a);
+    AddScaled(r, prow, -a);
   }
   double zf = z_[static_cast<size_t>(enter)];
   if (std::abs(zf) > kDropTol) {
@@ -361,9 +410,12 @@ bool Tableau::PrimalFeasible() const {
 }
 
 /// Puts every boxed nonbasic column at the bound its reduced cost
-/// prefers. False if some column unbounded above has a negative reduced
-/// cost: no bound choice makes the basis dual feasible.
+/// prefers. A column unbounded above with a negative reduced cost has no
+/// such bound: its cost is shifted so that the reduced cost is zero.
+/// Returns whether any cost was shifted; the basis is dual feasible for
+/// the (shifted) costs either way.
 bool Tableau::MakeDualFeasible() {
+  bool shifted = false;
   for (int j = 0; j < n_total_; ++j) {
     signed char s = state_[static_cast<size_t>(j)];
     double lo = lo_[static_cast<size_t>(j)];
@@ -371,7 +423,11 @@ bool Tableau::MakeDualFeasible() {
     if (s == kBasic || lo == up) continue;
     double z = z_[static_cast<size_t>(j)];
     if (s == kAtLower && z < -options_.eps) {
-      if (!std::isfinite(up)) return false;
+      if (!std::isfinite(up)) {
+        z_[static_cast<size_t>(j)] = 0.0;
+        shifted = true;
+        continue;
+      }
       state_[static_cast<size_t>(j)] = kAtUpper;
       ShiftBasics(j, up - lo);
     } else if (s == kAtUpper && z > options_.eps) {
@@ -379,7 +435,7 @@ bool Tableau::MakeDualFeasible() {
       ShiftBasics(j, lo - up);
     }
   }
-  return true;
+  return shifted;
 }
 
 LpStatus Tableau::SolveCold() {
@@ -467,8 +523,11 @@ LpStatus Tableau::SolveWarm(const LpBasis& basis) {
   for (int j = first_art_; j < n_total_; ++j) up_[static_cast<size_t>(j)] = 0.0;
   ComputeReducedCosts(cost_);
   if (PrimalFeasible()) return Primal();
-  if (MakeDualFeasible()) return Reoptimize();
-  return LpStatus::kIterLimit;
+  bool shifted = MakeDualFeasible();
+  LpStatus s = Dual();
+  if (s != LpStatus::kOptimal) return s;  // a dual ray needs no costs
+  if (shifted) ComputeReducedCosts(cost_);
+  return Primal();
 }
 
 void Tableau::SetBounds(int var, double lo, double up) {
@@ -548,8 +607,17 @@ LpSolution Tableau::Solution(LpStatus status) const {
   return sol;
 }
 
-/// dst += f * src over sorted sparse rows; drops |value| <= kDropTol.
-void Tableau::AddScaled(SparseRow& dst, const SparseRow& src, double f) {
+/// rows_[r] += f * src over sorted sparse rows; drops |value| <=
+/// kDropTol. Keeps the column pattern, if any, in step: a fill-in sets
+/// its bit, a dropped entry clears it.
+void Tableau::AddScaled(int r, const SparseRow& src, double f) {
+  SparseRow& dst = rows_[static_cast<size_t>(r)];
+  const bool pattern = col_words_ > 0;
+  const size_t row_word = static_cast<size_t>(r / 64);
+  const uint64_t bit = uint64_t{1} << (r % 64);
+  auto word = [&](int c) -> uint64_t& {
+    return col_bits_[ColumnWordAt(c) + row_word];
+  };
   scratch_.clear();
   size_t i = 0;
   size_t j = 0;
@@ -559,11 +627,18 @@ void Tableau::AddScaled(SparseRow& dst, const SparseRow& src, double f) {
       ++i;
     } else if (i >= dst.size() || src[j].first < dst[i].first) {
       double v = f * src[j].second;
-      if (std::abs(v) > kDropTol) scratch_.emplace_back(src[j].first, v);
+      if (std::abs(v) > kDropTol) {
+        scratch_.emplace_back(src[j].first, v);
+        if (pattern) word(src[j].first) |= bit;
+      }
       ++j;
     } else {
       double v = dst[i].second + f * src[j].second;
-      if (std::abs(v) > kDropTol) scratch_.emplace_back(dst[i].first, v);
+      if (std::abs(v) > kDropTol) {
+        scratch_.emplace_back(dst[i].first, v);
+      } else if (pattern) {
+        word(dst[i].first) &= ~bit;
+      }
       ++i;
       ++j;
     }

@@ -8,6 +8,17 @@
 // instances tractable: atom rows touch a handful of variables each, so
 // pivots cost O(nnz) instead of O(rows x columns).
 //
+// Alongside the rows the tableau keeps its column pattern: one bit per
+// (row, column) entry, ceil(rows / 64) words per column in one flat
+// array, set on fill-in and cleared when an entry drops out. Gathering
+// the pivot column scans that column's words and does one row search
+// per set bit, in row order, rather than a search in every row. The
+// pattern is built only when it takes no more memory than the rows
+// themselves, so a tableau stays O(nnz); a tableau without it gathers
+// by searching every row. CoPhy's per-cluster BIPs (about a hundred
+// rows or fewer) keep it; its monolithic BIPs of several hundred rows
+// and more do not.
+//
 // Every column carries bounds [lower, upper] (default [0, +inf)). A
 // nonbasic column sits at one of its bounds, so a binary needs no
 // "x <= 1" row and a branch-and-bound fixing is just lower = upper = v.
@@ -21,9 +32,15 @@
 //    (LpBasis). Each wanted column pivots into any row whose basic
 //    column is unwanted, at the largest |pivot|. If the crashed basis is
 //    primal feasible, primal phase 2 finishes. Otherwise boxed columns
-//    move to the bound their reduced cost prefers and, if that makes the
-//    basis dual feasible, the dual simplex finishes. Otherwise the solve
-//    falls back to cold. A stale basis costs pivots, never correctness.
+//    move to the bound their reduced cost prefers, and a column
+//    unbounded above whose reduced cost is negative has that cost
+//    shifted to zero; the basis is then dual feasible for the shifted
+//    costs, and the dual simplex restores primal feasibility. If costs
+//    were shifted, reduced costs are recomputed from the true costs and
+//    primal phase 2 finishes. A dual ray proves the LP infeasible
+//    whatever the costs. Only the iteration limit leaves a warm solve
+//    without a verdict; Solve then solves cold. A stale basis costs
+//    pivots, never correctness.
 //  - Reoptimization (Tableau::SetBounds + Tableau::Reoptimize): an
 //    optimal tableau stays dual feasible when a bound moves, so the dual
 //    simplex restores primal feasibility in a few pivots. Branch and
@@ -37,6 +54,7 @@
 #define DBDESIGN_SOLVER_SIMPLEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -118,7 +136,8 @@ class Tableau {
 
   /// Solves `problem`, from `warm` when that basis yields a verdict and
   /// cold otherwise; `*status` receives the outcome. Pivots spent on an
-  /// abandoned warm basis are included in the result's pivots().
+  /// abandoned warm basis are included in the result's pivots(), and
+  /// warm_fell_back() reports the abandonment.
   static Tableau Solve(const LpProblem& problem, const SimplexOptions& options,
                        const LpBasis* warm, LpStatus* status);
 
@@ -147,6 +166,9 @@ class Tableau {
   double lower(int var) const { return lo_[static_cast<size_t>(var)]; }
   double upper(int var) const { return up_[static_cast<size_t>(var)]; }
   int pivots() const { return pivots_; }
+  /// True if Solve abandoned a warm basis (iteration limit) and solved
+  /// cold instead.
+  bool warm_fell_back() const { return warm_fell_back_; }
 
  private:
   enum State : signed char { kBasic, kAtLower, kAtUpper };
@@ -156,14 +178,22 @@ class Tableau {
   /// Two-phase primal simplex from the starting basis.
   LpStatus SolveCold();
 
-  /// Crash toward `basis`, then primal phase 2 (primal feasible) or dual
-  /// simplex (dual feasible). Returns kIterLimit without a verdict when
-  /// the crashed basis is neither, or the iteration limit hits: the
-  /// tableau is then spent and the caller must solve cold.
+  /// Crash toward `basis`, then primal phase 2 (primal feasible) or the
+  /// dual simplex under shifted costs followed by primal phase 2 (see
+  /// the file comment). Returns kIterLimit only at the iteration limit:
+  /// the tableau is then spent and the caller must solve cold.
   LpStatus SolveWarm(const LpBasis& basis);
 
   double Coef(int r, int c) const;
+  /// Offset of column c's first word in col_bits_.
+  size_t ColumnWordAt(int c) const {
+    return static_cast<size_t>(c) * static_cast<size_t>(col_words_);
+  }
+  /// Calls f(row, value) for each nonzero of column c, in row order.
+  template <typename F>
+  void ForEachInColumn(int c, F&& f) const;
   void GatherColumn(int c, Column* col) const;
+  bool ColumnMatchesRowScan(int c, const Column& col) const;
   double NonbasicValue(int j) const;
   void ShiftBasics(int j, double delta);
   void ComputeReducedCosts(const std::vector<double>& cost);
@@ -172,7 +202,7 @@ class Tableau {
   LpStatus Dual();
   bool PrimalFeasible() const;
   bool MakeDualFeasible();
-  void AddScaled(SparseRow& dst, const SparseRow& src, double f);
+  void AddScaled(int r, const SparseRow& src, double f);
 
   SimplexOptions options_;
   int m_ = 0;
@@ -180,7 +210,12 @@ class Tableau {
   int n_total_ = 0;
   int first_art_ = 0;
   int pivots_ = 0;
+  bool warm_fell_back_ = false;
   std::vector<SparseRow> rows_;
+  int col_words_ = 0;                 ///< ceil(m_ / 64); 0 = no pattern
+  /// Column pattern: bit r of column c's col_words_ words (at
+  /// c * col_words_) is set iff rows_[r] stores an entry for c.
+  std::vector<uint64_t> col_bits_;
   std::vector<double> beta_;          ///< per row: value of its basic column
   std::vector<int> basis_;            ///< per row: basic column
   std::vector<double> lo_, up_;       ///< per column bounds
@@ -193,8 +228,9 @@ class Tableau {
 };
 
 /// Solves the LP. If `warm` is non-null it must use the canonical
-/// encoding (see LpBasis) against this problem's variable/row space; a
-/// basis that does not fit degrades to a cold solve.
+/// encoding (see LpBasis) against this problem's variable/row space; ids
+/// that name nothing in it are ignored, so a basis that does not fit
+/// costs pivots, never a wrong answer.
 LpSolution SolveLp(const LpProblem& problem, const SimplexOptions& options = {},
                    const LpBasis* warm = nullptr);
 

@@ -57,14 +57,20 @@ class ScopedLogTag {
 /// The calling thread's current log tag ("" when none is installed).
 const std::string& ThreadLogTag();
 
-#define DBD_LOG_DEBUG(msg) \
-  ::dbdesign::LogMessage(::dbdesign::LogLevel::kDebug, (msg))
-#define DBD_LOG_INFO(msg) \
-  ::dbdesign::LogMessage(::dbdesign::LogLevel::kInfo, (msg))
-#define DBD_LOG_WARN(msg) \
-  ::dbdesign::LogMessage(::dbdesign::LogLevel::kWarning, (msg))
-#define DBD_LOG_ERROR(msg) \
-  ::dbdesign::LogMessage(::dbdesign::LogLevel::kError, (msg))
+// The level is checked before `msg` is evaluated, so a message below
+// the process-wide level costs one call to GetLogLevel() and never
+// builds its string.
+#define DBD_LOG_AT(level, msg)                       \
+  do {                                               \
+    if ((level) >= ::dbdesign::GetLogLevel()) {      \
+      ::dbdesign::LogMessage((level), (msg));        \
+    }                                                \
+  } while (false)
+
+#define DBD_LOG_DEBUG(msg) DBD_LOG_AT(::dbdesign::LogLevel::kDebug, msg)
+#define DBD_LOG_INFO(msg) DBD_LOG_AT(::dbdesign::LogLevel::kInfo, msg)
+#define DBD_LOG_WARN(msg) DBD_LOG_AT(::dbdesign::LogLevel::kWarning, msg)
+#define DBD_LOG_ERROR(msg) DBD_LOG_AT(::dbdesign::LogLevel::kError, msg)
 
 namespace internal {
 

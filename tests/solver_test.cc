@@ -678,6 +678,69 @@ TEST(SimplexTest, WarmBasisKeepsNonbasicAtUpperBound) {
   EXPECT_LE(warm.pivots, 1);  // z's crash pivot, nothing else
 }
 
+TEST(SimplexTest, WarmBasisNeitherPrimalNorDualFeasibleSolvesWithoutFallback) {
+  // min x + y s.t. x + y <= 10, x - y <= -6, y <= 7; optimum x = 0,
+  // y = 6. The stale basis {x, y, slack of row 2} crashes x into row 0
+  // and y into row 1: x = 2, y = 8 leaves row 2's slack at -1 (primal
+  // infeasible), and row 0's slack, unbounded above, prices at -1 (dual
+  // infeasible). Shifting that cost to zero makes the dual simplex
+  // applicable; phase 2 under the true costs finishes. No cold solve.
+  LpProblem p;
+  int x = p.AddVariable(1.0);
+  int y = p.AddVariable(1.0);
+  p.AddConstraint({{{x, 1.0}, {y, 1.0}}, LpRelation::kLe, 10.0});
+  p.AddConstraint({{{x, 1.0}, {y, -1.0}}, LpRelation::kLe, -6.0});
+  p.AddConstraint({{{y, 1.0}}, LpRelation::kLe, 7.0});
+  LpStatus cold_status;
+  Tableau cold = Tableau::Solve(p, {}, nullptr, &cold_status);
+  ASSERT_EQ(cold_status, LpStatus::kOptimal);
+  EXPECT_NEAR(cold.Objective(), 6.0, 1e-12);
+
+  LpBasis stale;
+  stale.basic = {x, y, p.num_vars + 2};
+  LpStatus status;
+  Tableau warm = Tableau::Solve(p, {}, &stale, &status);
+  ASSERT_EQ(status, LpStatus::kOptimal);
+  EXPECT_FALSE(warm.warm_fell_back());
+  EXPECT_NEAR(warm.Objective(), 6.0, 1e-12);
+  EXPECT_NEAR(warm.Values()[static_cast<size_t>(x)], 0.0, 1e-12);
+  EXPECT_NEAR(warm.Values()[static_cast<size_t>(y)], 6.0, 1e-12);
+}
+
+TEST(SimplexTest, LpTooLargeForColumnPatternSolvesLikeItsBlocks) {
+  // 100 copies of min -x - y s.t. x + 2y <= 4, 3x + y <= 6, whose only
+  // optimum is x = 1.6, y = 1.2. One copy is small enough for the
+  // tableau's column bitmap; all 100 (200 rows, 600 entries) are not, so
+  // their gathers search every row. Both must reach the same optimum,
+  // and so must the dual simplex after fixing the first block's x to 0,
+  // which moves that block to y = 2.
+  const int kBlocks = 100;
+  LpProblem p;
+  for (int b = 0; b < kBlocks; ++b) {
+    int x = p.AddVariable(-1.0);
+    int y = p.AddVariable(-1.0);
+    p.AddConstraint({{{x, 1.0}, {y, 2.0}}, LpRelation::kLe, 4.0});
+    p.AddConstraint({{{x, 3.0}, {y, 1.0}}, LpRelation::kLe, 6.0});
+  }
+  LpStatus status;
+  Tableau t = Tableau::Solve(p, {}, nullptr, &status);
+  ASSERT_EQ(status, LpStatus::kOptimal);
+  EXPECT_NEAR(t.Objective(), -2.8 * kBlocks, 1e-9);
+  std::vector<double> v = t.Values();
+  for (int b = 0; b < kBlocks; ++b) {
+    EXPECT_NEAR(v[static_cast<size_t>(2 * b)], 1.6, 1e-9);
+    EXPECT_NEAR(v[static_cast<size_t>(2 * b + 1)], 1.2, 1e-9);
+  }
+
+  t.SetBounds(0, 0.0, 0.0);
+  ASSERT_EQ(t.Reoptimize(), LpStatus::kOptimal);
+  EXPECT_NEAR(t.Objective(), -2.0 - 2.8 * (kBlocks - 1), 1e-9);
+  v = t.Values();
+  EXPECT_EQ(v[0], 0.0);
+  EXPECT_NEAR(v[1], 2.0, 1e-9);
+  EXPECT_NEAR(v[2], 1.6, 1e-9);
+}
+
 TEST(SimplexTest, DualSimplexReoptimizesAfterBoundChange) {
   // The optimal tableau of min -x - y, x + y <= 1.5, x, y in [0, 1]
   // stays dual feasible when a bound moves: fixing x = 1 reoptimizes to
@@ -797,10 +860,12 @@ TEST(BnbTest, InfeasibleChildrenProvedByDualRay) {
 /// atom to the indexes it uses, a storage budget, per-table caps, and
 /// DBA pins and vetoes as fixings. Every variable is binary, so
 /// enumeration over all 2^n assignments is the exact optimum.
-MipProblem RandomCoPhyBip(uint64_t seed) {
+/// The index variables are 0 .. *num_indexes - 1.
+MipProblem RandomCoPhyBip(uint64_t seed, int* num_indexes = nullptr) {
   Rng rng(seed);
   MipProblem mip;
   const int num_idx = 2 + static_cast<int>(rng.UniformInt(0, 2));
+  if (num_indexes != nullptr) *num_indexes = num_idx;
   const int num_q = 2 + static_cast<int>(rng.UniformInt(0, 1));
   std::vector<double> size;
   std::vector<int> table;
@@ -891,26 +956,32 @@ bool SatisfiesRows(const MipProblem& mip, const std::vector<double>& x) {
   return true;
 }
 
+/// The exact optimum by enumerating all 2^n binary assignments (+inf if
+/// none is feasible).
+double ExhaustiveOptimum(const MipProblem& mip) {
+  const int n = mip.lp.num_vars;
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<double> x(static_cast<size_t>(n));
+  for (int mask = 0; mask < (1 << n); ++mask) {
+    for (int v = 0; v < n; ++v) x[static_cast<size_t>(v)] = (mask >> v) & 1;
+    if (!SatisfiesRows(mip, x)) continue;
+    double obj = 0.0;
+    for (int v = 0; v < n; ++v) {
+      const size_t uv = static_cast<size_t>(v);
+      obj += mip.lp.objective[uv] * x[uv];
+    }
+    best = std::min(best, obj);
+  }
+  return best;
+}
+
 TEST(BnbTest, CoPhyShapedBipsMatchExhaustiveEnumeration) {
   int branched = 0;
   int infeasible = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     MipProblem mip = RandomCoPhyBip(seed * 7919);
-    const int n = mip.lp.num_vars;
-    ASSERT_LE(n, 14) << "seed " << seed;
-
-    double best = std::numeric_limits<double>::infinity();
-    std::vector<double> x(static_cast<size_t>(n));
-    for (int mask = 0; mask < (1 << n); ++mask) {
-      for (int v = 0; v < n; ++v) x[static_cast<size_t>(v)] = (mask >> v) & 1;
-      if (!SatisfiesRows(mip, x)) continue;
-      double obj = 0.0;
-      for (int v = 0; v < n; ++v) {
-        const size_t uv = static_cast<size_t>(v);
-        obj += mip.lp.objective[uv] * x[uv];
-      }
-      best = std::min(best, obj);
-    }
+    ASSERT_LE(mip.lp.num_vars, 14) << "seed " << seed;
+    double best = ExhaustiveOptimum(mip);
 
     BnbResult r = SolveBinaryMip(mip);
     EXPECT_EQ(r.node_cold_solves, 0) << "seed " << seed;
@@ -928,6 +999,49 @@ TEST(BnbTest, CoPhyShapedBipsMatchExhaustiveEnumeration) {
   // The sweep must actually branch, and must include infeasible BIPs.
   EXPECT_GE(branched, 10);
   EXPECT_GE(infeasible, 5);
+}
+
+TEST(BnbTest, VetoOfTopIndexResolvesWarmWithoutRootFallback) {
+  // The Refine path: solve, veto the top chosen index, then re-solve
+  // warm from the previous root basis. The vetoed root is a different
+  // LP, so its crashed basis is often neither primal nor dual feasible;
+  // the warm solve must still reach the cold and the exhaustive optimum
+  // without falling back to a cold root solve.
+  int vetoed_runs = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    int num_idx = 0;
+    MipProblem mip = RandomCoPhyBip(seed * 7919, &num_idx);
+    BnbResult first = SolveBinaryMip(mip);
+    if (!first.feasible) continue;
+    ASSERT_FALSE(first.root_basis.empty()) << "seed " << seed;
+
+    int top = -1;
+    for (int i = 0; i < num_idx && top < 0; ++i) {
+      bool pinned = false;
+      for (auto [v, val] : mip.fixed_vars) pinned |= v == i && val == 1;
+      if (!pinned && first.values[static_cast<size_t>(i)] > 0.5) top = i;
+    }
+    if (top < 0) continue;
+    MipProblem vetoed = mip;
+    vetoed.fixed_vars.emplace_back(top, 0);
+    ++vetoed_runs;
+
+    BnbWarmStart warm;
+    warm.basis = first.root_basis;
+    BnbResult hot = SolveBinaryMip(vetoed, BnbOptions{}, nullptr, &warm);
+    BnbResult cold = SolveBinaryMip(vetoed);
+    double best = ExhaustiveOptimum(vetoed);
+    EXPECT_EQ(hot.root_warm_fallbacks, 0) << "seed " << seed;
+    EXPECT_EQ(hot.node_cold_solves, 0) << "seed " << seed;
+    ASSERT_EQ(hot.feasible, std::isfinite(best)) << "seed " << seed;
+    ASSERT_EQ(cold.feasible, hot.feasible) << "seed " << seed;
+    if (!hot.feasible) continue;
+    EXPECT_TRUE(hot.proven_optimal) << "seed " << seed;
+    EXPECT_NEAR(hot.objective, best, 1e-6) << "seed " << seed;
+    EXPECT_NEAR(hot.objective, cold.objective, 1e-9) << "seed " << seed;
+    EXPECT_TRUE(SatisfiesRows(vetoed, hot.values)) << "seed " << seed;
+  }
+  EXPECT_GE(vetoed_runs, 20);
 }
 
 }  // namespace

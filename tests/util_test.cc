@@ -1,5 +1,5 @@
 // Unit tests for the utility layer: Status/Result, Rng distributions,
-// Bitset64, string helpers.
+// Bitset64, string helpers, log macros.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 #include "util/bitset64.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/str.h"
@@ -210,6 +212,29 @@ TEST(StrTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(512), "512.0 B");
   EXPECT_EQ(FormatBytes(2048), "2.0 KB");
   EXPECT_EQ(FormatBytes(3.5 * 1024 * 1024), "3.5 MB");
+}
+
+TEST(LoggingTest, MessageBelowLevelIsNeverBuilt) {
+  // The macros check the level before evaluating their argument: a
+  // dropped message must not run the code that builds it.
+  const LogLevel saved = GetLogLevel();
+  int built = 0;
+  auto message = [&built] {
+    ++built;
+    return std::string("logging test message");
+  };
+  SetLogLevel(LogLevel::kWarning);
+  DBD_LOG_DEBUG(message());
+  DBD_LOG_INFO(message());
+  EXPECT_EQ(built, 0);
+  SetLogLevel(LogLevel::kOff);
+  DBD_LOG_WARN(message());
+  DBD_LOG_ERROR(message());
+  EXPECT_EQ(built, 0);
+  SetLogLevel(LogLevel::kError);
+  DBD_LOG_ERROR(message());  // at the level: built and emitted once
+  EXPECT_EQ(built, 1);
+  SetLogLevel(saved);
 }
 
 }  // namespace

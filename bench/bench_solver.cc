@@ -43,7 +43,7 @@
 #include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "core/constraints.h"
-#include "util/rng.h"
+#include "synthetic_cophy.h"
 
 namespace dbdesign {
 namespace {
@@ -51,104 +51,8 @@ namespace {
 using bench::Header;
 using bench::JsonReporter;
 using bench::MakeDb;
-
-// Structurally valid, distinct IndexDefs over the catalog: singles,
-// then leading pairs, then leading triples — the catalog has ~60
-// columns, so triples are what carry the 4000-candidate sweep.
-std::vector<IndexDef> EnumerateIndexDefs(const Catalog& catalog, int count) {
-  std::vector<IndexDef> defs;
-  auto done = [&] { return static_cast<int>(defs.size()) == count; };
-  for (TableId t = 0; t < catalog.num_tables(); ++t) {
-    ColumnId nc = static_cast<ColumnId>(catalog.table(t).columns().size());
-    for (ColumnId a = 0; a < nc; ++a) {
-      defs.push_back(IndexDef{t, {a}});
-      if (done()) return defs;
-    }
-  }
-  for (TableId t = 0; t < catalog.num_tables(); ++t) {
-    ColumnId nc = static_cast<ColumnId>(catalog.table(t).columns().size());
-    for (ColumnId a = 0; a < nc; ++a) {
-      for (ColumnId b = 0; b < nc; ++b) {
-        if (a == b) continue;
-        defs.push_back(IndexDef{t, {a, b}});
-        if (done()) return defs;
-      }
-    }
-  }
-  for (TableId t = 0; t < catalog.num_tables(); ++t) {
-    ColumnId nc = static_cast<ColumnId>(catalog.table(t).columns().size());
-    for (ColumnId a = 0; a < nc; ++a) {
-      for (ColumnId b = 0; b < nc; ++b) {
-        for (ColumnId c = 0; c < nc; ++c) {
-          if (a == b || a == c || b == c) continue;
-          defs.push_back(IndexDef{t, {a, b, c}});
-          if (done()) return defs;
-        }
-      }
-    }
-  }
-  DBD_CHECK(done() && "catalog too small for the candidate sweep");
-  return defs;
-}
-
-// Synthetic prepared state with exact cluster structure: `num_cands`
-// candidates in groups of 10, two query rows per group whose atoms
-// reference only that group (plus the index-free anchor), so the
-// interaction clusters are precisely the groups. Mirrors the generator
-// the differential tests use — the bench measures the same machinery
-// the correctness suite certifies.
-CoPhyPrepared MakePrepared(const Database& db, int num_cands) {
-  constexpr int kPerGroup = 10;
-  constexpr int kRowsPerGroup = 2;
-  const int groups = num_cands / kPerGroup;
-  Rng rng(static_cast<uint64_t>(num_cands) * 7919 + 1);
-  std::vector<IndexDef> defs = EnumerateIndexDefs(db.catalog(), num_cands);
-
-  CoPhyPrepared prep;
-  for (int i = 0; i < num_cands; ++i) {
-    CandidateIndex c;
-    c.index = defs[static_cast<size_t>(i)];
-    c.size_pages = rng.UniformDouble(50.0, 400.0);
-    c.relevant_queries = 1;
-    prep.candidates.push_back(std::move(c));
-  }
-  prep.universe_fingerprint = CandidateUniverseFingerprint(prep.candidates);
-
-  for (int g = 0; g < groups; ++g) {
-    for (int r = 0; r < kRowsPerGroup; ++r) {
-      auto row = std::make_shared<CoPhyAtomRow>();
-      double base = rng.UniformDouble(80.0, 160.0);
-      row->base_cost = base;
-      row->atoms.push_back(CoPhyAtom{base, {}});  // index-free anchor
-      for (int j = 0; j < kPerGroup; ++j) {
-        int i = g * kPerGroup + j;
-        row->atoms.push_back(
-            CoPhyAtom{base * rng.UniformDouble(0.3, 0.95), {i}});
-      }
-      for (int j = 0; j + 1 < kPerGroup; j += 2) {
-        std::vector<int> used = {g * kPerGroup + j, g * kPerGroup + j + 1};
-        row->atoms.push_back(
-            CoPhyAtom{base * rng.UniformDouble(0.15, 0.4), std::move(used)});
-      }
-      std::sort(row->atoms.begin(), row->atoms.end(),
-                [](const CoPhyAtom& a, const CoPhyAtom& b) {
-                  return a.cost < b.cost;
-                });
-      prep.num_atoms += row->atoms.size();
-      prep.rows.push_back(std::move(row));
-      prep.weights.push_back(rng.UniformDouble(0.5, 2.0));
-      prep.base_cost += prep.weights.back() * base;
-    }
-  }
-  prep.RefreshClusters();
-  return prep;
-}
-
-double TotalSize(const CoPhyPrepared& prep) {
-  double total = 0.0;
-  for (const CandidateIndex& c : prep.candidates) total += c.size_pages;
-  return total;
-}
+using synthetic::MakeClusteredPrepared;
+using synthetic::TotalSize;
 
 struct SolveRow {
   IndexRecommendation rec;
@@ -211,7 +115,8 @@ void RunSolverScaling(JsonReporter& reporter) {
     DBD_CHECK_EQ(row.rec.root_warm_fallbacks, 0);
   };
   for (int n : {50, 200, 1000, 4000}) {
-    CoPhyPrepared prep = MakePrepared(db, n);
+    CoPhyPrepared prep = MakeClusteredPrepared(db, n);
+    DBD_CHECK_EQ(prep.candidates.size(), static_cast<size_t>(n));
     double budget = TotalSize(prep);
     DesignConstraints cons;
     CoPhySolverCache cache;
@@ -262,7 +167,8 @@ void RunSolverScaling(JsonReporter& reporter) {
 
 void BM_DecomposedSolve(benchmark::State& state) {
   Database db = MakeDb(2000);
-  CoPhyPrepared prep = MakePrepared(db, static_cast<int>(state.range(0)));
+  CoPhyPrepared prep =
+      MakeClusteredPrepared(db, static_cast<int>(state.range(0)));
   double budget = TotalSize(prep);
   DesignConstraints cons;
   for (auto _ : state) {

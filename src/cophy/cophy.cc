@@ -527,15 +527,45 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   // feasible, attain the monolithic optimum and therefore ARE it.
   constexpr double kTieBreakPerPage = 1e-5;
 
-  // Objective of a y-set over a subset of query rows: the tie-break on
-  // the chosen indexes plus each row's cheapest compatible atom. With
-  // all rows this mirrors the monolithic MIP objective; with a cluster's
-  // rows and a chosen set inside the cluster it mirrors the cluster
-  // subproblem's objective — both paths price incumbents with it. It
-  // runs at every B&B node, so membership is a marker allocated once
-  // here (the solve is serial), set from the chosen set and cleared from
-  // it again: a call costs O(|chosen| + atoms), never O(candidates).
+  // Cached solver state keyed to a different universe, row space or
+  // cluster count must not survive into this solve, whichever path runs.
+  int num_k = prepared.clusters.num_clusters();
+  if (cache != nullptr &&
+      (cache->universe_fingerprint != prepared.universe_fingerprint ||
+       cache->num_rows != nq ||
+       cache->entries.size() != static_cast<size_t>(num_k))) {
+    cache->Clear();
+    cache->universe_fingerprint = prepared.universe_fingerprint;
+    cache->num_rows = nq;
+    cache->entries.assign(static_cast<size_t>(num_k),
+                          CoPhySolverCache::Entry{});
+  }
+
+  // Membership marker for "the chosen set": the solve is serial, so one
+  // marker allocated here serves every incumbent pricing and the final
+  // extraction. Callers set it from a chosen set and clear it again, so
+  // a use costs O(|chosen| + atoms), never O(candidates).
   std::vector<char> in_chosen(candidates.size(), 0);
+  // Row q's cheapest atom whose indexes are all marked (the first one on
+  // a cost tie), or nullptr when none is.
+  auto cheapest_atom = [&](size_t q) -> const CoPhyAtom* {
+    const CoPhyAtom* best = nullptr;
+    double best_cost = std::numeric_limits<double>::infinity();
+    for (const CoPhyAtom& a : atoms(q)) {
+      if (!(a.cost < best_cost) ||
+          !std::all_of(a.used.begin(), a.used.end(), [&](int i) {
+            return in_chosen[static_cast<size_t>(i)] != 0;
+          })) {
+        continue;
+      }
+      best = &a;
+      best_cost = a.cost;
+    }
+    return best;
+  };
+  // Objective of a y-set over a subset of query rows: the tie-break on
+  // the chosen indexes plus each row's cheapest compatible atom — the
+  // BIP objective over those rows. Prices every incumbent.
   auto complete_rows = [&](const std::set<int>& chosen_set,
                            const std::vector<int>& row_subset) {
     double obj = 0.0;
@@ -543,20 +573,216 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
       obj += kTieBreakPerPage * candidates[static_cast<size_t>(i)].size_pages;
       in_chosen[static_cast<size_t>(i)] = 1;
     }
-    auto compatible = [&](const CoPhyAtom& a) {
-      return std::all_of(a.used.begin(), a.used.end(), [&](int i) {
-        return in_chosen[static_cast<size_t>(i)] != 0;
-      });
-    };
     for (int q : row_subset) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const CoPhyAtom& a : atoms(static_cast<size_t>(q))) {
-        if (compatible(a)) best = std::min(best, a.cost);
-      }
-      obj += prepared.weights[static_cast<size_t>(q)] * best;
+      const CoPhyAtom* a = cheapest_atom(static_cast<size_t>(q));
+      obj += prepared.weights[static_cast<size_t>(q)] *
+             (a != nullptr ? a->cost : std::numeric_limits<double>::infinity());
     }
     for (int i : chosen_set) in_chosen[static_cast<size_t>(i)] = 0;
     return obj;
+  };
+
+  // Solves one BIP: the monolithic BIP restricted to candidates `ck`
+  // (ascending global ids) and query rows `qk`, with the budget row at
+  // `budget_rhs` (omitted when infinite) and every cap row at its full
+  // rhs. The monolithic solve passes every candidate, every row and the
+  // global budget; a cluster solve passes its own and an allocation.
+  // Warm-started from `e` (may be null): its root basis always — the
+  // row space is identical across allocations and constraint edits —
+  // plus its previous optimum as the initial incumbent when the entry
+  // holds one with no frontier below it (deeper allocations exclude it
+  // by construction) and it is still feasible under the edited
+  // constraints. Adds the B&B telemetry to `rec`. Returns the result
+  // and, when feasible, the chosen global ids (pins included) in `ck`
+  // order.
+  struct BipSolve {
+    BnbResult bnb;
+    std::vector<int> chosen;
+  };
+  std::vector<int> local_of(static_cast<size_t>(ny), -1);
+  auto solve_bip = [&](const std::vector<int>& ck, const std::vector<int>& qk,
+                       double budget_rhs, const CoPhySolverCache::Entry* e,
+                       double stop_at) -> BipSolve {
+    int nk = static_cast<int>(ck.size());
+    auto global = [&](int j) { return ck[static_cast<size_t>(j)]; };
+    auto cand = [&](int j) -> const CandidateIndex& {
+      return candidates[static_cast<size_t>(global(j))];
+    };
+    for (int j = 0; j < nk; ++j) local_of[static_cast<size_t>(global(j))] = j;
+
+    MipProblem mip;
+    for (int j = 0; j < nk; ++j) {
+      mip.lp.AddVariable(kTieBreakPerPage * cand(j).size_pages);
+      mip.binary_vars.push_back(j);
+    }
+    // DBA pins and vetoes are pure variable fixings: the atom matrix and
+    // every other row survive a constraint edit untouched.
+    for (int j = 0; j < nk; ++j) {
+      if (admitted_pins.count(global(j)) > 0) mip.fixed_vars.emplace_back(j, 1);
+    }
+    for (int j = 0; j < nk; ++j) {
+      if (vetoed[static_cast<size_t>(global(j))]) {
+        mip.fixed_vars.emplace_back(j, 0);
+      }
+    }
+    // x variables, then one atom per query.
+    std::vector<std::vector<int>> xvar(qk.size());
+    for (size_t qi = 0; qi < qk.size(); ++qi) {
+      size_t q = static_cast<size_t>(qk[qi]);
+      for (const CoPhyAtom& a : atoms(q)) {
+        xvar[qi].push_back(mip.lp.AddVariable(prepared.weights[q] * a.cost));
+      }
+    }
+    for (size_t qi = 0; qi < qk.size(); ++qi) {
+      LpConstraint one;
+      for (int v : xvar[qi]) one.terms.emplace_back(v, 1.0);
+      one.rel = LpRelation::kEq;
+      one.rhs = 1.0;
+      mip.lp.AddConstraint(std::move(one));
+    }
+    // Aggregated linking: sum_{a of q using i} x <= y_i.
+    for (size_t qi = 0; qi < qk.size(); ++qi) {
+      size_t q = static_cast<size_t>(qk[qi]);
+      std::map<int, std::vector<int>> by_index;
+      for (size_t a = 0; a < atoms(q).size(); ++a) {
+        for (int i : atoms(q)[a].used) by_index[i].push_back(xvar[qi][a]);
+      }
+      for (auto& [i, xs] : by_index) {
+        LpConstraint link;
+        for (int v : xs) link.terms.emplace_back(v, 1.0);
+        link.terms.emplace_back(local_of[static_cast<size_t>(i)], -1.0);
+        link.rel = LpRelation::kLe;
+        link.rhs = 0.0;
+        mip.lp.AddConstraint(std::move(link));
+      }
+    }
+    if (std::isfinite(budget_rhs)) {
+      LpConstraint budget_row;
+      for (int j = 0; j < nk; ++j) {
+        budget_row.terms.emplace_back(j, cand(j).size_pages);
+      }
+      budget_row.rel = LpRelation::kLe;
+      budget_row.rhs = budget_rhs;
+      mip.lp.AddConstraint(std::move(budget_row));
+    }
+    // Per-table caps: sum_{i on t} y_i <= cap_t.
+    for (const auto& [table, cap] : constraints.max_indexes_per_table) {
+      LpConstraint cap_row;
+      for (int j = 0; j < nk; ++j) {
+        if (cand(j).index.table == table) cap_row.terms.emplace_back(j, 1.0);
+      }
+      if (cap_row.terms.empty()) continue;
+      cap_row.rel = LpRelation::kLe;
+      cap_row.rhs = static_cast<double>(cap);
+      mip.lp.AddConstraint(std::move(cap_row));
+    }
+
+    // y values of a chosen set; x is implied (B&B only reads binary
+    // positions, and the objective is passed explicitly).
+    auto y_values = [&](const std::set<int>& ch, std::vector<double>* out) {
+      out->assign(static_cast<size_t>(mip.lp.num_vars), 0.0);
+      for (int i : ch) {
+        (*out)[static_cast<size_t>(local_of[static_cast<size_t>(i)])] = 1.0;
+      }
+    };
+    // Primal heuristic: pins first, then round y by LP value under the
+    // budget/cap/veto constraints, then the cheapest compatible atom per
+    // query.
+    auto heuristic = [&](const std::vector<double>& lp,
+                         std::vector<double>* out, double* obj) {
+      std::set<int> ch;
+      double used_pages = 0.0;
+      std::map<TableId, int> per_table;
+      for (int i : ck) {
+        if (admitted_pins.count(i) > 0) {
+          ch.insert(i);
+          used_pages += candidates[static_cast<size_t>(i)].size_pages;
+          per_table[candidates[static_cast<size_t>(i)].index.table]++;
+        }
+      }
+      std::vector<std::pair<double, int>> ranked;
+      for (int j = 0; j < nk; ++j) {
+        int i = global(j);
+        if (vetoed[static_cast<size_t>(i)] || ch.count(i) > 0) continue;
+        if (lp[static_cast<size_t>(j)] > 1e-6) {
+          ranked.emplace_back(-lp[static_cast<size_t>(j)], i);
+        }
+      }
+      std::sort(ranked.begin(), ranked.end());
+      for (auto& [neg, i] : ranked) {
+        const CandidateIndex& c = candidates[static_cast<size_t>(i)];
+        if (used_pages + c.size_pages > budget_rhs) continue;
+        if (per_table[c.index.table] + 1 >
+            constraints.TableCapOrUnlimited(c.index.table)) {
+          continue;
+        }
+        ch.insert(i);
+        used_pages += c.size_pages;
+        per_table[c.index.table]++;
+      }
+      *obj = complete_rows(ch, qk);
+      if (!std::isfinite(*obj)) return false;
+      y_values(ch, out);
+      return true;
+    };
+
+    BnbWarmStart warm;
+    bool have_warm = false;
+    if (e != nullptr && !e->root_basis.empty()) {
+      warm.basis = e->root_basis;
+      have_warm = true;
+    }
+    if (e != nullptr && e->valid && e->frontier.empty()) {
+      std::set<int> ch;
+      for (int i : e->chosen) {
+        if (!vetoed[static_cast<size_t>(i)]) ch.insert(i);
+      }
+      for (int i : ck) {
+        if (admitted_pins.count(i) > 0) ch.insert(i);
+      }
+      double used_pages = 0.0;
+      std::map<TableId, int> per_table;
+      bool feasible = true;
+      for (int i : ch) {
+        used_pages += candidates[static_cast<size_t>(i)].size_pages;
+        TableId t = candidates[static_cast<size_t>(i)].index.table;
+        feasible &= ++per_table[t] <= constraints.TableCapOrUnlimited(t);
+      }
+      feasible &= used_pages <= budget_rhs;
+      if (feasible) {
+        double obj = complete_rows(ch, qk);
+        if (std::isfinite(obj)) {
+          y_values(ch, &warm.values);
+          warm.objective = obj;
+          have_warm = true;
+        }
+      }
+    }
+
+    BnbOptions bopt = options_.bnb;
+    bopt.stop_at_bound = stop_at;
+    BipSolve out;
+    out.bnb =
+        SolveBinaryMip(mip, bopt, heuristic, have_warm ? &warm : nullptr);
+    rec.bnb_nodes += out.bnb.nodes_explored;
+    rec.lp_pivots += out.bnb.lp_pivots;
+    rec.node_cold_solves += out.bnb.node_cold_solves;
+    rec.root_warm_fallbacks += out.bnb.root_warm_fallbacks;
+    rec.solve_time_sec += out.bnb.solve_time_sec;
+    rec.num_variables += static_cast<size_t>(mip.lp.num_vars);
+    rec.num_constraints += mip.lp.constraints.size();
+    // Admitted pins are always chosen, even when the node budget
+    // starved the search.
+    if (out.bnb.feasible) {
+      for (int j = 0; j < nk; ++j) {
+        if (admitted_pins.count(global(j)) > 0 ||
+            out.bnb.values[static_cast<size_t>(j)] > 0.5) {
+          out.chosen.push_back(global(j));
+        }
+      }
+    }
+    for (int j = 0; j < nk; ++j) local_of[static_cast<size_t>(global(j))] = -1;
+    return out;
   };
 
   std::set<int> chosen;        // final y set (filled by whichever path runs)
@@ -630,7 +856,6 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
       prepared.row_cluster.size() == nq) {
     solved = [&]() {
       const ClusterPartition& part = prepared.clusters;
-      int num_k = part.num_clusters();
       // Must exceed the simplex feasibility tolerance (1e-7): the next
       // frontier budget must genuinely exclude the previous footprint.
       constexpr double kAllocEps = 1e-6;
@@ -643,24 +868,13 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         if (atoms(q).empty()) return false;  // degenerate: let mono handle
         int k = prepared.row_cluster[q];
         if (k < 0) {
-          double best = std::numeric_limits<double>::infinity();
-          for (const CoPhyAtom& a : atoms(q)) best = std::min(best, a.cost);
-          const_cost += prepared.weights[q] * best;
+          // No atom of the row uses a candidate: none needs a mark.
+          const_cost += prepared.weights[q] * cheapest_atom(q)->cost;
         } else {
           cluster_rows[static_cast<size_t>(k)].push_back(static_cast<int>(q));
         }
       }
 
-      if (cache != nullptr &&
-          (cache->universe_fingerprint != prepared.universe_fingerprint ||
-           cache->num_rows != nq ||
-           cache->entries.size() != static_cast<size_t>(num_k))) {
-        cache->Clear();
-        cache->universe_fingerprint = prepared.universe_fingerprint;
-        cache->num_rows = nq;
-        cache->entries.assign(static_cast<size_t>(num_k),
-                              CoPhySolverCache::Entry{});
-      }
       // Entries live in the session cache when present, else locally for
       // the duration of this one solve (no reuse, same algorithm).
       std::vector<CoPhySolverCache::Entry> local_entries;
@@ -715,214 +929,27 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         cut_of[static_cast<size_t>(k)] = std::max(kAllocEps, sum * 1e-5);
       }
 
-      std::vector<int> local_of(static_cast<size_t>(ny), -1);
       std::vector<char> ran(static_cast<size_t>(num_k), 0);
-
-      // Builds cluster k's sub-BIP under an allocation of `budget_rhs`
-      // pages: the monolithic BIP restricted to the cluster's candidates
-      // and rows, with the budget row at the allocation (omitted when
-      // infinite) and cap rows at full rhs. Fills `local_of` for the
-      // cluster's candidates; the caller resets those slots after use.
-      auto build_sub = [&](int k, double budget_rhs) -> MipProblem {
-        const std::vector<int>& ck = part.clusters[static_cast<size_t>(k)];
-        const std::vector<int>& qk = cluster_rows[static_cast<size_t>(k)];
-        int nk = static_cast<int>(ck.size());
-        for (int j = 0; j < nk; ++j) {
-          local_of[static_cast<size_t>(ck[static_cast<size_t>(j)])] = j;
-        }
-        MipProblem sub;
-        for (int j = 0; j < nk; ++j) {
-          sub.lp.AddVariable(
-              kTieBreakPerPage *
-              candidates[static_cast<size_t>(ck[static_cast<size_t>(j)])]
-                  .size_pages);
-          sub.binary_vars.push_back(j);
-        }
-        for (int j = 0; j < nk; ++j) {
-          if (admitted_pins.count(ck[static_cast<size_t>(j)]) > 0) {
-            sub.fixed_vars.emplace_back(j, 1);
-          }
-        }
-        for (int j = 0; j < nk; ++j) {
-          if (vetoed[static_cast<size_t>(ck[static_cast<size_t>(j)])]) {
-            sub.fixed_vars.emplace_back(j, 0);
-          }
-        }
-        std::vector<std::vector<int>> sxvar(qk.size());
-        for (size_t qi = 0; qi < qk.size(); ++qi) {
-          size_t q = static_cast<size_t>(qk[qi]);
-          double w = prepared.weights[q];
-          for (const CoPhyAtom& a : atoms(q)) {
-            sxvar[qi].push_back(sub.lp.AddVariable(w * a.cost));
-          }
-        }
-        for (size_t qi = 0; qi < qk.size(); ++qi) {
-          LpConstraint one;
-          for (int v : sxvar[qi]) one.terms.emplace_back(v, 1.0);
-          one.rel = LpRelation::kEq;
-          one.rhs = 1.0;
-          sub.lp.AddConstraint(std::move(one));
-        }
-        for (size_t qi = 0; qi < qk.size(); ++qi) {
-          size_t q = static_cast<size_t>(qk[qi]);
-          std::map<int, std::vector<int>> by_index;
-          for (size_t a = 0; a < atoms(q).size(); ++a) {
-            for (int i : atoms(q)[a].used) {
-              by_index[i].push_back(sxvar[qi][a]);
-            }
-          }
-          for (auto& [i, xs] : by_index) {
-            LpConstraint link;
-            for (int v : xs) link.terms.emplace_back(v, 1.0);
-            link.terms.emplace_back(local_of[static_cast<size_t>(i)], -1.0);
-            link.rel = LpRelation::kLe;
-            link.rhs = 0.0;
-            sub.lp.AddConstraint(std::move(link));
-          }
-        }
-        if (std::isfinite(budget_rhs)) {
-          LpConstraint budget_row;  // this cluster's allocation
-          for (int j = 0; j < nk; ++j) {
-            budget_row.terms.emplace_back(
-                j, candidates[static_cast<size_t>(ck[static_cast<size_t>(j)])]
-                       .size_pages);
-          }
-          budget_row.rel = LpRelation::kLe;
-          budget_row.rhs = budget_rhs;
-          sub.lp.AddConstraint(std::move(budget_row));
-        }
-        for (const auto& [table, cap] : constraints.max_indexes_per_table) {
-          LpConstraint cap_row;  // full cap: relaxation (see above)
-          for (int j = 0; j < nk; ++j) {
-            if (candidates[static_cast<size_t>(ck[static_cast<size_t>(j)])]
-                    .index.table == table) {
-              cap_row.terms.emplace_back(j, 1.0);
-            }
-          }
-          if (cap_row.terms.empty()) continue;
-          cap_row.rel = LpRelation::kLe;
-          cap_row.rhs = static_cast<double>(cap);
-          sub.lp.AddConstraint(std::move(cap_row));
-        }
-        return sub;
-      };
 
       // Solves one frontier point of cluster k: its BIP under an
       // allocation of `budget_rhs` pages, warm-started from the
-      // cluster's last root basis (plus, for the top point, the previous
-      // optimum as the initial incumbent). A finite `stop_at` lets the
-      // branch-and-bound stop as soon as its global lower bound reaches
-      // that value: the caller then gets a tail-bound CERTIFICATE (the
-      // sentinel can no longer win) at a fraction of a full proof's
-      // cost, and no point is appended. Returns +1 on a new proven
-      // point, 0 when the tail is certified or provably empty, -1 on
-      // failure (monolithic fallback).
+      // cluster's entry. A finite `stop_at` lets the branch-and-bound
+      // stop as soon as its global lower bound reaches that value: the
+      // caller then gets a tail-bound CERTIFICATE (the sentinel can no
+      // longer win) at a fraction of a full proof's cost, and no point
+      // is appended. Returns +1 on a new proven point, 0 when the tail is
+      // certified or provably empty, -1 on failure (monolithic
+      // fallback).
       auto solve_point = [&](int k, double budget_rhs, double stop_at) -> int {
-        const std::vector<int>& ck = part.clusters[static_cast<size_t>(k)];
-        const std::vector<int>& qk = cluster_rows[static_cast<size_t>(k)];
         CoPhySolverCache::Entry& e = entry_of(k);
-        int nk = static_cast<int>(ck.size());
-        MipProblem sub = build_sub(k, budget_rhs);
-
-        auto sub_heuristic = [&](const std::vector<double>& lp,
-                                 std::vector<double>* out, double* obj) {
-          std::set<int> ch;
-          double used_pages = 0.0;
-          std::map<TableId, int> per_table;
-          for (int i : ck) {
-            if (admitted_pins.count(i) > 0) {
-              ch.insert(i);
-              used_pages += candidates[static_cast<size_t>(i)].size_pages;
-              per_table[candidates[static_cast<size_t>(i)].index.table]++;
-            }
-          }
-          std::vector<std::pair<double, int>> ranked;
-          for (int j = 0; j < nk; ++j) {
-            int i = ck[static_cast<size_t>(j)];
-            if (vetoed[static_cast<size_t>(i)] || ch.count(i) > 0) continue;
-            if (lp[static_cast<size_t>(j)] > 1e-6) {
-              ranked.emplace_back(-lp[static_cast<size_t>(j)], i);
-            }
-          }
-          std::sort(ranked.begin(), ranked.end());
-          for (auto& [neg, i] : ranked) {
-            const CandidateIndex& c = candidates[static_cast<size_t>(i)];
-            if (used_pages + c.size_pages > budget_rhs) continue;
-            if (per_table[c.index.table] + 1 >
-                constraints.TableCapOrUnlimited(c.index.table)) {
-              continue;
-            }
-            ch.insert(i);
-            used_pages += c.size_pages;
-            per_table[c.index.table]++;
-          }
-          *obj = complete_rows(ch, qk);
-          if (!std::isfinite(*obj)) return false;
-          out->assign(static_cast<size_t>(sub.lp.num_vars), 0.0);
-          for (int i : ch) {
-            (*out)[static_cast<size_t>(local_of[static_cast<size_t>(i)])] = 1.0;
-          }
-          return true;
-        };
-
-        // Warm start: the cluster's last root basis always (the row
-        // space is identical across allocations and constraint edits);
-        // the previous optimum as the initial incumbent only for the top
-        // point (deeper allocations exclude it by construction).
-        BnbWarmStart warm;
-        bool have_warm = false;
-        if (!e.root_basis.empty()) {
-          warm.basis = e.root_basis;
-          have_warm = true;
-        }
-        if (e.valid && e.frontier.empty()) {
-          std::set<int> ch;
-          for (int i : e.chosen) {
-            if (!vetoed[static_cast<size_t>(i)]) ch.insert(i);
-          }
-          for (int i : ck) {
-            if (admitted_pins.count(i) > 0) ch.insert(i);
-          }
-          double used_pages = 0.0;
-          std::map<TableId, int> per_table;
-          bool feasible = true;
-          for (int i : ch) {
-            used_pages += candidates[static_cast<size_t>(i)].size_pages;
-            TableId t = candidates[static_cast<size_t>(i)].index.table;
-            feasible &= ++per_table[t] <= constraints.TableCapOrUnlimited(t);
-          }
-          feasible &= used_pages <= budget_rhs;
-          if (feasible) {
-            double obj = complete_rows(ch, qk);
-            if (std::isfinite(obj)) {
-              warm.values.assign(static_cast<size_t>(sub.lp.num_vars), 0.0);
-              for (int i : ch) {
-                warm.values[static_cast<size_t>(
-                    local_of[static_cast<size_t>(i)])] = 1.0;
-              }
-              warm.objective = obj;
-              have_warm = true;
-            }
-          }
-        }
-
-        BnbOptions bopt = options_.bnb;
-        bopt.stop_at_bound = stop_at;
-        BnbResult bnb = SolveBinaryMip(sub, bopt, sub_heuristic,
-                                       have_warm ? &warm : nullptr);
+        BipSolve r =
+            solve_bip(part.clusters[static_cast<size_t>(k)],
+                      cluster_rows[static_cast<size_t>(k)], budget_rhs, &e,
+                      stop_at);
+        const BnbResult& bnb = r.bnb;
         if (ran[static_cast<size_t>(k)] == 0) {
           ran[static_cast<size_t>(k)] = 1;
           ++rec.clusters_solved;
-        }
-        rec.bnb_nodes += bnb.nodes_explored;
-        rec.lp_pivots += bnb.lp_pivots;
-        rec.node_cold_solves += bnb.node_cold_solves;
-        rec.root_warm_fallbacks += bnb.root_warm_fallbacks;
-        rec.solve_time_sec += bnb.solve_time_sec;
-        rec.num_variables += static_cast<size_t>(sub.lp.num_vars);
-        rec.num_constraints += sub.lp.constraints.size();
-        for (int j = 0; j < nk; ++j) {
-          local_of[static_cast<size_t>(ck[static_cast<size_t>(j)])] = -1;
         }
         if (!bnb.feasible && !std::isfinite(bnb.lower_bound)) {
           if (e.frontier.empty()) {
@@ -949,13 +976,9 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         }
         CoPhySolverCache::Entry::ParetoPoint p;
         p.cost = bnb.objective;
-        for (int j = 0; j < nk; ++j) {
-          int i = ck[static_cast<size_t>(j)];
-          if (admitted_pins.count(i) > 0 ||
-              bnb.values[static_cast<size_t>(j)] > 0.5) {
-            p.chosen.push_back(i);
-            p.footprint += candidates[static_cast<size_t>(i)].size_pages;
-          }
+        p.chosen = std::move(r.chosen);
+        for (int i : p.chosen) {
+          p.footprint += candidates[static_cast<size_t>(i)].size_pages;
         }
         e.root_basis = bnb.root_basis;
         if (e.frontier.empty()) {
@@ -1127,18 +1150,12 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   }
 
   // ---------------- Monolithic path (mode or fallback) ----------------
+  // The same BIP over every candidate, every row and the full budget.
+  // The mono cache entry answers an unchanged re-solve outright and
+  // otherwise warm-starts it: this is what keeps a DBA edit cheap when a
+  // cap binds across clusters and every solve lands here.
   if (!solved) {
     rec.solved_monolithic = true;
-    // Self-validate the cache even when the decomposed path did not run
-    // (forced monolithic mode, or a stale partition): entries keyed to a
-    // different universe or row space must not survive.
-    if (cache != nullptr &&
-        (cache->universe_fingerprint != prepared.universe_fingerprint ||
-         cache->num_rows != nq)) {
-      cache->Clear();
-      cache->universe_fingerprint = prepared.universe_fingerprint;
-      cache->num_rows = nq;
-    }
     std::vector<int> all_rows(nq);
     for (size_t q = 0; q < nq; ++q) all_rows[q] = static_cast<int>(q);
     std::vector<int> all_cands(static_cast<size_t>(ny));
@@ -1154,182 +1171,22 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
       solver_lower = mono_entry->lower_bound;
       rec.proven_optimal = true;
     } else {
-      MipProblem mip;
-      for (int i = 0; i < ny; ++i) {
-        mip.lp.AddVariable(kTieBreakPerPage *
-                           candidates[static_cast<size_t>(i)].size_pages);
-        mip.binary_vars.push_back(i);
-      }
-      // DBA pins and vetoes are pure variable fixings: the atom matrix
-      // and every other row survive a constraint edit untouched.
-      for (int i : admitted_pins) mip.fixed_vars.emplace_back(i, 1);
-      for (int i = 0; i < ny; ++i) {
-        if (vetoed[static_cast<size_t>(i)]) mip.fixed_vars.emplace_back(i, 0);
-      }
-      // x variables.
-      std::vector<std::vector<int>> xvar(nq);
-      for (size_t q = 0; q < nq; ++q) {
-        double w = prepared.weights[q];
-        for (const CoPhyAtom& a : atoms(q)) {
-          xvar[q].push_back(mip.lp.AddVariable(w * a.cost));
-        }
-      }
-      // One atom per query.
-      for (size_t q = 0; q < nq; ++q) {
-        LpConstraint one;
-        for (int v : xvar[q]) one.terms.emplace_back(v, 1.0);
-        one.rel = LpRelation::kEq;
-        one.rhs = 1.0;
-        mip.lp.AddConstraint(std::move(one));
-      }
-      // Aggregated linking: sum_{a of q using i} x <= y_i.
-      for (size_t q = 0; q < nq; ++q) {
-        std::map<int, std::vector<int>> by_index;
-        for (size_t a = 0; a < atoms(q).size(); ++a) {
-          for (int i : atoms(q)[a].used) {
-            by_index[i].push_back(xvar[q][a]);
-          }
-        }
-        for (auto& [i, xs] : by_index) {
-          LpConstraint link;
-          for (int v : xs) link.terms.emplace_back(v, 1.0);
-          link.terms.emplace_back(i, -1.0);
-          link.rel = LpRelation::kLe;
-          link.rhs = 0.0;
-          mip.lp.AddConstraint(std::move(link));
-        }
-      }
-      // Storage budget.
-      if (std::isfinite(budget)) {
-        LpConstraint budget_row;
-        for (int i = 0; i < ny; ++i) {
-          budget_row.terms.emplace_back(
-              i, candidates[static_cast<size_t>(i)].size_pages);
-        }
-        budget_row.rel = LpRelation::kLe;
-        budget_row.rhs = budget;
-        mip.lp.AddConstraint(std::move(budget_row));
-      }
-      // Per-table caps: sum_{i on t} y_i <= cap_t.
-      for (const auto& [table, cap] : constraints.max_indexes_per_table) {
-        LpConstraint cap_row;
-        for (int i = 0; i < ny; ++i) {
-          if (candidates[static_cast<size_t>(i)].index.table == table) {
-            cap_row.terms.emplace_back(i, 1.0);
-          }
-        }
-        if (cap_row.terms.empty()) continue;
-        cap_row.rel = LpRelation::kLe;
-        cap_row.rhs = static_cast<double>(cap);
-        mip.lp.AddConstraint(std::move(cap_row));
-      }
-      rec.num_variables = static_cast<size_t>(mip.lp.num_vars);
-      rec.num_constraints = mip.lp.constraints.size();
-
-      // Primal heuristic: pins first, then round y by LP value under the
-      // budget/cap/veto constraints, then pick the cheapest compatible
-      // atom per query.
-      auto heuristic = [&](const std::vector<double>& lp,
-                           std::vector<double>* out, double* obj) {
-        std::set<int> ch = admitted_pins;
-        double used_pages = pin_pages;
-        std::map<TableId, int> per_table;
-        for (int i : ch) {
-          per_table[candidates[static_cast<size_t>(i)].index.table]++;
-        }
-        std::vector<std::pair<double, int>> ranked;
-        for (int i = 0; i < ny; ++i) {
-          if (vetoed[static_cast<size_t>(i)] || ch.count(i) > 0) continue;
-          if (lp[static_cast<size_t>(i)] > 1e-6) {
-            ranked.emplace_back(-lp[static_cast<size_t>(i)], i);
-          }
-        }
-        std::sort(ranked.begin(), ranked.end());
-        for (auto& [neg, i] : ranked) {
-          const CandidateIndex& c = candidates[static_cast<size_t>(i)];
-          if (used_pages + c.size_pages > budget) continue;
-          if (per_table[c.index.table] + 1 >
-              constraints.TableCapOrUnlimited(c.index.table)) {
-            continue;
-          }
-          ch.insert(i);
-          used_pages += c.size_pages;
-          per_table[c.index.table]++;
-        }
-        *obj = complete_rows(ch, all_rows);
-        if (!std::isfinite(*obj)) return false;
-        out->assign(static_cast<size_t>(mip.lp.num_vars), 0.0);
-        for (int i : ch) (*out)[static_cast<size_t>(i)] = 1.0;
-        // x assignment is implied; B&B only reads binary positions, and
-        // the objective is passed explicitly.
-        return true;
-      };
-
-      // Warm start from the cached monolithic solve: the previous root
-      // basis always, plus the previous optimum as the initial incumbent
-      // when it is still feasible under the edited constraints. This is
-      // what keeps a DBA edit cheap in the binding-budget regime, where
-      // stitching fails and every solve lands here.
-      BnbWarmStart warm;
-      bool have_warm = false;
-      if (mono_entry != nullptr) {
-        if (!mono_entry->root_basis.empty()) {
-          warm.basis = mono_entry->root_basis;
-          have_warm = true;
-        }
-        if (mono_entry->valid) {
-          std::set<int> ch;
-          for (int i : mono_entry->chosen) {
-            if (!vetoed[static_cast<size_t>(i)]) ch.insert(i);
-          }
-          ch.insert(admitted_pins.begin(), admitted_pins.end());
-          double used_pages = 0.0;
-          std::map<TableId, int> per_table;
-          bool feasible = true;
-          for (int i : ch) {
-            used_pages += candidates[static_cast<size_t>(i)].size_pages;
-            TableId t = candidates[static_cast<size_t>(i)].index.table;
-            feasible &= ++per_table[t] <= constraints.TableCapOrUnlimited(t);
-          }
-          feasible &= used_pages <= budget;
-          if (feasible) {
-            double obj = complete_rows(ch, all_rows);
-            if (std::isfinite(obj)) {
-              warm.values.assign(static_cast<size_t>(mip.lp.num_vars), 0.0);
-              for (int i : ch) warm.values[static_cast<size_t>(i)] = 1.0;
-              warm.objective = obj;
-              have_warm = true;
-            }
-          }
-        }
-      }
-
-      BnbResult bnb = SolveBinaryMip(mip, options_.bnb, heuristic,
-                                     have_warm ? &warm : nullptr);
-      rec.bnb_nodes += bnb.nodes_explored;
-      rec.lp_pivots += bnb.lp_pivots;
-      rec.node_cold_solves += bnb.node_cold_solves;
-      rec.root_warm_fallbacks += bnb.root_warm_fallbacks;
-      rec.solve_time_sec += bnb.solve_time_sec;
-      rec.proven_optimal = bnb.proven_optimal;
-      solver_lower = bnb.lower_bound;
-
-      // Extract the chosen configuration. Admitted pins are always part
-      // of it, even when the node budget starved the search.
+      // Unlike a cluster point, an incumbent that is not proven optimal
+      // is still the answer (the node budget is the time/quality knob).
+      BipSolve r = solve_bip(all_cands, all_rows, budget, mono_entry,
+                             options_.bnb.stop_at_bound);
+      rec.proven_optimal = r.bnb.proven_optimal;
+      solver_lower = r.bnb.lower_bound;
       chosen = admitted_pins;
-      if (bnb.feasible) {
-        for (int i = 0; i < ny; ++i) {
-          if (bnb.values[static_cast<size_t>(i)] > 0.5) chosen.insert(i);
-        }
-      }
+      chosen.insert(r.chosen.begin(), r.chosen.end());
       if (mono_entry != nullptr) {
-        if (bnb.feasible && bnb.proven_optimal) {
+        if (r.bnb.feasible && r.bnb.proven_optimal) {
           mono_entry->valid = true;
           mono_entry->signature = mono_sig;
           mono_entry->chosen.assign(chosen.begin(), chosen.end());
-          mono_entry->objective = bnb.objective;
-          mono_entry->lower_bound = bnb.lower_bound;
-          mono_entry->root_basis = bnb.root_basis;
+          mono_entry->objective = r.bnb.objective;
+          mono_entry->lower_bound = r.bnb.lower_bound;
+          mono_entry->root_basis = r.bnb.root_basis;
         } else {
           mono_entry->valid = false;
         }
@@ -1347,23 +1204,15 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   std::set<int> kept = admitted_pins;
   rec.per_query_cost.resize(nq, 0.0);
   rec.recommended_cost = 0.0;
+  for (int i : chosen) in_chosen[static_cast<size_t>(i)] = 1;
   for (size_t q = 0; q < nq; ++q) {
-    double best = std::numeric_limits<double>::infinity();
-    const CoPhyAtom* best_atom = nullptr;
-    for (const CoPhyAtom& a : atoms(q)) {
-      bool ok = true;
-      for (int i : a.used) ok &= chosen.count(i) > 0;
-      if (ok && a.cost < best) {
-        best = a.cost;
-        best_atom = &a;
-      }
-    }
-    rec.per_query_cost[q] = best;
-    rec.recommended_cost += prepared.weights[q] * best;
-    if (best_atom != nullptr) {
-      for (int i : best_atom->used) kept.insert(i);
-    }
+    const CoPhyAtom* best = cheapest_atom(q);
+    rec.per_query_cost[q] =
+        best != nullptr ? best->cost : std::numeric_limits<double>::infinity();
+    rec.recommended_cost += prepared.weights[q] * rec.per_query_cost[q];
+    if (best != nullptr) kept.insert(best->used.begin(), best->used.end());
   }
+  for (int i : chosen) in_chosen[static_cast<size_t>(i)] = 0;
   for (int i : kept) {
     rec.indexes.push_back(candidates[static_cast<size_t>(i)].index);
     rec.total_size_pages += candidates[static_cast<size_t>(i)].size_pages;

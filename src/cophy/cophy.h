@@ -35,12 +35,11 @@ namespace dbdesign {
 
 /// How SolvePrepared runs the BIP.
 enum class CoPhySolveMode {
-  /// Decompose by interaction clusters and solve per-cluster BIPs with
-  /// the full budget each; fall back to the monolithic BIP when the
-  /// stitched optimum shows the budget (or a table cap) actually binds
-  /// across clusters. Always returns the same recommendation as
-  /// kMonolithic — the fallback condition is exactly what makes the
-  /// stitching provably optimal (see SolvePrepared).
+  /// Decompose by interaction clusters, solve per-cluster BIPs and split
+  /// the budget across them exactly; fall back to the monolithic BIP
+  /// when a table cap binds across clusters (or a size guard trips).
+  /// Always returns the same recommendation as kMonolithic (see
+  /// SolvePrepared).
   kAuto,
   /// Always solve the single monolithic BIP (the differential-testing
   /// reference; also useful for benchmarking the decomposition win).
@@ -87,25 +86,31 @@ struct IndexRecommendation {
   double lower_bound = 0.0;
   double gap = 0.0;
   bool proven_optimal = false;
-  int bnb_nodes = 0;
-  double solve_time_sec = 0.0;
   size_t num_candidates = 0;
   size_t num_atoms = 0;
-  size_t num_variables = 0;
-  size_t num_constraints = 0;
 
-  /// Decomposition telemetry: how the solve was actually executed.
-  int num_clusters = 0;      ///< interaction clusters in the prepared state
-  int clusters_solved = 0;   ///< cluster BIPs solved this call
-  int clusters_reused = 0;   ///< cluster optima reused from the solver cache
-  bool solved_monolithic = false;  ///< the monolithic BIP ran (mode/fallback)
-  int lp_pivots = 0;               ///< simplex pivots across all BIPs
+  /// Solver work telemetry. Each counter is a TOTAL over every BIP this
+  /// call solved: every cluster BIP (each frontier point and tail
+  /// certificate is one) plus the monolithic BIP when it ran, a
+  /// fallback included. A call answered entirely from the solver cache
+  /// reports zeros.
+  int bnb_nodes = 0;
+  double solve_time_sec = 0.0;
+  size_t num_variables = 0;    ///< BIP columns, summed over the BIPs
+  size_t num_constraints = 0;  ///< BIP rows, summed over the BIPs
+  int lp_pivots = 0;           ///< simplex pivots
   /// B&B node LPs solved from scratch because the dual simplex could not
   /// reoptimize them from the parent (see BnbResult::node_cold_solves).
   int node_cold_solves = 0;
   /// Root LPs whose warm basis gave no verdict and were solved cold (see
   /// BnbResult::root_warm_fallbacks).
   int root_warm_fallbacks = 0;
+
+  /// Decomposition telemetry: how the solve was actually executed.
+  int num_clusters = 0;      ///< interaction clusters in the prepared state
+  int clusters_solved = 0;   ///< clusters with at least one BIP this call
+  int clusters_reused = 0;   ///< cluster optima reused from the solver cache
+  bool solved_monolithic = false;  ///< the monolithic BIP ran (mode/fallback)
 
   /// Set when this recommendation was served from cached session state
   /// because the backend was down (see util/status.h). A degraded
@@ -226,9 +231,11 @@ struct CoPhyPrepared {
 ///
 /// The cache therefore also keeps one entry for the MONOLITHIC BIP, so
 /// a constraint edit under a cap-bound workload does not pay a full
-/// cold B&B: the mono entry warm-starts the fallback from the previous
-/// root basis and previous optimum (sanitized against the edited
-/// constraints), and answers an unchanged re-solve outright.
+/// cold B&B: the mono entry warm-starts the fallback exactly as a
+/// cluster entry warm-starts its top frontier point (previous root
+/// basis, plus the previous optimum when it is still feasible under the
+/// edited constraints), and answers an unchanged re-solve outright. It
+/// never holds a frontier.
 struct CoPhySolverCache {
   struct Entry {
     bool valid = false;
@@ -266,7 +273,7 @@ struct CoPhySolverCache {
   uint64_t universe_fingerprint = 0;
   size_t num_rows = 0;
   std::vector<Entry> entries;  ///< one per cluster
-  Entry mono;                  ///< the monolithic BIP (fallback path)
+  Entry mono;  ///< the monolithic BIP (mode or fallback); no frontier
 
   /// Budget-trim telemetry (session-lifetime; Clear() keeps them so
   /// tests and benches can observe trims across workload edits).
@@ -336,21 +343,29 @@ class CoPhyAdvisor {
   ///
   /// With solve_mode == kAuto the solve decomposes by interaction
   /// cluster: each cluster's BIP is the restriction of the monolithic
-  /// one to the cluster's variables with the budget/cap rows kept at
-  /// their FULL right-hand sides (a relaxation). Any monolithic-feasible
-  /// solution splits into per-cluster feasible parts, so the sum of
-  /// cluster optima lower-bounds the monolithic optimum; when the
-  /// stitched union of cluster optima also satisfies the global budget
-  /// and caps it attains that bound and — optima being unique under the
-  /// tie-break objective — IS the monolithic optimum. Otherwise (the
-  /// budget/caps bind across clusters) the solve provably cannot stitch
-  /// and falls back to the monolithic BIP, so both modes always return
-  /// the same recommendation.
+  /// one to the cluster's variables and rows, with its budget row at an
+  /// allocation of pages and its cap rows at their FULL right-hand sides
+  /// (a relaxation). Each cluster exposes a lazily enumerated
+  /// budget/cost frontier, and an allocation DP splits the global budget
+  /// over the frontiers exactly. When the stitched union also satisfies
+  /// the caps it attains the lower bound and — optima being unique under
+  /// the tie-break objective — IS the monolithic optimum. Otherwise (a
+  /// cap binds across clusters, a size guard trips, or a cluster point
+  /// is not proven) the solve falls back to the monolithic BIP, so both
+  /// modes always return the same recommendation.
+  ///
+  /// Every BIP — a cluster's at one frontier allocation, or the
+  /// monolithic one over every candidate, every row and the full budget
+  /// — is built, rounded by the LP heuristic, warm-started and counted
+  /// by the same code, so the two differ only in the subset they pass.
+  /// The telemetry in the result totals all of them (see
+  /// IndexRecommendation).
   ///
   /// `cache` (optional, owned by the calling session) carries
   /// per-cluster optima and LP bases between calls: unchanged clusters
-  /// are reused without solving, dirtied clusters warm-start. Pass
-  /// nullptr for a stateless solve.
+  /// are reused without solving, dirtied clusters warm-start. A cache
+  /// keyed to another universe, row space or cluster count is reset
+  /// first. Pass nullptr for a stateless solve.
   Result<IndexRecommendation> SolvePrepared(
       const CoPhyPrepared& prepared, const DesignConstraints& constraints,
       CoPhySolverCache* cache = nullptr) const;

@@ -410,11 +410,11 @@ Status DesignSession::EnsurePrepared() {
 
 namespace {
 
-std::string RecommendationSummary(const char* verb,
+std::string RecommendationSummary(const std::string& action,
                                   const IndexRecommendation& rec) {
-  std::string text = StrFormat("%s -> %zu indexes, cost %.1f -> %.1f", verb,
-                               rec.indexes.size(), rec.base_cost,
-                               rec.recommended_cost);
+  std::string text = StrFormat("%s -> %zu indexes, cost %.1f -> %.1f",
+                               action.c_str(), rec.indexes.size(),
+                               rec.base_cost, rec.recommended_cost);
   if (!rec.infeasible_pins.empty()) {
     text += StrFormat(" (%zu pins infeasible)", rec.infeasible_pins.size());
   }
@@ -490,20 +490,28 @@ Result<IndexRecommendation> DesignSession::DegradedRecommendation(
 }
 
 Result<IndexRecommendation> DesignSession::Recommend() {
-  Status s = EnsurePrepared();
-  if (!s.ok()) return DegradedRecommendation(std::move(s));
-  // Certificate reuse: after a pure same-template append (or when
-  // nothing changed at all) the previous optimum provably stands — the
-  // answer is the old configuration re-weighted, with no solver work
-  // and no backend cost calls.
+  return RecommendAndApply("RECOMMEND");
+}
+
+Result<IndexRecommendation> DesignSession::RecommendAndApply(
+    const std::string& action) {
+  // Certificate reuse: the previous optimum provably stands (a
+  // tightening-only constraint edit it still satisfies, a pure
+  // same-template append, or nothing changed at all) — the answer is the
+  // old configuration re-weighted, with no solver work and no backend
+  // cost calls. The certificate implies a warm prepared state, so this
+  // never skips a preparation the solve below would need.
   if (CertificateHolds()) {
     IndexRecommendation rec = ReweightedLastRecommendation();
-    ApplyRecommendation(rec, RecommendationSummary("RECOMMEND", rec) +
+    ApplyRecommendation(rec, RecommendationSummary(action, rec) +
                                  " (certificate reuse)");
     last_rec_ = rec;
     solved_constraints_ = constraints_;
     return rec;
   }
+  // Otherwise re-solve the BIP against the prepared atom matrix.
+  Status s = EnsurePrepared();
+  if (!s.ok()) return DegradedRecommendation(std::move(s));
   Result<IndexRecommendation> solved =
       cophy_->SolvePrepared(prepared_, constraints_, &solver_cache_);
   if (!solved.ok()) return solved.status();
@@ -513,7 +521,7 @@ Result<IndexRecommendation> DesignSession::Recommend() {
   IndexRecommendation rec = std::move(solved).value();
   last_class_cost_ = rec.per_query_cost;
   rec.per_query_cost = ExpandPerQueryCost(last_class_cost_);
-  ApplyRecommendation(rec, RecommendationSummary("RECOMMEND", rec));
+  ApplyRecommendation(rec, RecommendationSummary(action, rec));
   last_rec_ = rec;
   solved_constraints_ = constraints_;
   certificate_valid_ = true;
@@ -560,46 +568,9 @@ Result<IndexRecommendation> DesignSession::Refine(
   Status s = ApplyConstraintDelta(delta, designer_->backend().catalog(),
                                   &constraints_);
   if (!s.ok()) return s;
-  const Catalog& catalog = designer_->backend().catalog();
-
-  // Tier 1: the previous optimum certifiably survives the edit — reuse
-  // it with no solver work at all (re-weighted in case same-template
-  // appends bumped class weights since the solve).
-  if (CertificateHolds()) {
-    IndexRecommendation rec = ReweightedLastRecommendation();
-    std::string action = delta.empty()
-                             ? RecommendationSummary("REFINE", rec)
-                             : "REFINE [" + delta.Describe(catalog) + "]" +
-                                   RecommendationSummary("", rec) +
-                                   " (certificate reuse)";
-    ApplyRecommendation(rec, std::move(action));
-    last_rec_ = rec;
-    solved_constraints_ = constraints_;
-    return rec;
-  }
-
-  // Tier 2: re-solve the BIP against the prepared atom matrix.
-  s = EnsurePrepared();
-  if (!s.ok()) return DegradedRecommendation(std::move(s));
-  Result<IndexRecommendation> solved =
-      cophy_->SolvePrepared(prepared_, constraints_, &solver_cache_);
-  if (!solved.ok()) return solved.status();
-  if (cache_budget_.solver_cache_bytes != 0) {
-    solver_cache_.TrimToBytes(cache_budget_.solver_cache_bytes);
-  }
-  IndexRecommendation rec = std::move(solved).value();
-  last_class_cost_ = rec.per_query_cost;
-  rec.per_query_cost = ExpandPerQueryCost(last_class_cost_);
-  std::string action = RecommendationSummary("REFINE", rec);
-  if (!delta.empty()) {
-    action = "REFINE [" + delta.Describe(catalog) + "]" +
-             RecommendationSummary("", rec);
-  }
-  ApplyRecommendation(rec, std::move(action));
-  last_rec_ = rec;
-  solved_constraints_ = constraints_;
-  certificate_valid_ = true;
-  return rec;
+  if (delta.empty()) return RecommendAndApply("REFINE");
+  return RecommendAndApply(
+      "REFINE [" + delta.Describe(designer_->backend().catalog()) + "]");
 }
 
 // --- Deployment planning ---

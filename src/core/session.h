@@ -317,6 +317,11 @@ class DesignSession {
   /// recommendation marked with `cause`, or `cause` itself when no
   /// fallback exists.
   Result<IndexRecommendation> DegradedRecommendation(Status cause);
+  /// The shared Recommend/Refine tail under the current constraints:
+  /// certificate reuse when it holds (logged with a "(certificate
+  /// reuse)" suffix), else a solve against the prepared state. Applies
+  /// the result as one undoable step logged as `action` + a summary.
+  Result<IndexRecommendation> RecommendAndApply(const std::string& action);
   /// Drops every cached deployment artifact (DoI rows + plan).
   void InvalidateDeployment();
   /// True when the cached schedule is still exactly what a rebuild

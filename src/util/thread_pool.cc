@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace dbdesign {
 
@@ -77,7 +78,7 @@ void ThreadPool::Job::Record(size_t index, std::exception_ptr e) {
 
 std::exception_ptr ThreadPool::Job::TakeError() {
   MutexLock lock(err_mu);
-  return err;
+  return std::exchange(err, nullptr);
 }
 
 void ThreadPool::Job::RunChunk() {

@@ -106,8 +106,13 @@ class ThreadPool {
 
     void Record(size_t index, std::exception_ptr e);
     void RunChunk();
-    /// First-thrown-by-lowest-index exception, if any (call after the
-    /// job has fully drained — no concurrent Record possible).
+    /// Moves out the first-thrown-by-lowest-index exception, if any
+    /// (call after the job has fully drained — no concurrent Record
+    /// possible). The job keeps no reference: a worker may drop the last
+    /// Job reference after the caller's handler has run, and the
+    /// exception must not be freed on that worker (the refcount lives in
+    /// the uninstrumented runtime, so ThreadSanitizer reports the free
+    /// as a race with the handler's reads).
     std::exception_ptr TakeError();
   };
 

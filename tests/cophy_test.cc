@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 
 #include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "cophy/greedy.h"
 #include "sql/binder.h"
+#include "util/rng.h"
 #include "workload/queries.h"
 #include "workload/sdss.h"
 
@@ -199,6 +203,130 @@ TEST_F(CoPhyTest, MatchesExhaustiveOnSmallInstance) {
   }
   EXPECT_NEAR(rec.recommended_cost / best, 1.0, 0.05)
       << "CoPhy " << rec.recommended_cost << " vs exhaustive " << best;
+
+  // Exact oracle under the atom model, over random constraint mixes:
+  // enumerate every subset of at most 12 candidates that honors the
+  // pins, vetoes, per-table caps and budget, price each by every row's
+  // cheapest compatible atom, and require both solve modes to reach the
+  // minimum — exactly under CoPhy's 1e-5/page tie-break objective, and
+  // within the tie-break's reach on atom cost alone.
+  constexpr double kTieBreakPerPage = 1e-5;
+  CoPhyAdvisor preparer(*backend_);
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Workload slice;
+    for (int q : rng.SampleWithoutReplacement(
+             static_cast<int>(workload_->size()),
+             static_cast<int>(rng.UniformInt(3, 6)))) {
+      slice.Add(workload_->queries[static_cast<size_t>(q)],
+                rng.UniformDouble(0.5, 2.0));
+    }
+    CandidateOptions slice_opts;
+    slice_opts.max_candidates = 12;
+    slice_opts.covering_candidates = rng.Bernoulli(0.5);
+    Result<CoPhyPrepared> prepared = preparer.TryPrepare(
+        slice, GenerateCandidates(*backend_, slice, slice_opts));
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const CoPhyPrepared& prep = prepared.value();
+    const std::vector<CandidateIndex>& pool = prep.candidates;
+    int np = static_cast<int>(pool.size());
+    ASSERT_LE(np, 12);
+    ASSERT_GE(np, 2);
+
+    // Random pins and vetoes (disjoint), caps no pin set violates, and a
+    // budget every pin fits.
+    DesignConstraints cons;
+    std::vector<int> order(static_cast<size_t>(np));
+    for (int i = 0; i < np; ++i) order[static_cast<size_t>(i)] = i;
+    rng.Shuffle(order);
+    int num_pins = static_cast<int>(rng.UniformInt(0, 2));
+    int num_vetoes = static_cast<int>(rng.UniformInt(0, 2));
+    double pin_pages = 0.0;
+    double free_pages = 0.0;
+    std::map<TableId, int> pins_on;
+    for (int k = 0; k < np; ++k) {
+      const CandidateIndex& c = pool[static_cast<size_t>(order[k])];
+      if (k < num_pins) {
+        cons.pinned_indexes.push_back(c.index);
+        pin_pages += c.size_pages;
+        pins_on[c.index.table]++;
+      } else if (k < num_pins + num_vetoes) {
+        cons.vetoed_indexes.push_back(c.index);
+      } else {
+        free_pages += c.size_pages;
+      }
+    }
+    for (const CandidateIndex& c : pool) {
+      if (cons.max_indexes_per_table.count(c.index.table) == 0 &&
+          rng.Bernoulli(0.5)) {
+        cons.max_indexes_per_table[c.index.table] = std::max(
+            pins_on[c.index.table], static_cast<int>(rng.UniformInt(1, 3)));
+      }
+    }
+    cons.storage_budget_pages =
+        pin_pages + rng.UniformDouble(0.1, 0.8) * free_pages;
+    ASSERT_TRUE(cons.Validate(db_->catalog()).ok());
+
+    // The oracle: the cheapest feasible subset, by atom cost alone and
+    // by the tie-broken objective.
+    double best_atoms = std::numeric_limits<double>::infinity();
+    double best_tied = std::numeric_limits<double>::infinity();
+    for (int mask = 0; mask < (1 << np); ++mask) {
+      double pages = 0.0;
+      std::map<TableId, int> per_table;
+      bool feasible = true;
+      for (int i = 0; i < np && feasible; ++i) {
+        const CandidateIndex& c = pool[static_cast<size_t>(i)];
+        bool in = (mask >> i) & 1;
+        feasible &= in ? !cons.IsVetoed(c.index) : !cons.IsPinned(c.index);
+        if (!in) continue;
+        pages += c.size_pages;
+        feasible &= ++per_table[c.index.table] <=
+                    cons.TableCapOrUnlimited(c.index.table);
+      }
+      if (!feasible || pages > cons.storage_budget_pages) continue;
+      double cost = 0.0;
+      for (size_t q = 0; q < prep.rows.size(); ++q) {
+        double row_best = std::numeric_limits<double>::infinity();
+        for (const CoPhyAtom& a : prep.rows[q]->atoms) {
+          if (std::all_of(a.used.begin(), a.used.end(),
+                          [&](int i) { return (mask >> i) & 1; })) {
+            row_best = std::min(row_best, a.cost);
+          }
+        }
+        cost += prep.weights[q] * row_best;
+      }
+      best_atoms = std::min(best_atoms, cost);
+      best_tied = std::min(best_tied, cost + kTieBreakPerPage * pages);
+    }
+    ASSERT_TRUE(std::isfinite(best_atoms));
+
+    std::vector<IndexDef> auto_indexes;
+    for (CoPhySolveMode mode :
+         {CoPhySolveMode::kAuto, CoPhySolveMode::kMonolithic}) {
+      CoPhyOptions mode_opts;
+      mode_opts.solve_mode = mode;
+      CoPhyAdvisor solver(*backend_, mode_opts);
+      Result<IndexRecommendation> solved = solver.SolvePrepared(prep, cons);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+      const IndexRecommendation& r = solved.value();
+      EXPECT_TRUE(r.proven_optimal);
+      EXPECT_TRUE(r.infeasible_pins.empty());
+      EXPECT_LE(r.total_size_pages, cons.storage_budget_pages);
+      double scale = 1e-9 * std::max(1.0, best_atoms);
+      EXPECT_NEAR(r.recommended_cost + kTieBreakPerPage * r.total_size_pages,
+                  best_tied, scale);
+      EXPECT_GE(r.recommended_cost, best_atoms - scale);
+      EXPECT_LE(r.recommended_cost,
+                best_atoms + kTieBreakPerPage * cons.storage_budget_pages);
+      if (mode == CoPhySolveMode::kAuto) {
+        auto_indexes = r.indexes;
+      } else {
+        EXPECT_EQ(r.indexes, auto_indexes);
+      }
+    }
+  }
 }
 
 TEST_F(CoPhyTest, NeverWorseThanGreedyOnSharedCandidates) {

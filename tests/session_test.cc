@@ -313,6 +313,30 @@ TEST_F(SessionTest, CertificateRefineIsInstantAndMatchesFromScratch) {
                    refined.value().recommended_cost);
 }
 
+TEST_F(SessionTest, EmptyRefineAnsweredByCertificateIsMarked) {
+  // An empty delta right after a proven solve changes nothing: the
+  // certificate answers it, and the action log must say so exactly as it
+  // does for a non-empty delta (readers count re-solves by the marker).
+  session_->SetWorkload(
+      GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 10, 37));
+  auto initial = session_->Recommend();
+  ASSERT_TRUE(initial.ok());
+  ASSERT_TRUE(initial.value().proven_optimal);
+  EXPECT_EQ(session_->log().back().find("certificate reuse"),
+            std::string::npos)
+      << "a cold solve is not a certificate answer: "
+      << session_->log().back();
+
+  auto refined = session_->Refine(ConstraintDelta{});
+  ASSERT_TRUE(refined.ok());
+  EXPECT_EQ(refined.value().bnb_nodes, 0);
+  EXPECT_EQ(refined.value().lp_pivots, 0);
+  EXPECT_EQ(refined.value().indexes, initial.value().indexes);
+  const std::string& line = session_->log().back();
+  EXPECT_EQ(line.rfind("REFINE -> ", 0), 0u) << line;
+  EXPECT_NE(line.find("(certificate reuse)"), std::string::npos) << line;
+}
+
 TEST_F(SessionTest, RefinePinOutsideUniverseStaysBackendFree) {
   session_->SetWorkload(
       GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 8, 13));

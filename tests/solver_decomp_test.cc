@@ -18,11 +18,15 @@
 #include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "core/constraints.h"
+#include "synthetic_cophy.h"
 #include "util/rng.h"
 #include "workload/sdss.h"
 
 namespace dbdesign {
 namespace {
+
+using synthetic::EnumerateIndexDefs;
+using synthetic::TotalSize;
 
 class DecompTest : public ::testing::Test {
  protected:
@@ -40,31 +44,6 @@ class DecompTest : public ::testing::Test {
 };
 
 Database* DecompTest::db_ = nullptr;
-
-// Enumerates structurally valid, distinct IndexDefs over the catalog
-// (single-column first, then leading pairs) — enough to name synthetic
-// candidates without caring what the columns mean.
-std::vector<IndexDef> EnumerateIndexDefs(const Catalog& catalog, int count) {
-  std::vector<IndexDef> defs;
-  for (TableId t = 0; t < catalog.num_tables(); ++t) {
-    for (ColumnId c = 0;
-         c < static_cast<ColumnId>(catalog.table(t).columns().size()); ++c) {
-      defs.push_back(IndexDef{t, {c}});
-      if (static_cast<int>(defs.size()) == count) return defs;
-    }
-  }
-  for (TableId t = 0; t < catalog.num_tables(); ++t) {
-    ColumnId nc = static_cast<ColumnId>(catalog.table(t).columns().size());
-    for (ColumnId a = 0; a < nc; ++a) {
-      for (ColumnId b = 0; b < nc; ++b) {
-        if (a == b) continue;
-        defs.push_back(IndexDef{t, {a, b}});
-        if (static_cast<int>(defs.size()) == count) return defs;
-      }
-    }
-  }
-  return defs;
-}
 
 struct PreparedSpec {
   uint64_t seed = 1;
@@ -143,13 +122,15 @@ CoPhyPrepared MakePrepared(const Database& db, const PreparedSpec& spec) {
   return prep;
 }
 
-IndexRecommendation Solve(const Database& db, const CoPhyPrepared& prep,
-                          const DesignConstraints& cons, CoPhySolveMode mode,
-                          double budget_pages,
-                          CoPhySolverCache* cache = nullptr) {
+IndexRecommendation Solve(
+    const Database& db, const CoPhyPrepared& prep,
+    const DesignConstraints& cons, CoPhySolveMode mode, double budget_pages,
+    CoPhySolverCache* cache = nullptr,
+    double time_limit_sec = BnbOptions{}.time_limit_sec) {
   CoPhyOptions opts;
   opts.storage_budget_pages = budget_pages;
   opts.solve_mode = mode;
+  opts.bnb.time_limit_sec = time_limit_sec;
   InMemoryBackend backend(db);
   CoPhyAdvisor advisor(backend, opts);
   Result<IndexRecommendation> rec = advisor.SolvePrepared(prep, cons, cache);
@@ -177,12 +158,6 @@ void ExpectBitIdentical(const IndexRecommendation& a,
   EXPECT_EQ(a.proven_optimal, b.proven_optimal);
   EXPECT_NEAR(a.lower_bound, b.lower_bound,
               1e-6 * std::max(1.0, std::abs(a.lower_bound)));
-}
-
-double TotalSize(const CoPhyPrepared& prep) {
-  double total = 0.0;
-  for (const CandidateIndex& c : prep.candidates) total += c.size_pages;
-  return total;
 }
 
 TEST_F(DecompTest, UnconstrainedMatchesMonolithicAcrossSeeds) {
@@ -298,6 +273,11 @@ TEST_F(DecompTest, CapStraddlingClustersFallsBackAndMatches) {
   EXPECT_TRUE(decomp.solved_monolithic)
       << "a cap binding across clusters must force the fallback";
   ExpectBitIdentical(decomp, mono);
+  // Size telemetry totals every BIP the call solved: the cluster
+  // attempts plus the monolithic fallback, not the fallback alone.
+  EXPECT_GT(decomp.clusters_solved, 0);
+  EXPECT_GT(decomp.num_variables, mono.num_variables);
+  EXPECT_GT(decomp.num_constraints, mono.num_constraints);
 }
 
 TEST_F(DecompTest, SingleClusterDegeneracyMatches) {
@@ -407,6 +387,56 @@ TEST_F(DecompTest, PinnedAndCappedTightBudgetSweep) {
           Solve(*db_, prep, cons, CoPhySolveMode::kAuto, budget);
       ExpectBitIdentical(decomp, mono);
     }
+  }
+}
+
+TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
+  // bench_solver's sweep instances and gates: at every universe size the
+  // cold decomposed solve stays decomposed and equals the monolithic
+  // optimum bit for bit; a veto of one recommended index re-solves only
+  // its own cluster, warm, and still equals a cold monolithic solve; and
+  // no B&B node LP or warm root is ever solved from scratch.
+  auto expect_no_cold_lp = [](const IndexRecommendation& rec, int n,
+                              const char* op) {
+    EXPECT_EQ(rec.node_cold_solves, 0) << op << " " << n;
+    EXPECT_EQ(rec.root_warm_fallbacks, 0) << op << " " << n;
+  };
+  // Only the node limit bounds these solves: the 4000-candidate
+  // monolithic BIP takes about a second in an optimized build but longer
+  // than the default wall-clock limit under sanitizers, and a proof cut
+  // short by the clock would fail the comparison on slow machines only.
+  constexpr double kNoTimeLimit = std::numeric_limits<double>::infinity();
+  for (int n : {50, 200, 1000, 4000}) {
+    CoPhyPrepared prep = synthetic::MakeClusteredPrepared(*db_, n);
+    ASSERT_EQ(prep.candidates.size(), static_cast<size_t>(n));
+    double budget = TotalSize(prep);
+    DesignConstraints cons;
+    CoPhySolverCache cache;
+
+    IndexRecommendation mono = Solve(*db_, prep, cons,
+                                     CoPhySolveMode::kMonolithic, budget,
+                                     nullptr, kNoTimeLimit);
+    IndexRecommendation decomp = Solve(*db_, prep, cons, CoPhySolveMode::kAuto,
+                                       budget, &cache, kNoTimeLimit);
+    EXPECT_FALSE(decomp.solved_monolithic) << n;
+    ExpectBitIdentical(decomp, mono);
+
+    ASSERT_FALSE(decomp.indexes.empty());
+    DesignConstraints vetoed = cons;
+    vetoed.vetoed_indexes.push_back(decomp.indexes.front());
+    IndexRecommendation warm = Solve(*db_, prep, vetoed,
+                                     CoPhySolveMode::kAuto, budget, &cache,
+                                     kNoTimeLimit);
+    EXPECT_EQ(warm.clusters_solved, 1) << n;
+    IndexRecommendation mono_veto =
+        Solve(*db_, prep, vetoed, CoPhySolveMode::kMonolithic, budget,
+              nullptr, kNoTimeLimit);
+    ExpectBitIdentical(warm, mono_veto);
+
+    expect_no_cold_lp(mono, n, "monolithic");
+    expect_no_cold_lp(decomp, n, "decomposed");
+    expect_no_cold_lp(warm, n, "decomposed_warm");
+    expect_no_cold_lp(mono_veto, n, "monolithic_veto");
   }
 }
 

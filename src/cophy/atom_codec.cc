@@ -72,6 +72,8 @@ Result<CoPhyAtomRow> DecodeAtomRow(std::string_view bytes) {
 }
 
 size_t AtomRowBytes(const CoPhyAtomRow& row) {
+  // The plan set itself belongs to the sessions' cost models (the row
+  // holds it weakly), so only the handle inside the struct is charged.
   size_t bytes = sizeof(CoPhyAtomRow);
   bytes += row.atoms.size() * sizeof(CoPhyAtom);
   for (const CoPhyAtom& atom : row.atoms) {

@@ -361,6 +361,104 @@ Result<IndexRecommendation> CoPhyAdvisor::TryRecommendWithCandidates(
   return SolvePrepared(prepared.value(), constraints);
 }
 
+std::vector<std::shared_ptr<const CoPhyAtomRow>> CoPhyAdvisor::BuildRows(
+    const std::vector<const BoundQuery*>& queries,
+    const std::vector<CandidateIndex>& candidates) {
+  // INUM caches are populated up front (one query per pool task) so the
+  // parallel BuildAtoms calls only read them: the cost model's cache is
+  // not thread-safe.
+  inum_.PrepareQueries(queries);
+
+  std::vector<std::shared_ptr<CoPhyAtomRow>> built(queries.size());
+  int threads = ThreadPool::Resolve(params_.num_threads);
+  ThreadPool::Shared().ParallelFor(queries.size(), threads, [&](size_t m) {
+    auto row = std::make_shared<CoPhyAtomRow>();
+    row->atoms = BuildAtoms(*queries[m], candidates);
+    built[m] = std::move(row);
+  });
+  // Base costs run serially in query order: under force_exact they
+  // reach the backend, whose call order must not depend on threads.
+  std::vector<std::shared_ptr<const CoPhyAtomRow>> rows;
+  rows.reserve(queries.size());
+  for (size_t m = 0; m < queries.size(); ++m) {
+    built[m]->base_cost = inum_.Cost(*queries[m], PhysicalDesign{});
+    // Only a published row can be adopted by another session.
+    if (atom_source_ != nullptr) {
+      built[m]->plan_set = inum_.PlanSetFor(*queries[m]);
+    }
+    rows.push_back(std::move(built[m]));
+  }
+  return rows;
+}
+
+std::shared_ptr<const CoPhyAtomRow> CoPhyAdvisor::ClaimRow(
+    const BoundQuery& query, const std::string& sql_key,
+    const std::vector<CandidateIndex>& candidates, uint64_t universe,
+    bool wait) {
+  CoPhyAtomClaim claim = atom_source_->Claim(sql_key, universe, wait);
+  if (claim.pending()) return nullptr;
+  if (!claim.claimed) {
+    // A hit also brings the plan set the row was built from (while its
+    // builder's session still holds it), so later INUM pricing of the
+    // query in this session skips the populate.
+    inum_.AdoptPlanSet(query, claim.row->plan_set.lock());
+    return claim.row;
+  }
+  std::shared_ptr<const CoPhyAtomRow> built;
+  try {
+    // Other sessions may be blocked on this claim, possibly inside a
+    // ParallelFor on the shared pool; building inline keeps this thread
+    // off the pool's submission lock that such a ParallelFor holds.
+    ThreadPool::InlineScope inline_build;
+    built = std::move(BuildRows({&query}, candidates).front());
+  } catch (...) {
+    atom_source_->Release(sql_key, universe);
+    throw;
+  }
+  // The canonical entry is the row just built unless a publisher without
+  // a claim got there first; either way every holder shares one object.
+  return atom_source_->Publish(sql_key, universe, std::move(built));
+}
+
+std::vector<std::shared_ptr<const CoPhyAtomRow>> CoPhyAdvisor::ResolveRows(
+    const std::vector<const BoundQuery*>& queries,
+    const std::vector<CandidateIndex>& candidates, uint64_t universe) {
+  if (atom_source_ == nullptr) return BuildRows(queries, candidates);
+  // Single flight, in query order: adopt hits, build every key nobody
+  // else holds at once, and defer the keys other sessions are building.
+  // Waiting only after this session's own builds are published (it then
+  // holds no claim) keeps the waits acyclic.
+  const Catalog& catalog = backend_->catalog();
+  std::vector<std::shared_ptr<const CoPhyAtomRow>> rows(queries.size());
+  std::vector<std::string> keys(queries.size());
+  std::vector<size_t> deferred;
+  for (size_t u = 0; u < queries.size(); ++u) {
+    keys[u] = queries[u]->ToSql(catalog);
+    rows[u] = ClaimRow(*queries[u], keys[u], candidates, universe,
+                       /*wait=*/false);
+    if (rows[u] == nullptr) deferred.push_back(u);
+  }
+  for (size_t u : deferred) {
+    rows[u] =
+        ClaimRow(*queries[u], keys[u], candidates, universe, /*wait=*/true);
+  }
+  return rows;
+}
+
+Result<std::vector<std::shared_ptr<const CoPhyAtomRow>>>
+CoPhyAdvisor::TryResolveRows(std::span<const BoundQuery> queries,
+                             const std::vector<CandidateIndex>& candidates,
+                             uint64_t universe_fingerprint) {
+  std::vector<const BoundQuery*> ptrs;
+  ptrs.reserve(queries.size());
+  for (const BoundQuery& q : queries) ptrs.push_back(&q);
+  try {
+    return ResolveRows(ptrs, candidates, universe_fingerprint);
+  } catch (const StatusException& e) {
+    return e.status();
+  }
+}
+
 CoPhyPrepared CoPhyAdvisor::Prepare(const Workload& workload,
                                     std::vector<CandidateIndex> candidates) {
   CoPhyPrepared prep;
@@ -369,57 +467,14 @@ CoPhyPrepared CoPhyAdvisor::Prepare(const Workload& workload,
 
   // Atom rows per query: built once per structurally distinct query
   // (duplicates share the row by pointer — identical queries expand to
-  // identical atom sets). With an atom source attached, rows another
-  // session already built for this (schema, query, universe) are
-  // adopted as-is and skip their INUM populate entirely.
+  // identical atom sets).
   StructuralDedup dedup = DedupByStructure(std::span<const BoundQuery>(
       workload.queries.data(), workload.queries.size()));
-  const std::vector<size_t>& distinct = dedup.distinct;
-
-  std::vector<std::shared_ptr<const CoPhyAtomRow>> distinct_rows(
-      distinct.size());
-  std::vector<size_t> misses;  // indexes into `distinct` still to build
-  if (atom_source_ != nullptr) {
-    for (size_t u = 0; u < distinct.size(); ++u) {
-      distinct_rows[u] = atom_source_->Lookup(
-          workload.queries[distinct[u]].ToSql(backend_->catalog()),
-          prep.universe_fingerprint);
-      if (distinct_rows[u] == nullptr) misses.push_back(u);
-    }
-  } else {
-    misses.resize(distinct.size());
-    for (size_t u = 0; u < distinct.size(); ++u) misses[u] = u;
-  }
-
-  if (!misses.empty()) {
-    // INUM caches for the missed queries are populated up front so the
-    // parallel BuildAtoms calls only read them.
-    Workload to_build;
-    for (size_t u : misses) to_build.Add(workload.queries[distinct[u]]);
-    inum_.PrepareWorkload(to_build);
-
-    std::vector<std::shared_ptr<CoPhyAtomRow>> built(misses.size());
-    int threads = ThreadPool::Resolve(params_.num_threads);
-    ThreadPool::Shared().ParallelFor(misses.size(), threads, [&](size_t m) {
-      auto row = std::make_shared<CoPhyAtomRow>();
-      row->atoms =
-          BuildAtoms(workload.queries[distinct[misses[m]]], prep.candidates);
-      built[m] = std::move(row);
-    });
-    for (size_t m = 0; m < misses.size(); ++m) {
-      const BoundQuery& q = workload.queries[distinct[misses[m]]];
-      built[m]->base_cost = inum_.Cost(q, PhysicalDesign{});
-      std::shared_ptr<const CoPhyAtomRow> row = std::move(built[m]);
-      if (atom_source_ != nullptr) {
-        // Publish for other sessions; adopt the canonical entry so a
-        // concurrent builder of the same row and this session end up
-        // sharing one object.
-        row = atom_source_->Publish(q.ToSql(backend_->catalog()),
-                                    prep.universe_fingerprint, std::move(row));
-      }
-      distinct_rows[misses[m]] = std::move(row);
-    }
-  }
+  std::vector<const BoundQuery*> distinct;
+  distinct.reserve(dedup.distinct.size());
+  for (size_t i : dedup.distinct) distinct.push_back(&workload.queries[i]);
+  std::vector<std::shared_ptr<const CoPhyAtomRow>> distinct_rows =
+      ResolveRows(distinct, prep.candidates, prep.universe_fingerprint);
 
   prep.rows.reserve(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,14 @@ struct CoPhyAtomRow {
   /// CoPhyAtom::used index into the universe the row was built against.
   std::vector<CoPhyAtom> atoms;
   double base_cost = 0.0;  ///< cost of the query under the empty design
+  /// The INUM plan set the row was built from. An adopter installs it
+  /// into its own cost model (InumCostModel::AdoptPlanSet), so its later
+  /// INUM pricing of the query (DoI, scheduling) skips the populate.
+  /// Held weakly: plan sets live only while some session's cost model
+  /// holds them, the row is charged only the handle's bytes, and the
+  /// spill codec drops it. Expired or absent, the adopter populates as
+  /// usual.
+  std::weak_ptr<const InumCostModel::PlanSet> plan_set;
 };
 
 /// Order-sensitive fingerprint of a candidate universe (structural keys
@@ -142,6 +151,20 @@ struct CoPhyAtomRow {
 /// stores positional candidate ids.
 uint64_t CandidateUniverseFingerprint(
     const std::vector<CandidateIndex>& candidates);
+
+/// Outcome of a single-flight lookup (CoPhyAtomSource::Claim).
+struct CoPhyAtomClaim {
+  /// The stored row: a hit, to be adopted as-is.
+  std::shared_ptr<const CoPhyAtomRow> row;
+  /// No stored row and nobody building it: the caller now owns the
+  /// build and must Publish the row or Release the claim.
+  bool claimed = false;
+  /// The call blocked on another caller's build of the key (telemetry).
+  bool waited = false;
+
+  /// Neither a row nor a claim: another caller is building the row.
+  bool pending() const { return row == nullptr && !claimed; }
+};
 
 /// Cross-session atom-reuse seam. Implemented by the tuning server's
 /// AtomStore; consulted by CoPhyAdvisor::TryPrepare once per structurally
@@ -159,13 +182,28 @@ class CoPhyAtomSource {
   virtual std::shared_ptr<const CoPhyAtomRow> Lookup(
       const std::string& sql_key, uint64_t universe_fingerprint) = 0;
 
-  /// Publishes a freshly built row and returns the canonical entry:
-  /// the first writer wins, so concurrent builders of the same row
-  /// converge on one shared object (later publishes return the
-  /// already-stored row and drop their duplicate).
+  /// Single-flight lookup: the stored row, or else a claim on the key
+  /// when nobody is building it. A key another caller is building comes
+  /// back pending — or, with `wait`, blocks until that caller publishes
+  /// (a hit) or releases its claim (the claim passes to this caller).
+  /// A caller must not wait while it holds a claim (build each claimed
+  /// row at once); then no cycle of waits can form.
+  virtual CoPhyAtomClaim Claim(const std::string& sql_key,
+                               uint64_t universe_fingerprint, bool wait) = 0;
+
+  /// Publishes a freshly built row, ends the caller's claim on the key
+  /// and returns the canonical entry: the first writer wins, so
+  /// concurrent builders of the same row converge on one shared object
+  /// (later publishes return the already-stored row and drop their
+  /// duplicate).
   virtual std::shared_ptr<const CoPhyAtomRow> Publish(
       const std::string& sql_key, uint64_t universe_fingerprint,
       std::shared_ptr<const CoPhyAtomRow> row) = 0;
+
+  /// Gives up the caller's claim without publishing (its build failed);
+  /// a caller waiting on the key claims it and builds the row itself.
+  virtual void Release(const std::string& sql_key,
+                       uint64_t universe_fingerprint) = 0;
 };
 
 /// Everything CoPhy needs to (re-)solve one workload: the candidate
@@ -381,19 +419,54 @@ class CoPhyAdvisor {
 
   InumCostModel& inum() { return inum_; }
 
+  /// Atom rows of structurally distinct `queries` against `candidates`
+  /// (whose CandidateUniverseFingerprint is `universe_fingerprint`),
+  /// resolved exactly as TryPrepare resolves its rows — through the atom
+  /// source when one is attached. The session's incremental
+  /// AddQueries path uses it to extend a prepared state row by row.
+  Result<std::vector<std::shared_ptr<const CoPhyAtomRow>>> TryResolveRows(
+      std::span<const BoundQuery> queries,
+      const std::vector<CandidateIndex>& candidates,
+      uint64_t universe_fingerprint);
+
   /// Attaches a cross-session atom source (non-owning; nullptr detaches).
   /// TryPrepare then serves structurally distinct queries from the source
-  /// when possible — a hit skips that query's INUM populate entirely —
-  /// and publishes every row it builds. Results are bit-identical with
-  /// or without a source: a cached row is exactly what TryPrepare would
-  /// have built, because the source key pins schema, stats, cost
-  /// params, SQL text, and candidate universe.
+  /// when possible — a hit skips that query's INUM populate entirely,
+  /// here and (through the row's plan set) in later INUM pricing — and
+  /// publishes every row it builds. Keys are claimed single-flight: a
+  /// key another session is building is waited for, not built twice.
+  /// Results are bit-identical with or without a source: a cached row
+  /// is exactly what TryPrepare would have built, because the source key
+  /// pins schema, stats, cost params, SQL text, and candidate universe.
   void set_atom_source(CoPhyAtomSource* source) { atom_source_ = source; }
 
  private:
   /// TryPrepare's body; backend failures throw StatusException.
   CoPhyPrepared Prepare(const Workload& workload,
                         std::vector<CandidateIndex> candidates);
+
+  /// The one row builder: INUM populate of every query up front (in
+  /// parallel), atom expansion (in parallel), then base costs (and, with
+  /// an atom source, plan-set handles) serially in query order.
+  std::vector<std::shared_ptr<const CoPhyAtomRow>> BuildRows(
+      const std::vector<const BoundQuery*>& queries,
+      const std::vector<CandidateIndex>& candidates);
+  /// Rows of distinct queries: built outright without an atom source,
+  /// else resolved single-flight through it (ClaimRow per query, the
+  /// keys other sessions hold deferred until this session holds no
+  /// claim). Backend failures throw StatusException.
+  std::vector<std::shared_ptr<const CoPhyAtomRow>> ResolveRows(
+      const std::vector<const BoundQuery*>& queries,
+      const std::vector<CandidateIndex>& candidates, uint64_t universe);
+  /// One key through the atom source: a hit is adopted along with its
+  /// plan set; a claim is built at once (thread-pool calls inline),
+  /// published, and the canonical row returned — a failed build
+  /// releases the claim and rethrows. nullptr when another session
+  /// holds the key and `wait` is false.
+  std::shared_ptr<const CoPhyAtomRow> ClaimRow(
+      const BoundQuery& query, const std::string& sql_key,
+      const std::vector<CandidateIndex>& candidates, uint64_t universe,
+      bool wait);
 
   DbmsBackend* backend_;
   CostParams params_;

@@ -240,17 +240,22 @@ void DesignSession::AddQueries(const std::vector<BoundQuery>& queries,
         prepared_ = std::move(rebuilt).value();
       } else {
         // Incremental atom maintenance: only the new classes' rows are
-        // built; every existing row of the prepared matrix stays valid
-        // (rows are immutable and shared, so this never perturbs a
-        // snapshot or another session holding the same row).
-        for (size_t c = first_new_class; c < classes_.size(); ++c) {
-          const BoundQuery& rep = classes_.classes()[c].representative;
-          auto row = std::make_shared<CoPhyAtomRow>();
-          row->atoms = cophy_->BuildAtoms(rep, prepared_.candidates);
-          row->base_cost = cophy_->inum().Cost(rep, PhysicalDesign{});
-          prepared_.num_atoms += row->atoms.size();
-          prepared_.rows.push_back(std::move(row));
-          prepared_.weights.push_back(classes_.classes()[c].weight);
+        // resolved — through the atom store when one is attached, so a
+        // template another session already added is adopted, not
+        // populated again. Every existing row of the prepared matrix
+        // stays valid (rows are immutable and shared, so this never
+        // perturbs a snapshot or another session holding the same row).
+        Result<std::vector<std::shared_ptr<const CoPhyAtomRow>>> rows =
+            cophy_->TryResolveRows(std::span<const BoundQuery>(
+                                       added_only.queries.data(),
+                                       added_only.queries.size()),
+                                   prepared_.candidates,
+                                   prepared_.universe_fingerprint);
+        if (!rows.ok()) throw StatusException(rows.status());
+        for (size_t m = 0; m < rows.value().size(); ++m) {
+          prepared_.num_atoms += rows.value()[m]->atoms.size();
+          prepared_.rows.push_back(std::move(rows.value()[m]));
+          prepared_.weights.push_back(added_only.WeightOf(m));
         }
         // New rows can couple previously independent candidates: refresh
         // the cluster partition so the decomposed solver sees them.
@@ -666,11 +671,12 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
     }
   }
   if (!missing.empty()) {
-    // Atom rows adopted from a cross-session store skipped this
-    // session's own INUM populate; DoI repricing reads the local plan
-    // cache, so populate any still-unseen representatives first (a
-    // no-op for queries this session prepared itself). Backend
-    // failures surface as Status like the rest of this builder.
+    // DoI repricing reads the local INUM cache. Queries this session
+    // prepared itself are cached, and rows adopted from a cross-session
+    // store brought their plan set along (shared read-only), so this is
+    // normally a no-op: only a row whose plan set had expired, or that
+    // was reloaded from a spill file, populates here. Backend failures
+    // surface as Status like the rest of this builder.
     try {
       inum.PrepareQueries(
           std::span<const BoundQuery>(missing.data(), missing.size()));

@@ -130,10 +130,39 @@ InumCostModel::InumCostModel(DbmsBackend& backend, InumOptions options)
 const std::vector<InumCostModel::CachedPlan>* InumCostModel::CachedPlansFor(
     const BoundQuery& query) const {
   auto it = cache_.find(query.StructuralHash());
-  return it == cache_.end() ? nullptr : &it->second.plans;
+  return it == cache_.end() ? nullptr : &it->second.set->plans;
+}
+
+std::shared_ptr<const InumCostModel::PlanSet> InumCostModel::PlanSetFor(
+    const BoundQuery& query) const {
+  auto it = cache_.find(query.StructuralHash());
+  return it == cache_.end() ? nullptr : it->second.set;
+}
+
+bool InumCostModel::AdoptPlanSet(const BoundQuery& query,
+                                 std::shared_ptr<const PlanSet> plans) {
+  if (plans == nullptr || plans->max_combos != options_.max_combos ||
+      plans->enable_param_signatures != options_.enable_param_signatures) {
+    return false;
+  }
+  uint64_t key = query.StructuralHash();
+  if (cache_.find(key) != cache_.end()) return false;
+  DBD_DCHECK(plans->sql_key == query.ToSql(backend_->catalog()) &&
+             "adopted plan set was built for another query");
+  Insert(key, std::move(plans));
+  return true;
 }
 
 void InumCostModel::Prepare(const BoundQuery& query) { Populate(query); }
+
+InumCostModel::QueryCache& InumCostModel::Insert(
+    uint64_t key, std::shared_ptr<const PlanSet> set) {
+  auto [ins, ok] = cache_.emplace(key, QueryCache{});
+  ins->second.set = std::move(set);
+  stats_.queries_cached = cache_.size();
+  stats_.plans_cached += ins->second.set->plans.size();
+  return ins->second;
+}
 
 InumCostModel::QueryCache& InumCostModel::Populate(const BoundQuery& query) {
   // Structural key: identical queries share one cache entry regardless
@@ -141,18 +170,15 @@ InumCostModel::QueryCache& InumCostModel::Populate(const BoundQuery& query) {
   uint64_t key = query.StructuralHash();
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    DBD_DCHECK(it->second.sql_key == query.ToSql(backend_->catalog()) &&
+    DBD_DCHECK(it->second.set->sql_key == query.ToSql(backend_->catalog()) &&
                "StructuralHash collision: two different queries share an "
                "atom-cache key");
     return it->second;
   }
 
   BuiltCache built = BuildCache(query);
-  auto [ins, ok] = cache_.emplace(key, std::move(built.qc));
   stats_.populate_optimizations += built.combos;
-  stats_.queries_cached = cache_.size();
-  stats_.plans_cached += ins->second.plans.size();
-  return ins->second;
+  return Insert(key, std::move(built.set));
 }
 
 InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
@@ -295,18 +321,18 @@ InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
   // Assemble the reuse-side acceleration structures: the distinct order
   // requirements per slot and each plan's requirement index, and the
   // distinct lookups and each INLJ term's lookup group.
-  BuiltCache built;
-  built.combos = combos.size();
-  QueryCache& qc = built.qc;
-  qc.sql_key = query.ToSql(backend_->catalog());
-  qc.plans = std::move(plans);
-  qc.slot_orders.resize(static_cast<size_t>(n));
-  for (CachedPlan& plan : qc.plans) {
+  auto set = std::make_shared<PlanSet>();
+  set->sql_key = query.ToSql(backend_->catalog());
+  set->plans = std::move(plans);
+  set->slot_orders.resize(static_cast<size_t>(n));
+  set->max_combos = options_.max_combos;
+  set->enable_param_signatures = options_.enable_param_signatures;
+  for (CachedPlan& plan : set->plans) {
     plan.order_req.assign(static_cast<size_t>(n), -1);
     for (int s = 0; s < n; ++s) {
       const SlotSignature& sig = plan.slots[static_cast<size_t>(s)];
       if (sig.kind != Kind::kOrdered) continue;
-      auto& reqs = qc.slot_orders[static_cast<size_t>(s)];
+      auto& reqs = set->slot_orders[static_cast<size_t>(s)];
       int found = -1;
       for (size_t k = 0; k < reqs.size(); ++k) {
         if (reqs[k] == sig.order) found = static_cast<int>(k);
@@ -318,7 +344,7 @@ InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
       plan.order_req[static_cast<size_t>(s)] = found;
     }
     for (CachedPlan::InljTerm& term : plan.inlj_terms) {
-      auto& groups = qc.lookup_groups;
+      auto& groups = set->lookup_groups;
       auto it = std::find_if(groups.begin(), groups.end(),
                              [&](const LookupGroup& g) {
                                return g.slot == term.slot &&
@@ -330,7 +356,7 @@ InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
       term.group = static_cast<int>(it - groups.begin());
     }
   }
-  return built;
+  return BuiltCache{std::move(set), combos.size()};
 }
 
 void InumCostModel::PreparePtrs(const std::vector<const BoundQuery*>& missing) {
@@ -343,27 +369,31 @@ void InumCostModel::PreparePtrs(const std::vector<const BoundQuery*>& missing) {
     built[u] = BuildCache(*missing[u]);
   });
   for (size_t u = 0; u < missing.size(); ++u) {
-    auto [ins, ok] =
-        cache_.emplace(missing[u]->StructuralHash(), std::move(built[u].qc));
     stats_.populate_optimizations += built[u].combos;
-    stats_.plans_cached += ins->second.plans.size();
+    Insert(missing[u]->StructuralHash(), std::move(built[u].set));
   }
-  stats_.queries_cached = cache_.size();
 }
 
 void InumCostModel::PrepareQueries(std::span<const BoundQuery> queries) {
+  std::vector<const BoundQuery*> ptrs;
+  ptrs.reserve(queries.size());
+  for (const BoundQuery& q : queries) ptrs.push_back(&q);
+  PrepareQueries(ptrs);
+}
+
+void InumCostModel::PrepareQueries(std::span<const BoundQuery* const> queries) {
   std::vector<const BoundQuery*> missing;
   std::unordered_set<uint64_t> seen;
-  for (const BoundQuery& q : queries) {
-    uint64_t key = q.StructuralHash();
+  for (const BoundQuery* q : queries) {
+    uint64_t key = q->StructuralHash();
     auto hit = cache_.find(key);
     if (hit != cache_.end()) {
-      DBD_DCHECK(hit->second.sql_key == q.ToSql(backend_->catalog()) &&
+      DBD_DCHECK(hit->second.set->sql_key == q->ToSql(backend_->catalog()) &&
                  "StructuralHash collision: two different queries share an "
                  "atom-cache key");
       continue;
     }
-    if (seen.insert(key).second) missing.push_back(&q);
+    if (seen.insert(key).second) missing.push_back(q);
   }
   PreparePtrs(missing);
 }
@@ -452,7 +482,7 @@ const InumCostModel::LeafEntry& InumCostModel::LeafPrice(
     it->second.scan_cost = lc.scan_cost;
     it->second.index_only_cost = lc.index_only_cost;
     it->second.satisfies_mask = 0;
-    const auto& reqs = qc.slot_orders[static_cast<size_t>(slot)];
+    const auto& reqs = qc.set->slot_orders[static_cast<size_t>(slot)];
     for (size_t k = 0; k < reqs.size(); ++k) {
       if (OrderSatisfies(lc.order, reqs[k])) {
         it->second.satisfies_mask |= uint32_t{1} << k;
@@ -477,12 +507,12 @@ double InumCostModel::LookupPrice(QueryCache& qc, const PlannerContext& ctx,
 }
 
 template <typename TermPrice>
-double InumCostModel::PlanMinimum(const QueryCache& qc, int num_slots,
+double InumCostModel::PlanMinimum(const PlanSet& set, int num_slots,
                                   const LeafPrices& leaves,
                                   TermPrice&& term_price) {
   using Kind = SlotSignature::Kind;
   double best = kInf;
-  for (const CachedPlan& plan : qc.plans) {
+  for (const CachedPlan& plan : set.plans) {
     double cost = plan.internal_cost;
     bool usable = true;
     for (int s = 0; s < num_slots && usable; ++s) {
@@ -530,7 +560,7 @@ double InumCostModel::ReuseCost(const BoundQuery& query, QueryCache& qc,
     uint64_t ph = PartitionHash(design, t);
     double any = SeqPrice(qc, ctx, s, ph);
     double* order_min = leaves.order[s];
-    size_t num_orders = qc.slot_orders[static_cast<size_t>(s)].size();
+    size_t num_orders = qc.set->slot_orders[static_cast<size_t>(s)].size();
     for (size_t k = 0; k < num_orders; ++k) order_min[k] = kInf;
 
     auto [first, last] = design.IndexRange(t);
@@ -550,15 +580,16 @@ double InumCostModel::ReuseCost(const BoundQuery& query, QueryCache& qc,
 
   // Parameterized lookup price per INLJ term: the design's cheapest
   // index on the term's table for the term's inner column.
-  return PlanMinimum(qc, n, leaves, [&](const CachedPlan::InljTerm& term) {
-    double best = kInf;
-    auto [first, last] = design.IndexRange(query.tables[term.slot]);
-    for (const IndexDef* idx = first; idx != last; ++idx) {
-      best = std::min(best,
-                      LookupPrice(qc, ctx, term.slot, term.inner_col, *idx));
-    }
-    return best;
-  });
+  return PlanMinimum(
+      *qc.set, n, leaves, [&](const CachedPlan::InljTerm& term) {
+        double best = kInf;
+        auto [first, last] = design.IndexRange(query.tables[term.slot]);
+        for (const IndexDef* idx = first; idx != last; ++idx) {
+          best = std::min(
+              best, LookupPrice(qc, ctx, term.slot, term.inner_col, *idx));
+        }
+        return best;
+      });
 }
 
 double InumCostModel::ExactCost(const BoundQuery& query,
@@ -668,7 +699,7 @@ InumCostModel::SubsetPricer InumCostModel::BindSubsets(
   auto hit = cache_.find(query.StructuralHash());
   if (hit == cache_.end()) return p;
   QueryCache& qc = hit->second;
-  p.qc_ = &qc;
+  p.set_ = qc.set.get();
 
   // Index-only designs leave every table unpartitioned: partition hash
   // 0 and an empty design behind the planner context.
@@ -689,7 +720,7 @@ InumCostModel::SubsetPricer InumCostModel::BindSubsets(
     p.leaf_begin_.push_back(p.leaves_.size());
   }
   p.lookup_begin_.push_back(0);
-  for (const LookupGroup& g : qc.lookup_groups) {
+  for (const LookupGroup& g : qc.set->lookup_groups) {
     for (size_t i = 0; i < indexes.size(); ++i) {
       if (indexes[i].table != query.tables[g.slot]) continue;
       double price = LookupPrice(qc, ctx, g.slot, g.col, indexes[i]);
@@ -697,21 +728,21 @@ InumCostModel::SubsetPricer InumCostModel::BindSubsets(
     }
     p.lookup_begin_.push_back(p.lookups_.size());
   }
-  p.group_price_.resize(qc.lookup_groups.size());
+  p.group_price_.resize(qc.set->lookup_groups.size());
   return p;
 }
 
 double InumCostModel::SubsetPricer::Cost(std::span<const uint8_t> members) {
   DBD_DCHECK_EQ(members.size(), indexes_.size());
   return ReuseOrExact(
-      stats_, qc_ != nullptr,
+      stats_, set_ != nullptr,
       [&] {
         LeafPrices leaves;
         int n = static_cast<int>(seq_.size());
         for (int s = 0; s < n; ++s) {
           double any = seq_[static_cast<size_t>(s)];
           double* order_min = leaves.order[s];
-          size_t num_orders = qc_->slot_orders[static_cast<size_t>(s)].size();
+          size_t num_orders = set_->slot_orders[static_cast<size_t>(s)].size();
           for (size_t k = 0; k < num_orders; ++k) order_min[k] = kInf;
           for (size_t l = leaf_begin_[static_cast<size_t>(s)];
                l < leaf_begin_[static_cast<size_t>(s) + 1]; ++l) {
@@ -736,7 +767,7 @@ double InumCostModel::SubsetPricer::Cost(std::span<const uint8_t> members) {
           }
           group_price_[g] = best;
         }
-        return PlanMinimum(*qc_, n, leaves,
+        return PlanMinimum(*set_, n, leaves,
                            [this](const CachedPlan::InljTerm& term) {
                              return group_price_[static_cast<size_t>(
                                  term.group)];

@@ -26,12 +26,18 @@
 // (PrepareQueries, WorkloadCost, CostMatrix) parallelize internally —
 // per-query caches are sharded so each worker owns whole queries, and
 // results are bit-identical to serial execution at any num_threads.
+// A query's cache has two halves: the plan set populate derives from the
+// query alone (PlanSet — immutable, shared read-only by shared_ptr, so
+// models on one cost substrate can adopt each other's populates; see
+// AdoptPlanSet) and the model's own leaf/lookup price memos, which only
+// that model's callers touch.
 
 #ifndef DBDESIGN_INUM_INUM_H_
 #define DBDESIGN_INUM_INUM_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -141,6 +147,7 @@ class InumCostModel {
   /// the independent per-query abstract enumerations across the pool.
   /// Cache contents and stats match serial Prepare calls in order.
   void PrepareQueries(std::span<const BoundQuery> queries);
+  void PrepareQueries(std::span<const BoundQuery* const> queries);
   void PrepareWorkload(const Workload& workload) {
     PrepareQueries(std::span<const BoundQuery>(workload.queries.data(),
                                                workload.queries.size()));
@@ -182,8 +189,51 @@ class InumCostModel {
     std::vector<InljTerm> inlj_terms;
   };
 
+  /// One distinct parameterized lookup of a query: the (slot, inner
+  /// join column) its INLJ terms probe.
+  struct LookupGroup {
+    int slot;
+    BoundColumn col;
+  };
+
+  /// A query's plan set: everything populate derives from the query,
+  /// the cost substrate (catalog, statistics, cost parameters) and the
+  /// populate options — nothing from any design. Immutable once built.
+  struct PlanSet {
+    /// Canonical SQL of the query this set was built for — the
+    /// collision tripwire for the 64-bit StructuralHash cache key
+    /// (debug builds verify every hit and every adoption, as
+    /// CompressWorkload verifies template-signature hits).
+    std::string sql_key;
+    std::vector<CachedPlan> plans;
+    /// Distinct kOrdered requirements per slot, in first-seen order
+    /// (indexes into LeafEntry::satisfies_mask bits).
+    std::vector<std::vector<std::vector<BoundColumn>>> slot_orders;
+    /// Distinct lookups over all plans' INLJ terms, in first-seen order
+    /// (InljTerm::group indexes into it).
+    std::vector<LookupGroup> lookup_groups;
+    /// The populate options it was built under (InumOptions).
+    int max_combos = 0;
+    bool enable_param_signatures = false;
+  };
+
   /// Cached plans for a query (exposed for tests/benchmarks).
   const std::vector<CachedPlan>* CachedPlansFor(const BoundQuery& query) const;
+
+  /// The plan set of a populated query, or null when it is not cached.
+  std::shared_ptr<const PlanSet> PlanSetFor(const BoundQuery& query) const;
+
+  /// Installs a plan set another model populated for `query`, so this
+  /// model prices the query without populating it (no populate
+  /// optimizations are counted). The caller guarantees the other model
+  /// ran on the same cost substrate — the atom store's schema
+  /// fingerprint pins exactly that. Results are bit-identical to
+  /// populating locally: populate is a pure function of the query, the
+  /// substrate and the populate options. Returns false and changes
+  /// nothing when `plans` is null, was built for another query or under
+  /// other populate options, or the query is already cached.
+  bool AdoptPlanSet(const BoundQuery& query,
+                    std::shared_ptr<const PlanSet> plans);
 
  private:
   /// Reuse scratch capacity: slots per query and order requirements per
@@ -202,27 +252,10 @@ class InumCostModel {
     uint32_t satisfies_mask = 0;   ///< bit k: provides slot order-req k
   };
 
-  /// One distinct parameterized lookup of a query: the (slot, inner
-  /// join column) its INLJ terms probe.
-  struct LookupGroup {
-    int slot;
-    BoundColumn col;
-  };
-
-  /// Everything cached for one query.
+  /// Everything cached for one query: its (possibly shared) plan set
+  /// and this model's price memos over it.
   struct QueryCache {
-    /// Canonical SQL of the query this cache was built for — the
-    /// collision tripwire for the 64-bit StructuralHash cache key
-    /// (debug builds verify every hit; the PR 4 template-signature
-    /// collision lesson applied to the atom cache).
-    std::string sql_key;
-    std::vector<CachedPlan> plans;
-    /// Distinct kOrdered requirements per slot, in first-seen order
-    /// (indexes into satisfies_mask bits).
-    std::vector<std::vector<std::vector<BoundColumn>>> slot_orders;
-    /// Distinct lookups over all plans' INLJ terms, in first-seen order
-    /// (InljTerm::group indexes into it).
-    std::vector<LookupGroup> lookup_groups;
+    std::shared_ptr<const PlanSet> set;  ///< never null
     /// mix(slot, index hash, partition hash) -> leaf price.
     std::unordered_map<uint64_t, LeafEntry> leaf_memo;
     /// mix(slot, partition hash) -> sequential scan price.
@@ -241,13 +274,13 @@ class InumCostModel {
     double order[kMaxReuseSlots][kMaxSlotOrders];
   };
 
-  /// A fully built (but not yet inserted) query cache.
+  /// A fully built (but not yet inserted) plan set.
   struct BuiltCache {
-    QueryCache qc;
+    std::shared_ptr<const PlanSet> set;
     uint64_t combos = 0;  ///< abstract DP runs performed
   };
 
-  /// Builds the cache for one query: enumerates signature combinations
+  /// Builds the plan set for one query: enumerates signature combinations
   /// and runs the abstract DP per combo across the pool. Mutates no
   /// member state besides the (atomic) optimizer call counter, so
   /// distinct queries build concurrently; plans are assembled in combo
@@ -255,6 +288,8 @@ class InumCostModel {
   BuiltCache BuildCache(const BoundQuery& query);
 
   QueryCache& Populate(const BoundQuery& query);
+  /// Inserts a query's plan set under `key` and counts it as cached.
+  QueryCache& Insert(uint64_t key, std::shared_ptr<const PlanSet> set);
   void PreparePtrs(const std::vector<const BoundQuery*>& missing);
   /// Whether `query` may be priced from its plan cache at all.
   bool ReuseEligible(const BoundQuery& query) const {
@@ -288,7 +323,7 @@ class InumCostModel {
   /// where `term_price(term)` is the design's per-probe price of one
   /// INLJ term. +inf when no cached plan is usable.
   template <typename TermPrice>
-  static double PlanMinimum(const QueryCache& qc, int num_slots,
+  static double PlanMinimum(const PlanSet& set, int num_slots,
                             const LeafPrices& leaves, TermPrice&& term_price);
 
   DbmsBackend* backend_;
@@ -337,7 +372,7 @@ class InumCostModel::SubsetPricer {
   const BoundQuery* query_ = nullptr;
   std::span<const IndexDef> indexes_;
   InumStats* stats_ = nullptr;
-  const QueryCache* qc_ = nullptr;    ///< null: every subset prices exactly
+  const PlanSet* set_ = nullptr;      ///< null: every subset prices exactly
   std::vector<double> seq_;           ///< per slot
   std::vector<Leaf> leaves_;          ///< grouped by slot
   std::vector<size_t> leaf_begin_;    ///< slot s: [begin[s], begin[s+1])

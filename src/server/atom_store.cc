@@ -239,11 +239,44 @@ std::shared_ptr<const CoPhyAtomRow> AtomStore::Lookup(
   return row;
 }
 
+CoPhyAtomClaim AtomStore::Claim(uint64_t schema_fingerprint,
+                                const std::string& sql_key,
+                                uint64_t universe_fingerprint, bool wait) {
+  MutexLock lock(mu_);
+  Key key(schema_fingerprint, sql_key, universe_fingerprint);
+  CoPhyAtomClaim claim;
+  while (true) {
+    claim.row = FindRow(key);
+    if (claim.row == nullptr) claim.claimed = building_.insert(key).second;
+    if (!claim.pending()) break;
+    if (!wait) return claim;
+    // Counted when the wait begins, so it is observable while it lasts.
+    if (!claim.waited) ++stats_.inflight_waits;
+    claim.waited = true;
+    claim_ended_.Wait(mu_);
+  }
+  ++stats_.lookups;
+  claim.claimed ? ++stats_.misses : ++stats_.hits;
+  return claim;
+}
+
+void AtomStore::Release(uint64_t schema_fingerprint,
+                        const std::string& sql_key,
+                        uint64_t universe_fingerprint) {
+  MutexLock lock(mu_);
+  building_.erase(Key(schema_fingerprint, sql_key, universe_fingerprint));
+  // Waiters wake into the mutex and re-check: one of them claims the key.
+  claim_ended_.NotifyAll();
+}
+
 std::shared_ptr<const CoPhyAtomRow> AtomStore::Publish(
     uint64_t schema_fingerprint, const std::string& sql_key,
     uint64_t universe_fingerprint, std::shared_ptr<const CoPhyAtomRow> row) {
   MutexLock lock(mu_);
   Key key(schema_fingerprint, sql_key, universe_fingerprint);
+  // Waiters wake into the mutex, so they see the row published below.
+  building_.erase(key);
+  claim_ended_.NotifyAll();
   // Two sessions built the same row concurrently; the first write is
   // canonical and the duplicate is dropped so every holder shares one
   // object. A canonical row already evicted to the cold tier (the

@@ -18,6 +18,24 @@
 // construction and results stay bit-identical to the single-session
 // path.
 //
+// Single flight. Concurrent sessions on one schema miss the same keys
+// at once, so a miss is a *claim*: Claim hands the key to the first
+// caller, and every later caller finds it pending until the claimant
+// publishes (the pending callers then hit) or releases it after a
+// failed build (one of them claims it next). A caller builds each key
+// it claims at once and waits only while it holds no claim, so waits
+// never form a cycle; sessions preparing the same workload split its
+// keys between them instead of each building all of them.
+//
+// Plan sets. A row carries a weak handle on the INUM plan set it was
+// built from; an adopter installs that plan set into its own cost model
+// (read-only: plan sets are immutable and shared by shared_ptr), so its
+// later INUM pricing of the query skips the populate too. The store
+// never owns a plan set: it lives while some session's cost model holds
+// it, costs the store only the handle inside each row, and is absent
+// from spilled rows — an expired or reloaded row's adopter simply
+// populates.
+//
 // Tiering. A store without a budget keeps every row hot forever, which
 // on a long-lived server tuning hundreds of schemas is unbounded
 // growth. With AtomStoreOptions::budget_bytes set, rows live in up to
@@ -83,11 +101,17 @@ namespace dbdesign {
 /// under concurrency and deliberately outside the bit-identical
 /// contract, which covers results only. Counters cover the store's
 /// CURRENT lifetime: Clear() resets them along with the entries, so
-/// hit_rate() never mixes epochs.
+/// hit_rate() never mixes epochs. lookups == hits + misses always. The
+/// per-session counters sum to the server-wide lookups, hits, misses,
+/// inflight_waits, publishes and races_discarded; the repopulate and
+/// tiering counters are kept server-wide only.
 struct AtomStoreStats {
   uint64_t lookups = 0;
   uint64_t hits = 0;    ///< rows served shared — populate skipped
   uint64_t misses = 0;  ///< rows the session had to build itself
+  /// Lookups that blocked on another session's build of the key (each
+  /// also counts as a hit, or as a miss when that build failed).
+  uint64_t inflight_waits = 0;
   uint64_t publishes = 0;  ///< fresh rows inserted (populates paid)
   /// Publishes for a query that was already stored under a *different*
   /// candidate universe — OR whose entry was evicted without a
@@ -134,10 +158,11 @@ struct AtomStoreOptions {
 };
 
 /// The server-wide shared substrate. Thread-safe; all state behind an
-/// annotated Mutex. Entries are immutable shared_ptrs, so readers hold
-/// rows with zero locking after lookup and a Clear(), an eviction, or
-/// store destruction never invalidates rows sessions already adopted —
-/// reference counting keeps them alive.
+/// annotated Mutex, with a CondVar for single-flight waits. Entries are
+/// immutable shared_ptrs, so readers hold rows with zero locking after
+/// lookup and a Clear(), an eviction, or store destruction never
+/// invalidates rows sessions already adopted — reference counting keeps
+/// them alive.
 class AtomStore {
  public:
   AtomStore() = default;
@@ -154,12 +179,26 @@ class AtomStore {
                                              const std::string& sql_key,
                                              uint64_t universe_fingerprint);
 
-  /// Publishes a row; returns the canonical entry (first writer wins —
-  /// a concurrent duplicate is discarded and the caller adopts the
-  /// stored row, so all sessions share one object per key).
+  /// Single-flight lookup (see CoPhyAtomSource::Claim): the row, a
+  /// claim on the key, or — without `wait` — pending while another
+  /// caller builds it. Counts a lookup (and a hit or a miss) only when
+  /// the key resolves, so a pending answer counts nothing until the
+  /// key is claimed again.
+  CoPhyAtomClaim Claim(uint64_t schema_fingerprint, const std::string& sql_key,
+                       uint64_t universe_fingerprint, bool wait);
+
+  /// Publishes a row and ends any claim on its key; returns the
+  /// canonical entry (first writer wins — a concurrent duplicate is
+  /// discarded and the caller adopts the stored row, so all sessions
+  /// share one object per key).
   std::shared_ptr<const CoPhyAtomRow> Publish(
       uint64_t schema_fingerprint, const std::string& sql_key,
       uint64_t universe_fingerprint, std::shared_ptr<const CoPhyAtomRow> row);
+
+  /// Ends a claim without publishing (the claimant's build failed) and
+  /// wakes the callers waiting on the key.
+  void Release(uint64_t schema_fingerprint, const std::string& sql_key,
+               uint64_t universe_fingerprint);
 
   AtomStoreStats stats() const;
   /// Entries in any tier (hot + spilled).
@@ -174,7 +213,8 @@ class AtomStore {
   /// gauges to a fresh store (rows sessions hold stay alive via
   /// shared_ptr). Unlike eviction, this also forgets seen_queries_:
   /// after a Clear the next publish of any key is a fresh publish, not
-  /// a repopulate, and hit_rate() restarts from zero.
+  /// a repopulate, and hit_rate() restarts from zero. Claims of builds
+  /// in flight survive: their claimants still publish or release them.
   void Clear();
 
  private:
@@ -217,6 +257,10 @@ class AtomStore {
   /// by Clear().
   std::set<std::pair<uint64_t, std::string>> seen_queries_
       DBD_GUARDED_BY(mu_);
+  /// Keys claimed by a caller that is building their row.
+  std::set<Key> building_ DBD_GUARDED_BY(mu_);
+  /// Signalled whenever a claim ends (publish or release).
+  CondVar claim_ended_;
   AtomStoreStats stats_ DBD_GUARDED_BY(mu_);
 };
 
@@ -243,12 +287,31 @@ class AtomStoreView final : public CoPhyAtomSource {
     return row;
   }
 
+  CoPhyAtomClaim Claim(const std::string& sql_key,
+                       uint64_t universe_fingerprint, bool wait) override {
+    CoPhyAtomClaim claim = store_->Claim(schema_fingerprint_, sql_key,
+                                         universe_fingerprint, wait);
+    if (!claim.pending()) {
+      ++local_.lookups;
+      claim.claimed ? ++local_.misses : ++local_.hits;
+      if (claim.waited) ++local_.inflight_waits;
+    }
+    return claim;
+  }
+
   std::shared_ptr<const CoPhyAtomRow> Publish(
       const std::string& sql_key, uint64_t universe_fingerprint,
       std::shared_ptr<const CoPhyAtomRow> row) override {
-    ++local_.publishes;
-    return store_->Publish(schema_fingerprint_, sql_key, universe_fingerprint,
-                           std::move(row));
+    const CoPhyAtomRow* built = row.get();
+    std::shared_ptr<const CoPhyAtomRow> canonical = store_->Publish(
+        schema_fingerprint_, sql_key, universe_fingerprint, std::move(row));
+    canonical.get() == built ? ++local_.publishes : ++local_.races_discarded;
+    return canonical;
+  }
+
+  void Release(const std::string& sql_key,
+               uint64_t universe_fingerprint) override {
+    store_->Release(schema_fingerprint_, sql_key, universe_fingerprint);
   }
 
   const AtomStoreStats& session_stats() const { return local_; }

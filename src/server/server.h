@@ -10,14 +10,21 @@
 //   * AtomStore (server/atom_store.h) — sessions tuning the same
 //     schema share INUM populates: atom rows are published under
 //     (schema fingerprint, SQL text, universe fingerprint) and adopted
-//     by shared_ptr, so the Nth session on a warm schema skips the
-//     expensive half of its first Recommend.
+//     by shared_ptr together with the INUM plan set they were built
+//     from, so the Nth session on a warm schema skips the expensive
+//     half of its first Recommend and populates nothing in its first
+//     PlanDeployment. Keys are claimed single-flight: concurrent cold
+//     sessions split a workload's keys between them, and a session
+//     that needs a key another session is building waits for it.
 //   * Copy-on-write session state — CoPhyPrepared holds immutable
 //     shared rows; a Refine/PlanDeployment that changes one session's
 //     universe builds *new* rows and never touches rows other sessions
 //     hold, so their Recommends proceed from unchanged state. Sessions
-//     synchronize only on the store's short registry/lookup critical
-//     sections, never on each other's solves.
+//     synchronize on the store's short critical sections and, while
+//     preparing, on the builds of keys they wait for — never on each
+//     other's solves. A session builds each key it claims at once,
+//     with thread-pool calls run inline, and waits only while it holds
+//     no claim, so waits cannot form a cycle, nor wait on the pool.
 //   * CostBatchCoalescer (server/batcher.h) — per schema, concurrent
 //     cold sessions' backend cost calls coalesce into shared seam
 //     round-trips, layered above whatever resilience decorator the
@@ -25,11 +32,11 @@
 //
 // Determinism contract: each session's requests execute serially in
 // submission order under the session's own Mutex; every value a request
-// reads from shared state (atom rows, coalesced costs) is bit-identical
-// to what the session would have computed alone. RunBatch results are
-// therefore bit-identical to a serial replay of the same requests at
-// any thread count. Only counters (hit rates, coalescing stats) are
-// timing-dependent.
+// reads from shared state (atom rows and their plan sets, coalesced
+// costs) is bit-identical to what the session would have computed
+// alone. RunBatch results are therefore bit-identical to a serial
+// replay of the same requests at any thread count. Only counters (hit
+// rates, waits, coalescing stats) are timing-dependent.
 
 #ifndef DBDESIGN_SERVER_SERVER_H_
 #define DBDESIGN_SERVER_SERVER_H_

@@ -31,6 +31,12 @@ ThreadPool& ThreadPool::Shared() {
   return *pool;
 }
 
+ThreadPool::InlineScope::InlineScope() : saved_(tls_in_parallel_task) {
+  tls_in_parallel_task = true;
+}
+
+ThreadPool::InlineScope::~InlineScope() { tls_in_parallel_task = saved_; }
+
 ThreadPool::ThreadPool(int num_threads, bool growable) : growable_(growable) {
   int workers = std::max(0, num_threads - 1);
   for (int i = 0; i < workers; ++i) {

@@ -14,7 +14,8 @@
 // workers on single-core hardware (spawning them would only
 // timeshare), or a ParallelFor issued from inside a running task — whether that task executes on a pool worker
 // or on the submitting caller's own thread (nested parallelism
-// flattens to serial instead of deadlocking). The first exception (by
+// flattens to serial instead of deadlocking), or a ParallelFor issued
+// inside a ThreadPool::InlineScope. The first exception (by
 // lowest index) thrown by any task is rethrown on the caller after all
 // other tasks drain.
 //
@@ -83,6 +84,23 @@ class ThreadPool {
   /// designer stack does not multiply idle worker threads; per-call
   /// `parallelism` still honors each component's num_threads knob.
   static ThreadPool& Shared();
+
+  /// While alive, every ParallelFor issued from this thread (on any
+  /// pool) runs inline, exactly as if the thread were running a pool
+  /// task. For work that other pool tasks may be blocked on: a thread
+  /// outside the pool that submitted it would wait on a submission lock
+  /// held by a ParallelFor whose tasks wait for that very work. Scopes
+  /// nest; results are unchanged (ParallelFor is serial-equivalent).
+  class InlineScope {
+   public:
+    InlineScope();
+    ~InlineScope();
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+   private:
+    bool saved_;
+  };
 
  private:
   /// One ParallelFor invocation: tasks claim indexes via fetch_add.

@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/inmemory_backend.h"
@@ -276,6 +277,57 @@ TEST(AtomStoreTest, EvictionPreservesRepopulateDistinction) {
   store.Publish(7, "q1", 10, SharedRow(5.0, 3));
   EXPECT_EQ(store.stats().publishes, 1u);
   EXPECT_EQ(store.stats().repopulates, 0u);
+}
+
+// Single flight: the first caller claims a missing key; later callers
+// find it pending until the claimant publishes (they hit the published
+// row) or releases it (the next caller claims it). A pending answer
+// counts nothing; every resolved one counts one lookup.
+TEST(AtomStoreTest, ClaimIsSingleFlight) {
+  AtomStore store;
+  EXPECT_TRUE(store.Claim(1, "q", 10, /*wait=*/false).claimed);
+  EXPECT_TRUE(store.Claim(1, "q", 10, /*wait=*/false).pending());
+  EXPECT_EQ(store.stats().lookups, 1u);
+  store.Release(1, "q", 10);  // the build failed
+  EXPECT_TRUE(store.Claim(1, "q", 10, /*wait=*/false).claimed);
+
+  CoPhyAtomClaim waited;
+  std::thread waiter([&] { waited = store.Claim(1, "q", 10, /*wait=*/true); });
+  while (store.stats().inflight_waits == 0) std::this_thread::yield();
+  std::shared_ptr<const CoPhyAtomRow> row = SharedRow(5.0, 3);
+  EXPECT_EQ(store.Publish(1, "q", 10, row), row);
+  waiter.join();
+  EXPECT_EQ(waited.row, row);
+  EXPECT_FALSE(waited.claimed);
+  EXPECT_TRUE(waited.waited);
+  EXPECT_EQ(store.Claim(1, "q", 10, /*wait=*/false).row, row);
+  // Another universe is another key.
+  EXPECT_TRUE(store.Claim(1, "q", 11, /*wait=*/false).claimed);
+
+  AtomStoreStats s = store.stats();
+  EXPECT_EQ(s.lookups, 5u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.inflight_waits, 1u);
+  EXPECT_EQ(s.publishes, 1u);
+}
+
+// A session view counts a publish the store discarded (another writer
+// got there first) as a race, not as a publish, so per-session counters
+// sum to the store's.
+TEST(AtomStoreTest, ViewCountsADiscardedPublishAsARace) {
+  AtomStore store;
+  AtomStoreView a(&store, 1);
+  AtomStoreView b(&store, 1);
+  std::shared_ptr<const CoPhyAtomRow> first = SharedRow(5.0, 3);
+  EXPECT_EQ(a.Publish("q", 10, first), first);
+  EXPECT_EQ(b.Publish("q", 10, SharedRow(5.0, 3)), first);
+  EXPECT_EQ(a.session_stats().publishes, 1u);
+  EXPECT_EQ(a.session_stats().races_discarded, 0u);
+  EXPECT_EQ(b.session_stats().publishes, 0u);
+  EXPECT_EQ(b.session_stats().races_discarded, 1u);
+  EXPECT_EQ(store.stats().publishes, 1u);
+  EXPECT_EQ(store.stats().races_discarded, 1u);
 }
 
 // --- The tiered LRU with a cold tier ---

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -127,6 +128,61 @@ TEST(ThreadPoolTest, NestedParallelForFlattensInsteadOfDeadlocking) {
     ThreadPool::Shared().ParallelFor(8, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+// A thread outside any pool that does work other pool tasks wait on
+// must not enter the pool (its ParallelFor would queue behind the very
+// job whose tasks wait on it): inside an InlineScope every ParallelFor,
+// on any pool, runs on the calling thread. Scopes nest, and the pool
+// runs in parallel again once the outermost one ends.
+TEST(ThreadPoolTest, InlineScopeRunsEveryParallelForOnTheCaller) {
+  ThreadPool pool(4);
+  auto thread_ids = [](ThreadPool& target) {
+    Mutex mu;
+    std::set<std::thread::id> ids;
+    target.ParallelFor(64, /*parallelism=*/4, [&](size_t) {
+      MutexLock lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    return ids;
+  };
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+  {
+    ThreadPool::InlineScope outer;
+    EXPECT_EQ(thread_ids(pool), caller);
+    EXPECT_EQ(thread_ids(ThreadPool::Shared()), caller);
+    {
+      ThreadPool::InlineScope inner;
+      EXPECT_EQ(thread_ids(pool), caller);
+    }
+    // The inner scope restored the outer one's state, not "parallel".
+    EXPECT_EQ(thread_ids(pool), caller);
+  }
+  // Outside every scope the pool is parallel again: task 0 can only
+  // finish once another thread has started task 1.
+  std::atomic<bool> started{false};
+  std::atomic<bool> overlapped{false};
+  pool.ParallelFor(2, /*parallelism=*/2, [&](size_t i) {
+    if (i == 1) {
+      started.store(true);
+      return;
+    }
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!started.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    overlapped.store(started.load());
+  });
+  EXPECT_TRUE(overlapped.load());
+
+  // A scope opened inside a pool task leaves the task's own inline
+  // state in place when it ends.
+  std::atomic<int> nested{0};
+  pool.ParallelFor(4, [&](size_t) {
+    { ThreadPool::InlineScope scope; }
+    pool.ParallelFor(4, [&](size_t) { nested.fetch_add(1); });
+  });
+  EXPECT_EQ(nested.load(), 16);
 }
 
 TEST(ThreadPoolTest, GrowablePoolDoesNotOversubscribeSingleCore) {

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "backend/inmemory_backend.h"
 #include "backend/resilient_backend.h"
 #include "server/server.h"
+#include "sql/binder.h"
 #include "workload/queries.h"
 #include "workload/sdss.h"
 
@@ -70,6 +74,33 @@ void ExpectSamePlan(const DeploymentPlan& a, const DeploymentPlan& b) {
   EXPECT_EQ(a.schedule.base_cost, b.schedule.base_cost);
   EXPECT_EQ(a.schedule.final_cost, b.schedule.final_cost);
   EXPECT_EQ(a.schedule.total_pages, b.schedule.total_pages);
+}
+
+// Polls `done` until it holds (true) or ten seconds pass (false).
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+AtomStoreStats SessionStats(const TuningServer& server, const std::string& id) {
+  Result<AtomStoreStats> stats = server.SessionAtomStats(id);
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  return stats.ok() ? stats.value() : AtomStoreStats{};
+}
+
+uint64_t PopulateCount(TuningServer& server, const std::string& id) {
+  uint64_t count = 0;
+  EXPECT_TRUE(server
+                  .WithSession(id, [&](DesignSession& s) {
+                    count = s.inum_populate_count();
+                  })
+                  .ok());
+  return count;
 }
 
 void ExpectSameResponse(const SessionResponse& a, const SessionResponse& b) {
@@ -572,6 +603,467 @@ TEST(ServerTest, CloseDuringBatchIsSafe) {
   SetSessionWorkload(server, "s0", w);
   auto again = server.RunBatch({{"s0", SessionOp::kRecommend, {}}});
   EXPECT_TRUE(again[0].status.ok()) << again[0].status.ToString();
+}
+
+// --- Single-flight atom builds ---
+
+// A decorator whose optimizer calls block until the test opens its gate
+// and then go to the wrapped backend (here one in an outage, so they
+// fail): it holds a session mid-build on a key it has claimed.
+class GatedBackend final : public DbmsBackend {
+ public:
+  explicit GatedBackend(DbmsBackend& inner) : inner_(&inner) {}
+
+  void Open() { open_.store(true); }
+  int entered() const { return entered_.load(); }
+
+  std::string name() const override { return "gated"; }
+  const CostParams& cost_params() const override {
+    return inner_->cost_params();
+  }
+  const Catalog& catalog() const override { return inner_->catalog(); }
+  const std::vector<TableStats>& all_stats() const override {
+    return inner_->all_stats();
+  }
+  Status RefreshStatistics(TableId table,
+                           const AnalyzeOptions& options) override {
+    return inner_->RefreshStatistics(table, options);
+  }
+  PhysicalDesign CurrentDesign() const override {
+    return inner_->CurrentDesign();
+  }
+  Result<PlanResult> OptimizeQuery(const BoundQuery& query,
+                                   const PhysicalDesign& design,
+                                   const PlannerKnobs& knobs) override {
+    Gate();
+    return inner_->OptimizeQuery(query, design, knobs);
+  }
+  Result<double> CostQuery(const BoundQuery& query,
+                           const PhysicalDesign& design,
+                           const PlannerKnobs& knobs) override {
+    Gate();
+    return inner_->CostQuery(query, design, knobs);
+  }
+  Result<std::vector<double>> CostBatch(std::span<const BoundQuery> queries,
+                                        const PhysicalDesign& design,
+                                        const PlannerKnobs& knobs) override {
+    Gate();
+    return inner_->CostBatch(queries, design, knobs);
+  }
+  PartialCosts CostBatchPartial(std::span<const BoundQuery> queries,
+                                const PhysicalDesign& design,
+                                const PlannerKnobs& knobs) override {
+    Gate();
+    return inner_->CostBatchPartial(queries, design, knobs);
+  }
+  uint64_t num_optimizer_calls() const override {
+    return inner_->num_optimizer_calls();
+  }
+  void ResetCallCount() override { inner_->ResetCallCount(); }
+
+ private:
+  void Gate() {
+    entered_.fetch_add(1);
+    EXPECT_TRUE(WaitUntil([this] { return open_.load(); }));
+  }
+
+  DbmsBackend* inner_;
+  std::atomic<bool> open_{false};
+  std::atomic<int> entered_{0};
+};
+
+// A claimant outside the pool (a one-request RunBatch runs on its
+// caller) that entered the shared pool for its populate would wait on
+// the pool's submission lock, held by a concurrent 8-request RunBatch
+// whose tasks wait on that very claim: a deadlock. Claimed builds run
+// inline, so every iteration completes, and every session on the same
+// workload gets the same answer.
+TEST(ServerTest, InlineClaimantDoesNotDeadlockABatch) {
+  Database db = SmallDb();
+  InMemoryBackend backend(db);
+  Workload w = GenerateWorkload(db, TemplateMix::Uniform(), 64, 11);
+  constexpr int kIterations = 300;
+  constexpr int kBatch = 8;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    TuningServer server;
+    ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+    std::vector<SessionRequest> batch;
+    for (int i = 0; i <= kBatch; ++i) {
+      std::string id = "s" + std::to_string(i);
+      ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
+      SetSessionWorkload(server, id, w);
+      if (i < kBatch) batch.push_back({id, SessionOp::kRecommend, {}});
+    }
+    std::vector<SessionResponse> lone;
+    std::thread outside([&] {
+      lone = server.RunBatch(
+          {{"s" + std::to_string(kBatch), SessionOp::kRecommend, {}}});
+    });
+    std::vector<SessionResponse> out = server.RunBatch(batch);
+    outside.join();
+    out.push_back(lone.at(0));
+    for (const SessionResponse& r : out) {
+      ASSERT_TRUE(r.status.ok()) << "iteration " << iter << ": "
+                                 << r.status.ToString();
+      ExpectSameRecommendation(*r.recommendation, *out[0].recommendation);
+    }
+    AtomStoreStats store = server.atom_store().stats();
+    ASSERT_EQ(store.races_discarded, 0u) << "iteration " << iter;
+    ASSERT_EQ(store.lookups, store.hits + store.misses);
+  }
+}
+
+// Per-session counters add up to the store's: exactly on a serial
+// server (the first session builds every key, the others hit), and as
+// sums under concurrency, where every key is still built exactly once.
+TEST(ServerTest, SessionAtomCountersAddUpToTheStore) {
+  Database db = SmallDb(800, 13);
+  InMemoryBackend backend(db);
+  Workload w = SmallWorkload(db, 6, 5);
+
+  auto run = [&](int threads, int sessions, std::vector<AtomStoreStats>* per,
+                 AtomStoreStats* store) {
+    TuningServerOptions opts;
+    opts.num_threads = threads;
+    TuningServer server(opts);
+    ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+    std::vector<SessionRequest> requests;
+    for (int i = 0; i < sessions; ++i) {
+      std::string id = "s" + std::to_string(i);
+      ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
+      SetSessionWorkload(server, id, w);
+      requests.push_back({id, SessionOp::kRecommend, {}});
+    }
+    for (const SessionResponse& r : server.RunBatch(requests)) {
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    }
+    for (int i = 0; i < sessions; ++i) {
+      per->push_back(SessionStats(server, "s" + std::to_string(i)));
+    }
+    *store = server.atom_store().stats();
+  };
+
+  std::vector<AtomStoreStats> serial;
+  AtomStoreStats serial_store;
+  run(1, 3, &serial, &serial_store);
+  uint64_t keys = serial[0].lookups;
+  ASSERT_GT(keys, 0u);
+  EXPECT_EQ(serial[0].misses, keys);
+  EXPECT_EQ(serial[0].hits, 0u);
+  EXPECT_EQ(serial[0].publishes, keys);
+  for (const AtomStoreStats& s : serial) {
+    EXPECT_EQ(s.lookups, keys);
+    EXPECT_EQ(s.inflight_waits, 0u);
+    EXPECT_EQ(s.races_discarded, 0u);
+  }
+  for (size_t i = 1; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].hits, keys);
+    EXPECT_EQ(serial[i].misses, 0u);
+    EXPECT_EQ(serial[i].publishes, 0u);
+  }
+  EXPECT_EQ(serial_store.lookups, 3 * keys);
+  EXPECT_EQ(serial_store.hits, 2 * keys);
+  EXPECT_EQ(serial_store.misses, keys);
+  EXPECT_EQ(serial_store.publishes, keys);
+  EXPECT_EQ(serial_store.inflight_waits, 0u);
+  EXPECT_EQ(serial_store.races_discarded, 0u);
+  EXPECT_EQ(serial_store.repopulates, 0u);
+
+  std::vector<AtomStoreStats> parallel;
+  AtomStoreStats store;
+  run(4, 8, &parallel, &store);
+  AtomStoreStats sum;
+  for (const AtomStoreStats& s : parallel) {
+    EXPECT_EQ(s.lookups, keys);
+    EXPECT_EQ(s.lookups, s.hits + s.misses);
+    sum.lookups += s.lookups;
+    sum.hits += s.hits;
+    sum.misses += s.misses;
+    sum.inflight_waits += s.inflight_waits;
+    sum.publishes += s.publishes;
+    sum.races_discarded += s.races_discarded;
+  }
+  EXPECT_EQ(sum.lookups, store.lookups);
+  EXPECT_EQ(sum.hits, store.hits);
+  EXPECT_EQ(sum.misses, store.misses);
+  EXPECT_EQ(sum.inflight_waits, store.inflight_waits);
+  EXPECT_EQ(sum.publishes, store.publishes);
+  EXPECT_EQ(sum.races_discarded, store.races_discarded);
+  // Single flight: every key is built once, by whichever session
+  // claimed it, and nothing is built twice and thrown away.
+  EXPECT_EQ(store.publishes, keys);
+  EXPECT_EQ(store.misses, keys);
+  EXPECT_EQ(store.races_discarded, 0u);
+}
+
+// Sessions whose keys deliberately overlap — groups on identical
+// workloads, over two schemas — answer every request bit-identically to
+// a serial (1-thread server, 1-thread engine) replay at 1, 2, 4 and 8
+// threads, whichever session happens to build, wait for or adopt each
+// key.
+TEST(ServerTest, OverlappingKeysMatchSerialReplayAtAnyThreadCount) {
+  Database db1 = SmallDb(1200, 31);
+  Database db2 = SmallDb(900, 77);
+  Workload wa = SmallWorkload(db1, 6, 5);
+  Workload wb = GenerateWorkload(db1, TemplateMix::Uniform(), 12, 23);
+  Workload wc = SmallWorkload(db2, 6, 7);
+  ConstraintDelta budget;
+  budget.storage_budget_pages = 400.0;
+
+  auto run = [&](int threads) {
+    CostParams params;
+    params.num_threads = threads;
+    InMemoryBackend be1(db1, params);
+    InMemoryBackend be2(db2, params);
+    TuningServerOptions opts;
+    opts.num_threads = threads;
+    TuningServer server(opts);
+    EXPECT_TRUE(server.RegisterSchema("s1", be1).ok());
+    EXPECT_TRUE(server.RegisterSchema("s2", be2).ok());
+    std::vector<SessionRequest> requests;
+    for (int i = 0; i < 9; ++i) {
+      std::string id = "t" + std::to_string(i);
+      EXPECT_TRUE(server.OpenSession(id, i < 6 ? "s1" : "s2").ok());
+      SetSessionWorkload(server, id, i < 3 ? wa : i < 6 ? wb : wc);
+      requests.push_back({id, SessionOp::kRecommend, {}});
+    }
+    for (int i = 0; i < 9; ++i) {
+      std::string id = "t" + std::to_string(i);
+      if (i % 3 == 1) requests.push_back({id, SessionOp::kRefine, budget});
+      requests.push_back({id, SessionOp::kPlanDeployment, {}});
+    }
+    std::vector<SessionResponse> out = server.RunBatch(requests);
+    AtomStoreStats store = server.atom_store().stats();
+    EXPECT_EQ(store.races_discarded, 0u) << threads << " threads";
+    return out;
+  };
+
+  std::vector<SessionResponse> serial = run(1);
+  for (const SessionResponse& r : serial) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    std::vector<SessionResponse> out = run(threads);
+    ASSERT_EQ(out.size(), serial.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameResponse(out[i], serial[i]);
+    }
+  }
+}
+
+// A builder whose backend goes down mid-build (an outage under
+// force_exact, where every cost call crosses the seam) releases its
+// claim: the session waiting on the key claims it, builds it on its own
+// healthy backend, and answers exactly as a session running alone.
+TEST(ServerTest, FailedBuilderReleasesItsClaimToTheWaiter) {
+  Database db = SmallDb(800, 13);
+  Workload w = SmallWorkload(db, 5, 3);
+  TuningServerOptions opts;
+  opts.designer.cophy.inum.force_exact = true;
+
+  IndexRecommendation solo;
+  {
+    InMemoryBackend backend(db);
+    TuningServer server(opts);
+    ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+    ASSERT_TRUE(server.OpenSession("solo", "sdss").ok());
+    SetSessionWorkload(server, "solo", w);
+    auto out = server.RunBatch({{"solo", SessionOp::kRecommend, {}}});
+    ASSERT_TRUE(out[0].status.ok()) << out[0].status.ToString();
+    solo = *out[0].recommendation;
+  }
+
+  InMemoryBackend dead_inner(db);
+  FaultInjectingBackend dead(dead_inner, FaultPlan::Outage());
+  GatedBackend gated(dead);
+  InMemoryBackend healthy(db);
+  TuningServer server(opts);
+  // Same substrate, so both schemas share one set of keys.
+  ASSERT_TRUE(server.RegisterSchema("dead", gated).ok());
+  ASSERT_TRUE(server.RegisterSchema("healthy", healthy).ok());
+  ASSERT_TRUE(server.OpenSession("builder", "dead").ok());
+  ASSERT_TRUE(server.OpenSession("waiter", "healthy").ok());
+  SetSessionWorkload(server, "builder", w);
+  SetSessionWorkload(server, "waiter", w);
+
+  // The builder claims the first key and stalls in its first cost call.
+  std::vector<SessionResponse> built;
+  std::thread builder(
+      [&] { built = server.RunBatch({{"builder", SessionOp::kRecommend, {}}}); });
+  ASSERT_TRUE(WaitUntil([&] { return gated.entered() > 0; }));
+  // The waiter builds every other key, then blocks on the held one.
+  std::vector<SessionResponse> waited;
+  std::thread waiter(
+      [&] { waited = server.RunBatch({{"waiter", SessionOp::kRecommend, {}}}); });
+  ASSERT_TRUE(WaitUntil(
+      [&] { return server.atom_store().stats().inflight_waits > 0; }));
+  gated.Open();
+  builder.join();
+  waiter.join();
+
+  EXPECT_FALSE(built[0].status.ok());
+  EXPECT_TRUE(built[0].status.IsRetryable()) << built[0].status.ToString();
+  ASSERT_TRUE(waited[0].status.ok()) << waited[0].status.ToString();
+  ExpectSameRecommendation(*waited[0].recommendation, solo);
+
+  AtomStoreStats b = SessionStats(server, "builder");
+  AtomStoreStats wt = SessionStats(server, "waiter");
+  EXPECT_EQ(b.lookups, 1u);
+  EXPECT_EQ(b.misses, 1u);
+  EXPECT_EQ(b.publishes, 0u);
+  EXPECT_EQ(wt.inflight_waits, 1u);
+  EXPECT_EQ(wt.hits, 0u);
+  EXPECT_EQ(wt.misses, wt.lookups) << "the waiter built every key itself";
+  EXPECT_EQ(wt.publishes, wt.lookups);
+  AtomStoreStats store = server.atom_store().stats();
+  EXPECT_EQ(store.publishes, wt.lookups);
+  EXPECT_EQ(store.races_discarded, 0u);
+}
+
+// A hit adopts the row's INUM plan set, so the adopter's PlanDeployment
+// populates nothing. A plan set that expired with its last holder, or a
+// row reloaded from a spill file (which carries none), makes the adopter
+// populate instead — and the plans stay bit-identical either way.
+TEST(ServerTest, AdoptedPlanSetsSkipPopulatesExpiredOnesDoNot) {
+  Database db = SmallDb();
+  InMemoryBackend backend(db);
+  Workload w = SmallWorkload(db);
+
+  auto recommend_and_plan = [](TuningServer& server, const std::string& id) {
+    auto out = server.RunBatch({{id, SessionOp::kRecommend, {}},
+                                {id, SessionOp::kPlanDeployment, {}}});
+    EXPECT_TRUE(out[0].status.ok()) << out[0].status.ToString();
+    EXPECT_TRUE(out[1].status.ok()) << out[1].status.ToString();
+    return out;
+  };
+  auto open = [&](TuningServer& server, const std::string& id) {
+    ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
+    SetSessionWorkload(server, id, w);
+  };
+
+  std::vector<SessionResponse> solo;
+  {
+    TuningServer server;
+    ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+    open(server, "solo");
+    solo = recommend_and_plan(server, "solo");
+    EXPECT_GT(PopulateCount(server, "solo"), 0u);
+  }
+  ASSERT_TRUE(solo[0].recommendation.has_value() && solo[1].plan.has_value());
+  auto expect_solo = [&solo](const std::vector<SessionResponse>& out) {
+    ASSERT_TRUE(out[0].recommendation.has_value() && out[1].plan.has_value());
+    ExpectSameRecommendation(*out[0].recommendation, *solo[0].recommendation);
+    ExpectSamePlan(*out[1].plan, *solo[1].plan);
+  };
+
+  {
+    SCOPED_TRACE("plan set alive");
+    TuningServer server;
+    ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+    open(server, "a");
+    open(server, "b");
+    recommend_and_plan(server, "a");
+    std::vector<SessionResponse> out = recommend_and_plan(server, "b");
+    EXPECT_EQ(SessionStats(server, "b").misses, 0u);
+    EXPECT_EQ(PopulateCount(server, "b"), 0u);
+    expect_solo(out);
+  }
+
+  {
+    SCOPED_TRACE("plan set expired");
+    TuningServer server;
+    ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+    open(server, "a");
+    recommend_and_plan(server, "a");
+    // a's cost model held the only references to its plan sets.
+    ASSERT_TRUE(server.CloseSession("a").ok());
+    open(server, "b");
+    std::vector<SessionResponse> out = recommend_and_plan(server, "b");
+    EXPECT_EQ(SessionStats(server, "b").misses, 0u);
+    EXPECT_GT(PopulateCount(server, "b"), 0u);
+    expect_solo(out);
+  }
+
+  {
+    SCOPED_TRACE("row reloaded from a spill");
+    std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "server_plan_set_spill";
+    std::filesystem::remove_all(dir);
+    TuningServerOptions opts;
+    opts.cache_budget.atom_store_bytes = 1;  // every row spills at once
+    opts.spill_dir = dir.string();
+    {
+      TuningServer server(opts);
+      ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+      open(server, "a");
+      open(server, "b");
+      recommend_and_plan(server, "a");
+      std::vector<SessionResponse> out = recommend_and_plan(server, "b");
+      EXPECT_EQ(SessionStats(server, "b").misses, 0u);
+      EXPECT_GT(server.atom_store().stats().reloads, 0u);
+      EXPECT_GT(PopulateCount(server, "b"), 0u);
+      expect_solo(out);
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// AddQueries' new-template rows go through the store like Prepare's: a
+// second tenant adding the template another tenant already added adopts
+// the row and its plan set instead of populating it again.
+TEST(ServerTest, AddedTemplatesAreSharedThroughTheStore) {
+  Database db = SmallDb();
+  InMemoryBackend backend(db);
+  Workload w = SmallWorkload(db);
+  // No predicate, join or ordering: it mines no candidate, so the
+  // universe stays put and the rows are added incrementally.
+  Result<BoundQuery> fresh =
+      ParseAndBind(db.catalog(), "SELECT objid FROM photoobj");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  TuningServer server;
+  ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
+  std::vector<std::shared_ptr<const CoPhyAtomRow>> added;
+  for (const char* id : {"a", "b"}) {
+    ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
+    SetSessionWorkload(server, id, w);
+    ASSERT_TRUE(server.RunBatch({{id, SessionOp::kRecommend, {}}})[0].status.ok());
+    AtomStoreStats before = SessionStats(server, id);
+    uint64_t populates = PopulateCount(server, id);
+    ASSERT_TRUE(server
+                    .WithSession(id, [&](DesignSession& s) {
+                      size_t universe = s.prepared_state().candidates.size();
+                      s.AddQueries({fresh.value()});
+                      ASSERT_TRUE(s.prepared());
+                      ASSERT_EQ(s.prepared_state().candidates.size(), universe);
+                      added.push_back(s.prepared_state().rows.back());
+                    })
+                    .ok());
+    AtomStoreStats after = SessionStats(server, id);
+    EXPECT_EQ(after.lookups, before.lookups + 1) << id;
+    if (std::string(id) == "a") {
+      EXPECT_EQ(after.misses, before.misses + 1);
+      EXPECT_EQ(after.publishes, before.publishes + 1);
+      EXPECT_GT(PopulateCount(server, id), populates);
+    } else {
+      EXPECT_EQ(after.hits, before.hits + 1);
+      EXPECT_EQ(PopulateCount(server, id), populates)
+          << "the adopted row brought its plan set";
+    }
+  }
+  ASSERT_EQ(added.size(), 2u);
+  EXPECT_EQ(added[0].get(), added[1].get());
+  auto out = server.RunBatch({{"a", SessionOp::kRecommend, {}},
+                              {"b", SessionOp::kRecommend, {}},
+                              {"a", SessionOp::kPlanDeployment, {}},
+                              {"b", SessionOp::kPlanDeployment, {}}});
+  ASSERT_TRUE(out[0].status.ok()) << out[0].status.ToString();
+  ExpectSameRecommendation(*out[0].recommendation, *out[1].recommendation);
+  ASSERT_TRUE(out[2].status.ok()) << out[2].status.ToString();
+  ASSERT_TRUE(out[3].plan.has_value());
+  ExpectSamePlan(*out[2].plan, *out[3].plan);
 }
 
 }  // namespace

@@ -338,6 +338,9 @@ std::vector<CoPhyAtom> CoPhyAdvisor::BuildAtoms(
       for (const CoPhyAtom& a : atoms) present |= a.used.empty();
       if (!present) atoms.back() = free_atom;
     }
+    // Rows are published and live as long as the store keeps them:
+    // hold exactly the kept atoms, not the pre-truncation capacity.
+    atoms.shrink_to_fit();
   }
   return atoms;
 }

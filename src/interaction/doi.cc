@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -11,17 +13,33 @@ namespace dbdesign {
 
 namespace {
 
-/// One query's worst-case interaction over one pair's samples,
-/// normalized by `base` (the query's empty-design cost). `members` is
-/// all zeros on entry and on exit; each sample X is priced as X,
-/// X∪{a}, X∪{b}, X∪{a,b}, in that order.
-double WorstInteraction(InumCostModel::SubsetPricer& pricer, int a, int b,
-                        const std::vector<std::vector<int>>& samples,
-                        double base, std::vector<uint8_t>& members) {
-  uint8_t& in_a = members[static_cast<size_t>(a)];
-  uint8_t& in_b = members[static_cast<size_t>(b)];
+/// One canonical pair (a < b) and its sampled configurations
+/// X ⊆ S∖{a,b} (InteractionAnalyzer::PairSamples).
+struct SampledPair {
+  int a = 0;
+  int b = 0;
+  std::vector<std::vector<int>> samples;
+};
+
+/// How much adding b changes a's benefit on one sample X, normalized by
+/// `base` (the query's empty-design cost).
+double Interaction(double cx, double cxa, double cxb, double cxab,
+                   double base) {
+  double benefit_without_b = cx - cxa;
+  double benefit_with_b = cxb - cxab;
+  return std::abs(benefit_without_b - benefit_with_b) / base;
+}
+
+/// One query's worst-case interaction over one pair's samples, every
+/// sample priced directly: X, X∪{a}, X∪{b}, X∪{a,b}, in that order.
+/// `members` is all zeros on entry and on exit.
+double WorstInteraction(InumCostModel::SubsetPricer& pricer,
+                        const SampledPair& pair, double base,
+                        std::vector<uint8_t>& members) {
+  uint8_t& in_a = members[static_cast<size_t>(pair.a)];
+  uint8_t& in_b = members[static_cast<size_t>(pair.b)];
   double worst = 0.0;
-  for (const std::vector<int>& x : samples) {
+  for (const std::vector<int>& x : pair.samples) {
     for (int i : x) members[static_cast<size_t>(i)] = 1;
     double cx = pricer.Cost(members);
     in_a = 1;
@@ -34,36 +52,98 @@ double WorstInteraction(InumCostModel::SubsetPricer& pricer, int a, int b,
     in_a = 0;
     in_b = 0;
     for (int i : x) members[static_cast<size_t>(i)] = 0;
-    double benefit_without_b = cx - cxa;
-    double benefit_with_b = cxb - cxab;
-    worst = std::max(worst,
-                     std::abs(benefit_without_b - benefit_with_b) / base);
+    worst = std::max(worst, Interaction(cx, cxa, cxb, cxab, base));
   }
   return worst;
 }
 
-/// One query's unweighted contribution row (all pairs, PairIndex
-/// order), priced purely from the populated cache; reuse counters land
-/// in `stats`.
-std::vector<double> QueryRow(
-    InumCostModel& inum, const BoundQuery& query,
-    const std::vector<IndexDef>& indexes,
-    const std::vector<std::vector<std::vector<int>>>& pair_samples,
-    InumStats* stats) {
-  std::vector<double> row(pair_samples.size(), 0.0);
-  InumCostModel::SubsetPricer pricer =
-      inum.BindSubsets(query, indexes, stats);
-  std::vector<uint8_t> members(indexes.size(), 0);
+/// One query's unweighted worst-case interaction for each of `pairs`
+/// (out[k] for pairs[k]), priced through `pricer`, which was bound with
+/// `stats` as its counter sink.
+///
+/// When the empty design prices by reuse, so does every subset (reuse
+/// prices are monotone: members only lower slot minima and make more
+/// plans usable), and a reuse price reads only the members among the
+/// pricer's ReusePositions R. Hence a pair with a member outside R
+/// interacts exactly 0, and cost(X) == cost(X ∩ R): the row prices each
+/// distinct X ∩ R once, through a table indexed by its bitmask over R,
+/// whenever that table (2^|R| entries) is no larger than the number of
+/// subsets the direct path would price. Otherwise — the empty design
+/// fell back to the exact optimizer, or the pricer has no plan set —
+/// every pair prices directly, exactly as the assembled designs would.
+std::vector<double> QueryContributions(InumCostModel::SubsetPricer& pricer,
+                                       size_t n,
+                                       std::span<const SampledPair> pairs,
+                                       const InumStats& stats) {
+  std::vector<double> out(pairs.size(), 0.0);
+  std::vector<uint8_t> members(n, 0);
+  uint64_t fallbacks = stats.fallback_calls;
   double base = pricer.Cost(members);
-  if (base <= 0) return row;
-  int n = static_cast<int>(indexes.size());
-  size_t p = 0;
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b, ++p) {
-      row[p] = WorstInteraction(pricer, a, b, pair_samples[p], base, members);
+  if (base <= 0) return out;
+  if (stats.fallback_calls != fallbacks) {
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      out[k] = WorstInteraction(pricer, pairs[k], base, members);
     }
+    return out;
   }
-  return row;
+
+  std::vector<size_t> relevant = pricer.ReusePositions();
+  std::vector<int> bit(n, -1);
+  for (size_t k = 0; k < relevant.size(); ++k) {
+    bit[relevant[k]] = static_cast<int>(k);
+  }
+  auto sees = [&](const SampledPair& p) {
+    return bit[static_cast<size_t>(p.a)] >= 0 &&
+           bit[static_cast<size_t>(p.b)] >= 0;
+  };
+  uint64_t direct = 0;
+  for (const SampledPair& p : pairs) {
+    if (sees(p)) direct += 4 * p.samples.size();
+  }
+  if (relevant.size() >= 64 || (uint64_t{1} << relevant.size()) > direct) {
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      if (sees(pairs[k])) {
+        out[k] = WorstInteraction(pricer, pairs[k], base, members);
+      }
+    }
+    return out;
+  }
+
+  // Unpriced entries hold NaN; every reuse price is finite.
+  std::vector<double> memo(size_t{1} << relevant.size(),
+                           std::numeric_limits<double>::quiet_NaN());
+  memo[0] = base;
+  auto cost = [&](uint64_t mask) {
+    double& c = memo[mask];
+    if (std::isnan(c)) {
+      for (size_t k = 0; k < relevant.size(); ++k) {
+        members[relevant[k]] = static_cast<uint8_t>((mask >> k) & 1);
+      }
+      c = pricer.Cost(members);
+    }
+    return c;
+  };
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    const SampledPair& p = pairs[k];
+    if (!sees(p)) continue;
+    uint64_t in_a = uint64_t{1} << bit[static_cast<size_t>(p.a)];
+    uint64_t in_b = uint64_t{1} << bit[static_cast<size_t>(p.b)];
+    double worst = 0.0;
+    for (const std::vector<int>& x : p.samples) {
+      uint64_t mx = 0;
+      for (int i : x) {
+        int j = bit[static_cast<size_t>(i)];
+        if (j >= 0) mx |= uint64_t{1} << j;
+      }
+      double cx = cost(mx);
+      double cxa = cost(mx | in_a);
+      double cxb = cost(mx | in_b);
+      double cxab = cost(mx | in_a | in_b);
+      worst = std::max(worst, Interaction(cx, cxa, cxb, cxab, base));
+    }
+    out[k] = worst;
+  }
+  return out;
 }
 
 }  // namespace
@@ -184,11 +264,12 @@ std::vector<std::vector<double>> InteractionAnalyzer::ContributionRows(
   // Sample configurations depend only on the pair, not the query: draw
   // them once, share them read-only.
   int n = static_cast<int>(indexes.size());
-  std::vector<std::vector<std::vector<int>>> pair_samples;
-  pair_samples.reserve(static_cast<size_t>(n) * (static_cast<size_t>(n) - 1) /
-                       2);
+  std::vector<SampledPair> pairs;
+  pairs.reserve(static_cast<size_t>(n) * (static_cast<size_t>(n) - 1) / 2);
   for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) pair_samples.push_back(PairSamples(n, a, b));
+    for (int b = a + 1; b < n; ++b) {
+      pairs.push_back(SampledPair{a, b, PairSamples(n, a, b)});
+    }
   }
   // Shard by query: one worker owns a query's cache memos end to end
   // (the engine's ownership model), each writing its own pre-sized row —
@@ -203,8 +284,10 @@ std::vector<std::vector<double>> InteractionAnalyzer::ContributionRows(
       ThreadPool::Resolve(inum_->backend().cost_params().num_threads);
   ThreadPool::Shared().ParallelFor(
       dedup.distinct.size(), threads, [&](size_t u) {
-        per_distinct[u] = QueryRow(*inum_, queries[dedup.distinct[u]],
-                                   indexes, pair_samples, &deltas[u]);
+        InumCostModel::SubsetPricer pricer = inum_->BindSubsets(
+            queries[dedup.distinct[u]], indexes, &deltas[u]);
+        per_distinct[u] =
+            QueryContributions(pricer, indexes.size(), pairs, deltas[u]);
       });
   for (const InumStats& delta : deltas) inum_->AccumulateStats(delta);
 
@@ -254,19 +337,17 @@ double InteractionAnalyzer::PairDoi(const Workload& workload,
   // arithmetic — symmetry holds bit-for-bit, not just mathematically.
   if (a > b) std::swap(a, b);
   inum_->PrepareWorkload(workload);
-  int n = static_cast<int>(indexes.size());
-  std::vector<std::vector<int>> samples = PairSamples(n, a, b);
+  SampledPair pair{a, b, PairSamples(static_cast<int>(indexes.size()), a, b)};
 
   InumStats stats;
-  std::vector<uint8_t> members(indexes.size(), 0);
   double total = 0.0;
   for (size_t qi = 0; qi < workload.size(); ++qi) {
     InumCostModel::SubsetPricer pricer =
         inum_->BindSubsets(workload.queries[qi], indexes, &stats);
-    double base = pricer.Cost(members);
-    if (base <= 0) continue;
     total += workload.WeightOf(qi) *
-             WorstInteraction(pricer, a, b, samples, base, members);
+             QueryContributions(pricer, indexes.size(),
+                                std::span<const SampledPair>(&pair, 1),
+                                stats)[0];
   }
   inum_->AccumulateStats(stats);
   return total;

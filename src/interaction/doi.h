@@ -9,12 +9,32 @@
 // and the workload degree is the weighted sum over queries. Exhaustive
 // maximization over X is exponential; following the paper's stability
 // observation we sample structured subsets (empty, singletons, the full
-// remainder, plus random subsets) — INUM makes the 4 cost calls per
-// sample cheap. Each query is bound once to the candidate list
-// (InumCostModel::BindSubsets), and every sample is a subset reprice of
-// that binding — a minimum over the cached plans with no per-call
+// remainder, plus random subsets), each needing the 4 costs of X,
+// X∪{a}, X∪{b} and X∪{a,b}. Each query is bound once to the candidate
+// list (InumCostModel::BindSubsets), and every cost is a subset reprice
+// of that binding — a minimum over the cached plans with no per-call
 // hashing or design assembly: once the workload is populated, a full
 // DoI matrix makes ZERO backend optimizer calls.
+//
+// Most of those costs repeat. A query's reuse price reads only its
+// relevant indexes R (SubsetPricer::ReusePositions: a usable leaf in
+// some slot or a lookup price in some lookup group), so whenever the
+// empty design prices by reuse — and then every subset does, since
+// reuse prices are monotone in the design — a query's row
+//   * writes an exact 0 for every pair with a member outside R
+//     (adding it changes no cost, bit for bit), and
+//   * prices every other sample through a per-row table indexed by the
+//     bitmask of X ∩ R (cost(X) == cost(X ∩ R)): at most 2^|R| prices,
+//     each computed once, on first use. The table is used only when its
+//     2^|R| entries are no more than the subsets the direct path would
+//     price for the row's relevant pairs; a wider row prices those
+//     pairs directly.
+// A row whose empty design falls back to the exact optimizer (the
+// pricer has no plan set: force_exact, an over-wide or unpopulated
+// query) prices every sample directly, making exactly the backend calls
+// the assembled designs would, in the same order. InumStats::
+// reuse_calls counts the subsets actually priced, so a table hit is
+// not a reuse call.
 //
 // Hard properties (tested in properties_test):
 //   * symmetry: PairDoi(a, b) == PairDoi(b, a) bit-for-bit (pairs are

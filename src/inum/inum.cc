@@ -320,8 +320,10 @@ InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
 
   // Assemble the reuse-side acceleration structures: the distinct order
   // requirements per slot and each plan's requirement index, and the
-  // distinct lookups and each INLJ term's lookup group.
-  auto set = std::make_shared<PlanSet>();
+  // distinct lookups and each INLJ term's lookup group. The set gets an
+  // allocation of its own, apart from the shared_ptr control block, so
+  // an atom row's weak handle on an expired set pins only the block.
+  auto set = std::make_unique<PlanSet>();
   set->sql_key = query.ToSql(backend_->catalog());
   set->plans = std::move(plans);
   set->slot_orders.resize(static_cast<size_t>(n));
@@ -356,7 +358,8 @@ InumCostModel::BuiltCache InumCostModel::BuildCache(const BoundQuery& query) {
       term.group = static_cast<int>(it - groups.begin());
     }
   }
-  return BuiltCache{std::move(set), combos.size()};
+  return BuiltCache{std::shared_ptr<const PlanSet>(std::move(set)),
+                    combos.size()};
 }
 
 void InumCostModel::PreparePtrs(const std::vector<const BoundQuery*>& missing) {
@@ -774,6 +777,16 @@ double InumCostModel::SubsetPricer::Cost(std::span<const uint8_t> members) {
                            });
       },
       [&] { return model_->ExactCost(*query_, Assemble(members)); });
+}
+
+std::vector<size_t> InumCostModel::SubsetPricer::ReusePositions() const {
+  std::vector<size_t> positions;
+  for (const Leaf& leaf : leaves_) positions.push_back(leaf.pos);
+  for (const Lookup& lookup : lookups_) positions.push_back(lookup.pos);
+  std::sort(positions.begin(), positions.end());
+  positions.erase(std::unique(positions.begin(), positions.end()),
+                  positions.end());
+  return positions;
 }
 
 PhysicalDesign InumCostModel::SubsetPricer::Assemble(

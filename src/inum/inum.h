@@ -343,12 +343,26 @@ class InumCostModel {
 /// InumCostModel::Cost would (force_exact, an over-wide or unpopulated
 /// query, no usable cached plan), so results and counters match
 /// costing the assembled design through the model bit for bit.
+///
+/// The reuse path reads only the membership of ReusePositions(): the
+/// listed indexes with a usable leaf in some slot or a finite price in
+/// some lookup group. Any other listed index (on a table the query does
+/// not read, or unusable wherever it could appear) never changes a
+/// reuse price, so a subset that prices by reuse costs exactly what its
+/// intersection with ReusePositions() costs. Callers that price many
+/// subsets of one query (the DoI rows, interaction/doi.h) memoize on
+/// that intersection.
 class InumCostModel::SubsetPricer {
  public:
   /// Cost of the query under the design of the listed indexes whose
   /// `members` entry is nonzero (one entry per listed index, any list
   /// length). Allocation-free unless it falls back.
   double Cost(std::span<const uint8_t> members);
+
+  /// The listed positions whose membership the reuse path reads,
+  /// ascending. Empty when the pricer has no plan set (every subset then
+  /// prices exactly, on the assembled design).
+  std::vector<size_t> ReusePositions() const;
 
  private:
   friend class InumCostModel;

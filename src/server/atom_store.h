@@ -149,7 +149,12 @@ uint64_t SchemaFingerprint(const DbmsBackend& backend);
 /// store: everything hot forever, nothing on disk.
 struct AtomStoreOptions {
   /// Ceiling on hot (in-memory) row bytes, as measured by AtomRowBytes.
-  /// 0 = unbounded.
+  /// 0 = unbounded. AtomRowBytes is a deterministic lower bound on the
+  /// heap an entry really holds: it leaves out the key (its SQL text),
+  /// the LRU and map nodes, the shared_ptr control blocks and allocator
+  /// overhead. Measured with mallinfo2 over 1,593 entries (8-session
+  /// groups of 64-query Uniform workloads on a 5,000-row SDSS schema):
+  /// 1,820 heap bytes per entry against 731 charged, a ratio of 2.5.
   size_t budget_bytes = 0;
   /// Directory for the cold tier. Empty = no spilling (eviction drops
   /// rows outright). Created on construction; if creation fails the

@@ -3,9 +3,10 @@
 // DoI contribution rows.
 //
 // Each entry is charged a byte count once, on Put, and the cache keeps
-// the running total. Recency is a std::list (front = least recent)
-// indexed by a std::map, so eviction order is a pure function of the
-// call sequence. Not thread-safe: owners lock around it.
+// the running total. Entries live in a std::map; recency is a std::list
+// (front = least recent) of pointers to the map's entries, so each key
+// is stored once and eviction order is a pure function of the call
+// sequence. Not thread-safe: owners lock around it.
 
 #ifndef DBDESIGN_UTIL_BUDGETED_LRU_H_
 #define DBDESIGN_UTIL_BUDGETED_LRU_H_
@@ -25,41 +26,44 @@ class BudgetedLru {
  public:
   /// A budget of 0 means unbounded: EvictToBudget never evicts.
   explicit BudgetedLru(size_t budget_bytes = 0) : budget_(budget_bytes) {}
-  // The index holds iterators into the list, which a copy would share.
+  // The entries and the recency list point at each other, which a copy
+  // would share.
   BudgetedLru(const BudgetedLru&) = delete;
   BudgetedLru& operator=(const BudgetedLru&) = delete;
 
   /// Takes effect at the next EvictToBudget.
   void set_budget(size_t budget_bytes) { budget_ = budget_bytes; }
-  size_t size() const { return index_.size(); }
+  size_t size() const { return entries_.size(); }
   /// Sum of the byte counts of all entries.
   size_t bytes() const { return bytes_; }
 
   /// Membership test; leaves recency unchanged.
-  bool Contains(const K& key) const { return index_.count(key) != 0; }
+  bool Contains(const K& key) const { return entries_.count(key) != 0; }
 
   /// The entry's value, marked most-recently-used; nullptr on a miss.
   V* Find(const K& key) {
-    auto it = index_.find(key);
-    if (it == index_.end()) return nullptr;
-    order_.splice(order_.end(), order_, it->second);
-    return &it->second->value;
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return nullptr;
+    order_.splice(order_.end(), order_, it->second.pos);
+    return &it->second.value;
   }
 
   /// Inserts or replaces the entry as most-recently-used. Never evicts:
   /// the owner calls EvictToBudget when it is ready to lose entries.
   void Put(K key, V value, size_t bytes) {
     Erase(key);
-    order_.push_back(Node{key, std::move(value), bytes});
-    index_.emplace(std::move(key), std::prev(order_.end()));
+    auto it =
+        entries_.emplace(std::move(key), Entry{std::move(value), bytes, {}})
+            .first;
+    it->second.pos = order_.insert(order_.end(), &*it);
     bytes_ += bytes;
   }
 
   /// Removes the entry; false when absent.
   bool Erase(const K& key) {
-    auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    Remove(it->second);
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return false;
+    Remove(it);
     return true;
   }
 
@@ -68,13 +72,15 @@ class BudgetedLru {
   void EraseIf(Pred pred) {
     for (auto it = order_.begin(); it != order_.end();) {
       auto next = std::next(it);
-      if (pred(it->key, std::as_const(it->value))) Remove(it);
+      if (pred((*it)->first, std::as_const((*it)->second.value))) {
+        Remove(entries_.find((*it)->first));
+      }
       it = next;
     }
   }
 
   void Clear() {
-    index_.clear();
+    entries_.clear();
     order_.clear();
     bytes_ = 0;
   }
@@ -88,8 +94,9 @@ class BudgetedLru {
     if (budget_ == 0) return 0;
     size_t evicted = 0;
     for (; bytes_ > budget_; ++evicted) {
-      on_evict(order_.front().key, std::as_const(order_.front().value));
-      Remove(order_.begin());
+      const Slot& victim = *order_.front();
+      on_evict(victim.first, std::as_const(victim.second.value));
+      Remove(entries_.find(victim.first));
     }
     DBD_CHECK(bytes_ <= budget_);
     return evicted;
@@ -99,23 +106,28 @@ class BudgetedLru {
   }
 
  private:
-  struct Node {
-    K key;
+  struct Entry;
+  /// A map entry; map nodes never move, so the list may point at them.
+  using Slot = std::pair<const K, Entry>;
+  using OrderIt = typename std::list<Slot*>::iterator;
+  struct Entry {
     V value;
     size_t bytes;
+    OrderIt pos;  ///< this entry's place in order_
   };
-  using NodeIt = typename std::list<Node>::iterator;
 
-  void Remove(NodeIt it) {
-    bytes_ -= it->bytes;
-    index_.erase(it->key);
-    order_.erase(it);
+  using EntryIt = typename std::map<K, Entry>::iterator;
+
+  void Remove(EntryIt it) {
+    bytes_ -= it->second.bytes;
+    order_.erase(it->second.pos);
+    entries_.erase(it);
   }
 
   size_t budget_;
   size_t bytes_ = 0;
-  std::list<Node> order_;
-  std::map<K, NodeIt> index_;
+  std::map<K, Entry> entries_;
+  std::list<Slot*> order_;
 };
 
 }  // namespace dbdesign

@@ -510,6 +510,44 @@ TEST(BudgetedLruTest, EraseIfAndClearKeepBytesConsistent) {
   EXPECT_EQ(lru.bytes(), 3u);
 }
 
+TEST(BudgetedLruTest, CallbacksSeeEachEntrysOwnKeyAfterReorders) {
+  // Each key is stored once, in the map; the recency list points at the
+  // map entry. Replacing puts, touches and erases reorder recency away
+  // from key order, and every callback must still see the key that goes
+  // with its value.
+  StringLru lru(40);
+  for (int i = 0; i < 6; ++i) lru.Put("k" + std::to_string(i), 10 * i, 10);
+  lru.Put("k2", 99, 10);  // replace: k2 becomes most recent
+  lru.Find("k0");         // recency: k1, k3, k4, k5, k2, k0
+  EXPECT_TRUE(lru.Erase("k4"));
+  EXPECT_EQ(lru.bytes(), 50u);
+
+  std::vector<std::pair<std::string, int>> erased;
+  lru.EraseIf([&](const std::string& key, const int& v) {
+    erased.emplace_back(key, v);
+    return key == "k3";
+  });
+  EXPECT_EQ(erased, (std::vector<std::pair<std::string, int>>{
+                        {"k1", 10}, {"k3", 30}, {"k5", 50}, {"k2", 99},
+                        {"k0", 0}}));
+  EXPECT_FALSE(lru.Contains("k3"));
+  EXPECT_EQ(lru.bytes(), 40u);
+
+  lru.Put("k6", 60, 15);  // 55 bytes: evict k1, then k5
+  std::vector<std::pair<std::string, int>> evicted;
+  EXPECT_EQ(lru.EvictToBudget([&](const std::string& key, const int& v) {
+              evicted.emplace_back(key, v);
+            }),
+            2u);
+  EXPECT_EQ(evicted, (std::vector<std::pair<std::string, int>>{
+                         {"k1", 10}, {"k5", 50}}));
+  EXPECT_EQ(lru.bytes(), 35u);
+  ASSERT_NE(lru.Find("k2"), nullptr);
+  EXPECT_EQ(*lru.Find("k2"), 99);
+  EXPECT_EQ(*lru.Find("k0"), 0);
+  EXPECT_EQ(*lru.Find("k6"), 60);
+}
+
 TEST(BudgetedLruTest, ZeroBudgetNeverEvicts) {
   StringLru lru;
   for (int i = 0; i < 100; ++i) {

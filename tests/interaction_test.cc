@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "backend/inmemory_backend.h"
+#include "core/session.h"
 #include "interaction/doi.h"
 #include "interaction/graph.h"
 #include "interaction/schedule.h"
 #include "interaction_reference.h"
 #include "sql/binder.h"
+#include "util/rng.h"
 #include "workload/queries.h"
 #include "workload/sdss.h"
 
@@ -469,6 +473,358 @@ TEST_F(InteractionTest, SubsetPricingMatchesReferenceBeyond64Indexes) {
   EXPECT_TRUE(reference::SameSchedule(
       scheduler.Greedy(w, indexes, c),
       reference::Greedy(ref_inum, w, indexes, c)));
+}
+
+/// Forwards to an inner backend and logs every optimizer call in order
+/// as "query SQL | design fingerprint".
+class CallLog final : public DbmsBackend {
+ public:
+  explicit CallLog(DbmsBackend& inner) : inner_(&inner) {}
+
+  const std::vector<std::string>& calls() const { return calls_; }
+
+  std::string name() const override { return "log(" + inner_->name() + ")"; }
+  const CostParams& cost_params() const override {
+    return inner_->cost_params();
+  }
+  const Catalog& catalog() const override { return inner_->catalog(); }
+  const std::vector<TableStats>& all_stats() const override {
+    return inner_->all_stats();
+  }
+  Status RefreshStatistics(TableId table,
+                           const AnalyzeOptions& options) override {
+    return inner_->RefreshStatistics(table, options);
+  }
+  PhysicalDesign CurrentDesign() const override {
+    return inner_->CurrentDesign();
+  }
+  Result<PlanResult> OptimizeQuery(const BoundQuery& query,
+                                   const PhysicalDesign& design,
+                                   const PlannerKnobs& knobs) override {
+    Log(query, design);
+    return inner_->OptimizeQuery(query, design, knobs);
+  }
+  Result<double> CostQuery(const BoundQuery& query,
+                           const PhysicalDesign& design,
+                           const PlannerKnobs& knobs) override {
+    Log(query, design);
+    return inner_->CostQuery(query, design, knobs);
+  }
+  uint64_t num_optimizer_calls() const override {
+    return inner_->num_optimizer_calls();
+  }
+  void ResetCallCount() override { inner_->ResetCallCount(); }
+
+ private:
+  void Log(const BoundQuery& query, const PhysicalDesign& design) {
+    calls_.push_back(query.ToSql(catalog()) + " | " + design.Fingerprint());
+  }
+
+  DbmsBackend* inner_;
+  std::vector<std::string> calls_;
+};
+
+/// A random SDSS index list: `k` draws (duplicates allowed) from single-
+/// and two-column indexes on every table, so most lists hold indexes on
+/// tables a given query never reads.
+std::vector<IndexDef> RandomIndexList(const Catalog& catalog, int k,
+                                      Rng& rng) {
+  std::vector<IndexDef> pool;
+  for (TableId t = 0; t < catalog.num_tables(); ++t) {
+    int cols = catalog.table(t).num_columns();
+    for (ColumnId c = 0; c < cols; ++c) {
+      pool.push_back(IndexDef{t, {c}, false});
+      if (c + 1 < cols) pool.push_back(IndexDef{t, {c, c + 1}, false});
+    }
+  }
+  std::vector<IndexDef> list;
+  for (int i = 0; i < k; ++i) {
+    list.push_back(pool[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
+  }
+  return list;
+}
+
+/// Queries with no structural duplicate, so a library row and a
+/// reference row are computed once per query on both paths.
+Workload Distinct(const Workload& w) {
+  StructuralDedup dedup = DedupByStructure(
+      std::span<const BoundQuery>(w.queries.data(), w.queries.size()));
+  Workload out;
+  for (size_t u : dedup.distinct) out.Add(w.queries[u]);
+  return out;
+}
+
+// A row writes exact zeros for the pairs its query cannot see and
+// prices each distinct relevant subset once, through a table indexed by
+// the subset's bitmask over the query's relevant indexes, when the
+// table is no larger than the direct path's work; wider rows price
+// every relevant pair directly. All three must match the assembled-
+// design reference bit for bit. (An index on a table the query reads
+// always has a finite leaf price in this engine, so the irrelevant
+// indexes here are the ones on tables the query never reads.)
+TEST_F(InteractionTest, MemoizedRowsMatchAssembledDesignReference) {
+  const Catalog& catalog = db_->catalog();
+  InteractionAnalyzer sampler(*inum_);
+  int tabled = 0;
+  int direct = 0;
+  int unseen_pairs = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 7919);
+    Workload w = Distinct(
+        GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 5, 200 + seed));
+    int k = static_cast<int>(rng.UniformInt(4, 18));
+    std::vector<IndexDef> indexes = RandomIndexList(catalog, k, rng);
+    // Every list also holds two indexes the photoobj-only templates can
+    // use, so relevant pairs exist in most rows.
+    indexes.push_back(Idx("photoobj", {"ra", "dec"}));
+    indexes.push_back(Idx("photoobj", {"type"}));
+    if (seed % 3 == 0) {
+      // Wide rows: enough usable photoobj indexes that the table would
+      // outgrow the direct path's work.
+      for (const char* c :
+           {"ra", "dec", "run", "camcol", "field", "objid", "psfmag_u",
+            "psfmag_g", "psfmag_r", "psfmag_i", "psfmag_z", "mode", "rerun"}) {
+        indexes.push_back(Idx("photoobj", {c}));
+      }
+    }
+    int n = static_cast<int>(indexes.size());
+
+    InumCostModel lib_inum(*backend_);
+    InumCostModel ref_inum(*backend_);
+    InteractionAnalyzer lib(lib_inum);
+    InteractionAnalyzer ref(ref_inum);
+    std::vector<std::vector<double>> got =
+        lib.ContributionRows(w.queries, indexes);
+    ASSERT_EQ(got.size(), w.size());
+    for (size_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(got[i], reference::Row(ref_inum, ref, w.queries[i], indexes))
+          << "seed " << seed << " query " << i;
+
+      // Which path the row took, by the rule in interaction/doi.cc.
+      std::vector<size_t> relevant =
+          lib_inum.BindSubsets(w.queries[i], indexes).ReusePositions();
+      std::set<size_t> sees(relevant.begin(), relevant.end());
+      uint64_t work = 0;
+      for (int a = 0; a < n; ++a) {
+        for (int b = a + 1; b < n; ++b) {
+          if (sees.count(static_cast<size_t>(a)) == 0 ||
+              sees.count(static_cast<size_t>(b)) == 0) {
+            ++unseen_pairs;
+            continue;
+          }
+          work += 4 * sampler.PairSamples(n, a, b).size();
+        }
+      }
+      if (work == 0) continue;
+      if (relevant.size() < 64 && (uint64_t{1} << relevant.size()) <= work) {
+        ++tabled;
+      } else {
+        ++direct;
+      }
+    }
+  }
+  // The slices cover every path.
+  EXPECT_GT(tabled, 0);
+  EXPECT_GT(direct, 0);
+  EXPECT_GT(unseen_pairs, 0);
+}
+
+// A row whose pricer has no plan set (force_exact here; an over-wide
+// query alike) prices every sample directly, as the assembled designs
+// do: identical rows, and the same backend calls in the same order.
+TEST_F(InteractionTest, ForceExactRowsMakeTheReferenceBackendCalls) {
+  CostParams serial;
+  serial.num_threads = 1;  // one worker, so calls arrive in row order
+  InMemoryBackend inner(*db_, serial);
+  Workload w =
+      Distinct(GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 3, 301));
+  std::vector<IndexDef> indexes = {
+      Idx("photoobj", {"ra", "dec"}), Idx("photoobj", {"type"}),
+      Idx("specobj", {"z"}), Idx("photoobj", {"run"})};
+  InumOptions exact_only;
+  exact_only.force_exact = true;
+
+  CallLog lib_log(inner);
+  InumCostModel lib_inum(lib_log, exact_only);
+  InteractionAnalyzer lib(lib_inum);
+  uint64_t before = inner.num_optimizer_calls();
+  std::vector<std::vector<double>> got =
+      lib.ContributionRows(w.queries, indexes);
+  uint64_t lib_calls = inner.num_optimizer_calls() - before;
+
+  CallLog ref_log(inner);
+  InumCostModel ref_inum(ref_log, exact_only);
+  InteractionAnalyzer ref(ref_inum);
+  before = inner.num_optimizer_calls();
+  std::vector<std::vector<double>> want;
+  for (const BoundQuery& q : w.queries) {
+    want.push_back(reference::Row(ref_inum, ref, q, indexes));
+  }
+  uint64_t ref_calls = inner.num_optimizer_calls() - before;
+
+  EXPECT_EQ(got, want);
+  EXPECT_GT(lib_calls, 0u);
+  EXPECT_EQ(lib_calls, ref_calls);
+  EXPECT_EQ(lib_log.calls(), ref_log.calls());
+  EXPECT_EQ(lib_inum.stats().reuse_calls, 0u);
+  EXPECT_EQ(lib_inum.stats().fallback_calls, lib_log.calls().size());
+}
+
+// Binding does not populate, so a pricer on an unpopulated query has no
+// plan set and reads no positions: a DoI row over it takes the direct
+// path. (The DoI entry points populate every reuse-eligible query
+// first, so in a row this arises only for force_exact and over-wide
+// queries.)
+TEST_F(InteractionTest, UnpopulatedQueryPricerReadsNoPositions) {
+  BoundQuery q = Q("SELECT objid, ra FROM photoobj WHERE ra BETWEEN 100 "
+                   "AND 104 ORDER BY ra");
+  std::vector<IndexDef> indexes = {Idx("photoobj", {"ra"}),
+                                   Idx("specobj", {"z"})};
+  InumCostModel fresh(*backend_);
+  EXPECT_TRUE(fresh.BindSubsets(q, indexes).ReusePositions().empty());
+  fresh.Prepare(q);
+  EXPECT_EQ(fresh.BindSubsets(q, indexes).ReusePositions(),
+            std::vector<size_t>{0});
+}
+
+// A memoized row costs each distinct relevant subset once: the reuse
+// calls equal the number of distinct X ∩ R, X∪{a} ∩ R, X∪{b} ∩ R and
+// X∪{a,b} ∩ R over the samples of the relevant pairs (the empty design
+// among them). With 8 relevant indexes the samples reach only part of
+// the 256 subsets, so a wrong mask changes the count. (The row itself
+// rarely shows a wrong mask: a worst case is usually at X = ∅.)
+TEST_F(InteractionTest, MemoizedRowPricesEachRelevantSubsetOnce) {
+  Workload w;
+  w.Add(Q("SELECT objid, ra FROM photoobj WHERE ra BETWEEN 100 AND 104 "
+          "ORDER BY ra"));
+  std::vector<IndexDef> indexes = {
+      Idx("photoobj", {"ra"}),     Idx("specobj", {"z"}),
+      Idx("photoobj", {"ra", "dec"}), Idx("photoobj", {"dec"}),
+      Idx("photoobj", {"type"}),   Idx("photoobj", {"run"}),
+      Idx("specobj", {"bestobjid"}), Idx("photoobj", {"camcol"}),
+      Idx("photoobj", {"field"}),  Idx("photoobj", {"objid"})};
+  std::set<int> relevant = {0, 2, 3, 4, 5, 7, 8, 9};  // photoobj's
+  int n = static_cast<int>(indexes.size());
+
+  InumCostModel inum(*backend_);
+  InteractionAnalyzer analyzer(inum);
+  inum.PrepareWorkload(w);
+  EXPECT_EQ(inum.BindSubsets(w.queries[0], indexes).ReusePositions(),
+            (std::vector<size_t>{0, 2, 3, 4, 5, 7, 8, 9}));
+  std::set<std::vector<int>> subsets = {{}};
+  for (int a : relevant) {
+    for (int b : relevant) {
+      if (b <= a) continue;
+      for (const std::vector<int>& x : analyzer.PairSamples(n, a, b)) {
+        std::vector<int> base;
+        for (int i : x) {
+          if (relevant.count(i) != 0) base.push_back(i);
+        }
+        subsets.insert(base);
+        for (const std::vector<int>& extra :
+             {std::vector<int>{a}, std::vector<int>{b},
+              std::vector<int>{a, b}}) {
+          std::vector<int> s = base;
+          s.insert(s.end(), extra.begin(), extra.end());
+          std::sort(s.begin(), s.end());
+          subsets.insert(s);
+        }
+      }
+    }
+  }
+  EXPECT_GT(subsets.size(), 100u);
+  EXPECT_LT(subsets.size(), 256u);
+
+  InumStats before = inum.stats();
+  std::vector<std::vector<double>> rows =
+      analyzer.ContributionRows(w.queries, indexes);
+  EXPECT_EQ(inum.stats().reuse_calls - before.reuse_calls, subsets.size());
+  EXPECT_EQ(inum.stats().fallback_calls, before.fallback_calls);
+
+  InumCostModel ref_inum(*backend_);
+  InteractionAnalyzer ref(ref_inum);
+  EXPECT_EQ(rows[0], reference::Row(ref_inum, ref, w.queries[0], indexes));
+  // Pairs with a specobj member are exact zeros.
+  DoiMatrix layout;
+  layout.num_indexes = n;
+  for (int a : {1, 6}) {
+    for (int b = 0; b < n; ++b) {
+      if (b == a) continue;
+      EXPECT_EQ(rows[0][static_cast<size_t>(layout.PairIndex(a, b))], 0.0);
+    }
+  }
+}
+
+// bench_schedule's instance and gates, in tier-1: on the warm session
+// after a 2000-query Recommend, the plan's DoI matrix, clusters and
+// schedule equal the assembled-design reference bit for bit, and the
+// warm DoI matrix is identical at 1, 2 and 4 threads. The bench keeps
+// its own copy of these checks.
+TEST_F(InteractionTest, ScheduleBenchHoldsItsGates) {
+  SdssConfig cfg;
+  cfg.photoobj_rows = 20000;
+  cfg.seed = 42;
+  Database db = BuildSdssDatabase(cfg);
+  InMemoryBackend backend(db);
+  Designer designer(backend);
+  DesignSession session(designer);
+  DesignConstraints constraints;
+  for (TableId t = 0; t < db.catalog().num_tables(); ++t) {
+    constraints.storage_budget_pages +=
+        db.stats(t).HeapPages(db.catalog().table(t));
+  }
+  session.SetConstraints(constraints);
+  session.SetWorkload(
+      GenerateWorkload(db, TemplateMix::OfflineDefault(), 2000, 29));
+  auto rec = session.Recommend();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  const std::vector<IndexDef>& recommended = rec.value().indexes;
+  ASSERT_GE(recommended.size(), 2u);
+  Workload classes;
+  for (const TemplateClass& cls : session.template_classes()) {
+    classes.Add(cls.representative, cls.weight);
+  }
+  uint64_t calls = session.backend_optimizer_calls();
+  auto plan = session.PlanDeployment();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(session.backend_optimizer_calls(), calls);
+
+  InumCostModel lib_inum(backend);
+  InteractionAnalyzer lib(lib_inum, designer.options().doi);
+  DoiMatrix got = lib.AnalyzeMatrix(classes, recommended);
+  MaterializationSchedule got_schedule =
+      MaterializationScheduler(lib_inum).Greedy(classes, recommended,
+                                                session.constraints());
+  InumCostModel ref_inum(backend);
+  InteractionAnalyzer ref(ref_inum, designer.options().doi);
+  DoiMatrix want = reference::Matrix(ref_inum, ref, classes, recommended);
+  MaterializationSchedule want_schedule = reference::Greedy(
+      ref_inum, classes, recommended, session.constraints());
+  EXPECT_EQ(got.doi, want.doi);
+  EXPECT_EQ(got.contributions, want.contributions);
+  EXPECT_EQ(plan.value().edges, want.Edges());
+  EXPECT_EQ(plan.value().clusters, want.Clusters());
+  EXPECT_TRUE(reference::SameSchedule(got_schedule, want_schedule));
+  EXPECT_TRUE(reference::SameSchedule(plan.value().schedule, want_schedule));
+  EXPECT_EQ(lib_inum.stats().fallback_calls, 0u);
+
+  CostParams serial_params;
+  serial_params.num_threads = 1;
+  InMemoryBackend serial_backend(db, serial_params);
+  InumCostModel serial_inum(serial_backend);
+  DoiMatrix serial =
+      InteractionAnalyzer(serial_inum).AnalyzeMatrix(classes, recommended);
+  for (int threads : {1, 2, 4}) {
+    CostParams params;
+    params.num_threads = threads;
+    InMemoryBackend threaded(db, params);
+    InumCostModel inum(threaded);
+    inum.PrepareWorkload(classes);
+    InteractionAnalyzer analyzer(inum);
+    EXPECT_EQ(analyzer.AnalyzeMatrix(classes, recommended).doi, serial.doi)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -523,7 +523,11 @@ TEST(ServerTest, DegradedSchemaDoesNotPoisonTheServer) {
   policy.max_attempts = 4;
   ResilientBackend flaky_resilient(flaky, policy);
 
-  InMemoryBackend dead_inner(db);
+  // The dead schema sits on a substrate with other statistics, so its
+  // fingerprint differs from the healthy schemas' and its session can
+  // never adopt a row they built: it must reach its own backend.
+  Database dead_db = SmallDb(800, 14);
+  InMemoryBackend dead_inner(dead_db);
   FaultInjectingBackend dead(dead_inner, FaultPlan::Transient(0xCAFE, 1.0, 64));
   RetryPolicy strict;
   strict.max_attempts = 2;
@@ -534,6 +538,8 @@ TEST(ServerTest, DegradedSchemaDoesNotPoisonTheServer) {
   ASSERT_TRUE(server.RegisterSchema("healthy", healthy_backend).ok());
   ASSERT_TRUE(server.RegisterSchema("flaky", flaky_resilient).ok());
   ASSERT_TRUE(server.RegisterSchema("dead", dead_resilient).ok());
+  ASSERT_NE(SchemaFingerprint(dead_resilient),
+            SchemaFingerprint(healthy_backend));
   ASSERT_TRUE(server.OpenSession("h", "healthy").ok());
   ASSERT_TRUE(server.OpenSession("r", "flaky").ok());
   ASSERT_TRUE(server.OpenSession("x", "dead").ok());

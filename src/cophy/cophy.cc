@@ -153,38 +153,44 @@ CoPhyAdvisor::CoPhyAdvisor(DbmsBackend& backend, CoPhyOptions options)
     : backend_(&backend),
       params_(backend.cost_params()),
       options_(options),
-      inum_(backend, options.inum),
-      optimizer_(backend.catalog(), backend.all_stats(), params_) {}
+      inum_(backend, options.inum) {}
+
+namespace {
+
+/// Access options kept per (plan, slot); the no-index option always stays.
+constexpr size_t kMaxLeafOptionsPerSlot = 5;
+
+/// Sorts `items` by cost and keeps the `k` cheapest, but never drops the
+/// first free item (the feasibility anchor): when the cut would, it
+/// takes the last kept place.
+template <typename T, typename IsFree>
+void KeepCheapest(std::vector<T>& items, size_t k, IsFree is_free) {
+  std::sort(items.begin(), items.end(),
+            [](const T& a, const T& b) { return a.cost < b.cost; });
+  if (items.size() <= k) return;
+  DBD_DCHECK(k > 0);
+  auto free_item = std::find_if(items.begin(), items.end(), is_free);
+  if (free_item != items.end() &&
+      free_item - items.begin() >= static_cast<std::ptrdiff_t>(k)) {
+    items[k - 1] = *free_item;
+  }
+  items.resize(k);
+}
+
+}  // namespace
 
 std::vector<CoPhyAtom> CoPhyAdvisor::BuildAtoms(
     const BoundQuery& query, const std::vector<CandidateIndex>& candidates) {
   inum_.Prepare(query);
-  const auto* plans = inum_.CachedPlansFor(query);
-  if (plans == nullptr || plans->empty()) return {};
-
-  // Design containing every candidate: one Paths() call per slot yields
-  // per-candidate leaf costs.
-  PhysicalDesign all;
-  for (const CandidateIndex& c : candidates) all.AddIndex(c.index);
-  PlannerContext ctx = optimizer_.MakeContext(query, all);
-  CatalogPathProvider provider(ctx);
-
-  // Candidate lookup by structural key — one map build instead of a
-  // per-path linear scan over the candidate vector.
-  std::unordered_map<std::string, int> id_by_key;
-  id_by_key.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    id_by_key.emplace(candidates[i].index.Key(), static_cast<int>(i));
-  }
-  auto candidate_id = [&](const IndexDef& idx) {
-    auto it = id_by_key.find(idx.Key());
-    if (it == id_by_key.end()) return -1;
-    // Key() is a structural rendering, so a hit must be the same index;
-    // a mismatch means the key scheme lost information.
-    DBD_DCHECK(candidates[static_cast<size_t>(it->second)].index == idx &&
-               "IndexDef::Key collision in the candidate map");
-    return it->second;
-  };
+  std::vector<IndexDef> indexes;
+  indexes.reserve(candidates.size());
+  for (const CandidateIndex& c : candidates) indexes.push_back(c.index);
+  // INUM prices every candidate's leaf and lookup (through its memos,
+  // which later DoI rows and schedules read too); the pricer's positions
+  // are candidate ids.
+  InumCostModel::SubsetPricer pricer = inum_.BindSubsets(query, indexes);
+  const InumCostModel::PlanSet* set = pricer.plan_set();
+  if (set == nullptr || set->plans.empty()) return {};
 
   // One access option: leaf cost + the candidate it needs (-1 = none).
   struct Option {
@@ -193,92 +199,59 @@ std::vector<CoPhyAtom> CoPhyAdvisor::BuildAtoms(
   };
 
   int n = query.num_slots();
-  // Per-slot paths, annotated with candidate ids.
-  struct AnnotatedPath {
-    double cost;
-    int candidate;
-    std::vector<BoundColumn> order;
-  };
-  std::vector<std::vector<AnnotatedPath>> slot_paths(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    for (const AccessPath& p : provider.Paths(s)) {
-      AnnotatedPath ap;
-      ap.cost = p.node->cost.total;
-      ap.candidate =
-          p.node->index.has_value() ? candidate_id(*p.node->index) : -1;
-      ap.order = p.order;
-      // Paths over non-candidate indexes (already-materialized ones)
-      // keep candidate = -1: they are free to use.
-      slot_paths[static_cast<size_t>(s)].push_back(std::move(ap));
-    }
-  }
-
   using Kind = InumCostModel::SlotSignature::Kind;
   std::map<std::string, CoPhyAtom> dedup;  // used-set key -> best atom
-
-  for (const InumCostModel::CachedPlan& plan : *plans) {
-    // Build the option list per slot.
-    std::vector<std::vector<Option>> options(static_cast<size_t>(n));
+  // Per-slot option lists: the free option (if any) first, then
+  // candidates by ascending id. The sorts are not stable, so this input
+  // order decides how cost ties fall.
+  std::vector<std::vector<Option>> options(static_cast<size_t>(n));
+  for (const InumCostModel::CachedPlan& plan : set->plans) {
     bool feasible = true;
     for (int s = 0; s < n && feasible; ++s) {
       const auto& sig = plan.slots[static_cast<size_t>(s)];
       std::vector<Option>& opts = options[static_cast<size_t>(s)];
-      if (sig.kind == Kind::kParamLookup) {
-        // Price each candidate lookup through the matching INLJ term.
-        double outer_rows = 0.0;
-        for (const auto& term : plan.inlj_terms) {
-          if (term.slot == s) outer_rows = term.outer_rows;
-        }
-        for (size_t c = 0; c < candidates.size(); ++c) {
-          if (candidates[c].index.table != query.tables[s]) continue;
-          auto lk = CostIndexParamLookup(ctx, s, sig.lookup_col,
-                                         candidates[c].index);
-          if (lk.has_value()) {
-            opts.push_back(Option{outer_rows * lk->per_lookup.total,
-                                  static_cast<int>(c)});
+      opts.clear();
+      switch (sig.kind) {
+        case Kind::kAny:
+          opts.push_back(
+              Option{pricer.seq_prices()[static_cast<size_t>(s)], -1});
+          for (const auto& leaf : pricer.Leaves(s)) {
+            opts.push_back(Option{leaf.best, static_cast<int>(leaf.pos)});
           }
-        }
-      } else {
-        // Best path per candidate id consistent with the signature.
-        std::map<int, double> best;
-        for (const AnnotatedPath& p : slot_paths[static_cast<size_t>(s)]) {
-          if (sig.kind == Kind::kOrdered &&
-              !OrderSatisfies(p.order, sig.order)) {
-            continue;
-          }
-          auto [it, inserted] = best.try_emplace(p.candidate, p.cost);
-          if (!inserted) it->second = std::min(it->second, p.cost);
-        }
-        for (auto [cand, cost] : best) opts.push_back(Option{cost, cand});
-      }
-      if (opts.empty()) {
-        feasible = false;
-        break;
-      }
-      // Keep the cheapest few, but never drop the no-index option.
-      std::sort(opts.begin(), opts.end(),
-                [](const Option& a, const Option& b) {
-                  return a.cost < b.cost;
-                });
-      if (static_cast<int>(opts.size()) > options_.max_leaf_options_per_slot) {
-        bool has_free = false;
-        for (int k = 0; k < options_.max_leaf_options_per_slot; ++k) {
-          has_free |= opts[static_cast<size_t>(k)].candidate < 0;
-        }
-        Option free_opt;
-        bool found_free = false;
-        if (!has_free) {
-          for (const Option& o : opts) {
-            if (o.candidate < 0) {
-              free_opt = o;
-              found_free = true;
-              break;
+          break;
+        case Kind::kOrdered: {
+          uint32_t bit = uint32_t{1}
+                         << plan.order_req[static_cast<size_t>(s)];
+          for (const auto& leaf : pricer.Leaves(s)) {
+            if ((leaf.satisfies_mask & bit) != 0) {
+              opts.push_back(Option{leaf.best, static_cast<int>(leaf.pos)});
             }
           }
+          break;
         }
-        opts.resize(static_cast<size_t>(options_.max_leaf_options_per_slot));
-        if (!has_free && found_free) opts.back() = free_opt;
+        case Kind::kParamLookup: {
+          // Priced through the slot's INLJ term: populate drops every
+          // plan that leaves a lookup slot without one.
+          const InumCostModel::CachedPlan::InljTerm* term = nullptr;
+          int terms = 0;
+          for (const auto& t : plan.inlj_terms) {
+            if (t.slot == s) {
+              term = &t;
+              ++terms;
+            }
+          }
+          DBD_DCHECK_EQ(terms, 1);
+          if (term == nullptr) break;
+          for (const auto& lookup : pricer.Lookups(term->group)) {
+            opts.push_back(Option{term->outer_rows * lookup.price,
+                                  static_cast<int>(lookup.pos)});
+          }
+          break;
+        }
       }
+      feasible = !opts.empty();
+      KeepCheapest(opts, kMaxLeafOptionsPerSlot,
+                   [](const Option& o) { return o.candidate < 0; });
     }
     if (!feasible) continue;
 
@@ -317,31 +290,12 @@ std::vector<CoPhyAtom> CoPhyAdvisor::BuildAtoms(
   std::vector<CoPhyAtom> atoms;
   atoms.reserve(dedup.size());
   for (auto& [k, atom] : dedup) atoms.push_back(std::move(atom));
-  std::sort(atoms.begin(), atoms.end(),
-            [](const CoPhyAtom& a, const CoPhyAtom& b) {
-              return a.cost < b.cost;
-            });
-  if (static_cast<int>(atoms.size()) > options_.max_atoms_per_query) {
-    // Truncate but preserve the index-free atom (feasibility anchor).
-    CoPhyAtom free_atom;
-    bool found = false;
-    for (const CoPhyAtom& a : atoms) {
-      if (a.used.empty()) {
-        free_atom = a;
-        found = true;
-        break;
-      }
-    }
-    atoms.resize(static_cast<size_t>(options_.max_atoms_per_query));
-    if (found) {
-      bool present = false;
-      for (const CoPhyAtom& a : atoms) present |= a.used.empty();
-      if (!present) atoms.back() = free_atom;
-    }
-    // Rows are published and live as long as the store keeps them:
-    // hold exactly the kept atoms, not the pre-truncation capacity.
-    atoms.shrink_to_fit();
-  }
+  // The index-free atom is the row's feasibility anchor. Rows are
+  // published and live as long as the store keeps them: hold exactly
+  // the kept atoms, not the pre-truncation capacity.
+  KeepCheapest(atoms, static_cast<size_t>(options_.max_atoms_per_query),
+               [](const CoPhyAtom& a) { return a.used.empty(); });
+  atoms.shrink_to_fit();
   return atoms;
 }
 
@@ -368,8 +322,9 @@ std::vector<std::shared_ptr<const CoPhyAtomRow>> CoPhyAdvisor::BuildRows(
     const std::vector<const BoundQuery*>& queries,
     const std::vector<CandidateIndex>& candidates) {
   // INUM caches are populated up front (one query per pool task) so the
-  // parallel BuildAtoms calls only read them: the cost model's cache is
-  // not thread-safe.
+  // parallel BuildAtoms calls never insert into the cost model's cache,
+  // which is not thread-safe; each touches only its own query's price
+  // memos (the queries are structurally distinct).
   inum_.PrepareQueries(queries);
 
   std::vector<std::shared_ptr<CoPhyAtomRow>> built(queries.size());

@@ -52,8 +52,6 @@ struct CoPhyOptions {
   double storage_budget_pages = std::numeric_limits<double>::infinity();
   /// Atom cap per query (cheapest kept; the index-free atom always stays).
   int max_atoms_per_query = 48;
-  /// Access options kept per (plan, slot); the no-index option always stays.
-  int max_leaf_options_per_slot = 5;
   CandidateOptions candidates;
   BnbOptions bnb;
   /// Cost-model options for the advisor's INUM instance (the session
@@ -409,11 +407,14 @@ class CoPhyAdvisor {
       CoPhySolverCache* cache = nullptr) const;
 
   /// Expands one query into atomic configurations against `candidates`
-  /// (exposed for tests and for the interaction analyzer). Safe to call
-  /// concurrently for *distinct* queries once the INUM caches are
-  /// populated (TryPrepare populates them, then fans atom building out
-  /// across the pool); concurrent calls for unseen queries would race
-  /// on the cache and need external synchronization.
+  /// (exposed for tests and benchmarks). It reads the query's INUM plan
+  /// set and the leaf and lookup prices INUM binds for the candidates
+  /// (InumCostModel::BindSubsets): an atom is one cached plan plus one
+  /// priced option per slot, so no access path is priced here. Binding
+  /// fills the query's INUM price memos, so it is safe to call
+  /// concurrently only for structurally *distinct* queries once their
+  /// INUM caches are populated (TryPrepare populates them, then fans
+  /// atom building out across the pool).
   std::vector<CoPhyAtom> BuildAtoms(
       const BoundQuery& query, const std::vector<CandidateIndex>& candidates);
 
@@ -472,7 +473,6 @@ class CoPhyAdvisor {
   CostParams params_;
   CoPhyOptions options_;
   InumCostModel inum_;
-  Optimizer optimizer_;
   CoPhyAtomSource* atom_source_ = nullptr;  // non-owning
 };
 

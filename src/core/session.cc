@@ -671,18 +671,12 @@ Result<DeploymentPlan> DesignSession::BuildDeploymentPlan() {
     }
   }
   if (!missing.empty()) {
-    // DoI repricing reads the local INUM cache. Queries this session
-    // prepared itself are cached, and rows adopted from a cross-session
-    // store brought their plan set along (shared read-only), so this is
-    // normally a no-op: only a row whose plan set had expired, or that
-    // was reloaded from a spill file, populates here. Backend failures
-    // surface as Status like the rest of this builder.
-    try {
-      inum.PrepareQueries(
-          std::span<const BoundQuery>(missing.data(), missing.size()));
-    } catch (const StatusException& e) {
-      return e.status();
-    }
+    // DoI repricing reads the local INUM cache, which the analyzer
+    // populates first. Queries this session prepared itself are cached,
+    // and rows adopted from a cross-session store brought their plan set
+    // along (shared read-only), so that populate is normally a no-op:
+    // only a row whose plan set had expired, or that was reloaded from a
+    // spill file, populates here. Backend failures surface as Status.
     Result<std::vector<std::vector<double>>> rows =
         analyzer.TryContributionRows(missing, indexes);
     if (!rows.ok()) return rows.status();

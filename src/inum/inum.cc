@@ -127,12 +127,6 @@ InumCostModel::InumCostModel(DbmsBackend& backend, InumOptions options)
       exact_(backend),
       optimizer_(backend.catalog(), backend.all_stats(), params_) {}
 
-const std::vector<InumCostModel::CachedPlan>* InumCostModel::CachedPlansFor(
-    const BoundQuery& query) const {
-  auto it = cache_.find(query.StructuralHash());
-  return it == cache_.end() ? nullptr : &it->second.set->plans;
-}
-
 std::shared_ptr<const InumCostModel::PlanSet> InumCostModel::PlanSetFor(
     const BoundQuery& query) const {
   auto it = cache_.find(query.StructuralHash());
@@ -698,11 +692,11 @@ InumCostModel::SubsetPricer InumCostModel::BindSubsets(
   p.query_ = &query;
   p.indexes_ = indexes;
   p.stats_ = stats != nullptr ? stats : &stats_;
-  if (!ReuseEligible(query)) return p;
   auto hit = cache_.find(query.StructuralHash());
   if (hit == cache_.end()) return p;
   QueryCache& qc = hit->second;
   p.set_ = qc.set.get();
+  p.reuse_ = ReuseEligible(query);
 
   // Index-only designs leave every table unpartitioned: partition hash
   // 0 and an empty design behind the planner context.
@@ -738,7 +732,7 @@ InumCostModel::SubsetPricer InumCostModel::BindSubsets(
 double InumCostModel::SubsetPricer::Cost(std::span<const uint8_t> members) {
   DBD_DCHECK_EQ(members.size(), indexes_.size());
   return ReuseOrExact(
-      stats_, set_ != nullptr,
+      stats_, reuse_,
       [&] {
         LeafPrices leaves;
         int n = static_cast<int>(seq_.size());
@@ -781,6 +775,7 @@ double InumCostModel::SubsetPricer::Cost(std::span<const uint8_t> members) {
 
 std::vector<size_t> InumCostModel::SubsetPricer::ReusePositions() const {
   std::vector<size_t> positions;
+  if (!reuse_) return positions;
   for (const Leaf& leaf : leaves_) positions.push_back(leaf.pos);
   for (const Lookup& lookup : lookups_) positions.push_back(lookup.pos);
   std::sort(positions.begin(), positions.end());

@@ -119,9 +119,12 @@ class InumCostModel {
   /// query's cache is resolved once and every listed index's leaf and
   /// lookup price is read through the memos once, so each later
   /// SubsetPricer::Cost is a plain minimum over the cached plans: no
-  /// hashing, no design assembly, no backend optimizer calls. The query
-  /// must already be populated (an unseen one prices every subset
-  /// through the exact optimizer, like any fallback). Reuse/fallback
+  /// hashing, no design assembly, no backend optimizer calls. Binding
+  /// needs only a populated query: it binds under force_exact and for
+  /// an over-wide query too, whose Cost then falls back (an unpopulated
+  /// query binds nothing and prices every subset exactly). The bound
+  /// prices are also readable (SubsetPricer::plan_set and the views
+  /// beside it), which is how CoPhy expands its atoms. Reuse/fallback
   /// counters go to `stats` when given — shard-local counters for
   /// parallel drivers such as the DoI matrix, merged afterwards with
   /// AccumulateStats — else to stats(). `query` and `indexes` must
@@ -216,9 +219,6 @@ class InumCostModel {
     int max_combos = 0;
     bool enable_param_signatures = false;
   };
-
-  /// Cached plans for a query (exposed for tests/benchmarks).
-  const std::vector<CachedPlan>* CachedPlansFor(const BoundQuery& query) const;
 
   /// The plan set of a populated query, or null when it is not cached.
   std::shared_ptr<const PlanSet> PlanSetFor(const BoundQuery& query) const;
@@ -344,6 +344,13 @@ class InumCostModel {
 /// query, no usable cached plan), so results and counters match
 /// costing the assembled design through the model bit for bit.
 ///
+/// The bound prices are read-only views (plan_set, seq_prices, Leaves,
+/// Lookups): INUM is the one place that prices a listed index's leaf or
+/// lookup, and CoPhy's atom builder (CoPhyAdvisor::BuildAtoms) expands
+/// its atoms from these views rather than pricing access paths itself.
+/// The views are filled whenever the query has a plan set, whether or
+/// not Cost may reuse it.
+///
 /// The reuse path reads only the membership of ReusePositions(): the
 /// listed indexes with a usable leaf in some slot or a finite price in
 /// some lookup group. Any other listed index (on a table the query does
@@ -360,15 +367,14 @@ class InumCostModel::SubsetPricer {
   double Cost(std::span<const uint8_t> members);
 
   /// The listed positions whose membership the reuse path reads,
-  /// ascending. Empty when the pricer has no plan set (every subset then
-  /// prices exactly, on the assembled design).
+  /// ascending. Empty when Cost cannot reuse (no plan set, force_exact,
+  /// an over-wide query): every subset then prices exactly, on the
+  /// assembled design.
   std::vector<size_t> ReusePositions() const;
 
- private:
-  friend class InumCostModel;
-
   /// A listed index usable by one slot: its best scan price and the
-  /// slot order requirements it satisfies.
+  /// slot order requirements it satisfies (bit k: the slot's k-th
+  /// PlanSet::slot_orders entry).
   struct Leaf {
     size_t pos;
     double best;
@@ -380,13 +386,36 @@ class InumCostModel::SubsetPricer {
     double price;
   };
 
+  /// The bound plan set, or null when the query was not populated. The
+  /// views below are valid only when it is non-null.
+  const PlanSet* plan_set() const { return set_; }
+  /// Sequential-scan price per slot.
+  std::span<const double> seq_prices() const { return seq_; }
+  /// Slot `slot`'s usable leaves, by ascending position.
+  std::span<const Leaf> Leaves(int slot) const {
+    size_t s = static_cast<size_t>(slot);
+    return std::span<const Leaf>(leaves_).subspan(
+        leaf_begin_[s], leaf_begin_[s + 1] - leaf_begin_[s]);
+  }
+  /// Lookup group `group`'s usable lookups (PlanSet::lookup_groups,
+  /// InljTerm::group), by ascending position.
+  std::span<const Lookup> Lookups(int group) const {
+    size_t g = static_cast<size_t>(group);
+    return std::span<const Lookup>(lookups_).subspan(
+        lookup_begin_[g], lookup_begin_[g + 1] - lookup_begin_[g]);
+  }
+
+ private:
+  friend class InumCostModel;
+
   PhysicalDesign Assemble(std::span<const uint8_t> members) const;
 
   InumCostModel* model_ = nullptr;
   const BoundQuery* query_ = nullptr;
   std::span<const IndexDef> indexes_;
   InumStats* stats_ = nullptr;
-  const PlanSet* set_ = nullptr;      ///< null: every subset prices exactly
+  const PlanSet* set_ = nullptr;      ///< null: not populated
+  bool reuse_ = false;                ///< Cost may price from set_
   std::vector<double> seq_;           ///< per slot
   std::vector<Leaf> leaves_;          ///< grouped by slot
   std::vector<size_t> leaf_begin_;    ///< slot s: [begin[s], begin[s+1])

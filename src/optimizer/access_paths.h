@@ -112,7 +112,8 @@ PlanNodeRef MakeSortNode(const CostParams& params, PlanNodeRef input,
 /// Costs a parameterized lookup on `inner_col` through one specific
 /// index, or nullopt if the index cannot serve the lookup (the join
 /// column must follow an equality-matched prefix). Used by the join
-/// enumerator (via CatalogPathProvider) and by CoPhy's atom builder.
+/// enumerator (via CatalogPathProvider) and by INUM's lookup memo, whose
+/// prices CoPhy's atoms and every reuse-path cost read.
 std::optional<ParamLookupPath> CostIndexParamLookup(
     const PlannerContext& ctx, int slot, const BoundColumn& inner_col,
     const IndexDef& index);

@@ -103,7 +103,8 @@ TEST_F(CoPhyTest, AtomsIncludeIndexFreeAnchor) {
 
 TEST_F(CoPhyTest, AtomCostsLowerBoundedByBestPlan) {
   // The cheapest atom must match INUM's cost under the all-candidates
-  // design (same plan space).
+  // design: same plan space and the same memoized leaf and lookup
+  // prices, so the two differ only in summation order.
   CoPhyAdvisor advisor(*backend_);
   std::vector<CandidateIndex> cands = GenerateCandidates(*backend_, *workload_);
   PhysicalDesign all;
@@ -113,8 +114,33 @@ TEST_F(CoPhyTest, AtomCostsLowerBoundedByBestPlan) {
     double best_atom = std::numeric_limits<double>::infinity();
     for (const CoPhyAtom& a : atoms) best_atom = std::min(best_atom, a.cost);
     double inum_cost = advisor.inum().Cost(q, all);
-    EXPECT_NEAR(best_atom / inum_cost, 1.0, 0.05) << q.ToSql(db_->catalog());
+    EXPECT_NEAR(best_atom / inum_cost, 1.0, 1e-9) << q.ToSql(db_->catalog());
   }
+}
+
+TEST_F(CoPhyTest, ForceExactAdvisorBuildsTheSameAtoms) {
+  // force_exact sends costing to the backend, but atoms come from the
+  // plan set and the prices INUM binds for the candidates: the same
+  // rows, in the same order, with no backend optimizer call.
+  CoPhyAdvisor reuse(*backend_);
+  CoPhyOptions exact_opts;
+  exact_opts.inum.force_exact = true;
+  CoPhyAdvisor exact(*backend_, exact_opts);
+  std::vector<CandidateIndex> cands = GenerateCandidates(*backend_, *workload_);
+  size_t atoms_seen = 0;
+  for (const BoundQuery& q : workload_->queries) {
+    std::vector<CoPhyAtom> want = reuse.BuildAtoms(q, cands);
+    uint64_t calls = backend_->num_optimizer_calls();
+    std::vector<CoPhyAtom> got = exact.BuildAtoms(q, cands);
+    EXPECT_EQ(backend_->num_optimizer_calls(), calls);
+    ASSERT_EQ(got.size(), want.size()) << q.ToSql(db_->catalog());
+    for (size_t a = 0; a < got.size(); ++a) {
+      EXPECT_EQ(got[a].cost, want[a].cost) << q.ToSql(db_->catalog());
+      EXPECT_EQ(got[a].used, want[a].used) << q.ToSql(db_->catalog());
+    }
+    atoms_seen += got.size();
+  }
+  EXPECT_GT(atoms_seen, workload_->size());
 }
 
 TEST_F(CoPhyTest, RecommendationImprovesAndFitsBudget) {

@@ -249,12 +249,12 @@ TEST_F(InumTest, CachedPlansExposeSignatures) {
       "ON p.objid = s.bestobjid WHERE s.z > 0.4");
   ASSERT_TRUE(q.ok());
   inum.Prepare(q.value());
-  const auto* plans = inum.CachedPlansFor(q.value());
-  ASSERT_NE(plans, nullptr);
-  EXPECT_GT(plans->size(), 1u);
+  auto set = inum.PlanSetFor(q.value());
+  ASSERT_NE(set, nullptr);
+  EXPECT_GT(set->plans.size(), 1u);
   bool has_param = false;
   bool has_ordered = false;
-  for (const auto& plan : *plans) {
+  for (const auto& plan : set->plans) {
     EXPECT_EQ(plan.slots.size(), 2u);
     for (const auto& sig : plan.slots) {
       using Kind = InumCostModel::SlotSignature::Kind;
@@ -339,7 +339,7 @@ TEST_F(InumTest, SubsetPricerMatchesCostMatrixBitForBit) {
   bool has_inlj = false;
   bool has_ordered = false;
   for (const BoundQuery& q : w.queries) {
-    for (const auto& plan : *probe.CachedPlansFor(q)) {
+    for (const auto& plan : probe.PlanSetFor(q)->plans) {
       has_inlj |= !plan.inlj_terms.empty();
       for (int req : plan.order_req) has_ordered |= req >= 0;
     }
@@ -368,8 +368,10 @@ TEST_F(InumTest, SubsetPricerForceExactReachesExactCostEveryCall) {
   // Differential (costs and counters) under force_exact...
   ExpectPricerMatchesCostMatrix(w, wide, 3, exact_only, 79);
 
-  // ...and every subset is a fallback answered by the exact optimizer.
+  // ...and every subset is a fallback answered by the exact optimizer,
+  // although the populated queries bind their plan sets.
   InumCostModel inum(*backend_, exact_only);
+  inum.PrepareWorkload(w);
   WhatIfOptimizer exact(*backend_);
   InumStats stats;
   std::vector<uint8_t> members(wide.size(), 0);
@@ -379,6 +381,8 @@ TEST_F(InumTest, SubsetPricerForceExactReachesExactCostEveryCall) {
   for (const BoundQuery& q : w.queries) {
     InumCostModel::SubsetPricer pricer = inum.BindSubsets(q, wide, &stats);
     EXPECT_EQ(pricer.Cost(members), exact.TryCostUnder(q, design).value());
+    EXPECT_NE(pricer.plan_set(), nullptr);
+    EXPECT_TRUE(pricer.ReusePositions().empty());
   }
   EXPECT_EQ(stats.reuse_calls, 0u);
   EXPECT_EQ(stats.fallback_calls, w.size());

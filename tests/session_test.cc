@@ -852,6 +852,63 @@ TEST_F(SessionDeployTest, SetWorkloadInvalidatesDeployment) {
   EXPECT_EQ(session_->last_deployment(), nullptr);
 }
 
+// bench_refine's instance and gates, in tier-1: on the bench database
+// under a budget of half the data pages, the pin, veto and budget-cut
+// refines after a cold Recommend make no backend optimizer call and no
+// INUM populate, at 8, 16 and 32 queries. The bench keeps its own copy
+// of these checks.
+TEST_F(SessionTest, RefineBenchHoldsItsGates) {
+  SdssConfig cfg;
+  cfg.photoobj_rows = 20000;
+  cfg.seed = 42;
+  Database db = BuildSdssDatabase(cfg);
+  double data_pages = 0.0;
+  for (TableId t = 0; t < db.catalog().num_tables(); ++t) {
+    data_pages += db.stats(t).HeapPages(db.catalog().table(t));
+  }
+  TableId photo = db.catalog().FindTable(kPhotoObj);
+  for (int nq : {8, 16, 32}) {
+    SCOPED_TRACE(nq);
+    Workload workload =
+        GenerateWorkload(db, TemplateMix::OfflineDefault(), nq, 19);
+    InMemoryBackend backend(db);
+    Designer designer(backend);
+    DesignSession session(designer);
+    session.SetWorkload(workload);
+    DesignConstraints constraints;
+    constraints.storage_budget_pages = 0.5 * data_pages;
+    session.SetConstraints(constraints);
+    auto initial = session.Recommend();
+    ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+    ASSERT_GE(initial.value().indexes.size(), 2u);
+
+    auto expect_free_refine = [&](const ConstraintDelta& delta) {
+      uint64_t calls = session.backend_optimizer_calls();
+      uint64_t populates = session.inum_populate_count();
+      auto rec = session.Refine(delta);
+      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+      EXPECT_EQ(session.backend_optimizer_calls(), calls);
+      EXPECT_EQ(session.inum_populate_count(), populates);
+    };
+    // Pin the top two recommended indexes (the certificate survives).
+    ConstraintDelta keep;
+    keep.pin = {initial.value().indexes[0], initial.value().indexes[1]};
+    expect_free_refine(keep);
+    // Unpin and veto the pinned answer's first index, which the
+    // configuration uses: a full re-solve.
+    ConstraintDelta veto;
+    veto.unpin.push_back(session.last_recommendation()->indexes[0]);
+    veto.veto.push_back(session.last_recommendation()->indexes[0]);
+    expect_free_refine(veto);
+    // Cut the budget below the current footprint and cap photoobj.
+    ConstraintDelta cut;
+    cut.storage_budget_pages =
+        0.6 * session.last_recommendation()->total_size_pages;
+    cut.table_caps[photo] = 2;
+    expect_free_refine(cut);
+  }
+}
+
 TEST_F(SessionTest, SessionJsonRoundTrip) {
   Workload w = GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 6, 21);
   session_->SetWorkload(w);

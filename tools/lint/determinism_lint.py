@@ -62,6 +62,13 @@ C++ sources and flags exactly those hazards:
                         index of a home-grown LRU.  BudgetedLru is the
                         one eviction primitive: name a cache built on it
                         after what it holds, not after its policy.
+  leaf-pricing          CatalogPathProvider, CostIndexLeaf, CostSeqLeaf
+                        or CostIndexParamLookup outside src/optimizer/
+                        and src/inum/.  INUM is the one leaf-pricing
+                        authority for the design tools: they read its
+                        memoized prices (InumCostModel::BindSubsets),
+                        so CoPhy atoms, INUM reuse, DoI rows and
+                        schedules all see the same numbers.
 
 Escape hatch: a finding's line may carry
 
@@ -103,6 +110,9 @@ RULES = {
     "hand-rolled-lru":
         "LRU recency bookkeeping outside util/budgeted_lru.h (BudgetedLru "
         "is the one eviction primitive)",
+    "leaf-pricing":
+        "access-path or leaf costing outside optimizer/ and inum/ (INUM is "
+        "the one leaf-pricing authority)",
 }
 
 CPP_EXTENSIONS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -115,6 +125,7 @@ DATABASE_REF_DIRS = ("storage/", "exec/", "workload/")
 DATABASE_REF_FILES = ("backend/inmemory_backend.h",)
 HEADER_EXTENSIONS = (".h", ".hpp")
 LRU_EXEMPT = ("util/budgeted_lru.h",)
+LEAF_PRICING_DIRS = ("optimizer/", "inum/")
 
 NOLINT_RE = re.compile(r"//\s*NOLINT\(determinism\)(?::\s*(\S.*))?")
 
@@ -158,6 +169,9 @@ OWNED_BACKEND_RE = re.compile(r"\bowned_backend_\b")
 DATABASE_REF_RE = re.compile(
     r"\bconst\s+(?:dbdesign::)?Database\s*&|\bDatabase\s+const\s*&")
 LRU_NAME_RE = re.compile(r"\b(?:[A-Za-z0-9]+_)*lru(?:_[A-Za-z0-9]+)*_?\b")
+LEAF_PRICING_RE = re.compile(
+    r"\b(?:CatalogPathProvider|CostIndexLeaf|CostSeqLeaf|"
+    r"CostIndexParamLookup)\b")
 
 
 class Finding:
@@ -229,6 +243,12 @@ def may_name_database(path):
         return True
     return (path_matches(path, DATABASE_REF_FILES) or
             any("/" + d in "/" + norm for d in DATABASE_REF_DIRS))
+
+
+def may_price_leaves(path):
+    """True in the optimizer and in INUM, the one leaf-pricing layer."""
+    norm = "/" + path.replace(os.sep, "/")
+    return any("/" + d in norm for d in LEAF_PRICING_DIRS)
 
 
 def lint_file(path, findings):
@@ -333,6 +353,11 @@ def lint_file(path, findings):
                    "LRU recency bookkeeping outside util/budgeted_lru.h: "
                    "build the cache on BudgetedLru (byte-accounted, "
                    "deterministic, with an eviction callback) instead")
+        if LEAF_PRICING_RE.search(line) and not may_price_leaves(path):
+            report(lineno, "leaf-pricing",
+                   "leaf costing outside optimizer/ and inum/: read INUM's "
+                   "memoized prices (InumCostModel::BindSubsets) so every "
+                   "design tool prices a leaf the same way")
 
     # --- Unordered iteration feeding an ordered sink ---
     WINDOW = 8

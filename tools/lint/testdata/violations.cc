@@ -102,6 +102,17 @@ class RowCache {
   uint64_t doi_lru_tick_ = 0;  // VIOLATION hand-rolled-lru
 };
 
+// leaf-pricing: a design tool pricing access paths itself instead of
+// reading INUM's memoized prices.
+std::vector<CoPhyAtom> BuildAtoms(const PlannerContext& ctx, int s,
+                                  const IndexDef& index) {
+  CatalogPathProvider provider(ctx);  // VIOLATION leaf-pricing
+  double seq = CostSeqLeaf(ctx, s);  // VIOLATION leaf-pricing
+  IndexLeafCost leaf = CostIndexLeaf(ctx, s, index);  // VIOLATION leaf-pricing
+  auto lk = CostIndexParamLookup(ctx, s, col, index);  // VIOLATION leaf-pricing
+  return {};
+}
+
 // NOLINT without a justification is itself a finding.
 int PickOther(int n) {
   return rand() % n;  // NOLINT(determinism)

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/str.h"
@@ -72,6 +73,11 @@ void CoPhyPrepared::RefreshClusters() {
 
 namespace {
 
+/// Parked entries kept per solver-cache slot: enough for a DBA to toggle
+/// a few constraints and come back, few enough that an unbudgeted
+/// session stays small.
+constexpr size_t kMaxProvenPerSlot = 4;
+
 size_t SolverEntryBytes(const CoPhySolverCache::Entry& e) {
   size_t bytes = sizeof(CoPhySolverCache::Entry);
   bytes += e.chosen.size() * sizeof(int);
@@ -90,11 +96,58 @@ size_t CoPhySolverCache::ApproxBytes() const {
   size_t bytes = sizeof(CoPhySolverCache);
   for (const Entry& e : entries) bytes += SolverEntryBytes(e);
   bytes += SolverEntryBytes(mono);
-  return bytes;
+  return bytes + proven.bytes();
+}
+
+const CoPhySolverCache::Entry* CoPhySolverCache::Park(int slot, Entry& live) {
+  if (!live.valid || (slot != kMonoSlot && live.frontier.empty())) {
+    return nullptr;
+  }
+  std::pair<int, uint64_t> key{slot, live.signature};
+  size_t bytes = sizeof(key) + SolverEntryBytes(live);
+  proven.Put(key, std::exchange(live, Entry{}), bytes);
+
+  // Hold the slot to its count, dropping its least recently parked.
+  if (proven.CountInRange({slot, 0}, {slot + 1, 0}) > kMaxProvenPerSlot) {
+    bool dropped = false;
+    proven.EraseIf([&](const std::pair<int, uint64_t>& k, const Entry&) {
+      if (dropped || k.first != slot) return false;
+      dropped = true;
+      return true;
+    });
+  }
+  return proven.Find(key);
+}
+
+bool CoPhySolverCache::Recall(int slot, uint64_t signature, Entry& live) {
+  Entry* parked = proven.Find({slot, signature});
+  if (parked == nullptr) return false;
+  // Take the entry out before parking `live`, which may drop the slot's
+  // least recently parked entry.
+  Entry answer = std::move(*parked);
+  proven.Erase({slot, signature});
+  Park(slot, live);
+  live = std::move(answer);
+  ++proven_hits;
+  return true;
 }
 
 void CoPhySolverCache::TrimToBytes(size_t max_bytes) {
-  if (max_bytes == 0 || ApproxBytes() <= max_bytes) return;
+  if (max_bytes == 0) return;
+  // Phase 0: parked entries, least recently parked first. Live state
+  // is trimmed only once none is left, so a budget that fits the live
+  // entries trims them exactly as it would without any parked.
+  size_t bytes = ApproxBytes();
+  if (bytes <= max_bytes) return;
+  size_t live = bytes - proven.bytes();
+  if (live >= max_bytes) {
+    proven.Clear();
+  } else {
+    proven.set_budget(max_bytes - live);
+    proven.EvictToBudget();
+  }
+  bytes = live + proven.bytes();
+  if (bytes <= max_bytes) return;
   ++trims;
   // Entries in deterministic trim order: clusters by index, mono last.
   size_t n = entries.size() + 1;
@@ -602,10 +655,10 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   // global budget; a cluster solve passes its own and an allocation.
   // Warm-started from `e` (may be null): its root basis always — the
   // row space is identical across allocations and constraint edits —
-  // plus its previous optimum as the initial incumbent when the entry
-  // holds one with no frontier below it (deeper allocations exclude it
-  // by construction) and it is still feasible under the edited
-  // constraints. Adds the B&B telemetry to `rec`. Returns the result
+  // plus its previous optimum (a cluster's top frontier point) as the
+  // initial incumbent when it is still feasible under this allocation
+  // and the edited constraints (a deeper allocation excludes it by
+  // construction). Adds the B&B telemetry to `rec`. Returns the result
   // and, when feasible, the chosen global ids (pins included) in `ck`
   // order.
   struct BipSolve {
@@ -745,7 +798,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
       warm.basis = e->root_basis;
       have_warm = true;
     }
-    if (e != nullptr && e->valid && e->frontier.empty()) {
+    if (e != nullptr && e->valid) {
       std::set<int> ch;
       for (int i : e->chosen) {
         if (!vetoed[static_cast<size_t>(i)]) ch.insert(i);
@@ -803,13 +856,15 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   bool solved = false;
 
   // Signature of a subproblem over candidate subset `ck` and query rows
-  // `qk`: everything a constraint edit can change about its BIP (budget,
-  // pins/vetoes, relevant caps, row weights). Matching signature +
-  // proven optimum in the cache => the subproblem is clean and its
-  // optimum is reused. Used per cluster by the decomposed path and over
-  // the full candidate/row sets by the monolithic path.
+  // `qk` whose budget row may use `pages`: everything a constraint edit
+  // can change about its BIP (pages, pins/vetoes, relevant caps, row
+  // weights). Matching signature + proven optimum in the cache => the
+  // subproblem is clean and its optimum is reused. Used per cluster by
+  // the decomposed path, with the pages the allocation DP distributes
+  // (pins outside every active cluster move them), and over the full
+  // candidate/row sets and budget by the monolithic path.
   auto subproblem_signature = [&](const std::vector<int>& ck,
-                                  const std::vector<int>& qk) {
+                                  const std::vector<int>& qk, double pages) {
     uint64_t h = 1469598103934665603ull;
     auto mix = [&h](uint64_t v) {
       for (int b = 0; b < 8; ++b) {
@@ -817,7 +872,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         h *= 1099511628211ull;
       }
     };
-    mix(std::bit_cast<uint64_t>(budget));
+    mix(std::bit_cast<uint64_t>(pages));
     for (int i : ck) {
       uint64_t bits = static_cast<uint64_t>(i) << 2;
       if (admitted_pins.count(i) > 0) bits |= 1;
@@ -945,19 +1000,21 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
       std::vector<char> ran(static_cast<size_t>(num_k), 0);
 
       // Solves one frontier point of cluster k: its BIP under an
-      // allocation of `budget_rhs` pages, warm-started from the
-      // cluster's entry. A finite `stop_at` lets the branch-and-bound
+      // allocation of `budget_rhs` pages, warm-started from `warm` (the
+      // cluster's entry, or the one it just parked). A finite `stop_at`
+      // lets the branch-and-bound
       // stop as soon as its global lower bound reaches that value: the
       // caller then gets a tail-bound CERTIFICATE (the sentinel can no
       // longer win) at a fraction of a full proof's cost, and no point
       // is appended. Returns +1 on a new proven point, 0 when the tail is
       // certified or provably empty, -1 on failure (monolithic
       // fallback).
-      auto solve_point = [&](int k, double budget_rhs, double stop_at) -> int {
+      auto solve_point = [&](int k, double budget_rhs, double stop_at,
+                             const CoPhySolverCache::Entry* warm) -> int {
         CoPhySolverCache::Entry& e = entry_of(k);
         BipSolve r =
             solve_bip(part.clusters[static_cast<size_t>(k)],
-                      cluster_rows[static_cast<size_t>(k)], budget_rhs, &e,
+                      cluster_rows[static_cast<size_t>(k)], budget_rhs, warm,
                       stop_at);
         const BnbResult& bnb = r.bnb;
         if (ran[static_cast<size_t>(k)] == 0) {
@@ -984,6 +1041,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
           e.frontier.clear();
           e.frontier_complete = false;
           e.tail_bound = 0.0;
+          e.root_basis = bnb.root_basis;  // still warm material
           return -1;  // let the monolithic path (with its own node
                       // budget over the whole tree) arbitrate
         }
@@ -1017,24 +1075,33 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         return 1;
       };
 
-      // Freshness: a matching signature keeps the cached frontier
-      // verbatim; an edit keeps only the warm material (basis + previous
-      // optimum) and re-enumerates. Every active cluster needs at least
-      // its top point before the DP can run.
+      // Freshness: a matching signature keeps the cached entry
+      // verbatim, and so does a signature the cache proved earlier (the
+      // entry parked under it comes back). Any other edit parks the
+      // entry and re-enumerates, its first BIP warm-started from the
+      // parked entry (basis + previous optimum). Every active cluster
+      // needs at least its top point before the DP can run.
       for (int k : active) {
         CoPhySolverCache::Entry& e = entry_of(k);
+        const CoPhySolverCache::Entry* warm = &e;
         uint64_t sig = subproblem_signature(
             part.clusters[static_cast<size_t>(k)],
-            cluster_rows[static_cast<size_t>(k)]);
-        if (e.signature != sig || (!e.valid && !e.frontier.empty())) {
+            cluster_rows[static_cast<size_t>(k)], dp_budget);
+        if ((e.signature != sig || (!e.valid && !e.frontier.empty())) &&
+            (cache == nullptr || !cache->Recall(k, sig, e))) {
+          if (cache != nullptr) {
+            if (const CoPhySolverCache::Entry* parked = cache->Park(k, e)) {
+              warm = parked;
+            }
+          }
           e.signature = sig;
           e.frontier.clear();
           e.frontier_complete = false;
           e.tail_bound = 0.0;
         }
         if (e.frontier.empty() &&
-            solve_point(k, dp_budget,
-                        std::numeric_limits<double>::infinity()) != 1) {
+            solve_point(k, dp_budget, std::numeric_limits<double>::infinity(),
+                        warm) != 1) {
           return false;
         }
       }
@@ -1154,7 +1221,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
           double stop_at =
               have_real ? e.tail_bound + (real.c - bound.c) + 1e-7 * scale
                         : std::numeric_limits<double>::infinity();
-          if (solve_point(k, next_rhs, stop_at) < 0) return false;
+          if (solve_point(k, next_rhs, stop_at, &e) < 0) return false;
           progressed = true;  // point, certificate, or tail proved empty
         }
         if (!progressed) return false;
@@ -1173,12 +1240,14 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
     for (size_t q = 0; q < nq; ++q) all_rows[q] = static_cast<int>(q);
     std::vector<int> all_cands(static_cast<size_t>(ny));
     for (int i = 0; i < ny; ++i) all_cands[static_cast<size_t>(i)] = i;
-    uint64_t mono_sig = subproblem_signature(all_cands, all_rows);
+    uint64_t mono_sig = subproblem_signature(all_cands, all_rows, budget);
     CoPhySolverCache::Entry* mono_entry =
         cache != nullptr ? &cache->mono : nullptr;
-    if (mono_entry != nullptr && mono_entry->valid &&
-        mono_entry->signature == mono_sig) {
-      // Unchanged problem: the cached proven optimum IS the answer.
+    if (mono_entry != nullptr &&
+        ((mono_entry->valid && mono_entry->signature == mono_sig) ||
+         cache->Recall(CoPhySolverCache::kMonoSlot, mono_sig, *mono_entry))) {
+      // Unchanged or earlier-proven problem: the cached proven optimum
+      // IS the answer.
       chosen.insert(mono_entry->chosen.begin(), mono_entry->chosen.end());
       chosen.insert(admitted_pins.begin(), admitted_pins.end());
       solver_lower = mono_entry->lower_bound;
@@ -1186,22 +1255,28 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
     } else {
       // Unlike a cluster point, an incumbent that is not proven optimal
       // is still the answer (the node budget is the time/quality knob).
-      BipSolve r = solve_bip(all_cands, all_rows, budget, mono_entry,
+      // The old optimum is parked first and warm-starts the solve.
+      const CoPhySolverCache::Entry* warm = mono_entry;
+      if (mono_entry != nullptr) {
+        if (const CoPhySolverCache::Entry* parked =
+                cache->Park(CoPhySolverCache::kMonoSlot, *mono_entry)) {
+          warm = parked;
+        }
+      }
+      BipSolve r = solve_bip(all_cands, all_rows, budget, warm,
                              options_.bnb.stop_at_bound);
       rec.proven_optimal = r.bnb.proven_optimal;
       solver_lower = r.bnb.lower_bound;
       chosen = admitted_pins;
       chosen.insert(r.chosen.begin(), r.chosen.end());
       if (mono_entry != nullptr) {
-        if (r.bnb.feasible && r.bnb.proven_optimal) {
-          mono_entry->valid = true;
+        mono_entry->root_basis = r.bnb.root_basis;
+        mono_entry->valid = r.bnb.feasible && r.bnb.proven_optimal;
+        if (mono_entry->valid) {
           mono_entry->signature = mono_sig;
           mono_entry->chosen.assign(chosen.begin(), chosen.end());
           mono_entry->objective = r.bnb.objective;
           mono_entry->lower_bound = r.bnb.lower_bound;
-          mono_entry->root_basis = r.bnb.root_basis;
-        } else {
-          mono_entry->valid = false;
         }
       }
     }

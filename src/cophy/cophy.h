@@ -24,6 +24,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cophy/candidates.h"
@@ -31,6 +32,7 @@
 #include "interaction/doi.h"
 #include "inum/inum.h"
 #include "solver/bnb.h"
+#include "util/budgeted_lru.h"
 
 namespace dbdesign {
 
@@ -108,7 +110,9 @@ struct IndexRecommendation {
   /// Decomposition telemetry: how the solve was actually executed.
   int num_clusters = 0;      ///< interaction clusters in the prepared state
   int clusters_solved = 0;   ///< clusters with at least one BIP this call
-  int clusters_reused = 0;   ///< cluster optima reused from the solver cache
+  /// Cluster optima reused from the solver cache, live or parked under
+  /// an earlier signature (see CoPhySolverCache::Recall).
+  int clusters_reused = 0;
   bool solved_monolithic = false;  ///< the monolithic BIP ran (mode/fallback)
 
   /// Set when this recommendation was served from cached session state
@@ -250,12 +254,13 @@ struct CoPhyPrepared {
 /// Per-cluster solver state carried between SolvePrepared calls by a
 /// session (one cache per tuning session; the shared prepared state
 /// stays read-only). For each cluster the cache remembers the signature
-/// of the subproblem it solved (budget, pins/vetoes/caps touching the
-/// cluster, row weights) plus the proven optimum and the root LP basis.
-/// On the next solve, clusters whose signature is unchanged reuse their
-/// optimum without solving anything; dirtied clusters re-solve warm-
-/// started from the cached basis/incumbent. This is what makes a DBA
-/// veto cost one small cluster BIP instead of a full re-solve.
+/// of the subproblem it solved (the pages its allocation may use,
+/// pins/vetoes/caps touching the cluster, row weights) plus the proven
+/// optimum and the root LP basis. On the next solve, clusters whose
+/// signature is unchanged reuse their optimum without solving anything;
+/// dirtied clusters re-solve warm-started from the cached basis/
+/// incumbent. This is what makes a DBA veto cost one small cluster BIP
+/// instead of a full re-solve.
 ///
 /// A budget that binds ACROSS clusters no longer forces a monolithic
 /// solve: each cluster entry carries a lazily enumerated budget/cost
@@ -272,6 +277,17 @@ struct CoPhyPrepared {
 /// basis, plus the previous optimum when it is still feasible under the
 /// edited constraints), and answers an unchanged re-solve outright. It
 /// never holds a frontier.
+///
+/// Proven entries of EARLIER signatures are kept too, so that a DBA who
+/// toggles a constraint and back (veto then un-veto, cut the budget then
+/// restore it, cap a table then un-cap it) gets the earlier optimum
+/// without a search. When a slot's signature changes, its live entry is
+/// parked in `proven` under its old signature, and an entry parked under
+/// the new signature is moved back into the slot: its frontier, tail
+/// bound and basis then serve exactly as an unchanged slot's do, and the
+/// cluster counts as reused. Otherwise the slot re-solves, warm-started
+/// from the entry it just parked. Entries only ever move, so a signature
+/// that matches nothing costs no copy.
 struct CoPhySolverCache {
   struct Entry {
     bool valid = false;
@@ -306,38 +322,63 @@ struct CoPhySolverCache {
     /// stop_at_bound), sparing the cost of the tail's exact optimum.
     double tail_bound = 0.0;
   };
+  /// Slot of the monolithic entry in `proven`; clusters use their index.
+  static constexpr int kMonoSlot = -1;
+
   uint64_t universe_fingerprint = 0;
   size_t num_rows = 0;
   std::vector<Entry> entries;  ///< one per cluster
   Entry mono;  ///< the monolithic BIP (mode or fallback); no frontier
+  /// Proven entries of earlier signatures, keyed by (slot, signature).
+  /// A few per slot (a file-local count in cophy.cc); TrimToBytes drops
+  /// them, least recently parked first, before any live state.
+  BudgetedLru<std::pair<int, uint64_t>, Entry> proven;
 
-  /// Budget-trim telemetry (session-lifetime; Clear() keeps them so
-  /// tests and benches can observe trims across workload edits).
-  uint64_t trims = 0;                 ///< TrimToBytes calls that cut anything
+  /// Telemetry (session-lifetime; Clear() keeps them so tests and
+  /// benches can observe trims and hits across workload edits).
+  uint64_t trims = 0;                 ///< TrimToBytes calls that cut live state
   uint64_t points_dropped = 0;        ///< frontier points discarded
   uint64_t entries_invalidated = 0;   ///< whole entries reset to cold
+  uint64_t proven_hits = 0;           ///< entries moved back by Recall
 
   /// Approximate in-memory footprint (struct overhead + chosen/basis
-  /// ids + frontier points). Deterministic — it reads sizes, not
-  /// capacities — so trim decisions are bit-stable across runs.
+  /// ids + frontier points, live and parked). Deterministic — it reads
+  /// sizes, not capacities — so trim decisions are bit-stable across
+  /// runs.
   size_t ApproxBytes() const;
 
   /// Trims the cache to at most `max_bytes` (0 = unbounded, no-op).
-  /// Frontier points are dropped deepest-first from the longest
-  /// frontier (ties: lowest cluster index, mono last), restoring
-  /// exactly the "enumeration stopped earlier" state the lazy top-down
-  /// frontier protocol already handles — the allocation DP re-deepens
-  /// on demand, so results are bit-identical, only re-solve work is
-  /// traded. If shortening frontiers is not enough, whole entries are
-  /// invalidated largest-first (their next solve is cold). Never
-  /// touches signatures of entries it leaves alone.
+  /// Parked entries go first, least recently parked first, so the live
+  /// state a budget admits is the same as without them. Then frontier
+  /// points are dropped deepest-first from the longest frontier (ties:
+  /// lowest cluster index, mono last), restoring exactly the
+  /// "enumeration stopped earlier" state the lazy top-down frontier
+  /// protocol already handles — the allocation DP re-deepens on demand,
+  /// so results are bit-identical, only re-solve work is traded. If
+  /// shortening frontiers is not enough, whole entries are invalidated
+  /// largest-first (their next solve is cold). Never touches signatures
+  /// of entries it leaves alone.
   void TrimToBytes(size_t max_bytes);
+
+  /// Moves `live` into `proven` under (slot, live.signature), leaving a
+  /// fresh Entry behind, when it holds a proven answer: it is valid
+  /// and, for a cluster, has a frontier point. Returns the parked entry
+  /// (valid until the next Park, Recall, TrimToBytes or Clear), or
+  /// nullptr when nothing was parked. May drop the slot's least
+  /// recently parked entry to hold the per-slot count.
+  const Entry* Park(int slot, Entry& live);
+
+  /// When an entry is parked under (slot, signature): parks `live`,
+  /// moves the parked entry into `live` and returns true. Otherwise
+  /// leaves everything as is.
+  bool Recall(int slot, uint64_t signature, Entry& live);
 
   void Clear() {
     universe_fingerprint = 0;
     num_rows = 0;
     entries.clear();
     mono = Entry{};
+    proven.Clear();
   }
 };
 

@@ -1,6 +1,6 @@
 // BudgetedLru: the library's one byte-budgeted least-recently-used
-// cache, under both the AtomStore's hot tier and each DesignSession's
-// DoI contribution rows.
+// cache, under the AtomStore's hot tier, each DesignSession's DoI
+// contribution rows and the proven answers a CoPhy solver cache parks.
 //
 // Each entry is charged a byte count once, on Put, and the cache keeps
 // the running total. Entries live in a std::map; recency is a std::list
@@ -26,10 +26,37 @@ class BudgetedLru {
  public:
   /// A budget of 0 means unbounded: EvictToBudget never evicts.
   explicit BudgetedLru(size_t budget_bytes = 0) : budget_(budget_bytes) {}
-  // The entries and the recency list point at each other, which a copy
-  // would share.
-  BudgetedLru(const BudgetedLru&) = delete;
-  BudgetedLru& operator=(const BudgetedLru&) = delete;
+  // The entries and the recency list point at each other, so a copy
+  // re-inserts every entry in recency order rather than sharing them.
+  // A move keeps both node-based containers, and so every pointer.
+  BudgetedLru(const BudgetedLru& other) : budget_(other.budget_) {
+    CopyEntries(other);
+  }
+  BudgetedLru& operator=(const BudgetedLru& other) {
+    if (this != &other) {
+      Clear();
+      budget_ = other.budget_;
+      CopyEntries(other);
+    }
+    return *this;
+  }
+  BudgetedLru(BudgetedLru&& other) noexcept
+      : budget_(other.budget_),
+        bytes_(other.bytes_),
+        entries_(std::move(other.entries_)),
+        order_(std::move(other.order_)) {
+    other.Clear();
+  }
+  BudgetedLru& operator=(BudgetedLru&& other) noexcept {
+    if (this != &other) {
+      budget_ = other.budget_;
+      bytes_ = other.bytes_;
+      entries_ = std::move(other.entries_);
+      order_ = std::move(other.order_);
+      other.Clear();
+    }
+    return *this;
+  }
 
   /// Takes effect at the next EvictToBudget.
   void set_budget(size_t budget_bytes) { budget_ = budget_bytes; }
@@ -39,6 +66,11 @@ class BudgetedLru {
 
   /// Membership test; leaves recency unchanged.
   bool Contains(const K& key) const { return entries_.count(key) != 0; }
+  /// Number of keys in [lo, hi); leaves recency unchanged.
+  size_t CountInRange(const K& lo, const K& hi) const {
+    return static_cast<size_t>(
+        std::distance(entries_.lower_bound(lo), entries_.lower_bound(hi)));
+  }
 
   /// The entry's value, marked most-recently-used; nullptr on a miss.
   V* Find(const K& key) {
@@ -67,7 +99,14 @@ class BudgetedLru {
     return true;
   }
 
-  /// Removes every entry for which pred(key, value) holds.
+  /// Calls fn(key, value) on every entry, least recently used first.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (const Slot* slot : order_) fn(slot->first, slot->second.value);
+  }
+
+  /// Removes every entry for which pred(key, value) holds, asking in
+  /// ForEach order.
   template <typename Pred>
   void EraseIf(Pred pred) {
     for (auto it = order_.begin(); it != order_.end();) {
@@ -117,6 +156,12 @@ class BudgetedLru {
   };
 
   using EntryIt = typename std::map<K, Entry>::iterator;
+
+  void CopyEntries(const BudgetedLru& other) {
+    for (const Slot* slot : other.order_) {
+      Put(slot->first, slot->second.value, slot->second.bytes);
+    }
+  }
 
   void Remove(EntryIt it) {
     bytes_ -= it->second.bytes;

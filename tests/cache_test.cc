@@ -434,6 +434,8 @@ TEST(BudgetedLruTest, FindMarksMostRecentlyUsed) {
   EXPECT_EQ(*lru.Find("a"), 1);
   EXPECT_EQ(lru.Find("z"), nullptr);
   EXPECT_TRUE(lru.Contains("b"));  // Contains leaves recency alone
+  EXPECT_EQ(lru.CountInRange("a", "c"), 2u);  // and so does CountInRange
+  EXPECT_EQ(lru.CountInRange("c", "z"), 1u);
 
   lru.Put("d", 4, 10);
   EXPECT_EQ(EvictKeys(lru), std::vector<std::string>({"b"}));
@@ -546,6 +548,49 @@ TEST(BudgetedLruTest, CallbacksSeeEachEntrysOwnKeyAfterReorders) {
   EXPECT_EQ(*lru.Find("k2"), 99);
   EXPECT_EQ(*lru.Find("k0"), 0);
   EXPECT_EQ(*lru.Find("k6"), 60);
+}
+
+// Copies are independent caches with the same entries, bytes, budget
+// and recency; a move hands the entries over and leaves the source
+// empty. (A solver cache that parks proven answers in a BudgetedLru is
+// copied and moved by value.)
+TEST(BudgetedLruTest, CopyKeepsRecencyAndMoveEmptiesTheSource) {
+  auto keys = [](const StringLru& lru) {
+    std::vector<std::string> out;
+    lru.ForEach([&](const std::string& key, const int&) {
+      out.push_back(key);
+    });
+    return out;
+  };
+  StringLru lru(30);
+  for (int i = 0; i < 4; ++i) lru.Put("k" + std::to_string(i), i, 10);
+  lru.Find("k1");  // recency: k0, k2, k3, k1
+  const std::vector<std::string> order = {"k0", "k2", "k3", "k1"};
+
+  StringLru copy = lru;
+  EXPECT_EQ(keys(copy), order);
+  EXPECT_EQ(copy.bytes(), 40u);
+  copy.Find("k0");  // touching the copy leaves the original alone
+  EXPECT_EQ(keys(lru), order);
+  EXPECT_EQ(EvictKeys(copy), std::vector<std::string>({"k2"}));
+  EXPECT_EQ(lru.size(), 4u);
+
+  StringLru assigned;
+  assigned.Put("other", 9, 5);
+  assigned = lru;
+  EXPECT_EQ(keys(assigned), order);
+  EXPECT_EQ(assigned.bytes(), 40u);
+  EXPECT_FALSE(assigned.Contains("other"));
+
+  StringLru moved = std::move(lru);
+  EXPECT_EQ(keys(moved), order);
+  EXPECT_EQ(moved.bytes(), 40u);
+  EXPECT_EQ(lru.size(), 0u);  // a moved-from cache is empty, not stale
+  EXPECT_EQ(lru.bytes(), 0u);
+  assigned = std::move(moved);
+  EXPECT_EQ(keys(assigned), order);
+  EXPECT_EQ(EvictKeys(assigned), std::vector<std::string>({"k0"}));
+  EXPECT_EQ(moved.bytes(), 0u);
 }
 
 TEST(BudgetedLruTest, ZeroBudgetNeverEvicts) {

@@ -7,8 +7,12 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
@@ -415,6 +419,308 @@ TEST_F(CoPhyTest, TimeQualityKnob) {
   IndexRecommendation rec = advisor.TryRecommend(*workload_).value();
   EXPECT_LE(rec.recommended_cost, rec.base_cost + 1e-6);
   EXPECT_GE(rec.gap, 0.0);
+}
+
+// --- Solver cache: proven answers of earlier signatures ---
+
+// Parked entries a slot keeps (kMaxProvenPerSlot in cophy.cc).
+constexpr size_t kProvenPerSlot = 4;
+
+// A session-shaped solver cache driven directly: one prepared state of
+// the suite's workload under a binding budget, re-solved under edited
+// constraints.
+class ProvenMemoTest : public CoPhyTest {
+ protected:
+  void SetUp() override {
+    double data_pages = 0.0;
+    for (TableId t = 0; t < db_->catalog().num_tables(); ++t) {
+      data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
+    }
+    opts_.storage_budget_pages = 0.3 * data_pages;
+    advisor_ = std::make_unique<CoPhyAdvisor>(*backend_, opts_);
+    Result<CoPhyPrepared> prepared = advisor_->TryPrepare(
+        *workload_,
+        GenerateCandidates(*backend_, *workload_, opts_.candidates));
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    prepared_ = std::move(prepared).value();
+  }
+
+  IndexRecommendation Solve(const DesignConstraints& constraints,
+                            CoPhySolverCache* cache) {
+    Result<IndexRecommendation> rec =
+        advisor_->SolvePrepared(prepared_, constraints, cache);
+    EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+    return rec.ok() ? std::move(rec).value() : IndexRecommendation{};
+  }
+
+  // Every parked entry is a proven one, filed under its own signature,
+  // within the per-slot count. Returns the largest number any slot
+  // holds.
+  static size_t ExpectParkedEntriesWellFormed(const CoPhySolverCache& cache) {
+    std::map<int, size_t> per_slot;
+    cache.proven.ForEach([&](const std::pair<int, uint64_t>& key,
+                             const CoPhySolverCache::Entry& e) {
+      EXPECT_TRUE(e.valid);
+      EXPECT_EQ(e.signature, key.second);
+      if (key.first != CoPhySolverCache::kMonoSlot) {
+        EXPECT_FALSE(e.frontier.empty());
+      }
+      ++per_slot[key.first];
+    });
+    size_t fullest = 0;
+    for (const auto& [slot, n] : per_slot) {
+      EXPECT_LE(n, kProvenPerSlot) << "slot " << slot;
+      fullest = std::max(fullest, n);
+    }
+    return fullest;
+  }
+
+  CoPhyOptions opts_;
+  std::unique_ptr<CoPhyAdvisor> advisor_;
+  CoPhyPrepared prepared_;
+};
+
+TEST_F(ProvenMemoTest, TogglesHitEveryTimeWithinTheSlotCount) {
+  CoPhySolverCache cache;
+  DesignConstraints base;
+  IndexRecommendation cold = Solve(base, &cache);
+  ASSERT_FALSE(cold.indexes.empty());
+  EXPECT_EQ(cache.proven.size(), 0u);
+  DesignConstraints vetoed = base;
+  vetoed.vetoed_indexes.push_back(cold.indexes.front());
+  IndexRecommendation veto = Solve(vetoed, &cache);
+  EXPECT_GT(veto.clusters_solved, 0);
+  EXPECT_EQ(cache.proven_hits, 0u);
+
+  // Veto, un-veto, veto, ...: every step after the first returns to a
+  // proven state, so each one hits and solves nothing, and a toggle only
+  // swaps the live and parked entries.
+  size_t parked = cache.proven.size();
+  EXPECT_GE(parked, 1u);
+  for (int round = 0; round < 3; ++round) {
+    for (const DesignConstraints* c : {&base, &vetoed}) {
+      SCOPED_TRACE(round);
+      const IndexRecommendation& want = c == &base ? cold : veto;
+      uint64_t hits = cache.proven_hits;
+      IndexRecommendation r = Solve(*c, &cache);
+      EXPECT_GT(cache.proven_hits, hits);
+      EXPECT_EQ(r.bnb_nodes, 0);
+      EXPECT_EQ(r.lp_pivots, 0);
+      EXPECT_EQ(r.clusters_solved, 0);
+      EXPECT_GT(r.clusters_reused, 0);
+      EXPECT_EQ(r.indexes, want.indexes);
+      EXPECT_EQ(r.recommended_cost, want.recommended_cost);
+      EXPECT_EQ(cache.proven.size(), parked);
+      ExpectParkedEntriesWellFormed(cache);
+    }
+  }
+
+  // More distinct budgets than a slot keeps: the count holds, the least
+  // recently parked entries go first, and a return to one of them
+  // re-solves to the same answer.
+  size_t fullest = 0;
+  for (double f : {0.9, 0.8, 0.7, 0.6, 0.5, 0.4}) {
+    DesignConstraints cut = vetoed;
+    cut.storage_budget_pages = f * cold.total_size_pages;
+    Solve(cut, &cache);
+    fullest = ExpectParkedEntriesWellFormed(cache);
+  }
+  EXPECT_EQ(fullest, kProvenPerSlot);
+  uint64_t hits = cache.proven_hits;
+  IndexRecommendation again = Solve(base, &cache);
+  EXPECT_EQ(cache.proven_hits, hits);
+  EXPECT_GT(again.clusters_solved, 0);
+  EXPECT_EQ(again.indexes, cold.indexes);
+  EXPECT_EQ(again.recommended_cost, cold.recommended_cost);
+}
+
+TEST_F(ProvenMemoTest, ParksOnlyProvenEntriesAndMovesThemWhole) {
+  // An entry that proves nothing is never parked: an invalid one, or a
+  // valid cluster entry that holds only warm material (no frontier).
+  CoPhySolverCache cache;
+  CoPhySolverCache::Entry e;
+  e.signature = 7;
+  e.frontier.push_back({10.0, 1.0, {0}});
+  EXPECT_EQ(cache.Park(0, e), nullptr);
+  EXPECT_EQ(cache.proven.size(), 0u);
+  EXPECT_EQ(e.frontier.size(), 1u);
+  e.valid = true;
+  e.frontier.clear();
+  e.chosen = {0};
+  EXPECT_EQ(cache.Park(0, e), nullptr);
+  EXPECT_EQ(cache.proven.size(), 0u);
+  EXPECT_EQ(e.chosen.size(), 1u);
+
+  // A proven one moves whole, basis included, and leaves a fresh entry;
+  // Recall moves it back as it was.
+  e.frontier.push_back({10.0, 1.0, {0}});
+  e.root_basis.basic = {3, 1, 4};
+  e.tail_bound = 2.5;
+  const CoPhySolverCache::Entry* parked = cache.Park(0, e);
+  ASSERT_NE(parked, nullptr);
+  EXPECT_EQ(parked->root_basis.basic, std::vector<int>({3, 1, 4}));
+  EXPECT_EQ(parked->frontier.size(), 1u);
+  EXPECT_EQ(parked->tail_bound, 2.5);
+  EXPECT_FALSE(e.valid);
+  EXPECT_TRUE(e.frontier.empty());
+  EXPECT_TRUE(e.root_basis.empty());
+  EXPECT_FALSE(cache.Recall(0, 8, e));
+  EXPECT_TRUE(cache.Recall(0, 7, e));
+  EXPECT_EQ(cache.proven.size(), 0u);
+  EXPECT_EQ(cache.proven_hits, 1u);
+  EXPECT_TRUE(e.valid);
+  EXPECT_EQ(e.signature, 7u);
+  EXPECT_EQ(e.chosen, std::vector<int>({0}));
+  EXPECT_EQ(e.root_basis.basic, std::vector<int>({3, 1, 4}));
+  EXPECT_EQ(e.frontier.size(), 1u);
+
+  // A starved node budget leaves cluster solves unproven, and however
+  // the constraints toggle, no entry of a failed solve is ever parked.
+  CoPhyOptions starved_opts = opts_;
+  starved_opts.bnb.max_nodes = 1;
+  CoPhyAdvisor starved(*backend_, starved_opts);
+  CoPhySolverCache session;
+  std::set<std::pair<int, uint64_t>> failed;
+  auto solve = [&](const DesignConstraints& c) {
+    Result<IndexRecommendation> r =
+        starved.SolvePrepared(prepared_, c, &session);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    for (size_t k = 0; k < session.entries.size(); ++k) {
+      const CoPhySolverCache::Entry& live = session.entries[k];
+      if (!live.valid && live.signature != 0) {
+        failed.insert({static_cast<int>(k), live.signature});
+      }
+    }
+    for (const auto& key : failed) EXPECT_FALSE(session.proven.Contains(key));
+    ExpectParkedEntriesWellFormed(session);
+    return r.ok() ? std::move(r).value() : IndexRecommendation{};
+  };
+  DesignConstraints base;
+  IndexRecommendation cold = solve(base);
+  ASSERT_FALSE(cold.indexes.empty());
+  DesignConstraints vetoed = base;
+  vetoed.vetoed_indexes.push_back(cold.indexes.front());
+  for (int round = 0; round < 2; ++round) {
+    solve(vetoed);
+    solve(base);
+  }
+  EXPECT_FALSE(failed.empty()) << "no cluster solve failed: starve harder";
+}
+
+TEST_F(ProvenMemoTest, TrimDropsParkedEntriesBeforeLiveState) {
+  CoPhySolverCache cache;
+  DesignConstraints base;
+  IndexRecommendation cold = Solve(base, &cache);
+  ASSERT_FALSE(cold.indexes.empty());
+  DesignConstraints vetoed = base;
+  vetoed.vetoed_indexes.push_back(cold.indexes.front());
+  DesignConstraints cut = base;
+  cut.storage_budget_pages = 0.6 * cold.total_size_pages;
+  for (const DesignConstraints* c : {&vetoed, &base, &cut, &base}) {
+    Solve(*c, &cache);
+  }
+  ASSERT_GE(cache.proven.size(), 2u);
+
+  CoPhySolverCache without = cache;  // the same live state, nothing parked
+  without.proven.Clear();
+  size_t live = without.ApproxBytes();
+  ASSERT_GT(cache.ApproxBytes(), live);
+  using Shape = std::tuple<bool, uint64_t, size_t, double>;
+  auto live_shape = [](const CoPhySolverCache& c) {
+    std::vector<Shape> shape;
+    for (const CoPhySolverCache::Entry& e : c.entries) {
+      shape.emplace_back(e.valid, e.signature, e.frontier.size(),
+                         e.tail_bound);
+    }
+    shape.emplace_back(c.mono.valid, c.mono.signature, c.mono.chosen.size(),
+                       c.mono.lower_bound);
+    return shape;
+  };
+
+  // Room for some parked entries: the least recently parked go, and the
+  // live state and the trim counters are untouched.
+  auto parked_keys = [](const CoPhySolverCache& c) {
+    std::vector<std::pair<int, uint64_t>> keys;
+    c.proven.ForEach([&](const std::pair<int, uint64_t>& key,
+                         const CoPhySolverCache::Entry&) {
+      keys.push_back(key);
+    });
+    return keys;
+  };
+  {
+    CoPhySolverCache a = cache;
+    EXPECT_EQ(parked_keys(a), parked_keys(cache));  // a copy keeps recency
+    a.TrimToBytes(cache.ApproxBytes() - 1);
+    std::vector<std::pair<int, uint64_t>> all = parked_keys(cache);
+    std::vector<std::pair<int, uint64_t>> kept = parked_keys(a);
+    ASSERT_LT(kept.size(), all.size());
+    EXPECT_TRUE(std::equal(kept.begin(), kept.end(),
+                           all.end() - static_cast<ptrdiff_t>(kept.size())));
+    EXPECT_EQ(live_shape(a), live_shape(cache));
+    EXPECT_EQ(a.trims, cache.trims);
+  }
+  // Room for the live entries only: every parked entry goes, nothing
+  // else.
+  {
+    CoPhySolverCache a = cache;
+    a.TrimToBytes(live);
+    EXPECT_EQ(a.proven.size(), 0u);
+    EXPECT_EQ(live_shape(a), live_shape(cache));
+    EXPECT_EQ(a.trims, cache.trims);
+    EXPECT_EQ(a.points_dropped, cache.points_dropped);
+    EXPECT_EQ(a.entries_invalidated, cache.entries_invalidated);
+  }
+  // Less: the live state is trimmed exactly as in a cache that never
+  // parked anything.
+  for (size_t budget : {live - 1, live / 2, size_t{1}}) {
+    SCOPED_TRACE(budget);
+    CoPhySolverCache a = cache;
+    CoPhySolverCache b = without;
+    a.TrimToBytes(budget);
+    b.TrimToBytes(budget);
+    EXPECT_EQ(a.proven.size(), 0u);
+    EXPECT_GT(b.points_dropped + b.entries_invalidated,
+              without.points_dropped + without.entries_invalidated);
+    EXPECT_EQ(a.trims, b.trims);
+    EXPECT_EQ(a.points_dropped, b.points_dropped);
+    EXPECT_EQ(a.entries_invalidated, b.entries_invalidated);
+    EXPECT_EQ(live_shape(a), live_shape(b));
+    EXPECT_EQ(a.ApproxBytes(), b.ApproxBytes());
+  }
+
+  // Clear() empties the memo and keeps the session-lifetime hit count.
+  {
+    CoPhySolverCache a = cache;
+    a.Clear();
+    EXPECT_EQ(a.proven.size(), 0u);
+    EXPECT_EQ(a.proven_hits, cache.proven_hits);
+    EXPECT_GT(a.proven_hits, 0u);
+  }
+  // So does a solve against another row space or candidate universe.
+  {
+    Workload fewer;
+    for (size_t i = 0; i + 1 < workload_->size(); ++i) {
+      fewer.Add(workload_->queries[i]);
+    }
+    Result<CoPhyPrepared> rows =
+        advisor_->TryPrepare(fewer, prepared_.candidates);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_NE(rows.value().rows.size(), prepared_.rows.size());
+    CoPhySolverCache a = cache;
+    ASSERT_TRUE(advisor_->SolvePrepared(rows.value(), base, &a).ok());
+    EXPECT_EQ(a.proven.size(), 0u);
+
+    std::vector<CandidateIndex> narrower = prepared_.candidates;
+    narrower.pop_back();
+    Result<CoPhyPrepared> universe =
+        advisor_->TryPrepare(*workload_, std::move(narrower));
+    ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+    ASSERT_NE(universe.value().universe_fingerprint,
+              prepared_.universe_fingerprint);
+    CoPhySolverCache b = cache;
+    ASSERT_TRUE(advisor_->SolvePrepared(universe.value(), base, &b).ok());
+    EXPECT_EQ(b.proven.size(), 0u);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "backend/inmemory_backend.h"
+#include "cophy/cophy.h"
 #include "core/session.h"
 #include "sql/binder.h"
 #include "workload/queries.h"
@@ -360,6 +361,116 @@ TEST_F(SessionTest, RefinePinOutsideUniverseStaysBackendFree) {
     has_pin |= idx == delta.pin[0];
   }
   EXPECT_TRUE(has_pin);
+}
+
+TEST_F(SessionTest, ReturningRefinesReuseProvenClusters) {
+  // The DBA's toggle-and-compare loop under a binding budget: veto an
+  // index and un-veto it, cut the budget and restore it, cap a table and
+  // un-cap it. Each return lands on constraints the session has already
+  // proven, so the solver cache answers it from the optima it parked on
+  // the way out: the pre-toggle recommendation bit for bit, with no
+  // branch-and-bound node and no pivot.
+  double data_pages = 0.0;
+  for (TableId t = 0; t < db_->catalog().num_tables(); ++t) {
+    data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
+  }
+  session_->SetWorkload(
+      GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 16, 19));
+  DesignConstraints constraints;
+  constraints.storage_budget_pages = 0.5 * data_pages;
+  ASSERT_TRUE(session_->SetConstraints(constraints).ok());
+  auto cold = session_->Recommend();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_FALSE(cold.value().indexes.empty());
+  const IndexRecommendation& now = *session_->last_recommendation();
+  CoPhyAdvisor stateless(*backend_, designer_->options().cophy);
+
+  auto toggle = [&](const ConstraintDelta& away, const ConstraintDelta& back) {
+    IndexRecommendation before = now;
+    auto left = session_->Refine(away);
+    ASSERT_TRUE(left.ok()) << left.status().ToString();
+    ASSERT_EQ(session_->log().back().find("certificate reuse"),
+              std::string::npos)
+        << "the outbound edit must re-solve: " << session_->log().back();
+    uint64_t hits = session_->solver_cache().proven_hits;
+    uint64_t calls = session_->backend_optimizer_calls();
+    auto back_rec = session_->Refine(back);
+    ASSERT_TRUE(back_rec.ok()) << back_rec.status().ToString();
+    const IndexRecommendation& r = back_rec.value();
+    EXPECT_EQ(r.indexes, before.indexes);
+    EXPECT_EQ(r.recommended_cost, before.recommended_cost);
+    EXPECT_EQ(r.bnb_nodes, 0);
+    EXPECT_EQ(r.lp_pivots, 0);
+    EXPECT_EQ(r.clusters_solved, 0);
+    EXPECT_GT(session_->solver_cache().proven_hits, hits);
+    EXPECT_EQ(session_->backend_optimizer_calls(), calls);
+    auto ref = stateless.SolvePrepared(session_->prepared_state(),
+                                       session_->constraints(), nullptr);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_EQ(ref.value().recommended_cost, r.recommended_cost);
+    EXPECT_EQ(ref.value().indexes, r.indexes);
+  };
+
+  {
+    SCOPED_TRACE("veto, un-veto");
+    ConstraintDelta veto, unveto;
+    veto.veto.push_back(now.indexes.front());
+    unveto.unveto.push_back(now.indexes.front());
+    toggle(veto, unveto);
+  }
+  {
+    SCOPED_TRACE("cut, restore");
+    ConstraintDelta cut, restore;
+    cut.storage_budget_pages = 0.6 * now.total_size_pages;
+    restore.storage_budget_pages = constraints.storage_budget_pages;
+    toggle(cut, restore);
+  }
+  {
+    SCOPED_TRACE("cap, un-cap");
+    int on_photo = 0;
+    for (const IndexDef& idx : now.indexes) on_photo += idx.table == photo_;
+    ASSERT_GE(on_photo, 1);
+    ConstraintDelta cap, uncap;
+    cap.table_caps[photo_] = on_photo - 1;
+    uncap.table_caps[photo_] = -1;
+    toggle(cap, uncap);
+  }
+}
+
+TEST_F(SessionTest, UnpinningAnIndexNoQueryUsesGivesItsPagesBack) {
+  // A pinned index that no query uses sits in a cluster of its own, and
+  // its pages come out of what the other clusters may share. Unpinning
+  // it hands them back, so a cluster whose own pins, vetoes and caps are
+  // unchanged must not keep the optimum it proved under the smaller
+  // share: the refine has to match a stateless solve.
+  double data_pages = 0.0;
+  for (TableId t = 0; t < db_->catalog().num_tables(); ++t) {
+    data_pages += db_->stats(t).HeapPages(db_->catalog().table(t));
+  }
+  IndexDef unused{photo_, {db_->catalog().table(photo_).FindColumn("mode")},
+                  false};
+  CoPhyAdvisor stateless(*backend_, designer_->options().cophy);
+  for (uint64_t seed : {6, 7, 8, 9}) {
+    SCOPED_TRACE(seed);
+    DesignSession session(*designer_);
+    session.SetWorkload(
+        GenerateWorkload(*db_, TemplateMix::OfflineDefault(), 16, seed));
+    DesignConstraints constraints;
+    constraints.storage_budget_pages = 0.1 * data_pages;
+    ASSERT_TRUE(session.SetConstraints(constraints).ok());
+    ASSERT_TRUE(session.Recommend().ok());
+    ConstraintDelta pin, unpin;
+    pin.pin.push_back(unused);
+    unpin.unpin.push_back(unused);
+    ASSERT_TRUE(session.Refine(pin).ok());
+    auto r = session.Refine(unpin);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    auto ref = stateless.SolvePrepared(session.prepared_state(),
+                                       session.constraints(), nullptr);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_EQ(ref.value().recommended_cost, r.value().recommended_cost);
+    EXPECT_EQ(ref.value().indexes, r.value().indexes);
+  }
 }
 
 TEST_F(SessionTest, WorkloadDeltasKeepPreparedStateLive) {

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "backend/trace_backend.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace dbdesign {
@@ -18,17 +19,6 @@ constexpr uint64_t kPoisonSalt = 2;
 constexpr uint64_t kBatchCrashSalt = 3;
 constexpr uint64_t kOverrunSalt = 4;
 constexpr uint64_t kCrashPointSalt = 5;
-
-/// FNV-1a 64-bit over the call key. Stable across platforms, so fault
-/// schedules replay identically everywhere.
-uint64_t HashKey(const std::string& key) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string StreamKey(uint64_t salt, const std::string& key) {
   return std::to_string(salt) + "|" + key;
@@ -62,14 +52,14 @@ bool FaultInjectingBackend::Selected(const std::string& key, uint64_t salt,
   // The decision is a pure function of (plan seed, stream salt, call
   // content): no global call order, no shared RNG state — concurrent
   // callers cannot perturb each other's draws.
-  Rng rng(plan_.seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^ HashKey(key));
+  Rng rng(plan_.seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^ Fnv1a64(key));
   return rng.Bernoulli(rate);
 }
 
 uint64_t FaultInjectingBackend::Derived(const std::string& key, uint64_t salt,
                                         uint64_t bound) const {
   if (bound == 0) return 0;
-  Rng rng(plan_.seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^ HashKey(key));
+  Rng rng(plan_.seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^ Fnv1a64(key));
   return rng.Next() % bound;
 }
 
@@ -124,7 +114,7 @@ double FaultInjectingBackend::MaybePoison(const std::string& key,
   }
   // Half the poisoned keys answer NaN, half a negative cost — both are
   // invalid answers the seam above must reject.
-  return (HashKey(key) & 1) ? std::numeric_limits<double>::quiet_NaN()
+  return (Fnv1a64(key) & 1) ? std::numeric_limits<double>::quiet_NaN()
                             : -1.0;
 }
 
@@ -180,7 +170,7 @@ DbmsBackend::PartialCosts FaultInjectingBackend::CostBatchPartial(
   std::string batch_key = "batch|" + std::to_string(queries.size());
   for (const BoundQuery& q : queries) {
     batch_key += "|";
-    batch_key += std::to_string(HashKey(TraceBackend::CallKey(q, design, knobs)));
+    batch_key += std::to_string(Fnv1a64(TraceBackend::CallKey(q, design, knobs)));
   }
   InjectLatency(batch_key);
   Status gate = TransientGate(batch_key);

@@ -153,6 +153,9 @@ class FaultInjectingBackend final : public DbmsBackend {
   }
   Status RefreshStatistics(TableId table,
                            const AnalyzeOptions& options) override;
+  IndexSizeEstimate EstimateIndexSize(const IndexDef& index) const override {
+    return inner_->EstimateIndexSize(index);
+  }
   PhysicalDesign CurrentDesign() const override {
     return inner_->CurrentDesign();
   }

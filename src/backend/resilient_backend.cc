@@ -6,24 +6,11 @@
 #include <utility>
 
 #include "backend/trace_backend.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace dbdesign {
-
-namespace {
-
-/// FNV-1a 64-bit — stable cross-platform hash for jitter derivation.
-uint64_t HashKey(const std::string& key) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 ResilientBackend::ResilientBackend(DbmsBackend& inner, RetryPolicy policy,
                                    Clock* clock)
@@ -138,7 +125,7 @@ Status ResilientBackend::RunWithRetries(
   Status admit = BreakerAdmit(&probe);
   if (!admit.ok()) return admit;
 
-  const uint64_t key_hash = HashKey(op_key);
+  const uint64_t key_hash = Fnv1a64(op_key);
   const uint64_t start = clock_->NowMicros();
   const int max_attempts = std::max(1, policy_.max_attempts);
   Status last;
@@ -256,7 +243,7 @@ DbmsBackend::PartialCosts ResilientBackend::CostBatchPartial(
   std::vector<double> out;
   out.reserve(n);
   const std::string op_key = "batch|" + std::to_string(n);
-  const uint64_t key_hash = HashKey(op_key);
+  const uint64_t key_hash = Fnv1a64(op_key);
   const uint64_t start = clock_->NowMicros();
   const int max_attempts = std::max(1, policy_.max_attempts);
   bool salvaged_any = false;

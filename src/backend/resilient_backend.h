@@ -113,6 +113,9 @@ class ResilientBackend final : public DbmsBackend {
   }
   Status RefreshStatistics(TableId table,
                            const AnalyzeOptions& options) override;
+  IndexSizeEstimate EstimateIndexSize(const IndexDef& index) const override {
+    return inner_->EstimateIndexSize(index);
+  }
   PhysicalDesign CurrentDesign() const override {
     return inner_->CurrentDesign();
   }

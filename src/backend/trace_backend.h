@@ -4,7 +4,11 @@
 // (a) a snapshot of the engine surface — catalog, statistics, cost
 // parameters, materialized design — and (b) every cost call keyed by
 // (query structural hash, design fingerprint, join knobs). The trace
-// serializes to JSON.
+// serializes to JSON, format version 2: the design snapshot and every
+// statistics value go through catalog/design_json, the one design
+// codec, so the snapshot design's ids are range-checked against the
+// snapshot catalog as it is decoded. A trace of any other version is
+// rejected; re-record it.
 //
 // Replay mode reconstructs the snapshot from JSON and answers cost
 // calls from the recorded map — no engine, no storage, no optimizer

@@ -1,5 +1,6 @@
 #include "catalog/design_json.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/str.h"
@@ -7,24 +8,6 @@
 namespace dbdesign {
 
 namespace {
-
-/// Validates a table id parsed from JSON against the catalog.
-Status CheckTable(TableId table, const Catalog& catalog) {
-  if (table < 0 || table >= catalog.num_tables()) {
-    return Status::InvalidArgument(StrFormat("table id %d out of range",
-                                             table));
-  }
-  return Status::OK();
-}
-
-Status CheckColumn(TableId table, ColumnId column, const Catalog& catalog) {
-  if (column < 0 || column >= catalog.table(table).num_columns()) {
-    return Status::InvalidArgument(
-        StrFormat("column id %d out of range for table %s", column,
-                  catalog.table(table).name().c_str()));
-  }
-  return Status::OK();
-}
 
 const Json* Require(const Json& j, const char* key, Status* status) {
   const Json* member = j.Find(key);
@@ -35,6 +18,15 @@ const Json* Require(const Json& j, const char* key, Status* status) {
 }
 
 }  // namespace
+
+Result<TableId> TableIdFromJson(const Json& j, const Catalog& catalog) {
+  return JsonInt(j, 0, catalog.num_tables() - 1, "table id");
+}
+
+Result<ColumnId> ColumnIdFromJson(const Json& j, TableId table,
+                                  const Catalog& catalog) {
+  return JsonInt(j, 0, catalog.table(table).num_columns() - 1, "column id");
+}
 
 Json ValueToJson(const Value& v) {
   Json j = Json::Object();
@@ -67,8 +59,14 @@ Result<Value> ValueFromJson(const Json& j) {
     if (!v->is_string()) {
       return Status::ParseError("int64 value must be encoded as a string");
     }
-    return Value(static_cast<int64_t>(std::strtoll(v->str().c_str(),
-                                                   nullptr, 10)));
+    const char* text = v->str().c_str();
+    char* end = nullptr;
+    errno = 0;
+    long long i = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      return Status::ParseError("bad int64 value: '" + v->str() + "'");
+    }
+    return Value(static_cast<int64_t>(i));
   }
   if (t->str() == "d") {
     if (!v->is_number()) return Status::ParseError("double value expected");
@@ -96,19 +94,17 @@ Result<IndexDef> IndexDefFromJson(const Json& j, const Catalog& catalog) {
   const Json* table = Require(j, "table", &status);
   const Json* columns = Require(j, "columns", &status);
   if (!status.ok()) return status;
-  if (!table->is_number() || !columns->is_array()) {
-    return Status::ParseError("index must have numeric table + column array");
+  if (!columns->is_array()) {
+    return Status::ParseError("index columns must be an array");
   }
   IndexDef index;
-  index.table = static_cast<TableId>(table->number());
-  Status s = CheckTable(index.table, catalog);
-  if (!s.ok()) return s;
+  Result<TableId> t = TableIdFromJson(*table, catalog);
+  if (!t.ok()) return t.status();
+  index.table = t.value();
   for (const Json& c : columns->items()) {
-    if (!c.is_number()) return Status::ParseError("index column must be a number");
-    ColumnId col = static_cast<ColumnId>(c.number());
-    s = CheckColumn(index.table, col, catalog);
-    if (!s.ok()) return s;
-    index.columns.push_back(col);
+    Result<ColumnId> col = ColumnIdFromJson(c, index.table, catalog);
+    if (!col.ok()) return col.status();
+    index.columns.push_back(col.value());
   }
   if (index.columns.empty()) {
     return Status::InvalidArgument("index must have at least one column");
@@ -138,22 +134,20 @@ Result<VerticalPartitioning> VerticalPartitioningFromJson(
   const Json* table = Require(j, "table", &status);
   const Json* fragments = Require(j, "fragments", &status);
   if (!status.ok()) return status;
-  if (!table->is_number() || !fragments->is_array()) {
-    return Status::ParseError("vertical partitioning shape invalid");
+  if (!fragments->is_array()) {
+    return Status::ParseError("vertical fragments must be an array");
   }
   VerticalPartitioning p;
-  p.table = static_cast<TableId>(table->number());
-  Status s = CheckTable(p.table, catalog);
-  if (!s.ok()) return s;
+  Result<TableId> t = TableIdFromJson(*table, catalog);
+  if (!t.ok()) return t.status();
+  p.table = t.value();
   for (const Json& frag : fragments->items()) {
     if (!frag.is_array()) return Status::ParseError("fragment must be an array");
     VerticalFragment f;
     for (const Json& c : frag.items()) {
-      if (!c.is_number()) return Status::ParseError("fragment column must be a number");
-      ColumnId col = static_cast<ColumnId>(c.number());
-      s = CheckColumn(p.table, col, catalog);
-      if (!s.ok()) return s;
-      f.columns.push_back(col);
+      Result<ColumnId> col = ColumnIdFromJson(c, p.table, catalog);
+      if (!col.ok()) return col.status();
+      f.columns.push_back(col.value());
     }
     p.fragments.push_back(std::move(f));
   }
@@ -177,16 +171,16 @@ Result<HorizontalPartitioning> HorizontalPartitioningFromJson(
   const Json* column = Require(j, "column", &status);
   const Json* bounds = Require(j, "bounds", &status);
   if (!status.ok()) return status;
-  if (!table->is_number() || !column->is_number() || !bounds->is_array()) {
-    return Status::ParseError("horizontal partitioning shape invalid");
+  if (!bounds->is_array()) {
+    return Status::ParseError("horizontal bounds must be an array");
   }
   HorizontalPartitioning p;
-  p.table = static_cast<TableId>(table->number());
-  Status s = CheckTable(p.table, catalog);
-  if (!s.ok()) return s;
-  p.column = static_cast<ColumnId>(column->number());
-  s = CheckColumn(p.table, p.column, catalog);
-  if (!s.ok()) return s;
+  Result<TableId> t = TableIdFromJson(*table, catalog);
+  if (!t.ok()) return t.status();
+  p.table = t.value();
+  Result<ColumnId> col = ColumnIdFromJson(*column, p.table, catalog);
+  if (!col.ok()) return col.status();
+  p.column = col.value();
   for (const Json& b : bounds->items()) {
     Result<Value> v = ValueFromJson(b);
     if (!v.ok()) return v.status();

@@ -1,5 +1,8 @@
 #include "catalog/value.h"
 
+#include <bit>
+
+#include "util/hash.h"
 #include "util/str.h"
 
 namespace dbdesign {
@@ -99,22 +102,15 @@ uint64_t Value::Hash() const {
     case DataType::kInt64:
       return mix(static_cast<uint64_t>(AsInt()));
     case DataType::kDouble: {
+      // -0.0 == 0.0 under operator==, so both hash as +0.0; otherwise a
+      // hash join misses a match a nested-loop join finds. (NaN compares
+      // equal to everything and cannot hash consistently; an int and an
+      // equal double also hash apart. Engine joins are same-type.)
       double d = AsDouble();
-      // Normalize -0.0 and integral doubles so 1.0 and int 1 hash alike
-      // when joined; joins in the engine are same-type so this is cosmetic.
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(d));
-      return mix(bits);
+      return mix(std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d));
     }
-    case DataType::kString: {
-      uint64_t h = 1469598103934665603ULL;  // FNV-1a
-      for (char c : AsString()) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-      }
-      return mix(h);
-    }
+    case DataType::kString:
+      return mix(Fnv1a(kFnvLegacyBasis).MixRaw(AsString()).digest());
   }
   return 0;
 }

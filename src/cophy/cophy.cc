@@ -1,13 +1,13 @@
 #include "cophy/cophy.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/str.h"
 #include "util/thread_pool.h"
@@ -18,25 +18,14 @@ uint64_t CandidateUniverseFingerprint(
     const std::vector<CandidateIndex>& candidates) {
   // FNV-1a over each candidate's structural key and size, in order —
   // atom `used` ids are positional, so a reordered universe must
-  // fingerprint differently. Each key is prefixed with its length so
-  // adjacent keys cannot alias across the concatenation.
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  // fingerprint differently. Keys are length-prefixed so adjacent keys
+  // cannot alias across the concatenation.
+  Fnv1a fnv(kFnvLegacyBasis);
   for (const CandidateIndex& c : candidates) {
-    std::string key = c.index.Key();
-    mix(key.size());
-    for (char ch : key) {
-      h ^= static_cast<unsigned char>(ch);
-      h *= 1099511628211ull;
-    }
-    mix(std::bit_cast<uint64_t>(c.size_pages));
+    fnv.MixBytes(c.index.Key());
+    fnv.MixDouble(c.size_pages);
   }
-  return h;
+  return fnv.digest();
 }
 
 void CoPhyPrepared::RefreshClusters() {
@@ -865,19 +854,13 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   // candidate/row sets and budget by the monolithic path.
   auto subproblem_signature = [&](const std::vector<int>& ck,
                                   const std::vector<int>& qk, double pages) {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xff;
-        h *= 1099511628211ull;
-      }
-    };
-    mix(std::bit_cast<uint64_t>(pages));
+    Fnv1a fnv(kFnvLegacyBasis);
+    fnv.MixDouble(pages);
     for (int i : ck) {
       uint64_t bits = static_cast<uint64_t>(i) << 2;
       if (admitted_pins.count(i) > 0) bits |= 1;
       if (vetoed[static_cast<size_t>(i)]) bits |= 2;
-      mix(bits);
+      fnv.MixU64(bits);
     }
     for (const auto& [table, cap] : constraints.max_indexes_per_table) {
       bool relevant = false;
@@ -885,16 +868,16 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
         relevant |= candidates[static_cast<size_t>(i)].index.table == table;
       }
       if (relevant) {
-        mix(static_cast<uint64_t>(table));
-        mix(static_cast<uint64_t>(cap));
+        fnv.MixU64(static_cast<uint64_t>(table));
+        fnv.MixU64(static_cast<uint64_t>(cap));
       }
     }
-    mix(qk.size());
+    fnv.MixU64(qk.size());
     for (int q : qk) {
-      mix(static_cast<uint64_t>(q));
-      mix(std::bit_cast<uint64_t>(prepared.weights[static_cast<size_t>(q)]));
+      fnv.MixU64(static_cast<uint64_t>(q));
+      fnv.MixDouble(prepared.weights[static_cast<size_t>(q)]);
     }
-    return h;
+    return fnv.digest();
   };
 
   // ---------------- Decomposed path ----------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "catalog/design_json.h"
 #include "util/str.h"
@@ -70,12 +71,9 @@ Status TableListFromJson(const Json& j, const Catalog& catalog,
                          std::vector<TableId>* out) {
   if (!j.is_array()) return Status::ParseError("expected a table-id array");
   for (const Json& item : j.items()) {
-    if (!item.is_number()) return Status::ParseError("table id must be a number");
-    TableId t = static_cast<TableId>(item.number());
-    if (t < 0 || t >= catalog.num_tables()) {
-      return Status::InvalidArgument(StrFormat("table id %d out of range", t));
-    }
-    out->push_back(t);
+    Result<TableId> t = TableIdFromJson(item, catalog);
+    if (!t.ok()) return t.status();
+    out->push_back(t.value());
   }
   return Status::OK();
 }
@@ -218,7 +216,8 @@ Status DesignConstraints::Validate(const Catalog& catalog) const {
           StrFormat("partition deny list: table id %d out of range", t));
     }
   }
-  if (std::isfinite(storage_budget_pages) && storage_budget_pages < 0.0) {
+  // Written so NaN fails too; +inf (no budget) passes.
+  if (!(storage_budget_pages >= 0.0)) {
     return Status::InvalidArgument("storage budget must be non-negative");
   }
   return Status::OK();
@@ -270,13 +269,14 @@ Result<DesignConstraints> DesignConstraints::FromJson(const Json& j,
     for (const Json& item : cols->items()) {
       const Json* table = item.Find("table");
       const Json* column = item.Find("column");
-      if (table == nullptr || column == nullptr || !table->is_number() ||
-          !column->is_number()) {
-        return Status::ParseError("vetoed column needs numeric table + column");
+      if (table == nullptr || column == nullptr) {
+        return Status::ParseError("vetoed column needs table + column");
       }
-      c.vetoed_columns.push_back(ColumnRef{
-          static_cast<TableId>(table->number()),
-          static_cast<ColumnId>(column->number())});
+      Result<TableId> t = TableIdFromJson(*table, catalog);
+      if (!t.ok()) return t.status();
+      Result<ColumnId> col = ColumnIdFromJson(*column, t.value(), catalog);
+      if (!col.ok()) return col.status();
+      c.vetoed_columns.push_back(ColumnRef{t.value(), col.value()});
     }
   }
   if (const Json* caps = j.Find("table_caps")) {
@@ -284,12 +284,15 @@ Result<DesignConstraints> DesignConstraints::FromJson(const Json& j,
     for (const Json& item : caps->items()) {
       const Json* table = item.Find("table");
       const Json* cap = item.Find("cap");
-      if (table == nullptr || cap == nullptr || !table->is_number() ||
-          !cap->is_number()) {
-        return Status::ParseError("table cap needs numeric table + cap");
+      if (table == nullptr || cap == nullptr) {
+        return Status::ParseError("table cap needs table + cap");
       }
-      c.max_indexes_per_table[static_cast<TableId>(table->number())] =
-          static_cast<int>(cap->number());
+      Result<TableId> t = TableIdFromJson(*table, catalog);
+      if (!t.ok()) return t.status();
+      Result<int> n = JsonInt(*cap, 0, std::numeric_limits<int>::max(),
+                              "index cap");
+      if (!n.ok()) return n.status();
+      c.max_indexes_per_table[t.value()] = n.value();
     }
   }
   if (const Json* budget = j.Find("storage_budget_pages")) {

@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <span>
@@ -884,6 +885,10 @@ Status DesignSession::LoadFromJson(const Json& j) {
       if (weights != nullptr && weights->is_array() &&
           i < weights->size() && weights->at(i).is_number()) {
         weight = weights->at(i).number();
+        if (!std::isfinite(weight) || weight < 0.0) {
+          return Status::ParseError(
+              StrFormat("workload weight %zu must be finite and >= 0", i));
+        }
       }
       workload.Add(std::move(q).value(), weight);
     }

@@ -1,6 +1,5 @@
 #include "server/atom_store.h"
 
-#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,36 +9,13 @@
 #include "catalog/stats.h"
 #include "cophy/atom_codec.h"
 #include "util/binio.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/str.h"
 
 namespace dbdesign {
 
 namespace {
-
-/// Incremental FNV-1a (the repo's standard non-cryptographic hash).
-class Fnv {
- public:
-  void MixBytes(const std::string& s) {
-    // Length prefix so adjacent fields cannot alias across the
-    // concatenation ("ab" + "c" vs "a" + "bc").
-    MixU64(s.size());
-    for (char c : s) MixByte(static_cast<unsigned char>(c));
-  }
-  void MixU64(uint64_t v) {
-    for (int b = 0; b < 8; ++b) MixByte((v >> (8 * b)) & 0xff);
-  }
-  void MixDouble(double v) { MixU64(std::bit_cast<uint64_t>(v)); }
-  void MixInt(int v) { MixU64(static_cast<uint64_t>(static_cast<int64_t>(v))); }
-  uint64_t digest() const { return h_; }
-
- private:
-  void MixByte(uint64_t byte) {
-    h_ ^= byte;
-    h_ *= 1099511628211ull;
-  }
-  uint64_t h_ = 1469598103934665603ull;
-};
 
 // Spill-file header: "DBAS" little-endian (DBdesign Atom Spill) + a
 // format version + the FULL composite key. Files are NAMED by a hash
@@ -52,7 +28,7 @@ constexpr uint32_t kSpillVersion = 1;
 }  // namespace
 
 uint64_t SchemaFingerprint(const DbmsBackend& backend) {
-  Fnv fnv;
+  Fnv1a fnv(kFnvLegacyBasis);
 
   const Catalog& catalog = backend.catalog();
   fnv.MixInt(catalog.num_tables());
@@ -137,7 +113,7 @@ AtomStore::~AtomStore() {
 }
 
 std::string AtomStore::SpillPath(const Key& key) const {
-  Fnv fnv;
+  Fnv1a fnv(kFnvLegacyBasis);
   fnv.MixU64(std::get<0>(key));
   fnv.MixBytes(std::get<1>(key));
   fnv.MixU64(std::get<2>(key));

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "util/str.h"
+
 namespace dbdesign {
 
 Json Json::Bool(bool b) {
@@ -373,6 +375,22 @@ std::string Json::Dump() const {
 
 Result<Json> Json::Parse(const std::string& text) {
   return Parser(text).Run();
+}
+
+Result<int> JsonInt(const Json& j, int lo, int hi, const char* what) {
+  if (!j.is_number()) {
+    return Status::ParseError(std::string(what) + " must be a number");
+  }
+  const double d = j.number();
+  if (!std::isfinite(d) || d != std::trunc(d)) {
+    return Status::ParseError(
+        StrFormat("%s must be an integer, got %g", what, d));
+  }
+  if (d < lo || d > hi) {
+    return Status::InvalidArgument(
+        StrFormat("%s %g out of range [%d, %d]", what, d, lo, hi));
+  }
+  return static_cast<int>(d);
 }
 
 }  // namespace dbdesign

@@ -1,13 +1,20 @@
 // Minimal JSON document model: parse, build, dump.
 //
-// Used by the TraceBackend to persist backend-call traces (catalog +
-// statistics snapshot + recorded cost calls) without external
-// dependencies. Numbers are IEEE doubles serialized with enough digits
-// (%.17g) to round-trip exactly; callers that need full int64 precision
-// encode those values as strings. Non-finite doubles (a cost call can
-// legitimately return +inf) have no JSON encoding, so Dump writes them
-// as tagged string sentinels ("__nonfinite:inf" etc.) that Parse
-// converts back to numbers — the whole document round-trips.
+// The one document model behind every persisted artifact: design
+// descriptors, constraints and session files (catalog/design_json,
+// core/constraints, core/session) and backend-call traces
+// (backend/trace_backend, which encodes its design and statistics
+// values through catalog/design_json). Numbers are IEEE doubles
+// serialized with enough digits (%.17g) to round-trip exactly; callers
+// that need full int64 precision encode those values as strings.
+// Non-finite doubles (a cost call can legitimately return +inf) have no
+// JSON encoding, so Dump writes them as tagged string sentinels
+// ("__nonfinite:inf" etc.) that Parse converts back to numbers — the
+// whole document round-trips.
+//
+// A number that becomes an id, a count, a cap, a width or a version is
+// read through JsonInt, which rejects non-integral, non-finite and
+// out-of-range values before any cast.
 
 #ifndef DBDESIGN_UTIL_JSON_H_
 #define DBDESIGN_UTIL_JSON_H_
@@ -82,6 +89,13 @@ class Json {
   std::vector<Json> array_;
   std::map<std::string, Json> object_;
 };
+
+/// Reads `j` as an int in [lo, hi]. Not a number, not finite or not
+/// integral is a ParseError; an integer outside [lo, hi] is
+/// InvalidArgument. Both checks run on the double before the cast, so
+/// no document reaches an out-of-range float-to-int conversion. `what`
+/// names the field in the error message ("table id").
+Result<int> JsonInt(const Json& j, int lo, int hi, const char* what);
 
 }  // namespace dbdesign
 

@@ -20,6 +20,7 @@
 #include "backend/trace_backend.h"
 #include "core/designer.h"
 #include "inum/inum.h"
+#include "malformed_json.h"
 #include "sql/binder.h"
 #include "whatif/whatif.h"
 #include "workload/queries.h"
@@ -173,7 +174,7 @@ TEST_F(BackendTest, TraceVersionIsValidated) {
   auto recorder = TraceBackend::Record(inner);
   std::string json = recorder->ToJson();
   // A trace from a future format revision must be rejected up front.
-  size_t pos = json.find("\"version\":1");
+  size_t pos = json.find("\"version\":2");
   ASSERT_NE(pos, std::string::npos);
   std::string future = json;
   future.replace(pos, 11, "\"version\":9");
@@ -184,6 +185,57 @@ TEST_F(BackendTest, TraceVersionIsValidated) {
   std::string none = json;
   none.replace(pos, 11, "\"versionx\":1");
   EXPECT_FALSE(TraceBackend::FromJson(none).ok());
+}
+
+TEST_F(BackendTest, TraceDecoderRejectsMalformedNumbers) {
+  InMemoryBackend inner(*db_);
+  auto recorder = TraceBackend::Record(inner);
+  const Json good = ParseJsonOrDie(recorder->ToJson());
+  ASSERT_TRUE(TraceBackend::FromJson(good.Dump()).ok());
+
+  // The snapshot design is decoded against the snapshot catalog.
+  for (const std::string& id : MalformedIds()) {
+    for (const std::string& text : DesignsWithId(id)) {
+      Json doc = good;
+      doc["design"] = ParseJsonOrDie(text);
+      EXPECT_FALSE(TraceBackend::FromJson(doc.Dump()).ok()) << text;
+    }
+  }
+  for (const std::string& text : MalformedInt64s()) {
+    Json doc = good;
+    doc["design"] = ParseJsonOrDie(DesignWithInt64Bound(text));
+    EXPECT_FALSE(TraceBackend::FromJson(doc.Dump()).ok()) << text;
+  }
+
+  for (const char* version : {"1e300", "2.5", "-1", R"("__nonfinite:nan")"}) {
+    Json doc = good;
+    doc["version"] = ParseJsonOrDie(version);
+    EXPECT_FALSE(TraceBackend::FromJson(doc.Dump()).ok()) << version;
+  }
+
+  // Catalog and statistics arrays: splice `text` over the first value
+  // that follows `tag` (up to `stop`) in the dumped trace.
+  const std::string dumped = good.Dump();
+  auto splice = [&](const std::string& tag, char stop,
+                    const std::string& text) {
+    const size_t at = dumped.find(tag);
+    EXPECT_NE(at, std::string::npos) << tag;
+    const size_t begin = at + tag.size();
+    std::string doc = dumped;
+    doc.replace(begin, doc.find(stop, begin) - begin, text);
+    return doc;
+  };
+  for (const std::string& width : MalformedIds()) {
+    EXPECT_FALSE(
+        TraceBackend::FromJson(splice(R"("avg_width":)", ',', width)).ok())
+        << width;
+  }
+  // Statistics values share the design codec's int64 check.
+  for (const std::string& text : MalformedInt64s()) {
+    EXPECT_FALSE(
+        TraceBackend::FromJson(splice(R"({"t":"i","v":")", '"', text)).ok())
+        << text;
+  }
 }
 
 TEST_F(BackendTest, TraceRecordBackendConformance) {

@@ -23,6 +23,7 @@
 
 #include "backend/inmemory_backend.h"
 #include "cophy/atom_codec.h"
+#include "cophy/cophy.h"
 #include "core/session.h"
 #include "server/atom_store.h"
 #include "server/server.h"
@@ -105,6 +106,20 @@ TEST(CacheFingerprintTest, HistogramInteriorChangesFingerprint) {
   // Determinism sanity: identical substrates fingerprint identically.
   StatsStubBackend a2 = MakeStatsStub({0, 10, 50, 100}, {});
   EXPECT_EQ(SchemaFingerprint(a), SchemaFingerprint(a2));
+}
+
+// The fingerprint keys the atom store and names spill files, so its
+// digest is pinned: a hashing refactor must leave it bit-identical.
+TEST(CacheFingerprintTest, DigestsArePinned) {
+  StatsStubBackend stub = MakeStatsStub({0, 10, 50, 100}, {{7, 0.25}});
+  EXPECT_EQ(SchemaFingerprint(stub), 0x8d5253502c901ca7ull);
+
+  std::vector<CandidateIndex> universe = {
+      {IndexDef{0, {1, 2}, false}, 12.5, 3},
+      {IndexDef{1, {0}, true}, 40.0, 1},
+      {IndexDef{2, {3, 1, 0}, false}, 0.75, 0}};
+  EXPECT_EQ(CandidateUniverseFingerprint(universe), 0x4d203d252e873693ull);
+  EXPECT_EQ(CandidateUniverseFingerprint({}), 0x14650fb0739d0383ull);
 }
 
 // Same shape for the MCV list: equal length, different member value or

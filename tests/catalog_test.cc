@@ -35,6 +35,21 @@ TEST(ValueTest, HashEqualValuesAgree) {
   EXPECT_NE(Value(int64_t{1}).Hash(), Value(int64_t{2}).Hash());
 }
 
+TEST(ValueTest, HashAgreesWithEqualityOnSignedZero) {
+  // -0.0 == 0.0, so a hash join must find the pair a nested-loop join
+  // finds.
+  ASSERT_EQ(Value(-0.0), Value(0.0));
+  EXPECT_EQ(Value(-0.0).Hash(), Value(0.0).Hash());
+}
+
+TEST(ValueTest, HashDigestsArePinned) {
+  // Query structural hashes (and so trace call keys) read these.
+  EXPECT_EQ(Value(std::string("photoobj")).Hash(), 0xfca03be16cd9199aull);
+  EXPECT_EQ(Value(std::string("")).Hash(), 0xd725c98e9509182eull);
+  EXPECT_EQ(Value(1.5).Hash(), 0x885dcc874e75b6f0ull);
+  EXPECT_EQ(Value(int64_t{42}).Hash(), 0x810879608e4259ccull);
+}
+
 TEST(SchemaTest, FindColumnAndWidth) {
   TableDef def("t", {{"a", DataType::kInt64, 8}, {"b", DataType::kDouble, 8}});
   EXPECT_EQ(def.FindColumn("b"), 1);

@@ -17,6 +17,7 @@
 #include "cophy/cophy.h"
 #include "cophy/greedy.h"
 #include "core/constraints.h"
+#include "malformed_json.h"
 #include "workload/queries.h"
 #include "workload/sdss.h"
 
@@ -213,6 +214,81 @@ TEST_F(ConstraintsTest, PhysicalDesignJsonRoundTrip) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), design);
   EXPECT_EQ(restored.value().Fingerprint(), design.Fingerprint());
+}
+
+// --- Decoder totality: malformed numbers never reach a cast ---
+
+TEST_F(ConstraintsTest, DesignDecoderRejectsMalformedIds) {
+  // Control: every template decodes with valid ids, so a rejection
+  // below is the malformed id's doing.
+  for (const std::string& text : DesignsWithId("0")) {
+    EXPECT_TRUE(
+        PhysicalDesignFromJson(ParseJsonOrDie(text), db_->catalog()).ok())
+        << text;
+  }
+  for (const std::string& id : MalformedIds()) {
+    for (const std::string& text : DesignsWithId(id)) {
+      Result<PhysicalDesign> r =
+          PhysicalDesignFromJson(ParseJsonOrDie(text), db_->catalog());
+      EXPECT_FALSE(r.ok()) << text;
+    }
+  }
+  // A fractional id is a parse error, not a truncated id.
+  Result<PhysicalDesign> frac = PhysicalDesignFromJson(
+      ParseJsonOrDie(DesignsWithId("0.9")[0]), db_->catalog());
+  ASSERT_FALSE(frac.ok());
+  EXPECT_EQ(frac.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(ConstraintsTest, DesignDecoderRejectsMalformedInt64) {
+  ASSERT_TRUE(PhysicalDesignFromJson(
+                  ParseJsonOrDie(DesignWithInt64Bound("-42")), db_->catalog())
+                  .ok());
+  for (const std::string& text : MalformedInt64s()) {
+    Result<PhysicalDesign> r = PhysicalDesignFromJson(
+        ParseJsonOrDie(DesignWithInt64Bound(text)), db_->catalog());
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
+}
+
+TEST_F(ConstraintsTest, ConstraintDecoderRejectsMalformedNumbers) {
+  auto docs = [](const std::string& id) {
+    return std::vector<std::string>{
+        R"({"pinned":[{"table":)" + id + R"(,"columns":[0]}]})",
+        R"({"vetoed":[{"table":0,"columns":[)" + id + "]}]}",
+        R"({"vetoed_columns":[{"table":)" + id + R"(,"column":0}]})",
+        R"({"vetoed_columns":[{"table":0,"column":)" + id + "}]}",
+        R"({"table_caps":[{"table":)" + id + R"(,"cap":1}]})",
+        R"({"table_caps":[{"table":0,"cap":)" + id + "}]}",
+        R"({"partition_allowed":[)" + id + "]}",
+        R"({"partition_denied":[)" + id + "]}",
+    };
+  };
+  for (const std::string& text : docs("0")) {
+    EXPECT_TRUE(
+        DesignConstraints::FromJson(ParseJsonOrDie(text), db_->catalog()).ok())
+        << text;
+  }
+  for (const std::string& id : MalformedIds()) {
+    for (const std::string& text : docs(id)) {
+      EXPECT_FALSE(
+          DesignConstraints::FromJson(ParseJsonOrDie(text), db_->catalog())
+              .ok())
+          << text;
+    }
+  }
+  EXPECT_FALSE(DesignConstraints::FromJson(
+                   ParseJsonOrDie(R"({"table_caps":[{"table":0,"cap":1e300}]})"),
+                   db_->catalog())
+                   .ok());
+  // A NaN or negative-infinite budget is no budget at all.
+  for (const char* budget : {R"("__nonfinite:nan")", R"("__nonfinite:-inf")"}) {
+    std::string text = std::string(R"({"storage_budget_pages":)") + budget + "}";
+    EXPECT_FALSE(
+        DesignConstraints::FromJson(ParseJsonOrDie(text), db_->catalog()).ok())
+        << text;
+  }
 }
 
 // --- CoPhy under constraints ---

@@ -51,7 +51,7 @@ DesignerOptions ForceExactOptions() {
 /// Test decorator whose inner backend can be swapped mid-session:
 /// models a connection that goes down (and comes back) underneath a
 /// long-lived DesignSession.
-class FlipBackend final : public DbmsBackend {
+class FlipBackend : public DbmsBackend {
  public:
   explicit FlipBackend(DbmsBackend& target) : target_(&target) {}
   void SetTarget(DbmsBackend& target) { target_ = &target; }
@@ -101,6 +101,17 @@ class FlipBackend final : public DbmsBackend {
 
  private:
   DbmsBackend* target_;
+};
+
+/// An engine that sizes indexes its own way, as a port whose catalog
+/// reports real index sizes overrides EstimateIndexSize.
+class OwnSizeBackend final : public FlipBackend {
+ public:
+  using FlipBackend::FlipBackend;
+  static constexpr IndexSizeEstimate kSize{12345.0, 67.0, 3.0};
+  IndexSizeEstimate EstimateIndexSize(const IndexDef&) const override {
+    return kSize;
+  }
 };
 
 /// Everything the session loop produced in one run.
@@ -236,6 +247,18 @@ TEST_F(FaultTest, FaultFreeDecoratorsAreTransparent) {
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.giveups, 0u);
   EXPECT_EQ(stats.recoveries, 0u);
+}
+
+TEST_F(FaultTest, DecoratorsForwardEngineIndexSizes) {
+  InMemoryBackend inner(*db_);
+  OwnSizeBackend engine(inner);
+  FaultInjectingBackend fault(engine, FaultPlan::None());
+  ResilientBackend resilient(fault, RetryPolicy{});
+  IndexDef idx{0, {0}, false};
+  const double want = OwnSizeBackend::kSize.total_pages();
+  ASSERT_NE(inner.EstimateIndexSize(idx).total_pages(), want);
+  EXPECT_EQ(fault.EstimateIndexSize(idx).total_pages(), want);
+  EXPECT_EQ(resilient.EstimateIndexSize(idx).total_pages(), want);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,6 +121,48 @@ TEST(JsonTest, ParseErrorsAreStatuses) {
   EXPECT_EQ(Json::Parse("{").status().code(), StatusCode::kParseError);
 }
 
+TEST(JsonTest, JsonIntAcceptsIntegersInRange) {
+  for (int v : {-3, 0, 7}) {
+    Result<int> r = JsonInt(Json::Number(v), -3, 7, "id");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), v);
+  }
+  Result<int> big = JsonInt(Json::Number(2147483647.0), 0,
+                            std::numeric_limits<int>::max(), "id");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big.value(), std::numeric_limits<int>::max());
+}
+
+TEST(JsonTest, JsonIntRejectsBeforeAnyCast) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {0.9, 2.7, -0.5, 1e300, -1e300, inf, -inf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    Result<int> r = JsonInt(Json::Number(d), std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max(), "id");
+    EXPECT_FALSE(r.ok()) << d;
+  }
+  EXPECT_EQ(JsonInt(Json::Number(0.9), 0, 9, "id").status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(JsonInt(Json::Str("1"), 0, 9, "id").status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(JsonInt(Json::Null(), 0, 9, "id").status().code(),
+            StatusCode::kParseError);
+  // Integral but out of range: the caller's bounds, not a parse error.
+  EXPECT_EQ(JsonInt(Json::Number(-1), 0, 9, "id").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonInt(Json::Number(10), 0, 9, "id").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonInt(Json::Number(2147483648.0), 0,
+                    std::numeric_limits<int>::max(), "id")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The non-finite sentinel parses to a number that is still rejected.
+  Result<Json> nan = Json::Parse(R"("__nonfinite:nan")");
+  ASSERT_TRUE(nan.ok());
+  EXPECT_FALSE(JsonInt(nan.value(), 0, 9, "id").ok());
+}
+
 TEST(JsonTest, ParsesUnicodeEscapes) {
   auto r = Json::Parse(R"("aAé")");
   ASSERT_TRUE(r.ok());

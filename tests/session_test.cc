@@ -11,6 +11,7 @@
 #include "backend/inmemory_backend.h"
 #include "cophy/cophy.h"
 #include "core/session.h"
+#include "malformed_json.h"
 #include "sql/binder.h"
 #include "workload/queries.h"
 #include "workload/sdss.h"
@@ -1047,6 +1048,62 @@ TEST_F(SessionTest, SessionJsonRoundTrip) {
   auto again = resumed.Recommend();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().indexes, rec.value().indexes);
+}
+
+TEST_F(SessionTest, LoadRejectsMalformedNumbers) {
+  session_->SetWorkload(
+      GenerateWorkload(*db_, TemplateMix::PhaseSelections(), 4, 3));
+  ASSERT_TRUE(session_->CreateIndex(RaIndex()).ok());
+  const Json good = session_->ToJson();
+  const std::string design_fp = session_->design().Fingerprint();
+
+  // A rejected load leaves the session as it was.
+  auto expect_rejected = [&](const Json& doc, const std::string& what) {
+    InMemoryBackend backend(*db_);
+    Designer designer(backend);
+    DesignSession resumed(designer);
+    EXPECT_FALSE(resumed.LoadFromJson(doc).ok()) << what;
+    EXPECT_FALSE(session_->LoadFromJson(doc).ok()) << what;
+    EXPECT_EQ(session_->design().Fingerprint(), design_fp) << what;
+  };
+
+  std::vector<std::pair<std::string, std::string>> bad;  // member, text
+  for (const std::string& id : MalformedIds()) {
+    for (const std::string& d : DesignsWithId(id)) bad.push_back({"design", d});
+    bad.push_back({"constraints",
+                   R"({"pinned":[{"table":)" + id + R"(,"columns":[0]}]})"});
+    bad.push_back({"constraints",
+                   R"({"table_caps":[{"table":0,"cap":)" + id + "}]}"});
+  }
+  bad.push_back({"constraints", R"({"table_caps":[{"table":0,"cap":1e300}]})"});
+  for (const std::string& text : MalformedInt64s()) {
+    bad.push_back({"design", DesignWithInt64Bound(text)});
+  }
+  for (const auto& [member, text] : bad) {
+    Json doc = good;
+    doc[member] = ParseJsonOrDie(text);
+    expect_rejected(doc, text);
+  }
+
+  // Query weights must be finite and non-negative.
+  for (const char* weight : {"-1", R"("__nonfinite:nan")",
+                             R"("__nonfinite:inf")"}) {
+    Json doc = good;
+    Json weights = Json::Array();
+    for (size_t i = 0; i < session_->workload().size(); ++i) {
+      weights.Append(i == 0 ? ParseJsonOrDie(weight) : Json::Number(1.0));
+    }
+    doc["workload"]["weights"] = std::move(weights);
+    InMemoryBackend backend(*db_);
+    Designer designer(backend);
+    DesignSession resumed(designer);
+    Status st = resumed.LoadFromJson(doc);
+    ASSERT_FALSE(st.ok()) << weight;
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+  }
+
+  // The unmodified document still loads.
+  EXPECT_TRUE(session_->LoadFromJson(good).ok());
 }
 
 TEST_F(SessionTest, SessionFileRoundTrip) {

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "util/bitset64.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -148,6 +149,23 @@ TEST(RngTest, ShufflePreservesMultiset) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+// Published FNV-1a 64 test vectors: fault selection and backoff jitter
+// hash call keys with the plain digest, so it must stay the standard
+// one.
+TEST(HashTest, Fnv1aStandardVectors) {
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(HashTest, MixBytesIsLengthPrefixed) {
+  EXPECT_EQ(Fnv1a().MixBytes("foobar").digest(),
+            Fnv1a().MixU64(6).MixRaw("foobar").digest());
+  EXPECT_NE(Fnv1a().MixBytes("ab").MixBytes("c").digest(),
+            Fnv1a().MixBytes("a").MixBytes("bc").digest());
+  EXPECT_EQ(Fnv1a().MixRaw("ab").MixRaw("c").digest(), Fnv1a64("abc"));
 }
 
 TEST(Bitset64Test, BasicOps) {

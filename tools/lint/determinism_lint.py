@@ -69,6 +69,19 @@ C++ sources and flags exactly those hazards:
                         memoized prices (InumCostModel::BindSubsets),
                         so CoPhy atoms, INUM reuse, DoI rows and
                         schedules all see the same numbers.
+  hand-rolled-hash      the FNV-1a offset basis or prime (hex or
+                        decimal, including the truncated decimal seed
+                        kFnvLegacyBasis) outside util/hash.h.  Fnv1a is
+                        the one hash: its digests key persisted atoms,
+                        spill files, solver signatures and fault
+                        schedules, so a second copy is a second place
+                        for them to drift.
+  unchecked-json-int    static_cast<T>(... .number()) to a non-floating
+                        type outside util/json.*.  Casting a JSON double
+                        to an integer truncates 0.9 to 0 and is
+                        undefined behaviour for 1e300 or NaN; read ids,
+                        counts, caps, widths and versions through
+                        JsonInt, which rejects them first.
 
 Escape hatch: a finding's line may carry
 
@@ -113,6 +126,10 @@ RULES = {
     "leaf-pricing":
         "access-path or leaf costing outside optimizer/ and inum/ (INUM is "
         "the one leaf-pricing authority)",
+    "hand-rolled-hash":
+        "FNV-1a constants outside util/hash.h (Fnv1a is the one hash)",
+    "unchecked-json-int":
+        "JSON number cast to an integer outside util/json (use JsonInt)",
 }
 
 CPP_EXTENSIONS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -126,6 +143,8 @@ DATABASE_REF_FILES = ("backend/inmemory_backend.h",)
 HEADER_EXTENSIONS = (".h", ".hpp")
 LRU_EXEMPT = ("util/budgeted_lru.h",)
 LEAF_PRICING_DIRS = ("optimizer/", "inum/")
+HASH_EXEMPT = ("util/hash.h",)
+JSON_INT_EXEMPT = ("util/json.h", "util/json.cc")
 
 NOLINT_RE = re.compile(r"//\s*NOLINT\(determinism\)(?::\s*(\S.*))?")
 
@@ -172,6 +191,13 @@ LRU_NAME_RE = re.compile(r"\b(?:[A-Za-z0-9]+_)*lru(?:_[A-Za-z0-9]+)*_?\b")
 LEAF_PRICING_RE = re.compile(
     r"\b(?:CatalogPathProvider|CostIndexLeaf|CostSeqLeaf|"
     r"CostIndexParamLookup)\b")
+
+FNV_CONSTANT_RE = re.compile(
+    r"\b(?:0x0*cbf29ce484222325|0x0*100000001b3|14695981039346656037|"
+    r"1469598103934665603|1099511628211)[uUlL]*\b", re.IGNORECASE)
+UNCHECKED_JSON_INT_RE = re.compile(
+    r"\bstatic_cast\s*<\s*(?!(?:const\s+)?(?:double|float)\s*>)[^>]+>\s*"
+    r"\([^;]*\bnumber\s*\(\s*\)")
 
 
 class Finding:
@@ -358,6 +384,17 @@ def lint_file(path, findings):
                    "leaf costing outside optimizer/ and inum/: read INUM's "
                    "memoized prices (InumCostModel::BindSubsets) so every "
                    "design tool prices a leaf the same way")
+        if (FNV_CONSTANT_RE.search(line) and
+                not path_matches(path, HASH_EXEMPT)):
+            report(lineno, "hand-rolled-hash",
+                   "FNV-1a constant outside util/hash.h: hash through "
+                   "Fnv1a / Fnv1a64 so every digest comes from one mix")
+        if (UNCHECKED_JSON_INT_RE.search(line) and
+                not path_matches(path, JSON_INT_EXEMPT)):
+            report(lineno, "unchecked-json-int",
+                   "JSON number cast to an integer: read it with JsonInt, "
+                   "which rejects fractional, non-finite and out-of-range "
+                   "values before the cast")
 
     # --- Unordered iteration feeding an ordered sink ---
     WINDOW = 8

@@ -77,6 +77,8 @@ def main():
     # --- Clean corpora: zero findings. ---
     for name in ("clean.cc", os.path.join("storage", "clean.h"),
                  os.path.join("util", "budgeted_lru.h"),
+                 os.path.join("util", "hash.h"),
+                 os.path.join("util", "json.cc"),
                  os.path.join("inum", "leaf_prices.cc"),
                  os.path.join("optimizer", "access_paths.cc")):
         rc, findings = run_linter(os.path.join(TESTDATA, name))
@@ -94,7 +96,7 @@ def main():
     for rule in ("unordered-iteration", "unsanctioned-random", "wall-clock",
                  "pointer-keyed-order", "unannotated-mutex", "bare-assert",
                  "unsanctioned-retry", "legacy-api", "hand-rolled-lru",
-                 "leaf-pricing"):
+                 "leaf-pricing", "hand-rolled-hash", "unchecked-json-int"):
         if rule not in proc.stdout:
             failures.append(f"--list-rules output is missing '{rule}'")
 

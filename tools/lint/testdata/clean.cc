@@ -79,6 +79,19 @@ class RowCache {
   uint64_t evicted_ = 0;
 };
 
+// JSON integers go through the checked reader; doubles need no check.
+Result<IndexDef> IndexFromJson(const Json& j) {
+  IndexDef idx;
+  Result<int> table = JsonInt(*j.Find("table"), 0, 7, "table id");
+  if (!table.ok()) return table.status();
+  idx.table = table.value();
+  idx.weight = static_cast<double>(j.Find("weight")->number());
+  return idx;
+}
+
+// Hashing through the one FNV-1a.
+uint64_t HashKey(const std::string& key) { return Fnv1a64(key); }
+
 // Always-on invariant instead of a bare assert.
 int Half(int x) {
   DBD_CHECK_EQ(x % 2, 0);

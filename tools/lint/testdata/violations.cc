@@ -113,6 +113,28 @@ std::vector<CoPhyAtom> BuildAtoms(const PlannerContext& ctx, int s,
   return {};
 }
 
+// hand-rolled-hash: a private FNV-1a copy instead of util/hash.h.
+uint64_t HashKey(const std::string& key) {
+  uint64_t h = 0xcbf29ce484222325ULL;  // VIOLATION hand-rolled-hash
+  for (unsigned char c : key) {
+    h ^= c;
+    h *= 0x100000001b3ULL;  // VIOLATION hand-rolled-hash
+  }
+  return h;
+}
+uint64_t LegacySeed() { return 1469598103934665603ull; }  // VIOLATION hand-rolled-hash
+uint64_t DecimalPrime() { return 1099511628211ull; }  // VIOLATION hand-rolled-hash
+
+// unchecked-json-int: JSON numbers cast straight to integers.
+IndexDef IndexFromJson(const Json& j) {
+  IndexDef idx;
+  idx.table = static_cast<TableId>(j.Find("table")->number());  // VIOLATION unchecked-json-int
+  for (const Json& c : j.Find("columns")->items()) {
+    idx.columns.push_back(static_cast<ColumnId>(c.number()));  // VIOLATION unchecked-json-int
+  }
+  return idx;
+}
+
 // NOLINT without a justification is itself a finding.
 int PickOther(int n) {
   return rand() % n;  // NOLINT(determinism)

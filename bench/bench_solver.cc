@@ -28,8 +28,9 @@
 // the monolithic solve of the same universe. extra.node_cold_solves
 // records, per op, the B&B node LPs that could not reoptimize from their
 // parent's tableau by dual simplex and were solved from scratch.
-// extra.solver records, per op, the simplex pivots (lp_pivots) and the
-// root LPs whose warm basis gave no verdict and were solved cold
+// extra.solver records, per op, the simplex pivots (lp_pivots), the B&B
+// nodes whose dual simplex stopped at the incumbent (nodes_cut_off) and
+// the root LPs whose warm basis gave no verdict and were solved cold
 // (root_warm_fallbacks). Both failure counts must be 0 on every op
 // (DBD_CHECK-enforced).
 
@@ -106,10 +107,12 @@ void RunSolverScaling(JsonReporter& reporter) {
 
   Json cold_solves = Json::Object();
   Json pivots = Json::Object();
+  Json cut_off = Json::Object();
   Json warm_fallbacks = Json::Object();
   auto record_counts = [&](const std::string& op, const SolveRow& row) {
     cold_solves[op] = Json::Number(row.rec.node_cold_solves);
     pivots[op] = Json::Number(row.rec.lp_pivots);
+    cut_off[op] = Json::Number(row.rec.nodes_cut_off);
     warm_fallbacks[op] = Json::Number(row.rec.root_warm_fallbacks);
     DBD_CHECK_EQ(row.rec.node_cold_solves, 0);
     DBD_CHECK_EQ(row.rec.root_warm_fallbacks, 0);
@@ -146,7 +149,9 @@ void RunSolverScaling(JsonReporter& reporter) {
     std::printf("%-10d | %12.2f %12.2f %14.3f | %8.1fx %8.1fx\n", n, mono.ms,
                 decomp.ms, warm.ms, speedup, warm_speedup);
 
-    std::string suffix = "_" + std::to_string(n);
+    // Appended: GCC 12 reports a false -Wrestrict on "_" + to_string at -O3.
+    std::string suffix = "_";
+    suffix += std::to_string(n);
     reporter.Report("monolithic" + suffix, mono.ms, 1.0);
     reporter.Report("decomposed" + suffix, decomp.ms, speedup);
     reporter.Report("decomposed_warm" + suffix, warm.ms, warm_speedup);
@@ -158,6 +163,7 @@ void RunSolverScaling(JsonReporter& reporter) {
   reporter.Extra("node_cold_solves", std::move(cold_solves));
   Json solver = Json::Object();
   solver["lp_pivots"] = std::move(pivots);
+  solver["nodes_cut_off"] = std::move(cut_off);
   solver["root_warm_fallbacks"] = std::move(warm_fallbacks);
   reporter.Extra("solver", std::move(solver));
   std::printf("\nall decomposed optima bit-identical to monolithic, no B&B "

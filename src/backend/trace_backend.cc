@@ -1,6 +1,7 @@
 #include "backend/trace_backend.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -14,8 +15,8 @@ namespace dbdesign {
 namespace {
 
 // Version 2: design and statistics values use the catalog/design_json
-// encoding.
-constexpr int kTraceVersion = 2;
+// encoding. Version 3: the engine's index sizes are recorded.
+constexpr int kTraceVersion = 3;
 
 std::string KnobsKey(const PlannerKnobs& k) {
   std::string s(8, '0');
@@ -88,6 +89,38 @@ Result<ColumnStats> ColumnStatsFromJson(const Json& j) {
   return c;
 }
 
+Json IndexSizeToJson(const IndexDef& index, const IndexSizeEstimate& size) {
+  Json j = Json::Object();
+  j["index"] = IndexDefToJson(index);
+  j["leaf_pages"] = Json::Number(size.leaf_pages);
+  j["internal_pages"] = Json::Number(size.internal_pages);
+  j["height"] = Json::Number(size.height);
+  return j;
+}
+
+/// One recorded index size; every member must be a finite, nonnegative
+/// number.
+Status IndexSizeFromJson(const Json& j, const Catalog& catalog,
+                         IndexDef* index, IndexSizeEstimate* size) {
+  const Json* def = j.Find("index");
+  if (def == nullptr) return Status::ParseError("index size entry lacks index");
+  Result<IndexDef> decoded = IndexDefFromJson(*def, catalog);
+  if (!decoded.ok()) return decoded.status();
+  *index = std::move(decoded).value();
+  for (auto [key, out] : {std::pair{"leaf_pages", &size->leaf_pages},
+                          std::pair{"internal_pages", &size->internal_pages},
+                          std::pair{"height", &size->height}}) {
+    const Json* v = j.Find(key);
+    if (v == nullptr || !v->is_number() || !std::isfinite(v->number()) ||
+        v->number() < 0.0) {
+      return Status::ParseError(std::string("index size ") + key +
+                                " must be a finite nonnegative number");
+    }
+    *out = v->number();
+  }
+  return Status::OK();
+}
+
 Result<DataType> DataTypeFromName(const std::string& name) {
   if (name == "int64") return DataType::kInt64;
   if (name == "double") return DataType::kDouble;
@@ -148,6 +181,22 @@ Status TraceBackend::RefreshStatistics(TableId table,
 
 PhysicalDesign TraceBackend::CurrentDesign() const {
   return recording() ? inner_->CurrentDesign() : design_;
+}
+
+IndexSizeEstimate TraceBackend::EstimateIndexSize(
+    const IndexDef& index) const {
+  if (recording()) {
+    IndexSizeEstimate size = inner_->EstimateIndexSize(index);
+    MutexLock lock(mu_);
+    index_sizes_[index] = size;
+    return size;
+  }
+  {
+    MutexLock lock(mu_);
+    auto it = index_sizes_.find(index);
+    if (it != index_sizes_.end()) return it->second;
+  }
+  return DbmsBackend::EstimateIndexSize(index);
 }
 
 uint64_t TraceBackend::num_optimizer_calls() const {
@@ -294,11 +343,16 @@ std::string TraceBackend::ToJson() const {
   root["design"] = PhysicalDesignToJson(CurrentDesign());
 
   Json calls = Json::Object();
+  Json sizes = Json::Array();
   {
     MutexLock lock(mu_);
     for (const auto& [key, cost] : costs_) calls[key] = Json::Number(cost);
+    for (const auto& [index, size] : index_sizes_) {
+      sizes.Append(IndexSizeToJson(index, size));
+    }
   }
   root["cost_calls"] = std::move(calls);
+  root["index_sizes"] = std::move(sizes);
 
   return root.Dump();
 }
@@ -419,6 +473,19 @@ Result<std::unique_ptr<TraceBackend>> TraceBackend::FromJson(
                                   " must be a number");
       }
       t->costs_[key] = value.number();
+    }
+  }
+
+  if (const Json* sizes = root.Find("index_sizes")) {
+    if (!sizes->is_array()) {
+      return Status::ParseError("trace index_sizes must be an array");
+    }
+    for (const Json& entry : sizes->items()) {
+      IndexDef index;
+      IndexSizeEstimate size;
+      Status st = IndexSizeFromJson(entry, t->catalog_, &index, &size);
+      if (!st.ok()) return st;
+      t->index_sizes_[index] = size;
     }
   }
 

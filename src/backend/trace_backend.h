@@ -3,16 +3,19 @@
 // Record mode wraps another backend, forwards every call, and captures
 // (a) a snapshot of the engine surface — catalog, statistics, cost
 // parameters, materialized design — and (b) every cost call keyed by
-// (query structural hash, design fingerprint, join knobs). The trace
-// serializes to JSON, format version 2: the design snapshot and every
-// statistics value go through catalog/design_json, the one design
-// codec, so the snapshot design's ids are range-checked against the
-// snapshot catalog as it is decoded. A trace of any other version is
-// rejected; re-record it.
+// (query structural hash, design fingerprint, join knobs), and (c) the
+// engine's answer to every EstimateIndexSize call, so a port whose
+// engine sizes its own indexes replays those sizes rather than the
+// catalog formula's. The trace serializes to JSON, format version 3:
+// the design snapshot, every statistics value and every sized index go
+// through catalog/design_json, the one design codec, so their ids are
+// range-checked against the snapshot catalog as they are decoded. A
+// trace of any other version is rejected; re-record it.
 //
 // Replay mode reconstructs the snapshot from JSON and answers cost
-// calls from the recorded map — no engine, no storage, no optimizer
-// round-trips. Tests and benches run against traces, and a trace from a
+// calls and index sizes from the recorded maps — no engine, no storage,
+// no optimizer round-trips. An index the recording never sized is sized
+// by the catalog formula over the snapshot statistics. Tests and benches run against traces, and a trace from a
 // real DBMS is the first artifact of a port: once the designer behaves
 // identically on the trace, only this one implementation file remains.
 //
@@ -82,6 +85,7 @@ class TraceBackend final : public DbmsBackend {
   Result<std::vector<double>> CostBatch(std::span<const BoundQuery> queries,
                                         const PhysicalDesign& design,
                                         const PlannerKnobs& knobs) override;
+  IndexSizeEstimate EstimateIndexSize(const IndexDef& index) const override;
   JoinControlCapabilities join_control() const override { return caps_; }
   uint64_t num_optimizer_calls() const override;
   void ResetCallCount() override;
@@ -101,9 +105,12 @@ class TraceBackend final : public DbmsBackend {
   Catalog catalog_;                  // replay-mode snapshot
   std::vector<TableStats> stats_;    // replay-mode snapshot
   PhysicalDesign design_;            // materialized design at capture
-  /// Guards costs_ and calls_ against concurrent cost calls.
+  /// Guards costs_, index_sizes_ and calls_ against concurrent calls.
   mutable Mutex mu_;
   std::map<std::string, double> costs_ DBD_GUARDED_BY(mu_);
+  /// Recorded by the const EstimateIndexSize, hence mutable.
+  mutable std::map<IndexDef, IndexSizeEstimate> index_sizes_
+      DBD_GUARDED_BY(mu_);
   uint64_t calls_ DBD_GUARDED_BY(mu_) = 0;
 };
 

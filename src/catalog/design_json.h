@@ -3,9 +3,9 @@
 //
 // Used by the constraint system (core/constraints), the session
 // save/resume path (core/session) and backend-call traces
-// (backend/trace_backend, whose design snapshot and statistics values
-// go through ValueToJson / PhysicalDesignToJson; trace format version
-// 2). A DBA's pins, vetoes, snapshots and the current hypothetical
+// (backend/trace_backend, whose design snapshot, statistics values and
+// sized indexes go through ValueToJson / PhysicalDesignToJson /
+// IndexDefToJson; trace format version 3). A DBA's pins, vetoes, snapshots and the current hypothetical
 // design all survive a process restart as a single JSON document.
 //
 // Decoding is total: every table/column id goes through JsonInt with

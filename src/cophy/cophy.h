@@ -100,6 +100,9 @@ struct IndexRecommendation {
   size_t num_variables = 0;    ///< BIP columns, summed over the BIPs
   size_t num_constraints = 0;  ///< BIP rows, summed over the BIPs
   int lp_pivots = 0;           ///< simplex pivots
+  /// B&B nodes whose dual simplex stopped at the incumbent (see
+  /// BnbResult::nodes_cut_off).
+  int nodes_cut_off = 0;
   /// B&B node LPs solved from scratch because the dual simplex could not
   /// reoptimize them from the parent (see BnbResult::node_cold_solves).
   int node_cold_solves = 0;

@@ -344,13 +344,19 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
       lp = root;
     } else {
       // Copy the parent's tableau, fix the branching variable and
-      // reoptimize by dual simplex.
+      // reoptimize by dual simplex. The cutoff is the prune test below
+      // moved into the reduced space: a node whose dual bound reaches it
+      // would be pruned at its optimum, so its dual simplex stops there.
       Tableau t = *node.tableau;
       node.tableau.reset();
       int before = t.pivots();
       t.SetBounds(node.var, node.value, node.value);
-      LpStatus s = t.Reoptimize();
+      LpStatus s = t.Reoptimize(incumbent - 1e-12 - red.offset);
       result.lp_pivots += t.pivots() - before;
+      if (s == LpStatus::kCutoff) {
+        ++result.nodes_cut_off;
+        continue;
+      }
       if (s == LpStatus::kIterLimit) {
         // Numerical give-up: solve this node from scratch under the same
         // bounds.
@@ -396,10 +402,10 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
   }
   result.solve_time_sec = Now() - t0;
   DBD_LOG_DEBUG(StrFormat(
-      "B&B: %d nodes, %d pivots, %d cold nodes, %d root warm fallbacks, "
-      "obj=%.3f bound=%.3f gap=%.4f",
-      result.nodes_explored, result.lp_pivots, result.node_cold_solves,
-      result.root_warm_fallbacks,
+      "B&B: %d nodes (%d cut off), %d pivots, %d cold nodes, "
+      "%d root warm fallbacks, obj=%.3f bound=%.3f gap=%.4f",
+      result.nodes_explored, result.nodes_cut_off, result.lp_pivots,
+      result.node_cold_solves, result.root_warm_fallbacks,
       result.objective, result.lower_bound, result.gap()));
   return result;
 }

@@ -17,7 +17,8 @@
 // is built from scratch: each child copies its parent's final tableau,
 // fixes the branching variable (lower = upper = 0 or 1) and reoptimizes
 // by dual simplex, typically in a few pivots. A dual ray proves the
-// child infeasible.
+// child infeasible, and a child whose dual bound reaches the incumbent
+// stops reoptimizing there: it would be pruned at its optimum anyway.
 
 #ifndef DBDESIGN_SOLVER_BNB_H_
 #define DBDESIGN_SOLVER_BNB_H_
@@ -87,6 +88,9 @@ struct BnbResult {
   int nodes_explored = 0;
   double solve_time_sec = 0.0;
   int lp_pivots = 0;               ///< simplex pivots across all nodes
+  /// Nodes whose dual simplex stopped once their bound reached the
+  /// incumbent (LpStatus::kCutoff); each is pruned as if solved.
+  int nodes_cut_off = 0;
   /// Node LPs that could not reoptimize from the parent's tableau (the
   /// dual simplex gave up, a numerical failure) and were solved from
   /// scratch instead.

@@ -22,6 +22,18 @@ constexpr double kPrimalTol = 1e-7;
 /// The smallest |entry| the crash will pivot on.
 constexpr double kCrashPivotTol = 1e-7;
 
+/// How far, relative to the objective's scale, the dual bound must pass
+/// the cutoff before the dual simplex stops. The bound is exact only in
+/// exact arithmetic: its sum carries round-off, the optimum a caller
+/// sees is taken over values clamped to their bounds, and the primal
+/// mop-up pass can lower it through reduced costs that round-off left
+/// slightly dual infeasible. The margin keeps the stop on the safe side
+/// of that drift. It can only make a node stop later than it might,
+/// never stop one whose reported optimum falls below the cutoff, so a
+/// caller that prunes on `optimum >= cutoff` prunes the same nodes with
+/// or without a cutoff.
+constexpr double kCutoffMargin = 1e-9;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 LpRelation Flipped(LpRelation rel) {
@@ -343,9 +355,10 @@ LpStatus Tableau::Primal() {
   return LpStatus::kIterLimit;
 }
 
-LpStatus Tableau::Dual() {
+LpStatus Tableau::Dual(double cutoff) {
   Column col;
   const double eps = options_.eps;
+  const bool check_cutoff = cutoff < kInf;
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     // Leaving row: the largest bound violation (lowest row on ties); under
     // the anti-cycling fallback, the violated basic column of lowest index.
@@ -369,6 +382,14 @@ LpStatus Tableau::Dual() {
       }
     }
     if (leave < 0) return LpStatus::kOptimal;
+    if (check_cutoff) {
+      double magnitude = 0.0;
+      double bound = BasicObjective(&magnitude);
+      if (bound >= cutoff + kCutoffMargin * (1.0 + std::abs(cutoff) +
+                                             magnitude)) {
+        return LpStatus::kCutoff;
+      }
+    }
 
     // Entering column: the dual ratio test over the leaving row. Moving
     // nonbasic x_j along its feasible direction changes the leaving value
@@ -524,7 +545,8 @@ LpStatus Tableau::SolveWarm(const LpBasis& basis) {
   ComputeReducedCosts(cost_);
   if (PrimalFeasible()) return Primal();
   bool shifted = MakeDualFeasible();
-  LpStatus s = Dual();
+  // No cutoff: under shifted costs the objective is no bound.
+  LpStatus s = Dual(kInf);
   if (s != LpStatus::kOptimal) return s;  // a dual ray needs no costs
   if (shifted) ComputeReducedCosts(cost_);
   return Primal();
@@ -546,8 +568,8 @@ void Tableau::SetBounds(int var, double lo, double up) {
   ShiftBasics(var, NonbasicValue(var) - before);
 }
 
-LpStatus Tableau::Reoptimize() {
-  LpStatus s = Dual();
+LpStatus Tableau::Reoptimize(double cutoff) {
+  LpStatus s = Dual(cutoff);
   if (s != LpStatus::kOptimal) return s;
   return Primal();
 }
@@ -574,6 +596,29 @@ double Tableau::Objective() const {
   for (int j = 0; j < n_struct_; ++j) {
     obj += cost_[static_cast<size_t>(j)] * values[static_cast<size_t>(j)];
   }
+  return obj;
+}
+
+double Tableau::BasicObjective(double* magnitude) const {
+  // Only structural columns carry a cost.
+  double obj = 0.0;
+  double scale = 0.0;
+  auto add = [&](double c, double x) {
+    obj += c * x;
+    scale += std::abs(c * x);
+  };
+  for (int j = 0; j < n_struct_; ++j) {
+    if (state_[static_cast<size_t>(j)] != kBasic) {
+      add(cost_[static_cast<size_t>(j)], NonbasicValue(j));
+    }
+  }
+  for (int r = 0; r < m_; ++r) {
+    int b = basis_[static_cast<size_t>(r)];
+    if (b < n_struct_) {
+      add(cost_[static_cast<size_t>(b)], beta_[static_cast<size_t>(r)]);
+    }
+  }
+  *magnitude = scale;
   return obj;
 }
 

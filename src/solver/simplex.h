@@ -45,7 +45,12 @@
 //    optimal tableau stays dual feasible when a bound moves, so the dual
 //    simplex restores primal feasibility in a few pivots. Branch and
 //    bound copies the parent's final tableau, fixes one variable and
-//    reoptimizes; a dual ray proves the child infeasible.
+//    reoptimizes; a dual ray proves the child infeasible. Under a dual
+//    feasible basis the objective of the current basic solution is a
+//    lower bound on the optimum, and each dual pivot only raises it, so
+//    Reoptimize takes an objective cutoff (the incumbent): once that
+//    bound reaches it, the node will be pruned whatever its optimum,
+//    and the dual simplex stops with kCutoff instead of pivoting on.
 //
 // Pricing and ratio-test ties break by lowest index, so every solve is
 // deterministic.
@@ -88,7 +93,9 @@ struct LpProblem {
   void AddConstraint(LpConstraint c) { constraints.push_back(std::move(c)); }
 };
 
-enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit };
+/// kCutoff comes only from Tableau::Reoptimize given a cutoff: the LP's
+/// optimum is at least that cutoff, or the LP is infeasible.
+enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit, kCutoff };
 
 /// A basis in problem-level terms, so it survives renumbering (the B&B
 /// presolve drops fixed columns) and row reordering. Canonical column
@@ -149,8 +156,13 @@ class Tableau {
   /// Dual simplex from a dual feasible basis (an optimal tableau after
   /// SetBounds), then a primal pass that mops up any dual infeasibility
   /// left by round-off. kInfeasible means the dual is unbounded;
-  /// kIterLimit means no verdict.
-  LpStatus Reoptimize();
+  /// kIterLimit means no verdict. kCutoff means the dual bound reached
+  /// `cutoff` before primal feasibility: the optimum is at least
+  /// `cutoff` (or the LP is infeasible), and the tableau is left
+  /// mid-solve. A run that never stops at the cutoff is the run without
+  /// one, pivot for pivot.
+  LpStatus Reoptimize(
+      double cutoff = std::numeric_limits<double>::infinity());
 
   /// Solution under `status`: values, objective, basis and pivots when
   /// optimal, just the status and pivots otherwise.
@@ -199,7 +211,13 @@ class Tableau {
   void ComputeReducedCosts(const std::vector<double>& cost);
   void PivotTo(int leave, int enter, double leave_value, const Column& col);
   LpStatus Primal();
-  LpStatus Dual();
+  /// Dual simplex; returns kCutoff once the dual bound reaches `cutoff`
+  /// (see Reoptimize).
+  LpStatus Dual(double cutoff);
+  /// c^T x of the current basic solution with basic values unclamped,
+  /// and in `*magnitude` the sum of |c_j x_j|, the scale of its
+  /// round-off.
+  double BasicObjective(double* magnitude) const;
   bool PrimalFeasible() const;
   bool MakeDualFeasible();
   void AddScaled(int r, const SparseRow& src, double f);

@@ -174,7 +174,7 @@ TEST_F(BackendTest, TraceVersionIsValidated) {
   auto recorder = TraceBackend::Record(inner);
   std::string json = recorder->ToJson();
   // A trace from a future format revision must be rejected up front.
-  size_t pos = json.find("\"version\":2");
+  size_t pos = json.find("\"version\":3");
   ASSERT_NE(pos, std::string::npos);
   std::string future = json;
   future.replace(pos, 11, "\"version\":9");

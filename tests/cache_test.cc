@@ -35,6 +35,15 @@
 namespace dbdesign {
 namespace {
 
+// "k" + std::to_string(i) built by appends: GCC 12 reports a false
+// -Wrestrict on the operator+ form at -O3.
+template <typename Int>
+std::string Numbered(const char* prefix, Int i) {
+  std::string key = prefix;
+  key += std::to_string(i);
+  return key;
+}
+
 // --- SchemaFingerprint regression: histogram / MCV contents ---
 
 // Minimal stats-only backend: SchemaFingerprint reads catalog(),
@@ -489,7 +498,7 @@ TEST(BudgetedLruTest, EntryLargerThanBudgetEvictsItself) {
 // is still in the cache (the atom store writes its spill file there).
 TEST(BudgetedLruTest, OnEvictSeesVictimsInLruOrderBeforeRemoval) {
   StringLru lru(25);
-  for (int i = 0; i < 5; ++i) lru.Put("k" + std::to_string(i), i, 10);
+  for (int i = 0; i < 5; ++i) lru.Put(Numbered("k", i), i, 10);
   lru.Find("k1");  // recency: k0, k2, k3, k4, k1
 
   std::vector<std::pair<std::string, int>> seen;
@@ -509,7 +518,7 @@ TEST(BudgetedLruTest, OnEvictSeesVictimsInLruOrderBeforeRemoval) {
 
 TEST(BudgetedLruTest, EraseIfAndClearKeepBytesConsistent) {
   StringLru lru;
-  for (int i = 0; i < 6; ++i) lru.Put("k" + std::to_string(i), i, 1u + i);
+  for (int i = 0; i < 6; ++i) lru.Put(Numbered("k", i), i, 1u + i);
   EXPECT_EQ(lru.bytes(), 21u);
 
   lru.EraseIf([](const std::string&, const int& v) { return v % 2 == 0; });
@@ -533,7 +542,7 @@ TEST(BudgetedLruTest, CallbacksSeeEachEntrysOwnKeyAfterReorders) {
   // from key order, and every callback must still see the key that goes
   // with its value.
   StringLru lru(40);
-  for (int i = 0; i < 6; ++i) lru.Put("k" + std::to_string(i), 10 * i, 10);
+  for (int i = 0; i < 6; ++i) lru.Put(Numbered("k", i), 10 * i, 10);
   lru.Put("k2", 99, 10);  // replace: k2 becomes most recent
   lru.Find("k0");         // recency: k1, k3, k4, k5, k2, k0
   EXPECT_TRUE(lru.Erase("k4"));
@@ -578,7 +587,7 @@ TEST(BudgetedLruTest, CopyKeepsRecencyAndMoveEmptiesTheSource) {
     return out;
   };
   StringLru lru(30);
-  for (int i = 0; i < 4; ++i) lru.Put("k" + std::to_string(i), i, 10);
+  for (int i = 0; i < 4; ++i) lru.Put(Numbered("k", i), i, 10);
   lru.Find("k1");  // recency: k0, k2, k3, k1
   const std::vector<std::string> order = {"k0", "k2", "k3", "k1"};
 
@@ -611,7 +620,7 @@ TEST(BudgetedLruTest, CopyKeepsRecencyAndMoveEmptiesTheSource) {
 TEST(BudgetedLruTest, ZeroBudgetNeverEvicts) {
   StringLru lru;
   for (int i = 0; i < 100; ++i) {
-    lru.Put("k" + std::to_string(i), i, 1000);
+    lru.Put(Numbered("k", i), i, 1000);
   }
   EXPECT_TRUE(EvictKeys(lru).empty());
   EXPECT_EQ(lru.size(), 100u);
@@ -679,8 +688,8 @@ std::vector<SessionResponse> RunServerSequence(
   for (int round = 0; round < 2; ++round) {
     for (size_t s = 0; s < workloads.size(); ++s) {
       std::string id =
-          "r" + std::to_string(round) + "-s" + std::to_string(s);
-      std::string schema = "schema" + std::to_string(s);
+          Numbered("r", round) + Numbered("-s", s);
+      std::string schema = Numbered("schema", s);
       EXPECT_TRUE(server.OpenSession(id, schema).ok());
       EXPECT_TRUE(server
                       .WithSession(id,
@@ -729,7 +738,7 @@ TEST_F(SpillDirTest, BoundedServerBitIdenticalToUnbounded) {
   bounded_options.spill_dir = dir_.string();
   TuningServer bounded(bounded_options);
   for (int s = 0; s < kSchemas; ++s) {
-    std::string schema = "schema" + std::to_string(s);
+    std::string schema = Numbered("schema", s);
     ASSERT_TRUE(unbounded.RegisterSchema(schema, *backends[s]).ok());
     ASSERT_TRUE(bounded.RegisterSchema(schema, *backends[s]).ok());
   }

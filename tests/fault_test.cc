@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "backend/inmemory_backend.h"
 #include "backend/resilient_backend.h"
 #include "backend/trace_backend.h"
+#include "catalog/design_json.h"
 #include "colt/colt.h"
 #include "cophy/greedy.h"
 #include "core/session.h"
@@ -259,6 +261,58 @@ TEST_F(FaultTest, DecoratorsForwardEngineIndexSizes) {
   ASSERT_NE(inner.EstimateIndexSize(idx).total_pages(), want);
   EXPECT_EQ(fault.EstimateIndexSize(idx).total_pages(), want);
   EXPECT_EQ(resilient.EstimateIndexSize(idx).total_pages(), want);
+}
+
+TEST_F(FaultTest, TraceRecordsAndReplaysEngineIndexSizes) {
+  InMemoryBackend inner(*db_);
+  OwnSizeBackend engine(inner);
+  auto recorder = TraceBackend::Record(engine);
+  IndexDef sized{0, {0}, false};
+  IndexDef unsized{0, {1}, false};
+  const IndexSizeEstimate want = OwnSizeBackend::kSize;
+  ASSERT_NE(inner.EstimateIndexSize(sized).total_pages(), want.total_pages());
+  EXPECT_EQ(recorder->EstimateIndexSize(sized).total_pages(),
+            want.total_pages());
+
+  auto replay = TraceBackend::FromJson(recorder->ToJson());
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  IndexSizeEstimate got = replay.value()->EstimateIndexSize(sized);
+  EXPECT_EQ(got.leaf_pages, want.leaf_pages);
+  EXPECT_EQ(got.internal_pages, want.internal_pages);
+  EXPECT_EQ(got.height, want.height);
+  // An index the recording never sized gets the catalog formula.
+  EXPECT_EQ(replay.value()->EstimateIndexSize(unsized).total_pages(),
+            inner.EstimateIndexSize(unsized).total_pages());
+
+  // A recorded size decodes only with a valid index and finite,
+  // nonnegative numbers.
+  Result<Json> good = Json::Parse(recorder->ToJson());
+  ASSERT_TRUE(good.ok());
+  auto entry = [&](Json index, Json leaf) {
+    Json e = Json::Object();
+    e["index"] = std::move(index);
+    e["leaf_pages"] = std::move(leaf);
+    e["internal_pages"] = Json::Number(1.0);
+    e["height"] = Json::Number(1.0);
+    Json sizes = Json::Array();
+    sizes.Append(std::move(e));
+    Json root = good.value();
+    root["index_sizes"] = std::move(sizes);
+    return root.Dump();
+  };
+  ASSERT_TRUE(
+      TraceBackend::FromJson(entry(IndexDefToJson(sized), Json::Number(2.0)))
+          .ok());
+  IndexDef bad_table{99, {0}, false};
+  EXPECT_FALSE(TraceBackend::FromJson(
+                   entry(IndexDefToJson(bad_table), Json::Number(2.0)))
+                   .ok());
+  for (Json leaf : {Json::Number(-1.0), Json::Str("2"),
+                    Json::Number(std::numeric_limits<double>::infinity()),
+                    Json::Number(std::nan(""))}) {
+    EXPECT_FALSE(
+        TraceBackend::FromJson(entry(IndexDefToJson(sized), leaf)).ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

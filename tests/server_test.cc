@@ -27,6 +27,15 @@
 namespace dbdesign {
 namespace {
 
+// "k" + std::to_string(i) built by appends: GCC 12 reports a false
+// -Wrestrict on the operator+ form at -O3.
+template <typename Int>
+std::string Numbered(const char* prefix, Int i) {
+  std::string key = prefix;
+  key += std::to_string(i);
+  return key;
+}
+
 Database SmallDb(int rows = 1200, uint64_t seed = 31) {
   SdssConfig cfg;
   cfg.photoobj_rows = rows;
@@ -580,7 +589,7 @@ TEST(ServerTest, CloseDuringBatchIsSafe) {
   constexpr int kSessions = 8;
   std::vector<SessionRequest> requests;
   for (int i = 0; i < kSessions; ++i) {
-    std::string id = "s" + std::to_string(i);
+    std::string id = Numbered("s", i);
     ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
     SetSessionWorkload(server, id, w);
     requests.push_back({id, SessionOp::kRecommend, {}});
@@ -592,7 +601,7 @@ TEST(ServerTest, CloseDuringBatchIsSafe) {
   // Race opens/closes against the batch; entries resolved before a
   // close still serve their requests.
   for (int i = 0; i < kSessions; i += 2) {
-    ASSERT_TRUE(server.CloseSession("s" + std::to_string(i)).ok());
+    ASSERT_TRUE(server.CloseSession(Numbered("s", i)).ok());
   }
   ASSERT_TRUE(server.OpenSession("late", "sdss").ok());
   batch.join();
@@ -695,7 +704,7 @@ TEST(ServerTest, InlineClaimantDoesNotDeadlockABatch) {
     ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
     std::vector<SessionRequest> batch;
     for (int i = 0; i <= kBatch; ++i) {
-      std::string id = "s" + std::to_string(i);
+      std::string id = Numbered("s", i);
       ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
       SetSessionWorkload(server, id, w);
       if (i < kBatch) batch.push_back({id, SessionOp::kRecommend, {}});
@@ -703,7 +712,7 @@ TEST(ServerTest, InlineClaimantDoesNotDeadlockABatch) {
     std::vector<SessionResponse> lone;
     std::thread outside([&] {
       lone = server.RunBatch(
-          {{"s" + std::to_string(kBatch), SessionOp::kRecommend, {}}});
+          {{Numbered("s", kBatch), SessionOp::kRecommend, {}}});
     });
     std::vector<SessionResponse> out = server.RunBatch(batch);
     outside.join();
@@ -735,7 +744,7 @@ TEST(ServerTest, SessionAtomCountersAddUpToTheStore) {
     ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
     std::vector<SessionRequest> requests;
     for (int i = 0; i < sessions; ++i) {
-      std::string id = "s" + std::to_string(i);
+      std::string id = Numbered("s", i);
       ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
       SetSessionWorkload(server, id, w);
       requests.push_back({id, SessionOp::kRecommend, {}});
@@ -744,7 +753,7 @@ TEST(ServerTest, SessionAtomCountersAddUpToTheStore) {
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     }
     for (int i = 0; i < sessions; ++i) {
-      per->push_back(SessionStats(server, "s" + std::to_string(i)));
+      per->push_back(SessionStats(server, Numbered("s", i)));
     }
     *store = server.atom_store().stats();
   };
@@ -828,13 +837,13 @@ TEST(ServerTest, OverlappingKeysMatchSerialReplayAtAnyThreadCount) {
     EXPECT_TRUE(server.RegisterSchema("s2", be2).ok());
     std::vector<SessionRequest> requests;
     for (int i = 0; i < 9; ++i) {
-      std::string id = "t" + std::to_string(i);
+      std::string id = Numbered("t", i);
       EXPECT_TRUE(server.OpenSession(id, i < 6 ? "s1" : "s2").ok());
       SetSessionWorkload(server, id, i < 3 ? wa : i < 6 ? wb : wc);
       requests.push_back({id, SessionOp::kRecommend, {}});
     }
     for (int i = 0; i < 9; ++i) {
-      std::string id = "t" + std::to_string(i);
+      std::string id = Numbered("t", i);
       if (i % 3 == 1) requests.push_back({id, SessionOp::kRefine, budget});
       requests.push_back({id, SessionOp::kPlanDeployment, {}});
     }

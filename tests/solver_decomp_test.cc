@@ -440,5 +440,43 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
   }
 }
 
+TEST_F(DecompTest, DualCutoffKeepsTheSearchAndSavesPivots) {
+  // Monolithic B&B on two fixed synthetic instances under a binding
+  // budget. Nodes, optimum and chosen set are pinned at the numbers the
+  // solver produced before node LPs stopped at the incumbent; only the
+  // pivot count may move, and it must fall below its old value.
+  struct Case {
+    double budget_fraction;
+    int nodes;
+    double cost;
+    std::vector<size_t> chosen;  ///< positions in prep.candidates
+    int old_pivots;
+  };
+  const Case cases[] = {
+      {0.05, 83, 0x1.9683cb4d7793fp+9, {2, 3, 14, 30, 43}, 1497},
+      {0.10, 133, 0x1.08a5a08a97625p+9, {2, 3, 14, 21, 36, 37, 44, 45}, 2553},
+  };
+  CoPhyPrepared prep = synthetic::MakeClusteredPrepared(*db_, 50);
+  for (const Case& c : cases) {
+    IndexRecommendation rec =
+        Solve(*db_, prep, DesignConstraints{}, CoPhySolveMode::kMonolithic,
+              TotalSize(prep) * c.budget_fraction, nullptr,
+              std::numeric_limits<double>::infinity());
+    std::vector<size_t> chosen;
+    for (const IndexDef& d : rec.indexes) {
+      for (size_t i = 0; i < prep.candidates.size(); ++i) {
+        if (prep.candidates[i].index == d) chosen.push_back(i);
+      }
+    }
+    std::sort(chosen.begin(), chosen.end());
+    EXPECT_TRUE(rec.proven_optimal) << c.budget_fraction;
+    EXPECT_EQ(rec.bnb_nodes, c.nodes) << c.budget_fraction;
+    EXPECT_EQ(rec.recommended_cost, c.cost) << c.budget_fraction;
+    EXPECT_EQ(chosen, c.chosen) << c.budget_fraction;
+    EXPECT_GT(rec.nodes_cut_off, 0) << c.budget_fraction;
+    EXPECT_LT(rec.lp_pivots, c.old_pivots) << c.budget_fraction;
+  }
+}
+
 }  // namespace
 }  // namespace dbdesign

@@ -87,24 +87,32 @@ TEST(SimplexTest, DegenerateProblemTerminates) {
   EXPECT_NEAR(s.objective, -0.05, 1e-6);
 }
 
+/// A random LP: 3-7 variables in [0, +inf) with costs in [-5, 5], and
+/// 2-6 dense <= rows with positive coefficients and rhs, so the origin
+/// is feasible and every variable is bounded by the rows.
+LpProblem RandomLeLp(Rng& rng) {
+  LpProblem p;
+  int n = 3 + static_cast<int>(rng.UniformInt(0, 4));
+  for (int i = 0; i < n; ++i) {
+    p.AddVariable(rng.UniformDouble(-5.0, 5.0));
+  }
+  int m = 2 + static_cast<int>(rng.UniformInt(0, 4));
+  for (int c = 0; c < m; ++c) {
+    LpConstraint con;
+    for (int i = 0; i < n; ++i) {
+      con.terms.emplace_back(i, rng.UniformDouble(0.1, 3.0));
+    }
+    con.rel = LpRelation::kLe;
+    con.rhs = rng.UniformDouble(1.0, 20.0);
+    p.AddConstraint(std::move(con));
+  }
+  return p;
+}
+
 TEST(SimplexTest, RandomLpsRespectConstraints) {
   Rng rng(99);
   for (int trial = 0; trial < 40; ++trial) {
-    LpProblem p;
-    int n = 3 + static_cast<int>(rng.UniformInt(0, 4));
-    for (int i = 0; i < n; ++i) {
-      p.AddVariable(rng.UniformDouble(-5.0, 5.0));
-    }
-    int m = 2 + static_cast<int>(rng.UniformInt(0, 4));
-    for (int c = 0; c < m; ++c) {
-      LpConstraint con;
-      for (int i = 0; i < n; ++i) {
-        con.terms.emplace_back(i, rng.UniformDouble(0.1, 3.0));
-      }
-      con.rel = LpRelation::kLe;
-      con.rhs = rng.UniformDouble(1.0, 20.0);
-      p.AddConstraint(std::move(con));
-    }
+    LpProblem p = RandomLeLp(rng);
     LpSolution s = SolveLp(p);
     // All-positive coefficients with positive rhs: always feasible (0)
     // and bounded below only if some c_i < 0 ... objective may push some
@@ -765,6 +773,69 @@ TEST(SimplexTest, DualSimplexReoptimizesAfterBoundChange) {
   Tableau grandchild = child;
   grandchild.SetBounds(y, 1.0, 1.0);
   EXPECT_EQ(grandchild.Reoptimize(), LpStatus::kInfeasible);
+}
+
+TEST(SimplexTest, CutoffStopsOnlyChildrenAtOrAboveIt) {
+  // Oracle for Reoptimize(cutoff): random LPs, random bound fixings, and
+  // cutoffs below, near and above each child's optimum, against the
+  // same child reoptimized without a cutoff. kCutoff may appear only
+  // when that child is infeasible or its optimum is at least the
+  // cutoff; any other run must be the uncut run, bit for bit. Odd
+  // trials round the costs to integers: ties in reduced costs make dual
+  // pivots that leave the bound where it was, so a bound one pivot
+  // short of the optimum can sit just below the cutoff.
+  Rng rng(99);
+  int cut = 0;
+  int kept = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    LpProblem p = RandomLeLp(rng);
+    if (trial % 2 == 1) {
+      for (double& c : p.objective) c = std::round(c);
+    }
+    LpStatus status;
+    Tableau root = Tableau::Solve(p, {}, nullptr, &status);
+    ASSERT_EQ(status, LpStatus::kOptimal) << "trial " << trial;
+
+    Tableau child = root;
+    int fixings = 1 + static_cast<int>(rng.UniformInt(0, 1));
+    for (int f = 0; f < fixings; ++f) {
+      int var = static_cast<int>(rng.UniformInt(0, p.num_vars - 1));
+      double value = static_cast<double>(rng.UniformInt(0, 4));
+      child.SetBounds(var, value, value);
+    }
+    Tableau uncut = child;
+    LpStatus uncut_status = uncut.Reoptimize();
+    ASSERT_NE(uncut_status, LpStatus::kIterLimit);
+    const bool feasible = uncut_status == LpStatus::kOptimal;
+    infeasible += feasible ? 0 : 1;
+    const double opt = feasible ? uncut.Objective() : 0.0;
+    const double scale = 1.0 + std::abs(opt);
+    for (double offset : {-1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-7, 1e-3, 1.0}) {
+      const double cutoff = opt + offset * scale;
+      Tableau t = child;
+      LpStatus s = t.Reoptimize(cutoff);
+      if (s == LpStatus::kCutoff) {
+        ++cut;
+        EXPECT_TRUE(!feasible || opt >= cutoff)
+            << "trial " << trial << " offset " << offset;
+        continue;
+      }
+      ++kept;
+      ASSERT_EQ(s, uncut_status) << "trial " << trial << " offset " << offset;
+      EXPECT_EQ(t.pivots(), uncut.pivots()) << "trial " << trial;
+      if (!feasible) continue;
+      EXPECT_EQ(t.Objective(), uncut.Objective()) << "trial " << trial;
+      EXPECT_EQ(t.Values(), uncut.Values()) << "trial " << trial;
+      EXPECT_EQ(t.Basis().basic, uncut.Basis().basic) << "trial " << trial;
+      EXPECT_EQ(t.Basis().at_upper, uncut.Basis().at_upper)
+          << "trial " << trial;
+    }
+  }
+  // Every branch of the oracle ran.
+  EXPECT_GT(cut, 0);
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 TEST(BnbTest, WarmStartReproducesColdSolve) {

@@ -4,8 +4,7 @@
 // The paper's designer is a few-second interactive tool for ONE DBA;
 // this bench measures what the TuningServer layer adds: many DBAs (or
 // many what-if tabs) tuning concurrently, where sessions on the same
-// schema share INUM populates through the reference-counted AtomStore
-// and cold backend traffic coalesces per schema.
+// schema share INUM populates through the reference-counted AtomStore.
 //
 // Phases (N sessions round-robin over 4 schema substrates):
 //   * cold fleet    — every session's first Recommend, concurrently.
@@ -19,9 +18,6 @@
 //     contention, never repopulation.
 //   * serial replay — the same fleet driven one session at a time on a
 //     fresh server must produce bit-identical recommendations.
-//   * coalescer     — a small force_exact fleet with sharing disabled,
-//     so concurrent sessions actually hit the backend seam; reports
-//     round-trips saved by group-commit.
 //
 // DBDESIGN_BENCH_SESSIONS overrides the fleet size (CI smoke uses a
 // reduced count); DBDESIGN_BENCH_ROWS caps substrate size as usual.
@@ -233,41 +229,6 @@ void RunServerBench(JsonReporter& reporter) {
   }
   std::printf("replay     : %d sessions bit-identical to serial\n", n);
 
-  // --- coalescer: concurrent backend traffic with sharing off ---
-  TuningServerOptions exact;
-  exact.designer.cophy.inum.force_exact = true;
-  exact.share_atoms = false;
-  TuningServer exact_server(exact);
-  Status st =
-      exact_server.RegisterSchema("schema0", *fleet.backends[0]);
-  CheckOk(st);
-  const int exact_n = 8;
-  std::vector<SessionRequest> requests;
-  for (int i = 0; i < exact_n; ++i) {
-    std::string id = "exact" + std::to_string(i);
-    st = exact_server.OpenSession(id, "schema0");
-    CheckOk(st);
-    st = exact_server.WithSession(id, [&](DesignSession& session) {
-      session.SetWorkload(fleet.workloads[0]);
-    });
-    CheckOk(st);
-    requests.push_back({id, SessionOp::kRecommend, {}});
-  }
-  t0 = NowMs();
-  std::vector<SessionResponse> responses = exact_server.RunBatch(requests);
-  double exact_wall = NowMs() - t0;
-  for (const SessionResponse& r : responses) {
-    CheckOk(r.status);
-  }
-  CoalescerStats cs = exact_server.stats().coalescer;
-  std::printf("coalescer  : %d force_exact sessions in %7.1f ms — %llu "
-              "calls -> %llu trips (%llu saved, max trip %llu queries)\n",
-              exact_n, exact_wall, static_cast<unsigned long long>(cs.calls),
-              static_cast<unsigned long long>(cs.round_trips),
-              static_cast<unsigned long long>(cs.trips_saved()),
-              static_cast<unsigned long long>(cs.max_trip_queries));
-  reporter.Report("coalescer_8_sessions_force_exact", exact_wall);
-
   Json extra = Json::Object();
   extra["sessions"] = Json::Number(n);
   extra["schemas"] = Json::Number(kSchemas);
@@ -280,11 +241,6 @@ void RunServerBench(JsonReporter& reporter) {
   extra["cold_wall_ms"] = Json::Number(cold_wall);
   extra["warm_wall_ms"] = Json::Number(warm_wall);
   extra["bit_identical_to_serial"] = Json::Bool(true);
-  extra["coalescer_calls"] = Json::Number(static_cast<double>(cs.calls));
-  extra["coalescer_round_trips"] =
-      Json::Number(static_cast<double>(cs.round_trips));
-  extra["coalescer_trips_saved"] =
-      Json::Number(static_cast<double>(cs.trips_saved()));
   reporter.Extra("server", std::move(extra));
 }
 

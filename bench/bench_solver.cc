@@ -19,6 +19,11 @@
 //   * decomposed_warm_N — veto of one recommended index, same cache:
 //                         only the dirtied cluster re-solves
 //
+// Those solves run under the universe's total size, so the budget never
+// binds. For N = 50 and 200 the sweep adds monolithic_N_budget_Fx and
+// decomposed_N_budget_Fx rows at F = 0.05 and 0.1 of that size, where
+// both paths branch and B&B nodes stop at the incumbent.
+//
 // Every decomposed result is DBD_CHECKed bit-identical to the
 // monolithic optimum of the same problem (the 1e-5/page tie-break makes
 // it unique); the sweep is a perf experiment riding on the differential
@@ -29,10 +34,10 @@
 // records, per op, the B&B node LPs that could not reoptimize from their
 // parent's tableau by dual simplex and were solved from scratch.
 // extra.solver records, per op, the simplex pivots (lp_pivots), the B&B
-// nodes whose dual simplex stopped at the incumbent (nodes_cut_off) and
-// the root LPs whose warm basis gave no verdict and were solved cold
-// (root_warm_fallbacks). Both failure counts must be 0 on every op
-// (DBD_CHECK-enforced).
+// nodes (bnb_nodes), the nodes whose dual simplex stopped at the
+// incumbent (nodes_cut_off) and the root LPs whose warm basis gave no
+// verdict and were solved cold (root_warm_fallbacks). Both failure
+// counts must be 0 on every op (DBD_CHECK-enforced).
 
 #include <algorithm>
 #include <cstdio>
@@ -107,11 +112,13 @@ void RunSolverScaling(JsonReporter& reporter) {
 
   Json cold_solves = Json::Object();
   Json pivots = Json::Object();
+  Json nodes = Json::Object();
   Json cut_off = Json::Object();
   Json warm_fallbacks = Json::Object();
   auto record_counts = [&](const std::string& op, const SolveRow& row) {
     cold_solves[op] = Json::Number(row.rec.node_cold_solves);
     pivots[op] = Json::Number(row.rec.lp_pivots);
+    nodes[op] = Json::Number(row.rec.bnb_nodes);
     cut_off[op] = Json::Number(row.rec.nodes_cut_off);
     warm_fallbacks[op] = Json::Number(row.rec.root_warm_fallbacks);
     DBD_CHECK_EQ(row.rec.node_cold_solves, 0);
@@ -160,9 +167,49 @@ void RunSolverScaling(JsonReporter& reporter) {
     record_counts("decomposed_warm" + suffix, warm);
     record_counts("monolithic_veto" + suffix, mono_veto);
   }
+
+  // Binding budgets: the sweep above admits every candidate, so no B&B
+  // node ever reaches the incumbent. Under a small fraction of the
+  // universe's size the budget row binds, both paths branch, and the
+  // dual-simplex cutoff has nodes to stop. n = 1000 is left out: there
+  // the monolithic solve stops at its node limit without a proof.
+  std::printf("\n%-10s %8s | %12s %12s | %10s %10s\n", "candidates",
+              "budget", "mono ms", "decomp ms", "mono nodes", "dec nodes");
+  struct BudgetRow {
+    double fraction;
+    const char* tag;
+  };
+  for (int n : {50, 200}) {
+    CoPhyPrepared prep = MakeClusteredPrepared(db, n);
+    for (BudgetRow row : {BudgetRow{0.05, "0.05x"}, BudgetRow{0.1, "0.1x"}}) {
+      double budget = TotalSize(prep) * row.fraction;
+      DesignConstraints cons;
+      CoPhySolverCache cache;
+      SolveRow mono =
+          Solve(db, prep, cons, CoPhySolveMode::kMonolithic, budget, nullptr);
+      SolveRow decomp =
+          Solve(db, prep, cons, CoPhySolveMode::kAuto, budget, &cache);
+      DBD_CHECK(!decomp.rec.solved_monolithic);
+      CheckIdentical(decomp.rec, mono.rec);
+      std::printf("%-10d %8s | %12.2f %12.2f | %10d %10d\n", n, row.tag,
+                  mono.ms, decomp.ms, mono.rec.bnb_nodes,
+                  decomp.rec.bnb_nodes);
+
+      std::string suffix = "_";
+      suffix += std::to_string(n);
+      suffix += "_budget_";
+      suffix += row.tag;
+      reporter.Report("monolithic" + suffix, mono.ms, 1.0);
+      reporter.Report("decomposed" + suffix, decomp.ms,
+                      mono.ms / std::max(0.001, decomp.ms));
+      record_counts("monolithic" + suffix, mono);
+      record_counts("decomposed" + suffix, decomp);
+    }
+  }
   reporter.Extra("node_cold_solves", std::move(cold_solves));
   Json solver = Json::Object();
   solver["lp_pivots"] = std::move(pivots);
+  solver["bnb_nodes"] = std::move(nodes);
   solver["nodes_cut_off"] = std::move(cut_off);
   solver["root_warm_fallbacks"] = std::move(warm_fallbacks);
   reporter.Extra("solver", std::move(solver));

@@ -27,9 +27,6 @@ Status TuningServer::RegisterSchema(const std::string& name,
   SchemaEntry& entry = schemas_[name];
   entry.backend = &backend;
   entry.fingerprint = SchemaFingerprint(backend);
-  if (options_.coalesce_backend_calls) {
-    entry.coalescer = std::make_unique<CostBatchCoalescer>(backend);
-  }
   DBD_LOG_INFO(StrFormat("server: registered schema '%s' (fingerprint %016llx)",
                          name.c_str(),
                          static_cast<unsigned long long>(entry.fingerprint)));
@@ -53,17 +50,14 @@ Status TuningServer::OpenSession(const std::string& session_id,
 
   auto entry = std::make_shared<SessionEntry>();
   entry->id = session_id;
-  entry->schema = schema;
   {
     MutexLock session_lock(entry->mu);
     entry->designer =
-        std::make_unique<Designer>(se.seam(), options_.designer);
+        std::make_unique<Designer>(*se.backend, options_.designer);
     entry->session = std::make_unique<DesignSession>(*entry->designer);
     entry->session->SetCacheBudget(options_.cache_budget);
-    if (options_.share_atoms) {
-      entry->atoms = std::make_unique<AtomStoreView>(&store_, se.fingerprint);
-      entry->session->SetAtomSource(entry->atoms.get());
-    }
+    entry->atoms = std::make_unique<AtomStoreView>(&store_, se.fingerprint);
+    entry->session->SetAtomSource(entry->atoms.get());
   }
   sessions_.emplace(session_id, std::move(entry));
   ++sessions_total_;
@@ -238,17 +232,6 @@ TuningServerStats TuningServer::stats() const {
   out.sessions_open = sessions_.size();
   out.sessions_total = sessions_total_;
   out.requests_served = requests_served_;
-  for (const auto& [name, schema] : schemas_) {
-    if (schema.coalescer == nullptr) continue;
-    CoalescerStats cs = schema.coalescer->stats();
-    out.coalescer.calls += cs.calls;
-    out.coalescer.queries_in += cs.queries_in;
-    out.coalescer.round_trips += cs.round_trips;
-    out.coalescer.coalesced_calls += cs.coalesced_calls;
-    out.coalescer.flushes += cs.flushes;
-    out.coalescer.max_trip_queries =
-        std::max(out.coalescer.max_trip_queries, cs.max_trip_queries);
-  }
   return out;
 }
 
@@ -260,8 +243,7 @@ Result<AtomStoreStats> TuningServer::SessionAtomStats(
   }
   SessionEntry& entry = *found;
   MutexLock lock(entry.mu);
-  return entry.atoms != nullptr ? entry.atoms->session_stats()
-                                : AtomStoreStats{};
+  return entry.atoms->session_stats();
 }
 
 Result<uint64_t> TuningServer::SessionSchemaFingerprint(
@@ -271,19 +253,8 @@ Result<uint64_t> TuningServer::SessionSchemaFingerprint(
     return Status::NotFound("unknown session '" + session_id + "'");
   }
   SessionEntry& entry = *found;
-  std::string schema;
-  {
-    MutexLock lock(entry.mu);
-    if (entry.atoms != nullptr) return entry.atoms->schema_fingerprint();
-    schema = entry.schema;
-  }
-  MutexLock lock(mu_);
-  auto it = schemas_.find(schema);
-  if (it == schemas_.end()) {
-    return Status::Internal("session '" + session_id +
-                            "' bound to unregistered schema '" + schema + "'");
-  }
-  return it->second.fingerprint;
+  MutexLock lock(entry.mu);
+  return entry.atoms->schema_fingerprint();
 }
 
 }  // namespace dbdesign

@@ -4,7 +4,7 @@
 // is the service layer that multiplexes many advisors. A TuningServer
 // owns a registry of named schemas (DbmsBackend seams) and of
 // DesignSessions keyed by session id, and schedules session requests
-// over the shared util/thread_pool. Three structural pieces make
+// over the shared util/thread_pool. Two structural pieces make
 // multi-tenancy cheap and safe:
 //
 //   * AtomStore (server/atom_store.h) — sessions tuning the same
@@ -25,18 +25,18 @@
 //     other's solves. A session builds each key it claims at once,
 //     with thread-pool calls run inline, and waits only while it holds
 //     no claim, so waits cannot form a cycle, nor wait on the pool.
-//   * CostBatchCoalescer (server/batcher.h) — per schema, concurrent
-//     cold sessions' backend cost calls coalesce into shared seam
-//     round-trips, layered above whatever resilience decorator the
-//     registered backend carries.
+//
+// Each session talks to its schema's registered backend directly; any
+// resilience or fault decorator is the registrant's to wrap, so the
+// backend must tolerate concurrent cost calls from many sessions.
 //
 // Determinism contract: each session's requests execute serially in
 // submission order under the session's own Mutex; every value a request
-// reads from shared state (atom rows and their plan sets, coalesced
-// costs) is bit-identical to what the session would have computed
-// alone. RunBatch results are therefore bit-identical to a serial
-// replay of the same requests at any thread count. Only counters (hit
-// rates, waits, coalescing stats) are timing-dependent.
+// reads from shared state (atom rows and their plan sets) is
+// bit-identical to what the session would have computed alone. RunBatch
+// results are therefore bit-identical to a serial replay of the same
+// requests at any thread count. Only counters (hit rates, waits) are
+// timing-dependent.
 
 #ifndef DBDESIGN_SERVER_SERVER_H_
 #define DBDESIGN_SERVER_SERVER_H_
@@ -52,7 +52,6 @@
 #include "core/designer.h"
 #include "core/session.h"
 #include "server/atom_store.h"
-#include "server/batcher.h"
 #include "util/cache_budget.h"
 #include "util/thread_annotations.h"
 
@@ -61,11 +60,6 @@ namespace dbdesign {
 struct TuningServerOptions {
   /// Per-session Designer configuration (cost model, CoPhy, DoI ...).
   DesignerOptions designer;
-  /// Cross-session atom sharing via the AtomStore. Off = every session
-  /// populates alone (results identical either way).
-  bool share_atoms = true;
-  /// Per-schema CostBatchCoalescer over the registered backend seam.
-  bool coalesce_backend_calls = true;
   /// Parallelism for RunBatch across sessions (0 = hardware).
   int num_threads = 0;
   /// Memory budget for every cache tier: atom_store_bytes bounds the
@@ -113,9 +107,14 @@ struct TuningServerStats {
   uint64_t sessions_open = 0;
   uint64_t sessions_total = 0;  ///< ever opened
   uint64_t requests_served = 0;
-  /// Summed coalescer counters across schemas (zeros when coalescing
-  /// is disabled).
-  CoalescerStats coalescer;
+  /// Retired: the server no longer coalesces backend cost calls, so
+  /// both fields are always 0. They stay only because the repository
+  /// benchmark still reports them as `server.coalescer_*`; the benchmark
+  /// change of ROADMAP item 1 deletes this struct with those metrics.
+  struct {
+    uint64_t calls = 0;
+    uint64_t round_trips = 0;
+  } coalescer;
 };
 
 class TuningServer {
@@ -129,7 +128,7 @@ class TuningServer {
   // --- Registry ---
   /// Registers a schema substrate under `name`. The backend must
   /// outlive the server; sessions opened on this schema talk to it
-  /// through the server's per-schema coalescer (when enabled).
+  /// directly and concurrently.
   Status RegisterSchema(const std::string& name, DbmsBackend& backend);
 
   /// Opens a session on a registered schema. Fails if the id is taken
@@ -174,13 +173,7 @@ class TuningServer {
  private:
   struct SchemaEntry {
     DbmsBackend* backend = nullptr;  ///< as registered (non-owning)
-    /// Coalescing seam sessions actually talk to (null when disabled).
-    std::unique_ptr<CostBatchCoalescer> coalescer;
     uint64_t fingerprint = 0;
-
-    DbmsBackend& seam() {
-      return coalescer != nullptr ? *coalescer : *backend;
-    }
   };
 
   /// One open session. `mu` serializes the session's requests; the
@@ -189,9 +182,8 @@ class TuningServer {
   /// nor opens/closes.
   struct SessionEntry {
     std::string id;
-    std::string schema;
     Mutex mu;
-    std::unique_ptr<AtomStoreView> atoms DBD_GUARDED_BY(mu);  // may be null
+    std::unique_ptr<AtomStoreView> atoms DBD_GUARDED_BY(mu);
     std::unique_ptr<Designer> designer DBD_GUARDED_BY(mu);
     std::unique_ptr<DesignSession> session DBD_GUARDED_BY(mu);
     uint64_t requests DBD_GUARDED_BY(mu) = 0;
@@ -209,8 +201,6 @@ class TuningServer {
   AtomStore store_;
 
   mutable Mutex mu_;
-  /// Declared before sessions_ so sessions (which reference schema
-  /// seams) are destroyed first on teardown.
   std::map<std::string, SchemaEntry> schemas_ DBD_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<SessionEntry>> sessions_
       DBD_GUARDED_BY(mu_);

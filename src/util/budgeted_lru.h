@@ -24,8 +24,11 @@ namespace dbdesign {
 template <typename K, typename V>
 class BudgetedLru {
  public:
-  /// A budget of 0 means unbounded: EvictToBudget never evicts.
-  explicit BudgetedLru(size_t budget_bytes = 0) : budget_(budget_bytes) {}
+  /// A budget of 0 means unbounded: EvictToBudget never evicts. The
+  /// default constructor is not explicit, so an aggregate holding a
+  /// cache can still be copy-list-initialized (`Owner{}`).
+  BudgetedLru() = default;
+  explicit BudgetedLru(size_t budget_bytes) : budget_(budget_bytes) {}
   // The entries and the recency list point at each other, so a copy
   // re-inserts every entry in recency order rather than sharing them.
   // A move keeps both node-based containers, and so every pointer.
@@ -169,7 +172,7 @@ class BudgetedLru {
     entries_.erase(it);
   }
 
-  size_t budget_;
+  size_t budget_ = 0;
   size_t bytes_ = 0;
   std::map<K, Entry> entries_;
   std::list<Slot*> order_;

@@ -617,6 +617,11 @@ TEST(BudgetedLruTest, CopyKeepsRecencyAndMoveEmptiesTheSource) {
   EXPECT_EQ(moved.bytes(), 0u);
 }
 
+// `CoPhySolverCache{}` copy-list-initializes its `proven` cache from
+// `{}`, which is ill-formed through an explicit constructor (GCC warns
+// under -Wall -Wextra): the default constructor must stay implicit.
+CoPhySolverCache FreshSolverCache() { return CoPhySolverCache{}; }
+
 TEST(BudgetedLruTest, ZeroBudgetNeverEvicts) {
   StringLru lru;
   for (int i = 0; i < 100; ++i) {
@@ -625,6 +630,14 @@ TEST(BudgetedLruTest, ZeroBudgetNeverEvicts) {
   EXPECT_TRUE(EvictKeys(lru).empty());
   EXPECT_EQ(lru.size(), 100u);
   EXPECT_EQ(lru.bytes(), 100000u);
+
+  // The same default, reached through an aggregate that holds a cache.
+  CoPhySolverCache cache = FreshSolverCache();
+  for (int i = 0; i < 3; ++i) {
+    cache.proven.Put({i, 7u}, CoPhySolverCache::Entry{}, 1u << 20);
+  }
+  EXPECT_EQ(cache.proven.EvictToBudget(), 0u);
+  EXPECT_EQ(cache.proven.size(), 3u);
 }
 
 // --- Differential: bounded == unbounded, bit for bit ---

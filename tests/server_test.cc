@@ -2,8 +2,9 @@
 // atom sharing over the shared store (pointer-identical rows, hit
 // counters), copy-on-write isolation (one session's Refine never
 // perturbs another's state or results), zero constraint leakage,
-// RunBatch bit-identical to a serial replay at any thread count,
-// coalescer result-transparency, and server-level degradation when a
+// RunBatch bit-identical to a serial replay at any thread count (also
+// with INUM forced through the backend seam, so concurrent sessions
+// call the backend at once), and server-level degradation when a
 // schema's backend goes bad underneath its sessions.
 
 #include <gtest/gtest.h>
@@ -389,12 +390,16 @@ TEST(ServerTest, ClusterPartitionIsPerSessionOverSharedRows) {
 
 // The batch scheduler is transparent: a mixed multi-session batch run
 // with full parallelism produces bit-identical responses to the same
-// batch on a serial (num_threads = 1) server.
+// batch on a serial (num_threads = 1) server. With INUM forced exact,
+// every session's costs come from the registered backend, which
+// concurrent sessions then call at the same time.
 TEST(ServerTest, RunBatchMatchesSerialReplay) {
-  auto build = [](int num_threads, std::vector<SessionResponse>& out,
-                  Database& db1, Database& db2) {
+  auto build = [](int num_threads, bool force_exact,
+                  std::vector<SessionResponse>& out, Database& db1,
+                  Database& db2) {
     TuningServerOptions opts;
     opts.num_threads = num_threads;
+    opts.designer.cophy.inum.force_exact = force_exact;
     InMemoryBackend be1(db1);
     InMemoryBackend be2(db2);
     TuningServer server(opts);
@@ -429,77 +434,40 @@ TEST(ServerTest, RunBatchMatchesSerialReplay) {
         {"d", SessionOp::kRefine, budget},
     };
     out = server.RunBatch(requests);
+    if (force_exact) {
+      EXPECT_GT(be1.num_optimizer_calls(), 0u);
+      EXPECT_GT(be2.num_optimizer_calls(), 0u);
+    }
   };
 
-  std::vector<SessionResponse> parallel_out;
-  std::vector<SessionResponse> serial_out;
-  {
-    Database db1 = SmallDb(1200, 31);
-    Database db2 = SmallDb(900, 77);
-    build(/*num_threads=*/0, parallel_out, db1, db2);
-  }
-  {
-    Database db1 = SmallDb(1200, 31);
-    Database db2 = SmallDb(900, 77);
-    build(/*num_threads=*/1, serial_out, db1, db2);
-  }
+  for (bool force_exact : {false, true}) {
+    SCOPED_TRACE(force_exact ? "force_exact" : "inum");
+    std::vector<SessionResponse> parallel_out;
+    std::vector<SessionResponse> serial_out;
+    {
+      Database db1 = SmallDb(1200, 31);
+      Database db2 = SmallDb(900, 77);
+      build(/*num_threads=*/0, force_exact, parallel_out, db1, db2);
+    }
+    {
+      Database db1 = SmallDb(1200, 31);
+      Database db2 = SmallDb(900, 77);
+      build(/*num_threads=*/1, force_exact, serial_out, db1, db2);
+    }
 
-  ASSERT_EQ(parallel_out.size(), serial_out.size());
-  for (size_t i = 0; i < parallel_out.size(); ++i) {
-    SCOPED_TRACE(i);
-    ExpectSameResponse(parallel_out[i], serial_out[i]);
-  }
-  // The unknown session fails honestly; everything else succeeds.
-  EXPECT_EQ(parallel_out[9].status.code(), StatusCode::kNotFound);
-  for (size_t i = 0; i < parallel_out.size(); ++i) {
-    if (i != 9) {
-      EXPECT_TRUE(parallel_out[i].status.ok()) << i;
+    ASSERT_EQ(parallel_out.size(), serial_out.size());
+    for (size_t i = 0; i < parallel_out.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameResponse(parallel_out[i], serial_out[i]);
+    }
+    // The unknown session fails honestly; everything else succeeds.
+    EXPECT_EQ(parallel_out[9].status.code(), StatusCode::kNotFound);
+    for (size_t i = 0; i < parallel_out.size(); ++i) {
+      if (i != 9) {
+        EXPECT_TRUE(parallel_out[i].status.ok()) << i;
+      }
     }
   }
-}
-
-// The coalescer is result-transparent: with INUM forced through the
-// backend seam, concurrent cold sessions produce the same answers with
-// coalescing on and off, and coalescing actually sees traffic.
-TEST(ServerTest, CoalescerPreservesResults) {
-  auto run = [](bool coalesce, std::vector<SessionResponse>& out,
-                CoalescerStats& stats) {
-    Database db = SmallDb(800, 13);
-    InMemoryBackend backend(db);
-    TuningServerOptions opts;
-    opts.designer.cophy.inum.force_exact = true;
-    opts.coalesce_backend_calls = coalesce;
-    TuningServer server(opts);
-    ASSERT_TRUE(server.RegisterSchema("sdss", backend).ok());
-
-    Workload w = SmallWorkload(db, 5, 3);
-    const char* ids[] = {"a", "b", "c", "d"};
-    std::vector<SessionRequest> requests;
-    for (const char* id : ids) {
-      ASSERT_TRUE(server.OpenSession(id, "sdss").ok());
-      SetSessionWorkload(server, id, w);
-      requests.push_back({id, SessionOp::kRecommend, {}});
-    }
-    out = server.RunBatch(requests);
-    stats = server.stats().coalescer;
-  };
-
-  std::vector<SessionResponse> with;
-  std::vector<SessionResponse> without;
-  CoalescerStats stats_with;
-  CoalescerStats stats_without;
-  run(true, with, stats_with);
-  run(false, without, stats_without);
-
-  ASSERT_EQ(with.size(), without.size());
-  for (size_t i = 0; i < with.size(); ++i) {
-    SCOPED_TRACE(i);
-    ASSERT_TRUE(with[i].status.ok()) << with[i].status.ToString();
-    ExpectSameResponse(with[i], without[i]);
-  }
-  EXPECT_GT(stats_with.calls, 0u);
-  EXPECT_LE(stats_with.round_trips, stats_with.calls);
-  EXPECT_EQ(stats_without.calls, 0u) << "disabled coalescer must see nothing";
 }
 
 // Server-level degradation: one schema's backend failing terminally

@@ -438,6 +438,26 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
     expect_no_cold_lp(warm, n, "decomposed_warm");
     expect_no_cold_lp(mono_veto, n, "monolithic_veto");
   }
+  // The sweep's binding-budget rows: at 0.05x and 0.1x of the universe's
+  // size both paths branch, and they must still agree bit for bit.
+  for (int n : {50, 200}) {
+    CoPhyPrepared prep = synthetic::MakeClusteredPrepared(*db_, n);
+    for (double fraction : {0.05, 0.1}) {
+      SCOPED_TRACE(fraction);
+      double budget = TotalSize(prep) * fraction;
+      CoPhySolverCache cache;
+      IndexRecommendation mono =
+          Solve(*db_, prep, DesignConstraints{}, CoPhySolveMode::kMonolithic,
+                budget, nullptr, kNoTimeLimit);
+      IndexRecommendation decomp =
+          Solve(*db_, prep, DesignConstraints{}, CoPhySolveMode::kAuto,
+                budget, &cache, kNoTimeLimit);
+      EXPECT_FALSE(decomp.solved_monolithic) << n;
+      ExpectBitIdentical(decomp, mono);
+      expect_no_cold_lp(mono, n, "monolithic");
+      expect_no_cold_lp(decomp, n, "decomposed");
+    }
+  }
 }
 
 TEST_F(DecompTest, DualCutoffKeepsTheSearchAndSavesPivots) {

@@ -35,9 +35,10 @@
 // parent's tableau by dual simplex and were solved from scratch.
 // extra.solver records, per op, the simplex pivots (lp_pivots), the B&B
 // nodes (bnb_nodes), the nodes whose dual simplex stopped at the
-// incumbent (nodes_cut_off) and the root LPs whose warm basis gave no
-// verdict and were solved cold (root_warm_fallbacks). Both failure
-// counts must be 0 on every op (DBD_CHECK-enforced).
+// incumbent (nodes_cut_off), the binaries fixed by reduced cost against
+// the incumbent (vars_fixed_by_reduced_cost) and the root LPs whose warm
+// basis gave no verdict and were solved cold (root_warm_fallbacks). Both
+// failure counts must be 0 on every op (DBD_CHECK-enforced).
 
 #include <algorithm>
 #include <cstdio>
@@ -114,12 +115,14 @@ void RunSolverScaling(JsonReporter& reporter) {
   Json pivots = Json::Object();
   Json nodes = Json::Object();
   Json cut_off = Json::Object();
+  Json fixed = Json::Object();
   Json warm_fallbacks = Json::Object();
   auto record_counts = [&](const std::string& op, const SolveRow& row) {
     cold_solves[op] = Json::Number(row.rec.node_cold_solves);
     pivots[op] = Json::Number(row.rec.lp_pivots);
     nodes[op] = Json::Number(row.rec.bnb_nodes);
     cut_off[op] = Json::Number(row.rec.nodes_cut_off);
+    fixed[op] = Json::Number(row.rec.vars_fixed_by_reduced_cost);
     warm_fallbacks[op] = Json::Number(row.rec.root_warm_fallbacks);
     DBD_CHECK_EQ(row.rec.node_cold_solves, 0);
     DBD_CHECK_EQ(row.rec.root_warm_fallbacks, 0);
@@ -211,6 +214,7 @@ void RunSolverScaling(JsonReporter& reporter) {
   solver["lp_pivots"] = std::move(pivots);
   solver["bnb_nodes"] = std::move(nodes);
   solver["nodes_cut_off"] = std::move(cut_off);
+  solver["vars_fixed_by_reduced_cost"] = std::move(fixed);
   solver["root_warm_fallbacks"] = std::move(warm_fallbacks);
   reporter.Extra("solver", std::move(solver));
   std::printf("\nall decomposed optima bit-identical to monolithic, no B&B "

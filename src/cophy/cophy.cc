@@ -822,6 +822,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
     rec.bnb_nodes += out.bnb.nodes_explored;
     rec.lp_pivots += out.bnb.lp_pivots;
     rec.nodes_cut_off += out.bnb.nodes_cut_off;
+    rec.vars_fixed_by_reduced_cost += out.bnb.vars_fixed_by_reduced_cost;
     rec.node_cold_solves += out.bnb.node_cold_solves;
     rec.root_warm_fallbacks += out.bnb.root_warm_fallbacks;
     rec.solve_time_sec += out.bnb.solve_time_sec;
@@ -1306,12 +1307,13 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
 
   DBD_LOG_INFO(StrFormat(
       "CoPhy: %zu candidates, %zu atoms, %zu vars, %zu rows -> %zu indexes, "
-      "cost %.1f -> %.1f (gap %.4f, %d nodes, %d cut off, %d pivots, "
-      "%zu pins, %zu infeasible; %d clusters: %d solved, %d reused%s)",
+      "cost %.1f -> %.1f (gap %.4f, %d nodes, %d cut off, %d vars fixed by "
+      "reduced cost, %d pivots, %zu pins, %zu infeasible; %d clusters: %d "
+      "solved, %d reused%s)",
       rec.num_candidates, rec.num_atoms, rec.num_variables,
       rec.num_constraints, rec.indexes.size(), rec.base_cost,
       rec.recommended_cost, rec.gap, rec.bnb_nodes, rec.nodes_cut_off,
-      rec.lp_pivots,
+      rec.vars_fixed_by_reduced_cost, rec.lp_pivots,
       admitted_pins.size(), rec.infeasible_pins.size(), rec.num_clusters,
       rec.clusters_solved, rec.clusters_reused,
       rec.solved_monolithic ? ", monolithic" : ""));

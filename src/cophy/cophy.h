@@ -103,6 +103,9 @@ struct IndexRecommendation {
   /// B&B nodes whose dual simplex stopped at the incumbent (see
   /// BnbResult::nodes_cut_off).
   int nodes_cut_off = 0;
+  /// Binaries the B&B fixed by reduced cost against the incumbent (see
+  /// BnbResult::vars_fixed_by_reduced_cost).
+  int vars_fixed_by_reduced_cost = 0;
   /// B&B node LPs solved from scratch because the dual simplex could not
   /// reoptimize them from the parent (see BnbResult::node_cold_solves).
   int node_cold_solves = 0;

@@ -20,21 +20,57 @@ struct Node {
   /// whose LP is already solved.
   int var = -1;
   double value = 0.0;
+  /// Creation order: among equal bounds the earlier node pops first.
+  int seq = 0;
   /// The parent's final tableau, shared by both children and released
-  /// once both have been popped (the root node holds its own).
-  std::shared_ptr<const Tableau> tableau;
+  /// once both have been popped (the root node holds its own). Only a
+  /// node's own search writes it, before its children share it.
+  std::shared_ptr<Tableau> tableau;
 
   bool operator<(const Node& other) const {
-    return bound > other.bound;  // min-heap by bound (best-first)
+    // std::priority_queue pops its greatest: least bound, then least seq.
+    if (bound != other.bound) return bound > other.bound;
+    return seq > other.seq;
   }
 };
 
 double Now() {
   using namespace std::chrono;
   return duration_cast<duration<double>>(
-             steady_clock::now()  // NOLINT(determinism): time-limit knob only; on timeout the solver reports the incumbent as non-optimal rather than changing it
+             steady_clock::now()  // NOLINT(determinism): solve_time_sec telemetry only; no search decision reads the clock
                  .time_since_epoch())
       .count();
+}
+
+/// Reduced-cost fixing's safety margin (see bnb.h): a binary is fixed
+/// only when its bound clears the incumbent by this much.
+double FixingMargin(double incumbent, double z) {
+  return 1e-9 * (1.0 + std::abs(incumbent) + std::abs(z));
+}
+
+/// A binary column's reduced-cost test at one LP: moving the column off
+/// its current bound `value` costs at least `gain` over the LP's
+/// objective.
+struct FixCandidate {
+  int col;
+  double value;
+  double gain;
+};
+
+/// The binaries of `t` (columns in `cols`, bounds still [0, 1]) that sit
+/// nonbasic at a bound, each with the cost of leaving it.
+std::vector<FixCandidate> FixCandidates(const Tableau& t,
+                                        const std::vector<int>& cols) {
+  std::vector<FixCandidate> out;
+  for (int j : cols) {
+    if (t.lower(j) != 0.0 || t.upper(j) != 1.0) continue;
+    if (t.at_lower(j)) {
+      out.push_back({j, 0.0, t.reduced_cost(j)});
+    } else if (t.at_upper(j)) {
+      out.push_back({j, 1.0, -t.reduced_cost(j)});
+    }
+  }
+  return out;
 }
 
 /// The root presolve: the problem with the root fixings substituted
@@ -232,13 +268,44 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
   double incumbent = std::numeric_limits<double>::infinity();
   std::vector<double> incumbent_values;
 
+  // Root reduced-cost fixing (see bnb.h). root_candidates are the root
+  // LP's binaries at a bound, retested against every new incumbent;
+  // rc_fix holds each reduced column's fixed value (-1 = free) and
+  // rc_fixings the fixings in the order they were made.
+  std::vector<int> binary_cols;
+  for (int b : problem.binary_vars) {
+    int col = red.old_to_new[static_cast<size_t>(b)];
+    if (col >= 0) binary_cols.push_back(col);
+  }
+  double root_objective = 0.0;
+  std::vector<FixCandidate> root_candidates;
+  std::vector<signed char> rc_fix(static_cast<size_t>(num_red), -1);
+  std::vector<std::pair<int, double>> rc_fixings;
+  // Whether an LP with objective z rules out leaving a bound at `gain`.
+  auto fixes = [&](double z, double gain) {
+    return z + gain >= incumbent + FixingMargin(incumbent, z);
+  };
+  auto fix_at_root = [&] {
+    for (const FixCandidate& c : root_candidates) {
+      signed char& f = rc_fix[static_cast<size_t>(c.col)];
+      if (f >= 0 || !fixes(root_objective, c.gain)) continue;
+      f = static_cast<signed char>(c.value);
+      rc_fixings.emplace_back(c.col, c.value);
+      ++result.vars_fixed_by_reduced_cost;
+    }
+  };
+  auto improve = [&](double obj, std::vector<double> values) {
+    incumbent = obj;
+    incumbent_values = std::move(values);
+    fix_at_root();
+  };
+
   auto try_heuristic = [&](const std::vector<double>& lp_values) {
     if (!heuristic) return;
     std::vector<double> values;
     double obj = 0.0;
     if (heuristic(lp_values, &values, &obj) && obj < incumbent - 1e-12) {
-      incumbent = obj;
-      incumbent_values = std::move(values);
+      improve(obj, std::move(values));
     }
   };
 
@@ -264,7 +331,7 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
   LpBasis warm_basis;
   if (warm != nullptr) warm_basis = to_reduced(warm->basis);
   LpStatus root_status;
-  auto root_tableau = std::make_shared<const Tableau>(Tableau::Solve(
+  auto root_tableau = std::make_shared<Tableau>(Tableau::Solve(
       red.lp, options.simplex, warm_basis.empty() ? nullptr : &warm_basis,
       &root_status));
   result.lp_pivots += root_tableau->pivots();
@@ -282,10 +349,27 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
   NodeLp root = expand(*root_tableau);
   result.lower_bound = root.objective;
   result.root_basis = to_original(root_tableau->Basis());
+  root_objective = root.objective;
+  root_candidates = FixCandidates(*root_tableau, binary_cols);
+  fix_at_root();  // against the warm incumbent, if any
   try_heuristic(root.values);
 
+  // Root fixings onto a child's tableau; false if one contradicts the
+  // child's bounds, so that its subtree cannot beat the incumbent.
+  auto apply_root_fixings = [&](Tableau& t) {
+    for (auto [j, v] : rc_fixings) {
+      if (t.lower(j) != t.upper(j)) {
+        t.SetBounds(j, v, v);
+      } else if (t.lower(j) != v) {
+        return false;
+      }
+    }
+    return true;
+  };
+
   std::priority_queue<Node> open;
-  open.push(Node{root.objective, -1, 0.0, root_tableau});
+  int next_seq = 0;
+  open.push(Node{root.objective, -1, 0.0, next_seq++, root_tableau});
   root_tableau.reset();
 
   // Most-fractional branching: pick the binary farthest from an integer.
@@ -315,7 +399,6 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
       break;
     }
     if (result.nodes_explored >= options.max_nodes) break;
-    if (Now() - t0 > options.time_limit_sec) break;
 
     Node node = open.top();
     open.pop();
@@ -336,21 +419,32 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
       break;  // good enough per the caller's time/quality knob
     }
 
-    ++result.nodes_explored;
-    std::shared_ptr<const Tableau> solved;
+    std::shared_ptr<Tableau> solved;
     NodeLp lp;
     if (node.var < 0) {
+      ++result.nodes_explored;
       solved = std::move(node.tableau);
       lp = root;
     } else {
-      // Copy the parent's tableau, fix the branching variable and
-      // reoptimize by dual simplex. The cutoff is the prune test below
-      // moved into the reduced space: a node whose dual bound reaches it
-      // would be pruned at its optimum, so its dual simplex stops there.
+      signed char f = rc_fix[static_cast<size_t>(node.var)];
+      if (f >= 0 && static_cast<double>(f) != node.value) {
+        ++result.nodes_fixed_out;  // caught before copying the tableau
+        continue;
+      }
+      // Copy the parent's tableau, fix the branching variable and the
+      // root fixings, and reoptimize by dual simplex. The cutoff is the
+      // prune test below moved into the reduced space: a node whose dual
+      // bound reaches it would be pruned at its optimum, so its dual
+      // simplex stops there.
       Tableau t = *node.tableau;
       node.tableau.reset();
-      int before = t.pivots();
       t.SetBounds(node.var, node.value, node.value);
+      if (!apply_root_fixings(t)) {
+        ++result.nodes_fixed_out;
+        continue;
+      }
+      ++result.nodes_explored;
+      int before = t.pivots();
       LpStatus s = t.Reoptimize(incumbent - 1e-12 - red.offset);
       result.lp_pivots += t.pivots() - before;
       if (s == LpStatus::kCutoff) {
@@ -371,7 +465,7 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
       }
       if (s != LpStatus::kOptimal) continue;  // infeasible subtree
       lp = expand(t);
-      solved = std::make_shared<const Tableau>(std::move(t));
+      solved = std::make_shared<Tableau>(std::move(t));
     }
     if (lp.objective >= incumbent - 1e-12) continue;
     if (node.var >= 0) try_heuristic(lp.values);  // the root's ran above
@@ -380,13 +474,26 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
     if (branch < 0) {
       // Integral: candidate incumbent.
       if (lp.objective < incumbent - 1e-12) {
-        incumbent = lp.objective;
-        incumbent_values = std::move(lp.values);
+        improve(lp.objective, std::move(lp.values));
       }
       continue;
     }
+    if (node.var >= 0) {
+      // Node-local fixing, on the tableau both children will share. At
+      // the root the test is the root fixing's.
+      for (const FixCandidate& c : FixCandidates(*solved, binary_cols)) {
+        if (rc_fix[static_cast<size_t>(c.col)] >= 0 ||
+            !fixes(lp.objective, c.gain)) {
+          continue;
+        }
+        solved->SetBounds(c.col, c.value, c.value);
+        ++result.vars_fixed_by_reduced_cost;
+      }
+    }
     int col = red.old_to_new[static_cast<size_t>(branch)];
-    for (double v : {1.0, 0.0}) open.push(Node{lp.objective, col, v, solved});
+    for (double v : {1.0, 0.0}) {
+      open.push(Node{lp.objective, col, v, next_seq++, solved});
+    }
   }
 
   if (exhausted && std::isfinite(incumbent)) {
@@ -402,9 +509,11 @@ BnbResult SolveBinaryMip(const MipProblem& problem, const BnbOptions& options,
   }
   result.solve_time_sec = Now() - t0;
   DBD_LOG_DEBUG(StrFormat(
-      "B&B: %d nodes (%d cut off), %d pivots, %d cold nodes, "
-      "%d root warm fallbacks, obj=%.3f bound=%.3f gap=%.4f",
-      result.nodes_explored, result.nodes_cut_off, result.lp_pivots,
+      "B&B: %d nodes (%d cut off, %d fixed out), %d vars fixed by reduced "
+      "cost, %d pivots, %d cold nodes, %d root warm fallbacks, obj=%.3f "
+      "bound=%.3f gap=%.4f",
+      result.nodes_explored, result.nodes_cut_off, result.nodes_fixed_out,
+      result.vars_fixed_by_reduced_cost, result.lp_pivots,
       result.node_cold_solves, result.root_warm_fallbacks,
       result.objective, result.lower_bound, result.gap()));
   return result;

@@ -1,7 +1,9 @@
 // Branch & bound for binary integer programs over the simplex LP
 // relaxation. Gives CoPhy its quality guarantee: the returned gap is
-// (incumbent - global LP bound) / incumbent, and the node/time budget is
-// the paper's "trade off execution time against quality" knob.
+// (incumbent - global LP bound) / incumbent, and the node budget is the
+// paper's "trade off execution time against quality" knob. The budget
+// counts nodes, not seconds, so a result never depends on the machine's
+// speed.
 //
 // Root-level fixings (MipProblem::fixed_vars) are eliminated by
 // substitution before any simplex runs: fixed columns never enter the
@@ -19,6 +21,38 @@
 // by dual simplex, typically in a few pivots. A dual ray proves the
 // child infeasible, and a child whose dual bound reaches the incumbent
 // stops reoptimizing there: it would be pruned at its optimum anyway.
+// Open nodes pop best bound first, ties first in, first out, so the
+// search order is the program's and not the standard library's heap.
+//
+// Reduced-cost fixing. At an optimal node LP with objective z, a binary
+// column nonbasic at 0 with reduced cost d >= 0 bounds every solution of
+// the node's region with that binary at 1 by z + d; one nonbasic at 1
+// (d <= 0) bounds every solution with it at 0 by z - d. When that bound
+// reaches the incumbent z* plus the margin 1e-9 * (1 + |z*| + |z|), the
+// binary is fixed at its current bound: nothing on the other side beats
+// the incumbent. The margin makes round-off fix less, never more.
+//  - Root fixing: the root's objective and reduced costs are kept, and
+//    the test reruns each time the incumbent improves (the warm start,
+//    the heuristic, an integral node). Every child gets those fixings on
+//    its tableau before it reoptimizes; a child whose bounds contradict
+//    one is dropped without an LP (BnbResult::nodes_fixed_out).
+//  - Node-local fixing: a node below the root about to branch applies
+//    the test with its own objective and reduced costs, on its tableau
+//    before both children share it, so the fixings hold for its whole
+//    subtree. (At the root the two tests coincide.)
+// BnbResult::vars_fixed_by_reduced_cost counts both. The root basis
+// handed back for warm starts is read before any fixing.
+//
+// Why the bounds stay valid. A fixing removes only solutions that cost
+// at least the incumbent of its time, and the incumbent only falls. So
+// a node's LP bound after fixing covers the solutions of its subtree
+// that beat the incumbent, and the subtree's true bound is min(node
+// bound, incumbent). Hence lower_bound = min(global bound, incumbent)
+// stays valid. The stop_at_bound certificate (BnbOptions) stays valid
+// too: a popped node whose bound is at or above the incumbent ends the
+// search as a proof before the certificate test runs, so a certificate
+// is only ever issued on a bound below the incumbent, which bounds
+// every solution.
 
 #ifndef DBDESIGN_SOLVER_BNB_H_
 #define DBDESIGN_SOLVER_BNB_H_
@@ -47,9 +81,8 @@ struct MipProblem {
 
 struct BnbOptions {
   int max_nodes = 2000;
-  double time_limit_sec = 30.0;
   /// Stop early when the relative gap falls below this (0 = solve to
-  /// proven optimality within the node/time budget).
+  /// proven optimality within the node budget).
   double gap_tolerance = 0.0;
   /// Stop as soon as the global lower bound reaches this value (default
   /// +inf: never). The caller gets `lower_bound >= stop_at_bound` with
@@ -98,6 +131,14 @@ struct BnbResult {
   /// Root LPs whose warm basis gave no verdict (the iteration limit) and
   /// were then solved cold; 0 or 1 per solve.
   int root_warm_fallbacks = 0;
+  /// Binaries fixed by reduced cost (see the file comment): root
+  /// fixings plus every node-local fixing, each counted once where it
+  /// was made.
+  int vars_fixed_by_reduced_cost = 0;
+  /// Open nodes dropped because their bounds contradict a root
+  /// reduced-cost fixing: their subtree holds nothing better than the
+  /// incumbent. They run no LP and do not count in nodes_explored.
+  int nodes_fixed_out = 0;
 
   /// Canonical basis of the root relaxation (see BnbWarmStart::basis);
   /// feed back as a warm start for the next solve of a near-identical

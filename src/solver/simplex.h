@@ -177,6 +177,15 @@ class Tableau {
 
   double lower(int var) const { return lo_[static_cast<size_t>(var)]; }
   double upper(int var) const { return up_[static_cast<size_t>(var)]; }
+  /// Reduced cost of structural `var` (0 while it is basic).
+  double reduced_cost(int var) const { return z_[static_cast<size_t>(var)]; }
+  /// Whether structural `var` is nonbasic at its lower (upper) bound.
+  bool at_lower(int var) const {
+    return state_[static_cast<size_t>(var)] == kAtLower;
+  }
+  bool at_upper(int var) const {
+    return state_[static_cast<size_t>(var)] == kAtUpper;
+  }
   int pivots() const { return pivots_; }
   /// True if Solve abandoned a warm basis (iteration limit) and solved
   /// cold instead.

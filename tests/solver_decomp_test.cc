@@ -125,12 +125,10 @@ CoPhyPrepared MakePrepared(const Database& db, const PreparedSpec& spec) {
 IndexRecommendation Solve(
     const Database& db, const CoPhyPrepared& prep,
     const DesignConstraints& cons, CoPhySolveMode mode, double budget_pages,
-    CoPhySolverCache* cache = nullptr,
-    double time_limit_sec = BnbOptions{}.time_limit_sec) {
+    CoPhySolverCache* cache = nullptr) {
   CoPhyOptions opts;
   opts.storage_budget_pages = budget_pages;
   opts.solve_mode = mode;
-  opts.bnb.time_limit_sec = time_limit_sec;
   InMemoryBackend backend(db);
   CoPhyAdvisor advisor(backend, opts);
   Result<IndexRecommendation> rec = advisor.SolvePrepared(prep, cons, cache);
@@ -401,11 +399,6 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
     EXPECT_EQ(rec.node_cold_solves, 0) << op << " " << n;
     EXPECT_EQ(rec.root_warm_fallbacks, 0) << op << " " << n;
   };
-  // Only the node limit bounds these solves: the 4000-candidate
-  // monolithic BIP takes about a second in an optimized build but longer
-  // than the default wall-clock limit under sanitizers, and a proof cut
-  // short by the clock would fail the comparison on slow machines only.
-  constexpr double kNoTimeLimit = std::numeric_limits<double>::infinity();
   for (int n : {50, 200, 1000, 4000}) {
     CoPhyPrepared prep = synthetic::MakeClusteredPrepared(*db_, n);
     ASSERT_EQ(prep.candidates.size(), static_cast<size_t>(n));
@@ -413,11 +406,10 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
     DesignConstraints cons;
     CoPhySolverCache cache;
 
-    IndexRecommendation mono = Solve(*db_, prep, cons,
-                                     CoPhySolveMode::kMonolithic, budget,
-                                     nullptr, kNoTimeLimit);
+    IndexRecommendation mono =
+        Solve(*db_, prep, cons, CoPhySolveMode::kMonolithic, budget);
     IndexRecommendation decomp = Solve(*db_, prep, cons, CoPhySolveMode::kAuto,
-                                       budget, &cache, kNoTimeLimit);
+                                       budget, &cache);
     EXPECT_FALSE(decomp.solved_monolithic) << n;
     ExpectBitIdentical(decomp, mono);
 
@@ -425,12 +417,10 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
     DesignConstraints vetoed = cons;
     vetoed.vetoed_indexes.push_back(decomp.indexes.front());
     IndexRecommendation warm = Solve(*db_, prep, vetoed,
-                                     CoPhySolveMode::kAuto, budget, &cache,
-                                     kNoTimeLimit);
+                                     CoPhySolveMode::kAuto, budget, &cache);
     EXPECT_EQ(warm.clusters_solved, 1) << n;
     IndexRecommendation mono_veto =
-        Solve(*db_, prep, vetoed, CoPhySolveMode::kMonolithic, budget,
-              nullptr, kNoTimeLimit);
+        Solve(*db_, prep, vetoed, CoPhySolveMode::kMonolithic, budget);
     ExpectBitIdentical(warm, mono_veto);
 
     expect_no_cold_lp(mono, n, "monolithic");
@@ -439,49 +429,61 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
     expect_no_cold_lp(mono_veto, n, "monolithic_veto");
   }
   // The sweep's binding-budget rows: at 0.05x and 0.1x of the universe's
-  // size both paths branch, and they must still agree bit for bit.
-  for (int n : {50, 200}) {
+  // size both paths branch, and they must still agree bit for bit. Each
+  // path's nodes stay at or below its count before reduced-cost fixing.
+  struct BindingRow {
+    int n;
+    double fraction;
+    int mono_nodes;
+    int decomp_nodes;
+  };
+  const BindingRow rows[] = {{50, 0.05, 83, 564},
+                             {50, 0.1, 133, 346},
+                             {200, 0.05, 337, 2836},
+                             {200, 0.1, 189, 2292}};
+  for (const BindingRow& row : rows) {
+    SCOPED_TRACE(row.fraction);
+    const int n = row.n;
     CoPhyPrepared prep = synthetic::MakeClusteredPrepared(*db_, n);
-    for (double fraction : {0.05, 0.1}) {
-      SCOPED_TRACE(fraction);
-      double budget = TotalSize(prep) * fraction;
-      CoPhySolverCache cache;
-      IndexRecommendation mono =
-          Solve(*db_, prep, DesignConstraints{}, CoPhySolveMode::kMonolithic,
-                budget, nullptr, kNoTimeLimit);
-      IndexRecommendation decomp =
-          Solve(*db_, prep, DesignConstraints{}, CoPhySolveMode::kAuto,
-                budget, &cache, kNoTimeLimit);
-      EXPECT_FALSE(decomp.solved_monolithic) << n;
-      ExpectBitIdentical(decomp, mono);
-      expect_no_cold_lp(mono, n, "monolithic");
-      expect_no_cold_lp(decomp, n, "decomposed");
-    }
+    double budget = TotalSize(prep) * row.fraction;
+    CoPhySolverCache cache;
+    IndexRecommendation mono = Solve(*db_, prep, DesignConstraints{},
+                                     CoPhySolveMode::kMonolithic, budget);
+    IndexRecommendation decomp = Solve(*db_, prep, DesignConstraints{},
+                                       CoPhySolveMode::kAuto, budget, &cache);
+    EXPECT_FALSE(decomp.solved_monolithic) << n;
+    ExpectBitIdentical(decomp, mono);
+    expect_no_cold_lp(mono, n, "monolithic");
+    expect_no_cold_lp(decomp, n, "decomposed");
+    EXPECT_LE(mono.bnb_nodes, row.mono_nodes) << n;
+    EXPECT_LE(decomp.bnb_nodes, row.decomp_nodes) << n;
   }
 }
 
 TEST_F(DecompTest, DualCutoffKeepsTheSearchAndSavesPivots) {
   // Monolithic B&B on two fixed synthetic instances under a binding
-  // budget. Nodes, optimum and chosen set are pinned at the numbers the
-  // solver produced before node LPs stopped at the incumbent; only the
-  // pivot count may move, and it must fall below its old value.
+  // budget. Optimum and chosen set are pinned at the numbers the solver
+  // produced before node LPs stopped at the incumbent, and the pivot
+  // count must stay below its value then. Nodes are pinned at the count
+  // with reduced-cost fixing, and must stay below the count without it.
   struct Case {
     double budget_fraction;
     int nodes;
+    int old_nodes;  ///< before reduced-cost fixing
     double cost;
     std::vector<size_t> chosen;  ///< positions in prep.candidates
     int old_pivots;
   };
   const Case cases[] = {
-      {0.05, 83, 0x1.9683cb4d7793fp+9, {2, 3, 14, 30, 43}, 1497},
-      {0.10, 133, 0x1.08a5a08a97625p+9, {2, 3, 14, 21, 36, 37, 44, 45}, 2553},
+      {0.05, 21, 83, 0x1.9683cb4d7793fp+9, {2, 3, 14, 30, 43}, 1497},
+      {0.10, 49, 133, 0x1.08a5a08a97625p+9, {2, 3, 14, 21, 36, 37, 44, 45},
+       2553},
   };
   CoPhyPrepared prep = synthetic::MakeClusteredPrepared(*db_, 50);
   for (const Case& c : cases) {
     IndexRecommendation rec =
         Solve(*db_, prep, DesignConstraints{}, CoPhySolveMode::kMonolithic,
-              TotalSize(prep) * c.budget_fraction, nullptr,
-              std::numeric_limits<double>::infinity());
+              TotalSize(prep) * c.budget_fraction);
     std::vector<size_t> chosen;
     for (const IndexDef& d : rec.indexes) {
       for (size_t i = 0; i < prep.candidates.size(); ++i) {
@@ -491,6 +493,8 @@ TEST_F(DecompTest, DualCutoffKeepsTheSearchAndSavesPivots) {
     std::sort(chosen.begin(), chosen.end());
     EXPECT_TRUE(rec.proven_optimal) << c.budget_fraction;
     EXPECT_EQ(rec.bnb_nodes, c.nodes) << c.budget_fraction;
+    EXPECT_LT(rec.bnb_nodes, c.old_nodes) << c.budget_fraction;
+    EXPECT_GT(rec.vars_fixed_by_reduced_cost, 0) << c.budget_fraction;
     EXPECT_EQ(rec.recommended_cost, c.cost) << c.budget_fraction;
     EXPECT_EQ(chosen, c.chosen) << c.budget_fraction;
     EXPECT_GT(rec.nodes_cut_off, 0) << c.budget_fraction;

@@ -1028,10 +1028,19 @@ bool SatisfiesRows(const MipProblem& mip, const std::vector<double>& x) {
 }
 
 /// The exact optimum by enumerating all 2^n binary assignments (+inf if
-/// none is feasible).
-double ExhaustiveOptimum(const MipProblem& mip) {
+/// none is feasible). If `argmin` is given it receives an optimal
+/// assignment; if `runner_up` is given, it receives the best feasible
+/// assignment other than that one and `runner_up_obj` its value (+inf
+/// if there is none).
+double ExhaustiveOptimum(const MipProblem& mip,
+                         std::vector<double>* argmin = nullptr,
+                         std::vector<double>* runner_up = nullptr,
+                         double* runner_up_obj = nullptr) {
   const int n = mip.lp.num_vars;
   double best = std::numeric_limits<double>::infinity();
+  double second = best;
+  std::vector<double> best_x;
+  std::vector<double> second_x;
   std::vector<double> x(static_cast<size_t>(n));
   for (int mask = 0; mask < (1 << n); ++mask) {
     for (int v = 0; v < n; ++v) x[static_cast<size_t>(v)] = (mask >> v) & 1;
@@ -1041,8 +1050,19 @@ double ExhaustiveOptimum(const MipProblem& mip) {
       const size_t uv = static_cast<size_t>(v);
       obj += mip.lp.objective[uv] * x[uv];
     }
-    best = std::min(best, obj);
+    if (obj < best) {
+      second = best;
+      second_x = std::move(best_x);
+      best = obj;
+      best_x = x;
+    } else if (obj < second) {
+      second = obj;
+      second_x = x;
+    }
   }
+  if (argmin != nullptr) *argmin = best_x;
+  if (runner_up != nullptr) *runner_up = second_x;
+  if (runner_up_obj != nullptr) *runner_up_obj = second;
   return best;
 }
 
@@ -1070,6 +1090,97 @@ TEST(BnbTest, CoPhyShapedBipsMatchExhaustiveEnumeration) {
   // The sweep must actually branch, and must include infeasible BIPs.
   EXPECT_GE(branched, 10);
   EXPECT_GE(infeasible, 5);
+}
+
+TEST(BnbTest, ReducedCostFixingKeepsExhaustiveOptimaAndBounds) {
+  // Reduced-cost fixing needs an incumbent, so each CoPhy-shaped BIP is
+  // solved warm: from its exhaustive optimum ("at"), and from the
+  // runner-up assignment ("a little above"), which the search must
+  // improve on. The solve must return the exhaustive optimum and a
+  // lower bound at or below it, and a solve stopped at a bound
+  // certificate must never certify a bound above the optimum.
+  auto rounded = [](std::vector<double> x) {
+    for (double& v : x) v = std::round(v);
+    return x;
+  };
+  int solves = 0;
+  int fired = 0;
+  int certificates = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    MipProblem mip = RandomCoPhyBip(seed * 104729);
+    std::vector<double> optimum;
+    std::vector<double> second;
+    double runner_up = 0.0;
+    double best = ExhaustiveOptimum(mip, &optimum, &second, &runner_up);
+    if (!std::isfinite(runner_up)) continue;  // < 2 feasible assignments
+    const double tol = 1e-9 * (1.0 + std::abs(best));
+    for (bool at_optimum : {true, false}) {
+      BnbWarmStart warm;
+      warm.values = at_optimum ? optimum : second;
+      warm.objective = at_optimum ? best : runner_up;
+      BnbResult r = SolveBinaryMip(mip, BnbOptions{}, nullptr, &warm);
+      ++solves;
+      fired += r.vars_fixed_by_reduced_cost > 0 ? 1 : 0;
+      ASSERT_TRUE(r.feasible) << "seed " << seed;
+      EXPECT_TRUE(r.proven_optimal) << "seed " << seed;
+      EXPECT_NEAR(r.objective, best, tol) << "seed " << seed;
+      EXPECT_EQ(rounded(r.values), optimum) << "seed " << seed;
+      EXPECT_LE(r.lower_bound, best + tol) << "seed " << seed;
+
+      // Certificates below, at and between the optimum and the warm
+      // value: a solve that stops short of a proof reports a bound that
+      // reaches the stop value and still lies at or below the optimum.
+      for (double stop : {best - 0.5 * (runner_up - best), best,
+                          0.5 * (best + runner_up)}) {
+        BnbOptions opts;
+        opts.stop_at_bound = stop;
+        BnbResult c = SolveBinaryMip(mip, opts, nullptr, &warm);
+        ASSERT_TRUE(c.feasible) << "seed " << seed;
+        EXPECT_LE(c.lower_bound, best + tol) << "seed " << seed;
+        if (!c.proven_optimal) {
+          ++certificates;
+          EXPECT_GE(c.lower_bound, stop) << "seed " << seed;
+        }
+      }
+    }
+  }
+  EXPECT_GE(solves, 200);
+  EXPECT_GE(certificates, 20);
+  // Fixing must actually fire: on at least three warm solves in four
+  // (224 of 254 when this test was written).
+  EXPECT_GE(4 * fired, 3 * solves) << fired << " of " << solves;
+}
+
+TEST(BnbTest, RootFixingNeedsItsBoundToClearTheIncumbent) {
+  // min x0 + 2 x1 + 5 x2 - 3 x3  s.t.  x0 + x1 + x2 >= 1. The root LP
+  // has x0 basic, x3 nonbasic at 1 and z = -2; every number is exact.
+  // Against the warm incumbent x1 = x3 = 1 (value -1): x2 = 1 would cost
+  // at least -2 + 4 = 2 and x3 = 0 at least -2 + 3 = 1, so both are
+  // fixed; x1 = 1 costs at least -2 + 1 = -1, which only ties the
+  // incumbent, so x1 stays free. No node runs, so only the root fixing
+  // against the warm incumbent counts.
+  MipProblem mip;
+  for (double c : {1.0, 2.0, 5.0, -3.0}) {
+    mip.binary_vars.push_back(mip.lp.AddVariable(c));
+  }
+  LpConstraint cover;
+  cover.terms = {{0, 1.0}, {1, 1.0}, {2, 1.0}};
+  cover.rel = LpRelation::kGe;
+  cover.rhs = 1.0;
+  mip.lp.AddConstraint(std::move(cover));
+  BnbWarmStart warm;
+  warm.values = {0.0, 1.0, 0.0, 1.0};
+  warm.objective = -1.0;
+  BnbOptions opts;
+  opts.max_nodes = 0;
+  BnbResult r = SolveBinaryMip(mip, opts, nullptr, &warm);
+  EXPECT_EQ(r.nodes_explored, 0);
+  EXPECT_EQ(r.vars_fixed_by_reduced_cost, 2);
+
+  // Solved to the end, the optimum x0 = x3 = 1 (value -2) is found.
+  BnbResult full = SolveBinaryMip(mip, BnbOptions{}, nullptr, &warm);
+  ASSERT_TRUE(full.proven_optimal);
+  EXPECT_EQ(full.objective, -2.0);
 }
 
 TEST(BnbTest, VetoOfTopIndexResolvesWarmWithoutRootFallback) {

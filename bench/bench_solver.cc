@@ -38,12 +38,18 @@
 // incumbent (nodes_cut_off), the binaries fixed by reduced cost against
 // the incumbent (vars_fixed_by_reduced_cost) and the root LPs whose warm
 // basis gave no verdict and were solved cold (root_warm_fallbacks). Both
-// failure counts must be 0 on every op (DBD_CHECK-enforced).
+// failure counts must be 0 on every op (DBD_CHECK-enforced). It also
+// splits each op's solves, nodes and pivots by the kind of BIP solve
+// (solves_by_kind, bnb_nodes_by_kind, lp_pivots_by_kind): a cluster's
+// top frontier point, a deeper point, a tail certificate, or the
+// monolithic BIP. Per-kind nodes and pivots must sum to the op's totals
+// (DBD_CHECK-enforced).
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -117,6 +123,9 @@ void RunSolverScaling(JsonReporter& reporter) {
   Json cut_off = Json::Object();
   Json fixed = Json::Object();
   Json warm_fallbacks = Json::Object();
+  Json kind_solves = Json::Object();
+  Json kind_nodes = Json::Object();
+  Json kind_pivots = Json::Object();
   auto record_counts = [&](const std::string& op, const SolveRow& row) {
     cold_solves[op] = Json::Number(row.rec.node_cold_solves);
     pivots[op] = Json::Number(row.rec.lp_pivots);
@@ -126,6 +135,22 @@ void RunSolverScaling(JsonReporter& reporter) {
     warm_fallbacks[op] = Json::Number(row.rec.root_warm_fallbacks);
     DBD_CHECK_EQ(row.rec.node_cold_solves, 0);
     DBD_CHECK_EQ(row.rec.root_warm_fallbacks, 0);
+    const std::pair<const char*, const SolveKindWork*> kinds[] = {
+        {"top_point", &row.rec.top_points},
+        {"deeper_point", &row.rec.deeper_points},
+        {"tail_certificate", &row.rec.tail_certificates},
+        {"monolithic", &row.rec.monolithic_bips}};
+    int node_sum = 0;
+    int pivot_sum = 0;
+    for (const auto& [kind, work] : kinds) {
+      kind_solves[op][kind] = Json::Number(work->solves);
+      kind_nodes[op][kind] = Json::Number(work->bnb_nodes);
+      kind_pivots[op][kind] = Json::Number(work->lp_pivots);
+      node_sum += work->bnb_nodes;
+      pivot_sum += work->lp_pivots;
+    }
+    DBD_CHECK_EQ(node_sum, row.rec.bnb_nodes);
+    DBD_CHECK_EQ(pivot_sum, row.rec.lp_pivots);
   };
   for (int n : {50, 200, 1000, 4000}) {
     CoPhyPrepared prep = MakeClusteredPrepared(db, n);
@@ -176,8 +201,9 @@ void RunSolverScaling(JsonReporter& reporter) {
   // universe's size the budget row binds, both paths branch, and the
   // dual-simplex cutoff has nodes to stop. n = 1000 is left out: there
   // the monolithic solve stops at its node limit without a proof.
-  std::printf("\n%-10s %8s | %12s %12s | %10s %10s\n", "candidates",
-              "budget", "mono ms", "decomp ms", "mono nodes", "dec nodes");
+  std::printf("\n%-10s %8s | %12s %12s | %10s %10s | %s\n", "candidates",
+              "budget", "mono ms", "decomp ms", "mono nodes", "dec nodes",
+              "dec nodes (solves): top / deeper / tail");
   struct BudgetRow {
     double fraction;
     const char* tag;
@@ -194,9 +220,13 @@ void RunSolverScaling(JsonReporter& reporter) {
           Solve(db, prep, cons, CoPhySolveMode::kAuto, budget, &cache);
       DBD_CHECK(!decomp.rec.solved_monolithic);
       CheckIdentical(decomp.rec, mono.rec);
-      std::printf("%-10d %8s | %12.2f %12.2f | %10d %10d\n", n, row.tag,
-                  mono.ms, decomp.ms, mono.rec.bnb_nodes,
-                  decomp.rec.bnb_nodes);
+      const IndexRecommendation& d = decomp.rec;
+      std::printf("%-10d %8s | %12.2f %12.2f | %10d %10d | %d (%d) / %d (%d) "
+                  "/ %d (%d)\n",
+                  n, row.tag, mono.ms, decomp.ms, mono.rec.bnb_nodes,
+                  d.bnb_nodes, d.top_points.bnb_nodes, d.top_points.solves,
+                  d.deeper_points.bnb_nodes, d.deeper_points.solves,
+                  d.tail_certificates.bnb_nodes, d.tail_certificates.solves);
 
       std::string suffix = "_";
       suffix += std::to_string(n);
@@ -216,10 +246,13 @@ void RunSolverScaling(JsonReporter& reporter) {
   solver["nodes_cut_off"] = std::move(cut_off);
   solver["vars_fixed_by_reduced_cost"] = std::move(fixed);
   solver["root_warm_fallbacks"] = std::move(warm_fallbacks);
+  solver["solves_by_kind"] = std::move(kind_solves);
+  solver["bnb_nodes_by_kind"] = std::move(kind_nodes);
+  solver["lp_pivots_by_kind"] = std::move(kind_pivots);
   reporter.Extra("solver", std::move(solver));
   std::printf("\nall decomposed optima bit-identical to monolithic, no B&B "
-              "node and no warm root solved from scratch "
-              "[DBD_CHECK-enforced]\n");
+              "node and no warm root solved from scratch, per-kind work sums "
+              "to the totals [DBD_CHECK-enforced]\n");
 }
 
 void BM_DecomposedSolve(benchmark::State& state) {

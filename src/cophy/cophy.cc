@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <set>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "util/hash.h"
@@ -496,6 +498,666 @@ Result<CoPhyPrepared> CoPhyAdvisor::TryPrepare(
   }
 }
 
+namespace {
+
+// y variables carry a tiny size-proportional penalty: among equal-cost
+// configurations the solver then uniquely prefers the one with the
+// smallest storage footprint. This deterministic tie-break is what
+// makes an incremental Refine provably bit-identical to a
+// from-scratch solve — a unique optimum of the relaxed problem that
+// stays feasible under tightened constraints is also the unique
+// optimum of the tightened problem. The scale sits well above the
+// simplex tolerances (1e-9) so one page discriminates, and well below
+// any meaningful cost difference (a whole 1000-page configuration
+// adds 0.01 cost units). Uniqueness is also what makes the cluster
+// decomposition exact: the stitched per-cluster optima, when globally
+// feasible, attain the monolithic optimum and therefore ARE it.
+constexpr double kTieBreakPerPage = 1e-5;
+
+// Must exceed the simplex feasibility tolerance (1e-7): the next
+// frontier budget must genuinely exclude the previous footprint.
+constexpr double kAllocEps = 1e-6;
+// Size guards of the decomposed path; tripping one falls back to the
+// monolithic BIP.
+constexpr size_t kMaxFrontier = 64;  // points per cluster frontier
+constexpr int kMaxAllocationRounds = 64;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+using SolverEntry = CoPhySolverCache::Entry;
+
+struct BipSolve {
+  BnbResult bnb;
+  std::vector<int> chosen;  // global ids (pins included) when feasible
+};
+
+// What a solve path hands to the shared extraction.
+struct Solution {
+  std::set<int> chosen;  // final y set, pins included
+  double lower = 0.0;    // raw solver bound incl. tie-break penalty
+  bool proven = false;
+};
+
+// The BIP context of one SolvePrepared call: the prepared state, the
+// resolved constraints and the scratch all its BIPs share, allocated
+// once per call. Both paths build, round, warm-start and count every BIP
+// with Solve, so they differ only in the subset they pass.
+class CoPhyBip {
+ public:
+  CoPhyBip(const CoPhyPrepared& prepared, const DesignConstraints& constraints,
+           const BnbOptions& bnb, std::set<int> admitted_pins,
+           SolverWork* work)
+      : prepared_(prepared),
+        constraints_(constraints),
+        bnb_(bnb),
+        pins_(std::move(admitted_pins)),
+        vetoed_(prepared.candidates.size(), false),
+        local_of_(prepared.candidates.size(), -1),
+        in_chosen_(prepared.candidates.size(), 0),
+        work_(work) {
+    for (size_t i = 0; i < vetoed_.size(); ++i) {
+      vetoed_[i] = constraints.IsVetoed(prepared.candidates[i].index);
+    }
+  }
+
+  const std::set<int>& pins() const { return pins_; }
+  bool pinned(int i) const { return pins_.count(i) > 0; }
+  double pages(int i) const {
+    return prepared_.candidates[static_cast<size_t>(i)].size_pages;
+  }
+  SolverWork& work() { return *work_; }
+
+  // Solves the monolithic BIP restricted to candidates `ck` (ascending
+  // global ids) and query rows `qk`, with the budget row at `budget_rhs`
+  // (omitted when infinite) and every cap row at its full rhs; the B&B
+  // stops once its bound reaches `stop_at`. Warm-started from `warm`
+  // (may be null): its root basis always — the row space is identical
+  // across allocations and constraint edits — plus its previous optimum
+  // as the initial incumbent when that is still feasible under this
+  // allocation and the edited constraints. Adds the work to SolverWork,
+  // and to the `kind` of solve the caller names.
+  BipSolve Solve(const std::vector<int>& ck, const std::vector<int>& qk,
+                 double budget_rhs, const SolverEntry* warm, double stop_at,
+                 SolveKindWork SolverWork::*kind) {
+    int nk = static_cast<int>(ck.size());
+    MipProblem mip;
+    for (int j = 0; j < nk; ++j) {
+      local_of_[static_cast<size_t>(ck[static_cast<size_t>(j)])] = j;
+      mip.binary_vars.push_back(mip.lp.AddVariable(
+          kTieBreakPerPage * pages(ck[static_cast<size_t>(j)])));
+    }
+    // DBA pins and vetoes are pure variable fixings: the atom matrix and
+    // every other row survive a constraint edit untouched.
+    for (int j = 0; j < nk; ++j) {
+      if (pinned(ck[static_cast<size_t>(j)])) mip.fixed_vars.emplace_back(j, 1);
+    }
+    for (int j = 0; j < nk; ++j) {
+      if (vetoed_[static_cast<size_t>(ck[static_cast<size_t>(j)])]) {
+        mip.fixed_vars.emplace_back(j, 0);
+      }
+    }
+    // x variables, and one atom per query.
+    std::vector<std::vector<int>> xvar(qk.size());
+    for (size_t qi = 0; qi < qk.size(); ++qi) {
+      size_t q = static_cast<size_t>(qk[qi]);
+      LpConstraint one{{}, LpRelation::kEq, 1.0};
+      for (const CoPhyAtom& a : prepared_.rows[q]->atoms) {
+        xvar[qi].push_back(mip.lp.AddVariable(prepared_.weights[q] * a.cost));
+        one.terms.emplace_back(xvar[qi].back(), 1.0);
+      }
+      mip.lp.AddConstraint(std::move(one));
+    }
+    // Aggregated linking: sum_{a of q using i} x <= y_i. This row and
+    // every row below keep LpConstraint's default relation, <=.
+    for (size_t qi = 0; qi < qk.size(); ++qi) {
+      const std::vector<CoPhyAtom>& atoms =
+          prepared_.rows[static_cast<size_t>(qk[qi])]->atoms;
+      std::map<int, std::vector<int>> by_index;
+      for (size_t a = 0; a < atoms.size(); ++a) {
+        for (int i : atoms[a].used) by_index[i].push_back(xvar[qi][a]);
+      }
+      for (auto& [i, xs] : by_index) {
+        LpConstraint link;
+        for (int v : xs) link.terms.emplace_back(v, 1.0);
+        link.terms.emplace_back(local_of_[static_cast<size_t>(i)], -1.0);
+        mip.lp.AddConstraint(std::move(link));
+      }
+    }
+    if (std::isfinite(budget_rhs)) {
+      LpConstraint budget_row;
+      for (int j = 0; j < nk; ++j) {
+        budget_row.terms.emplace_back(j, pages(ck[static_cast<size_t>(j)]));
+      }
+      budget_row.rhs = budget_rhs;
+      mip.lp.AddConstraint(std::move(budget_row));
+    }
+    // Per-table caps: sum_{i on t} y_i <= cap_t.
+    for (const auto& [table, cap] : constraints_.max_indexes_per_table) {
+      LpConstraint cap_row;
+      for (int j = 0; j < nk; ++j) {
+        if (table_of(ck[static_cast<size_t>(j)]) == table) {
+          cap_row.terms.emplace_back(j, 1.0);
+        }
+      }
+      if (cap_row.terms.empty()) continue;
+      cap_row.rhs = static_cast<double>(cap);
+      mip.lp.AddConstraint(std::move(cap_row));
+    }
+
+    BnbWarmStart start;
+    bool have_start = warm != nullptr && !warm->root_basis.empty();
+    if (have_start) start.basis = warm->root_basis;
+    if (warm != nullptr && warm->valid) {
+      std::set<int> ch;
+      for (int i : warm->chosen) {
+        if (!vetoed_[static_cast<size_t>(i)]) ch.insert(i);
+      }
+      for (int i : ck) {
+        if (pinned(i)) ch.insert(i);
+      }
+      double used_pages = 0.0;
+      for (int i : ch) used_pages += pages(i);
+      double obj = kInf;
+      if (CapsHold(ch) && used_pages <= budget_rhs) obj = Price(ch, qk);
+      if (std::isfinite(obj)) {
+        YValues(ch, mip.lp.num_vars, &start.values);
+        start.objective = obj;
+        have_start = true;
+      }
+    }
+
+    BnbOptions bopt = bnb_;
+    bopt.stop_at_bound = stop_at;
+    auto heuristic = [&](const std::vector<double>& lp,
+                         std::vector<double>* values, double* obj) {
+      return Round(ck, qk, budget_rhs, mip.lp.num_vars, lp, values, obj);
+    };
+    BipSolve out;
+    out.bnb =
+        SolveBinaryMip(mip, bopt, heuristic, have_start ? &start : nullptr);
+    const BnbResult& bnb = out.bnb;
+    work_->bnb_nodes += bnb.nodes_explored;
+    work_->lp_pivots += bnb.lp_pivots;
+    work_->nodes_cut_off += bnb.nodes_cut_off;
+    work_->vars_fixed_by_reduced_cost += bnb.vars_fixed_by_reduced_cost;
+    work_->node_cold_solves += bnb.node_cold_solves;
+    work_->root_warm_fallbacks += bnb.root_warm_fallbacks;
+    work_->solve_time_sec += bnb.solve_time_sec;
+    work_->num_variables += static_cast<size_t>(mip.lp.num_vars);
+    work_->num_constraints += mip.lp.constraints.size();
+    SolveKindWork& by_kind = work_->*kind;
+    ++by_kind.solves;
+    by_kind.bnb_nodes += bnb.nodes_explored;
+    by_kind.lp_pivots += bnb.lp_pivots;
+    // Admitted pins are always chosen, even when the node budget
+    // starved the search.
+    for (int j = 0; j < nk && bnb.feasible; ++j) {
+      int i = ck[static_cast<size_t>(j)];
+      if (pinned(i) || bnb.values[static_cast<size_t>(j)] > 0.5) {
+        out.chosen.push_back(i);
+      }
+    }
+    for (int i : ck) local_of_[static_cast<size_t>(i)] = -1;
+    return out;
+  }
+
+  // Objective of a y-set over query rows `rows`: the tie-break on the
+  // chosen indexes plus each row's cheapest compatible atom (the first
+  // on a cost tie) — the BIP objective over those rows. With `best`,
+  // also appends each row's atom (nullptr when none is compatible).
+  double Price(const std::set<int>& chosen, const std::vector<int>& rows,
+               std::vector<const CoPhyAtom*>* best = nullptr) {
+    double obj = 0.0;
+    for (int i : chosen) {
+      obj += kTieBreakPerPage * pages(i);
+      in_chosen_[static_cast<size_t>(i)] = 1;
+    }
+    for (int q : rows) {
+      const CoPhyAtom* a = nullptr;
+      double cost = kInf;
+      for (const CoPhyAtom& b : prepared_.rows[static_cast<size_t>(q)]->atoms) {
+        if (b.cost < cost &&
+            std::all_of(b.used.begin(), b.used.end(), [&](int i) {
+              return in_chosen_[static_cast<size_t>(i)] != 0;
+            })) {
+          a = &b;
+          cost = b.cost;
+        }
+      }
+      obj += prepared_.weights[static_cast<size_t>(q)] * cost;
+      if (best != nullptr) best->push_back(a);
+    }
+    for (int i : chosen) in_chosen_[static_cast<size_t>(i)] = 0;
+    return obj;
+  }
+
+  // Everything a constraint edit can change about the BIP over `ck` and
+  // `qk` whose budget row may use `budget_pages`: pages, pins/vetoes,
+  // relevant caps, row weights. A matching signature and a proven
+  // optimum in the cache mean the subproblem is clean: it is reused.
+  uint64_t Signature(const std::vector<int>& ck, const std::vector<int>& qk,
+                     double budget_pages) const {
+    Fnv1a fnv(kFnvLegacyBasis);
+    fnv.MixDouble(budget_pages);
+    for (int i : ck) {
+      uint64_t bits = static_cast<uint64_t>(i) << 2;
+      if (pinned(i)) bits |= 1;
+      if (vetoed_[static_cast<size_t>(i)]) bits |= 2;
+      fnv.MixU64(bits);
+    }
+    for (const auto& [table, cap] : constraints_.max_indexes_per_table) {
+      if (std::any_of(ck.begin(), ck.end(),
+                      [&](int i) { return table_of(i) == table; })) {
+        fnv.MixU64(static_cast<uint64_t>(table));
+        fnv.MixU64(static_cast<uint64_t>(cap));
+      }
+    }
+    fnv.MixU64(qk.size());
+    for (int q : qk) {
+      fnv.MixU64(static_cast<uint64_t>(q));
+      fnv.MixDouble(prepared_.weights[static_cast<size_t>(q)]);
+    }
+    return fnv.digest();
+  }
+
+  // Whether `chosen` honors every per-table cap.
+  bool CapsHold(const std::set<int>& chosen) const {
+    std::map<TableId, int> per_table;
+    for (int i : chosen) per_table[table_of(i)]++;
+    for (const auto& [table, count] : per_table) {
+      if (count > constraints_.TableCapOrUnlimited(table)) return false;
+    }
+    return true;
+  }
+
+ private:
+  TableId table_of(int i) const {
+    return prepared_.candidates[static_cast<size_t>(i)].index.table;
+  }
+  // y values of a chosen set over the BIP being solved; x is implied
+  // (B&B only reads binary positions, and the objective is explicit).
+  void YValues(const std::set<int>& chosen, int num_vars,
+               std::vector<double>* out) const {
+    out->assign(static_cast<size_t>(num_vars), 0.0);
+    for (int i : chosen) {
+      (*out)[static_cast<size_t>(local_of_[static_cast<size_t>(i)])] = 1.0;
+    }
+  }
+  // Primal heuristic: pins first, then round y by LP value under the
+  // budget/cap/veto constraints, then the cheapest compatible atom per
+  // query.
+  bool Round(const std::vector<int>& ck, const std::vector<int>& qk,
+             double budget_rhs, int num_vars, const std::vector<double>& lp,
+             std::vector<double>* out, double* obj) {
+    std::set<int> ch;
+    double used_pages = 0.0;
+    std::map<TableId, int> per_table;
+    for (int i : ck) {
+      if (!pinned(i)) continue;
+      ch.insert(i);
+      used_pages += pages(i);
+      per_table[table_of(i)]++;
+    }
+    std::vector<std::pair<double, int>> ranked;
+    for (size_t j = 0; j < ck.size(); ++j) {
+      int i = ck[j];
+      if (vetoed_[static_cast<size_t>(i)] || ch.count(i) > 0) continue;
+      if (lp[j] > 1e-6) ranked.emplace_back(-lp[j], i);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    for (auto& [neg, i] : ranked) {
+      if (used_pages + pages(i) > budget_rhs) continue;
+      TableId t = table_of(i);
+      if (per_table[t] + 1 > constraints_.TableCapOrUnlimited(t)) continue;
+      ch.insert(i);
+      used_pages += pages(i);
+      per_table[t]++;
+    }
+    *obj = Price(ch, qk);
+    if (!std::isfinite(*obj)) return false;
+    YValues(ch, num_vars, out);
+    return true;
+  }
+
+  const CoPhyPrepared& prepared_;
+  const DesignConstraints& constraints_;
+  const BnbOptions& bnb_;
+  std::set<int> pins_;
+  std::vector<bool> vetoed_;
+  // Local column of each candidate in the BIP being solved, else -1.
+  std::vector<int> local_of_;
+  // Membership marker for "the chosen set", set and cleared by Price,
+  // so a use costs O(|chosen| + atoms), never O(candidates).
+  std::vector<char> in_chosen_;
+  SolverWork* work_;
+};
+
+// The freshness step of a cache slot (see CoPhySolverCache): nullptr
+// when `live` answers under `sig` as it stands or recalled; otherwise
+// the entry its re-solve warm-starts from, the parked one or `live`.
+const SolverEntry* Refresh(CoPhySolverCache& cache, int slot, uint64_t sig,
+                           SolverEntry& live) {
+  bool proven = live.valid && (slot == CoPhySolverCache::kMonoSlot ||
+                               !live.frontier.empty());
+  if ((proven && live.signature == sig) || cache.Recall(slot, sig, live)) {
+    return nullptr;
+  }
+  const SolverEntry* parked = cache.Park(slot, live);
+  live.signature = sig;
+  live.frontier.clear();
+  live.frontier_complete = false;
+  live.tail_bound = 0.0;
+  return parked != nullptr ? parked : &live;
+}
+
+// A cluster some query row can use, with its share of the decomposed
+// solve.
+struct ActiveCluster {
+  int k = 0;
+  const std::vector<int>* cands = nullptr;  // ascending global ids
+  std::vector<int> rows;
+  double floor_pages = 0.0;  // admitted pins' pages: the least it uses
+  // Frontier deepening cut: the next budget must exclude the previous
+  // optimum BEYOND the simplex/integrality tolerances, or the LP shaves
+  // every y to 1-1e-6 and returns the same set "fitting" the reduced
+  // budget. Total shave capacity is sum(sizes) * 1e-6; a 10x margin
+  // stays far below any real footprint step.
+  double cut = kAllocEps;
+  SolverEntry* entry = nullptr;
+  bool ran = false;  // solved at least one BIP this call
+};
+
+// Solves one frontier point of cluster `c`: its BIP under an allocation
+// of `budget_rhs` pages, warm-started from `warm` (the cluster's entry,
+// or the one it just parked). A finite `stop_at` lets the branch-and-
+// bound stop as soon as its global lower bound reaches that value: the
+// caller then gets a tail-bound CERTIFICATE (the sentinel can no longer
+// win) at a fraction of a full proof's cost, and no point is appended.
+// Returns +1 on a new proven point, 0 when the tail is certified or
+// provably empty, -1 on failure (monolithic fallback).
+int SolvePoint(CoPhyBip& bip, ActiveCluster& c, double budget_rhs,
+               double stop_at, const SolverEntry* warm,
+               SolveKindWork SolverWork::*kind) {
+  SolverEntry& e = *c.entry;
+  BipSolve r = bip.Solve(*c.cands, c.rows, budget_rhs, warm, stop_at, kind);
+  const BnbResult& bnb = r.bnb;
+  if (!std::exchange(c.ran, true)) ++bip.work().clusters_solved;
+  if (!bnb.feasible && !std::isfinite(bnb.lower_bound)) {
+    if (e.frontier.empty()) {
+      e.valid = false;  // even the full allocation failed: fallback
+      return -1;
+    }
+    e.frontier_complete = true;  // nothing fits below the last point
+    return 0;
+  }
+  if (!bnb.proven_optimal) {
+    if (bnb.lower_bound >= stop_at) {
+      // Early stop: every configuration under this allocation costs at
+      // least `lower_bound`, which is all AllocateBudget needs to retire
+      // the sentinel. No exact point to record.
+      e.tail_bound = std::max(e.tail_bound, bnb.lower_bound);
+      return 0;
+    }
+    e.valid = false;
+    e.frontier.clear();
+    e.frontier_complete = false;
+    e.tail_bound = 0.0;
+    e.root_basis = bnb.root_basis;  // still warm material
+    return -1;  // let the monolithic path (with its own node budget over
+                // the whole tree) arbitrate
+  }
+  SolverEntry::ParetoPoint p;
+  p.cost = bnb.objective;
+  p.chosen = std::move(r.chosen);
+  for (int i : p.chosen) p.footprint += bip.pages(i);
+  e.root_basis = bnb.root_basis;
+  if (e.frontier.empty()) {
+    e.valid = true;
+    e.chosen = p.chosen;
+    e.objective = bnb.objective;
+    e.lower_bound = bnb.lower_bound;
+  } else if (p.footprint > e.frontier.back().footprint - kAllocEps * 0.5) {
+    // No strict footprint progress (numerically stuck): stop here rather
+    // than loop; the tail keeps its sentinel bound.
+    e.frontier_complete = true;
+    return 0;
+  }
+  if (p.footprint <= c.floor_pages + kAllocEps) {
+    e.frontier_complete = true;  // pins-only: nothing below
+  }
+  // A new point is itself the strongest monotonicity bound for the tail
+  // below it (and never contradicts an earlier certificate, which
+  // bounded a superset of that tail).
+  e.tail_bound = std::max(e.tail_bound, p.cost);
+  e.frontier.push_back(std::move(p));
+  return 1;
+}
+
+// The decomposed path. Each cluster BIP is the monolithic BIP restricted
+// to the cluster's candidates and query rows — coupled to the rest only
+// through the budget row and the per-table cap rows. The budget coupling
+// is arbitrated exactly: every active cluster exposes a budget/cost
+// FRONTIER (its proven optimum as a function of allocated pages,
+// enumerated lazily top-down: solve at the full budget, then re-solve
+// just below the footprint the optimum actually used, and so on), and
+// AllocateBudget picks one frontier point per cluster minimizing total
+// cost under the global budget. Unexplored frontier tails enter it as
+// lower-bound sentinels (footprint = the cluster's pin floor, cost = its
+// tail bound — a true bound, since shrinking the budget never cheapens
+// an optimum); when the best real split matches the sentinel-augmented
+// bound, it is the exact optimal split, and by the tie-break uniqueness
+// the stitched union is the monolithic optimum. Otherwise the sentinel
+// clusters deepen their frontiers and the allocation repeats.
+//
+// Caps are kept at full rhs per cluster (a relaxation): if the winning
+// split violates a cap across clusters — or a frontier/allocation size
+// guard trips, or a cluster solve fails to prove its point — this
+// returns nothing and the monolithic path arbitrates.
+std::optional<Solution> SolveDecomposed(CoPhyBip& bip,
+                                        const CoPhyPrepared& prepared,
+                                        double budget,
+                                        CoPhySolverCache& cache) {
+  const ClusterPartition& part = prepared.clusters;
+  std::vector<std::vector<int>> cluster_rows(
+      static_cast<size_t>(part.num_clusters()));
+  std::vector<int> const_rows;  // no atom uses a candidate: a constant
+  for (size_t q = 0; q < prepared.rows.size(); ++q) {
+    if (prepared.rows[q]->atoms.empty()) return std::nullopt;  // degenerate
+    int k = prepared.row_cluster[q];
+    (k < 0 ? const_rows : cluster_rows[static_cast<size_t>(k)])
+        .push_back(static_cast<int>(q));
+  }
+
+  // Split clusters into active (some query row can use them) and
+  // inactive. Inactive clusters keep exactly their pins — any other y
+  // adds pure tie-break cost — and those pins still consume budget
+  // pages, so they are charged against the allocation's budget up front.
+  double lb_sum = bip.Price({}, const_rows);
+  double outside_pages = 0.0;
+  std::vector<ActiveCluster> active;
+  for (size_t k = 0; k < cluster_rows.size(); ++k) {
+    const std::vector<int>& ck = part.clusters[k];
+    double pin_sz = 0.0;
+    double sum = 0.0;
+    for (int i : ck) {
+      if (bip.pinned(i)) pin_sz += bip.pages(i);
+      sum += bip.pages(i);
+    }
+    if (cluster_rows[k].empty()) {
+      lb_sum += kTieBreakPerPage * pin_sz;
+      outside_pages += pin_sz;
+      continue;
+    }
+    active.push_back(ActiveCluster{static_cast<int>(k), &ck,
+                                   std::move(cluster_rows[k]), pin_sz,
+                                   std::max(kAllocEps, sum * 1e-5),
+                                   &cache.entries[k]});
+  }
+  double dp_budget = budget - outside_pages;  // inf stays inf
+
+  // Every active cluster needs at least its top point before the
+  // allocation can run.
+  for (ActiveCluster& c : active) {
+    const SolverEntry* warm = Refresh(
+        cache, c.k, bip.Signature(*c.cands, c.rows, dp_budget), *c.entry);
+    if (warm != nullptr && SolvePoint(bip, c, dp_budget, kInf, warm,
+                                      &SolverWork::top_points) != 1) {
+      return std::nullopt;
+    }
+  }
+
+  std::vector<BudgetFrontier> frontiers(active.size());
+  for (int round = 0; round < kMaxAllocationRounds; ++round) {
+    for (size_t a = 0; a < active.size(); ++a) {
+      const SolverEntry& e = *active[a].entry;
+      frontiers[a] = BudgetFrontier{e.frontier, e.frontier_complete,
+                                    active[a].floor_pages, e.tail_bound};
+    }
+    BudgetAllocation alloc = AllocateBudget(frontiers, dp_budget);
+    if (!alloc.bound.has_value()) return std::nullopt;
+    const std::optional<BudgetSplit>& real = alloc.real;
+    const BudgetSplit& bound = *alloc.bound;
+    if (real.has_value() &&
+        real->cost <= bound.cost + 1e-9 * std::max(1.0, std::abs(bound.cost))) {
+      // The achievable split matches the lower bound: exact optimum.
+      Solution out{bip.pins(), lb_sum + real->cost, true};
+      for (size_t a = 0; a < active.size(); ++a) {
+        const std::vector<int>& chosen =
+            active[a].entry->frontier[static_cast<size_t>(real->pick[a])]
+                .chosen;
+        out.chosen.insert(chosen.begin(), chosen.end());
+      }
+      // Caps were relaxed per cluster: the split is only the global
+      // optimum when the union honors them too.
+      if (!bip.CapsHold(out.chosen)) return std::nullopt;
+      for (const ActiveCluster& c : active) {
+        if (!c.ran) ++bip.work().clusters_reused;
+      }
+      return out;
+    }
+    // The bound lives in an unexplored tail: strengthen every sentinel
+    // cluster and re-run. When a real split exists, the solve only needs
+    // to lift this cluster's tail bound past the sentinel's winning
+    // margin — a certificate the B&B reaches long before a full proof;
+    // without one it must produce exact points until splits fit the
+    // budget at all.
+    bool progressed = false;
+    double scale = std::max(1.0, std::abs(bound.cost));
+    for (size_t a = 0; a < active.size(); ++a) {
+      if (bound.pick[a] != -1) continue;
+      ActiveCluster& c = active[a];
+      SolverEntry& e = *c.entry;
+      if (e.frontier.size() >= kMaxFrontier) return std::nullopt;
+      double next_rhs = e.frontier.back().footprint - c.cut;
+      double stop_at = kInf;
+      SolveKindWork SolverWork::*kind = &SolverWork::deeper_points;
+      if (real.has_value()) {
+        stop_at = e.tail_bound + (real->cost - bound.cost) + 1e-7 * scale;
+        kind = &SolverWork::tail_certificates;
+      }
+      if (SolvePoint(bip, c, next_rhs, stop_at, &e, kind) < 0) {
+        return std::nullopt;
+      }
+      progressed = true;  // point, certificate, or tail proved empty
+    }
+    if (!progressed) return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+// The monolithic path (mode or fallback): the same BIP over every
+// candidate, every row and the full budget. The mono cache entry answers
+// an unchanged re-solve outright and otherwise warm-starts it: this is
+// what keeps a DBA edit cheap when a cap binds across clusters and every
+// solve lands here. Unlike a cluster point, an incumbent that is not
+// proven optimal is still the answer (the node budget is the
+// time/quality knob).
+Solution SolveMonolithic(CoPhyBip& bip, const std::vector<int>& all_cands,
+                         const std::vector<int>& all_rows, double budget,
+                         double stop_at, CoPhySolverCache& cache) {
+  bip.work().solved_monolithic = true;
+  SolverEntry& mono = cache.mono;
+  const SolverEntry* warm =
+      Refresh(cache, CoPhySolverCache::kMonoSlot,
+              bip.Signature(all_cands, all_rows, budget), mono);
+  if (warm == nullptr) {  // the cached proven optimum IS the answer
+    Solution out{bip.pins(), mono.lower_bound, true};
+    out.chosen.insert(mono.chosen.begin(), mono.chosen.end());
+    return out;
+  }
+  BipSolve r = bip.Solve(all_cands, all_rows, budget, warm, stop_at,
+                         &SolverWork::monolithic_bips);
+  Solution out{bip.pins(), r.bnb.lower_bound, r.bnb.proven_optimal};
+  out.chosen.insert(r.chosen.begin(), r.chosen.end());
+  mono.root_basis = r.bnb.root_basis;
+  mono.valid = r.bnb.feasible && r.bnb.proven_optimal;
+  if (mono.valid) {
+    mono.chosen.assign(out.chosen.begin(), out.chosen.end());
+    mono.objective = r.bnb.objective;
+    mono.lower_bound = r.bnb.lower_bound;
+  }
+  return out;
+}
+
+}  // namespace
+
+BudgetAllocation AllocateBudget(std::span<const BudgetFrontier> frontiers,
+                                double dp_budget) {
+  struct State {
+    double f = 0.0;
+    double c = 0.0;
+    std::vector<int> pick;
+  };
+  BudgetAllocation out;
+  // One pass: the cheapest split over real points, or `with_tails` also
+  // over each incomplete frontier's tail sentinel (pick -1).
+  auto pass = [&](bool with_tails) -> std::optional<BudgetSplit> {
+    std::vector<State> states(1);
+    for (const BudgetFrontier& fr : frontiers) {
+      size_t options =
+          fr.points.size() + (with_tails && !fr.complete ? 1 : 0);
+      std::vector<State> next;
+      for (const State& st : states) {
+        for (size_t pi = 0; pi < options; ++pi) {
+          bool tail = pi == fr.points.size();
+          double f = st.f + (tail ? fr.floor_pages : fr.points[pi].footprint);
+          if (f > dp_budget + kAllocEps) continue;
+          State n = st;
+          n.f = f;
+          n.c += tail ? fr.tail_bound : fr.points[pi].cost;
+          n.pick.push_back(tail ? -1 : static_cast<int>(pi));
+          next.push_back(std::move(n));
+        }
+      }
+      if (next.empty()) return std::nullopt;
+      std::sort(next.begin(), next.end(), [](const State& a, const State& b) {
+        if (a.f != b.f) return a.f < b.f;
+        if (a.c != b.c) return a.c < b.c;
+        return a.pick < b.pick;
+      });
+      // Keep only Pareto-optimal (pages, cost) pairs.
+      states.clear();
+      double best_c = kInf;
+      for (State& st : next) {
+        if (st.c < best_c) {
+          best_c = st.c;
+          states.push_back(std::move(st));
+        }
+      }
+      // Guard on the PRUNED set, which bounds real state growth.
+      if (states.size() > kMaxAllocationStates) {
+        out.guard_tripped = true;
+        return std::nullopt;
+      }
+    }
+    // Costs strictly decrease with pages: the last state is the cheapest.
+    return BudgetSplit{std::move(states.back().pick), states.back().c};
+  };
+  out.real = pass(/*with_tails=*/false);
+  out.bound = pass(/*with_tails=*/true);
+  return out;
+}
+
 Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
     const CoPhyPrepared& prepared, const DesignConstraints& constraints,
     CoPhySolverCache* cache) const {
@@ -503,11 +1165,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   if (!s.ok()) return s;
 
   const std::vector<CandidateIndex>& candidates = prepared.candidates;
-  auto atoms = [&prepared](size_t q) -> const std::vector<CoPhyAtom>& {
-    return prepared.rows[q]->atoms;
-  };
   size_t nq = prepared.rows.size();
-  int ny = static_cast<int>(candidates.size());
   double budget = constraints.EffectiveBudget(options_.storage_budget_pages);
 
   IndexRecommendation rec;
@@ -516,776 +1174,94 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   rec.base_cost = prepared.base_cost;
   rec.num_clusters = prepared.clusters.num_clusters();
 
-  // --- Resolve constraints against the candidate universe ---
-  // Pins must be in the universe (callers merge them via
+  // Pins must be in the candidate universe (callers merge them via
   // MergePinnedCandidates before Prepare); a pin outside it means the
   // prepared state is stale.
-  std::unordered_map<std::string, int> id_by_key;
-  id_by_key.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    id_by_key.emplace(candidates[i].index.Key(), static_cast<int>(i));
-  }
   std::vector<int> pin_ids;
   for (const IndexDef& pin : constraints.pinned_indexes) {
-    auto it = id_by_key.find(pin.Key());
-    if (it == id_by_key.end()) {
+    auto it = std::find_if(
+        candidates.begin(), candidates.end(),
+        [&](const CandidateIndex& c) { return c.index == pin; });
+    if (it == candidates.end()) {
       return Status::InvalidArgument(
           "pinned index " + pin.DisplayName(backend_->catalog()) +
           " is not in the prepared candidate universe; re-prepare with the "
           "pin merged into the candidates");
     }
-    pin_ids.push_back(it->second);
+    pin_ids.push_back(static_cast<int>(it - candidates.begin()));
   }
   // Admit pins smallest-first under the budget; the rest are reported
   // as infeasible instead of silently failing the whole solve.
   std::sort(pin_ids.begin(), pin_ids.end(), [&](int a, int b) {
-    double sa = candidates[static_cast<size_t>(a)].size_pages;
-    double sb = candidates[static_cast<size_t>(b)].size_pages;
-    if (sa != sb) return sa < sb;
-    return a < b;
+    return std::pair(candidates[static_cast<size_t>(a)].size_pages, a) <
+           std::pair(candidates[static_cast<size_t>(b)].size_pages, b);
   });
   std::set<int> admitted_pins;
   double pin_pages = 0.0;
   for (int i : pin_ids) {
-    double sz = candidates[static_cast<size_t>(i)].size_pages;
-    if (pin_pages + sz <= budget) {
+    const CandidateIndex& pin = candidates[static_cast<size_t>(i)];
+    if (pin_pages + pin.size_pages <= budget) {
       admitted_pins.insert(i);
-      pin_pages += sz;
+      pin_pages += pin.size_pages;
     } else {
-      rec.infeasible_pins.push_back(candidates[static_cast<size_t>(i)].index);
+      rec.infeasible_pins.push_back(pin.index);
       DBD_LOG_WARN(StrFormat(
           "CoPhy: pinned index %s (%.0f pages) does not fit the remaining "
           "budget (%.0f of %.0f pages used)",
-          candidates[static_cast<size_t>(i)]
-              .index.DisplayName(backend_->catalog())
-              .c_str(),
-          sz, pin_pages, budget));
+          pin.index.DisplayName(backend_->catalog()).c_str(), pin.size_pages,
+          pin_pages, budget));
     }
   }
-  std::vector<bool> vetoed(candidates.size(), false);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    vetoed[i] = constraints.IsVetoed(candidates[i].index);
-  }
 
-  // --- BIP construction ---
-  // y variables carry a tiny size-proportional penalty: among equal-cost
-  // configurations the solver then uniquely prefers the one with the
-  // smallest storage footprint. This deterministic tie-break is what
-  // makes an incremental Refine provably bit-identical to a
-  // from-scratch solve — a unique optimum of the relaxed problem that
-  // stays feasible under tightened constraints is also the unique
-  // optimum of the tightened problem. The scale sits well above the
-  // simplex tolerances (1e-9) so one page discriminates, and well below
-  // any meaningful cost difference (a whole 1000-page configuration
-  // adds 0.01 cost units). Uniqueness is also what makes the cluster
-  // decomposition exact: the stitched per-cluster optima, when globally
-  // feasible, attain the monolithic optimum and therefore ARE it.
-  constexpr double kTieBreakPerPage = 1e-5;
-
+  // A stateless call runs the same code over a fresh cache of its own.
   // Cached solver state keyed to a different universe, row space or
   // cluster count must not survive into this solve, whichever path runs.
-  int num_k = prepared.clusters.num_clusters();
-  if (cache != nullptr &&
-      (cache->universe_fingerprint != prepared.universe_fingerprint ||
-       cache->num_rows != nq ||
-       cache->entries.size() != static_cast<size_t>(num_k))) {
+  std::optional<CoPhySolverCache> own_cache;
+  if (cache == nullptr) cache = &own_cache.emplace();
+  size_t num_k = prepared.clusters.clusters.size();
+  if (cache->universe_fingerprint != prepared.universe_fingerprint ||
+      cache->num_rows != nq || cache->entries.size() != num_k) {
     cache->Clear();
     cache->universe_fingerprint = prepared.universe_fingerprint;
     cache->num_rows = nq;
-    cache->entries.assign(static_cast<size_t>(num_k),
-                          CoPhySolverCache::Entry{});
+    cache->entries.assign(num_k, CoPhySolverCache::Entry{});
   }
 
-  // Membership marker for "the chosen set": the solve is serial, so one
-  // marker allocated here serves every incumbent pricing and the final
-  // extraction. Callers set it from a chosen set and clear it again, so
-  // a use costs O(|chosen| + atoms), never O(candidates).
-  std::vector<char> in_chosen(candidates.size(), 0);
-  // Row q's cheapest atom whose indexes are all marked (the first one on
-  // a cost tie), or nullptr when none is.
-  auto cheapest_atom = [&](size_t q) -> const CoPhyAtom* {
-    const CoPhyAtom* best = nullptr;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (const CoPhyAtom& a : atoms(q)) {
-      if (!(a.cost < best_cost) ||
-          !std::all_of(a.used.begin(), a.used.end(), [&](int i) {
-            return in_chosen[static_cast<size_t>(i)] != 0;
-          })) {
-        continue;
-      }
-      best = &a;
-      best_cost = a.cost;
-    }
-    return best;
-  };
-  // Objective of a y-set over a subset of query rows: the tie-break on
-  // the chosen indexes plus each row's cheapest compatible atom — the
-  // BIP objective over those rows. Prices every incumbent.
-  auto complete_rows = [&](const std::set<int>& chosen_set,
-                           const std::vector<int>& row_subset) {
-    double obj = 0.0;
-    for (int i : chosen_set) {
-      obj += kTieBreakPerPage * candidates[static_cast<size_t>(i)].size_pages;
-      in_chosen[static_cast<size_t>(i)] = 1;
-    }
-    for (int q : row_subset) {
-      const CoPhyAtom* a = cheapest_atom(static_cast<size_t>(q));
-      obj += prepared.weights[static_cast<size_t>(q)] *
-             (a != nullptr ? a->cost : std::numeric_limits<double>::infinity());
-    }
-    for (int i : chosen_set) in_chosen[static_cast<size_t>(i)] = 0;
-    return obj;
-  };
-
-  // Solves one BIP: the monolithic BIP restricted to candidates `ck`
-  // (ascending global ids) and query rows `qk`, with the budget row at
-  // `budget_rhs` (omitted when infinite) and every cap row at its full
-  // rhs. The monolithic solve passes every candidate, every row and the
-  // global budget; a cluster solve passes its own and an allocation.
-  // Warm-started from `e` (may be null): its root basis always — the
-  // row space is identical across allocations and constraint edits —
-  // plus its previous optimum (a cluster's top frontier point) as the
-  // initial incumbent when it is still feasible under this allocation
-  // and the edited constraints (a deeper allocation excludes it by
-  // construction). Adds the B&B telemetry to `rec`. Returns the result
-  // and, when feasible, the chosen global ids (pins included) in `ck`
-  // order.
-  struct BipSolve {
-    BnbResult bnb;
-    std::vector<int> chosen;
-  };
-  std::vector<int> local_of(static_cast<size_t>(ny), -1);
-  auto solve_bip = [&](const std::vector<int>& ck, const std::vector<int>& qk,
-                       double budget_rhs, const CoPhySolverCache::Entry* e,
-                       double stop_at) -> BipSolve {
-    int nk = static_cast<int>(ck.size());
-    auto global = [&](int j) { return ck[static_cast<size_t>(j)]; };
-    auto cand = [&](int j) -> const CandidateIndex& {
-      return candidates[static_cast<size_t>(global(j))];
-    };
-    for (int j = 0; j < nk; ++j) local_of[static_cast<size_t>(global(j))] = j;
-
-    MipProblem mip;
-    for (int j = 0; j < nk; ++j) {
-      mip.lp.AddVariable(kTieBreakPerPage * cand(j).size_pages);
-      mip.binary_vars.push_back(j);
-    }
-    // DBA pins and vetoes are pure variable fixings: the atom matrix and
-    // every other row survive a constraint edit untouched.
-    for (int j = 0; j < nk; ++j) {
-      if (admitted_pins.count(global(j)) > 0) mip.fixed_vars.emplace_back(j, 1);
-    }
-    for (int j = 0; j < nk; ++j) {
-      if (vetoed[static_cast<size_t>(global(j))]) {
-        mip.fixed_vars.emplace_back(j, 0);
-      }
-    }
-    // x variables, then one atom per query.
-    std::vector<std::vector<int>> xvar(qk.size());
-    for (size_t qi = 0; qi < qk.size(); ++qi) {
-      size_t q = static_cast<size_t>(qk[qi]);
-      for (const CoPhyAtom& a : atoms(q)) {
-        xvar[qi].push_back(mip.lp.AddVariable(prepared.weights[q] * a.cost));
-      }
-    }
-    for (size_t qi = 0; qi < qk.size(); ++qi) {
-      LpConstraint one;
-      for (int v : xvar[qi]) one.terms.emplace_back(v, 1.0);
-      one.rel = LpRelation::kEq;
-      one.rhs = 1.0;
-      mip.lp.AddConstraint(std::move(one));
-    }
-    // Aggregated linking: sum_{a of q using i} x <= y_i.
-    for (size_t qi = 0; qi < qk.size(); ++qi) {
-      size_t q = static_cast<size_t>(qk[qi]);
-      std::map<int, std::vector<int>> by_index;
-      for (size_t a = 0; a < atoms(q).size(); ++a) {
-        for (int i : atoms(q)[a].used) by_index[i].push_back(xvar[qi][a]);
-      }
-      for (auto& [i, xs] : by_index) {
-        LpConstraint link;
-        for (int v : xs) link.terms.emplace_back(v, 1.0);
-        link.terms.emplace_back(local_of[static_cast<size_t>(i)], -1.0);
-        link.rel = LpRelation::kLe;
-        link.rhs = 0.0;
-        mip.lp.AddConstraint(std::move(link));
-      }
-    }
-    if (std::isfinite(budget_rhs)) {
-      LpConstraint budget_row;
-      for (int j = 0; j < nk; ++j) {
-        budget_row.terms.emplace_back(j, cand(j).size_pages);
-      }
-      budget_row.rel = LpRelation::kLe;
-      budget_row.rhs = budget_rhs;
-      mip.lp.AddConstraint(std::move(budget_row));
-    }
-    // Per-table caps: sum_{i on t} y_i <= cap_t.
-    for (const auto& [table, cap] : constraints.max_indexes_per_table) {
-      LpConstraint cap_row;
-      for (int j = 0; j < nk; ++j) {
-        if (cand(j).index.table == table) cap_row.terms.emplace_back(j, 1.0);
-      }
-      if (cap_row.terms.empty()) continue;
-      cap_row.rel = LpRelation::kLe;
-      cap_row.rhs = static_cast<double>(cap);
-      mip.lp.AddConstraint(std::move(cap_row));
-    }
-
-    // y values of a chosen set; x is implied (B&B only reads binary
-    // positions, and the objective is passed explicitly).
-    auto y_values = [&](const std::set<int>& ch, std::vector<double>* out) {
-      out->assign(static_cast<size_t>(mip.lp.num_vars), 0.0);
-      for (int i : ch) {
-        (*out)[static_cast<size_t>(local_of[static_cast<size_t>(i)])] = 1.0;
-      }
-    };
-    // Primal heuristic: pins first, then round y by LP value under the
-    // budget/cap/veto constraints, then the cheapest compatible atom per
-    // query.
-    auto heuristic = [&](const std::vector<double>& lp,
-                         std::vector<double>* out, double* obj) {
-      std::set<int> ch;
-      double used_pages = 0.0;
-      std::map<TableId, int> per_table;
-      for (int i : ck) {
-        if (admitted_pins.count(i) > 0) {
-          ch.insert(i);
-          used_pages += candidates[static_cast<size_t>(i)].size_pages;
-          per_table[candidates[static_cast<size_t>(i)].index.table]++;
-        }
-      }
-      std::vector<std::pair<double, int>> ranked;
-      for (int j = 0; j < nk; ++j) {
-        int i = global(j);
-        if (vetoed[static_cast<size_t>(i)] || ch.count(i) > 0) continue;
-        if (lp[static_cast<size_t>(j)] > 1e-6) {
-          ranked.emplace_back(-lp[static_cast<size_t>(j)], i);
-        }
-      }
-      std::sort(ranked.begin(), ranked.end());
-      for (auto& [neg, i] : ranked) {
-        const CandidateIndex& c = candidates[static_cast<size_t>(i)];
-        if (used_pages + c.size_pages > budget_rhs) continue;
-        if (per_table[c.index.table] + 1 >
-            constraints.TableCapOrUnlimited(c.index.table)) {
-          continue;
-        }
-        ch.insert(i);
-        used_pages += c.size_pages;
-        per_table[c.index.table]++;
-      }
-      *obj = complete_rows(ch, qk);
-      if (!std::isfinite(*obj)) return false;
-      y_values(ch, out);
-      return true;
-    };
-
-    BnbWarmStart warm;
-    bool have_warm = false;
-    if (e != nullptr && !e->root_basis.empty()) {
-      warm.basis = e->root_basis;
-      have_warm = true;
-    }
-    if (e != nullptr && e->valid) {
-      std::set<int> ch;
-      for (int i : e->chosen) {
-        if (!vetoed[static_cast<size_t>(i)]) ch.insert(i);
-      }
-      for (int i : ck) {
-        if (admitted_pins.count(i) > 0) ch.insert(i);
-      }
-      double used_pages = 0.0;
-      std::map<TableId, int> per_table;
-      bool feasible = true;
-      for (int i : ch) {
-        used_pages += candidates[static_cast<size_t>(i)].size_pages;
-        TableId t = candidates[static_cast<size_t>(i)].index.table;
-        feasible &= ++per_table[t] <= constraints.TableCapOrUnlimited(t);
-      }
-      feasible &= used_pages <= budget_rhs;
-      if (feasible) {
-        double obj = complete_rows(ch, qk);
-        if (std::isfinite(obj)) {
-          y_values(ch, &warm.values);
-          warm.objective = obj;
-          have_warm = true;
-        }
-      }
-    }
-
-    BnbOptions bopt = options_.bnb;
-    bopt.stop_at_bound = stop_at;
-    BipSolve out;
-    out.bnb =
-        SolveBinaryMip(mip, bopt, heuristic, have_warm ? &warm : nullptr);
-    rec.bnb_nodes += out.bnb.nodes_explored;
-    rec.lp_pivots += out.bnb.lp_pivots;
-    rec.nodes_cut_off += out.bnb.nodes_cut_off;
-    rec.vars_fixed_by_reduced_cost += out.bnb.vars_fixed_by_reduced_cost;
-    rec.node_cold_solves += out.bnb.node_cold_solves;
-    rec.root_warm_fallbacks += out.bnb.root_warm_fallbacks;
-    rec.solve_time_sec += out.bnb.solve_time_sec;
-    rec.num_variables += static_cast<size_t>(mip.lp.num_vars);
-    rec.num_constraints += mip.lp.constraints.size();
-    // Admitted pins are always chosen, even when the node budget
-    // starved the search.
-    if (out.bnb.feasible) {
-      for (int j = 0; j < nk; ++j) {
-        if (admitted_pins.count(global(j)) > 0 ||
-            out.bnb.values[static_cast<size_t>(j)] > 0.5) {
-          out.chosen.push_back(global(j));
-        }
-      }
-    }
-    for (int j = 0; j < nk; ++j) local_of[static_cast<size_t>(global(j))] = -1;
-    return out;
-  };
-
-  std::set<int> chosen;        // final y set (filled by whichever path runs)
-  double solver_lower = 0.0;   // raw solver bound incl. tie-break penalty
-  bool solved = false;
-
-  // Signature of a subproblem over candidate subset `ck` and query rows
-  // `qk` whose budget row may use `pages`: everything a constraint edit
-  // can change about its BIP (pages, pins/vetoes, relevant caps, row
-  // weights). Matching signature + proven optimum in the cache => the
-  // subproblem is clean and its optimum is reused. Used per cluster by
-  // the decomposed path, with the pages the allocation DP distributes
-  // (pins outside every active cluster move them), and over the full
-  // candidate/row sets and budget by the monolithic path.
-  auto subproblem_signature = [&](const std::vector<int>& ck,
-                                  const std::vector<int>& qk, double pages) {
-    Fnv1a fnv(kFnvLegacyBasis);
-    fnv.MixDouble(pages);
-    for (int i : ck) {
-      uint64_t bits = static_cast<uint64_t>(i) << 2;
-      if (admitted_pins.count(i) > 0) bits |= 1;
-      if (vetoed[static_cast<size_t>(i)]) bits |= 2;
-      fnv.MixU64(bits);
-    }
-    for (const auto& [table, cap] : constraints.max_indexes_per_table) {
-      bool relevant = false;
-      for (int i : ck) {
-        relevant |= candidates[static_cast<size_t>(i)].index.table == table;
-      }
-      if (relevant) {
-        fnv.MixU64(static_cast<uint64_t>(table));
-        fnv.MixU64(static_cast<uint64_t>(cap));
-      }
-    }
-    fnv.MixU64(qk.size());
-    for (int q : qk) {
-      fnv.MixU64(static_cast<uint64_t>(q));
-      fnv.MixDouble(prepared.weights[static_cast<size_t>(q)]);
-    }
-    return fnv.digest();
-  };
-
-  // ---------------- Decomposed path ----------------
-  // Each cluster BIP is the monolithic BIP restricted to the cluster's
-  // candidates and query rows — coupled to the rest only through the
-  // budget row and the per-table cap rows. The budget coupling is
-  // arbitrated exactly: every active cluster exposes a budget/cost
-  // FRONTIER (its proven optimum as a function of allocated pages,
-  // enumerated lazily top-down: solve at the full budget, then re-solve
-  // just below the footprint the optimum actually used, and so on), and
-  // a deterministic allocation DP picks one frontier point per cluster
-  // minimizing total cost under the global budget. Unexplored frontier
-  // tails enter the DP as lower-bound sentinels (footprint = the
-  // cluster's pin floor, cost = the last enumerated point's cost — a
-  // true bound, since shrinking the budget never cheapens an optimum);
-  // when the best real combination matches the sentinel-augmented bound,
-  // it is the exact optimal split, and by the tie-break uniqueness the
-  // stitched union is the monolithic optimum. Otherwise the sentinel
-  // clusters deepen their frontiers and the DP repeats.
-  //
-  // Caps are kept at full rhs per cluster (a relaxation): if the winning
-  // combination violates a cap across clusters — or a frontier/DP size
-  // guard trips, or a cluster solve fails to prove its point — the code
-  // provably falls back to the monolithic solve below.
+  CoPhyBip bip(prepared, constraints, options_.bnb, std::move(admitted_pins),
+               &rec);
+  std::vector<int> all_cands(candidates.size());
+  std::iota(all_cands.begin(), all_cands.end(), 0);
+  std::vector<int> all_rows(nq);
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  std::optional<Solution> solution;
   if (options_.solve_mode == CoPhySolveMode::kAuto &&
-      prepared.clusters.num_nodes() == ny &&
+      prepared.clusters.num_nodes() == static_cast<int>(candidates.size()) &&
       prepared.row_cluster.size() == nq) {
-    solved = [&]() {
-      const ClusterPartition& part = prepared.clusters;
-      // Must exceed the simplex feasibility tolerance (1e-7): the next
-      // frontier budget must genuinely exclude the previous footprint.
-      constexpr double kAllocEps = 1e-6;
-
-      // Rows per cluster; rows using no candidate contribute a constant.
-      std::vector<std::vector<int>> cluster_rows(
-          static_cast<size_t>(num_k));
-      double const_cost = 0.0;
-      for (size_t q = 0; q < nq; ++q) {
-        if (atoms(q).empty()) return false;  // degenerate: let mono handle
-        int k = prepared.row_cluster[q];
-        if (k < 0) {
-          // No atom of the row uses a candidate: none needs a mark.
-          const_cost += prepared.weights[q] * cheapest_atom(q)->cost;
-        } else {
-          cluster_rows[static_cast<size_t>(k)].push_back(static_cast<int>(q));
-        }
-      }
-
-      // Entries live in the session cache when present, else locally for
-      // the duration of this one solve (no reuse, same algorithm).
-      std::vector<CoPhySolverCache::Entry> local_entries;
-      if (cache == nullptr) {
-        local_entries.assign(static_cast<size_t>(num_k),
-                             CoPhySolverCache::Entry{});
-      }
-      auto entry_of = [&](int k) -> CoPhySolverCache::Entry& {
-        return cache != nullptr ? cache->entries[static_cast<size_t>(k)]
-                                : local_entries[static_cast<size_t>(k)];
-      };
-
-      // Split clusters into active (some query row can use them) and
-      // inactive. Inactive clusters keep exactly their pins — any other
-      // y adds pure tie-break cost — and those pins still consume budget
-      // pages, so they are charged against the DP's budget up front.
-      double lb_sum = const_cost;
-      double outside_pages = 0.0;
-      std::vector<int> active;
-      std::vector<double> floor_of(static_cast<size_t>(num_k), 0.0);
-      for (int k = 0; k < num_k; ++k) {
-        const std::vector<int>& ck = part.clusters[static_cast<size_t>(k)];
-        double pin_sz = 0.0;
-        for (int i : ck) {
-          if (admitted_pins.count(i) > 0) {
-            pin_sz += candidates[static_cast<size_t>(i)].size_pages;
-          }
-        }
-        if (cluster_rows[static_cast<size_t>(k)].empty()) {
-          lb_sum += kTieBreakPerPage * pin_sz;
-          outside_pages += pin_sz;
-        } else {
-          active.push_back(k);
-          floor_of[static_cast<size_t>(k)] = pin_sz;
-        }
-      }
-      // Pages the allocation DP may distribute across active clusters.
-      double dp_budget = budget - outside_pages;  // inf stays inf
-
-      // Frontier deepening cut per cluster: the next budget must exclude
-      // the previous optimum BEYOND the simplex/integrality tolerances,
-      // or the LP shaves every y to 1-1e-6 and returns the same set
-      // "fitting" the reduced budget. Total shave capacity is
-      // sum(sizes) * 1e-6; a 10x margin stays far below any real
-      // footprint step (index sizes are tens-to-hundreds of pages).
-      std::vector<double> cut_of(static_cast<size_t>(num_k), kAllocEps);
-      for (int k : active) {
-        double sum = 0.0;
-        for (int i : part.clusters[static_cast<size_t>(k)]) {
-          sum += candidates[static_cast<size_t>(i)].size_pages;
-        }
-        cut_of[static_cast<size_t>(k)] = std::max(kAllocEps, sum * 1e-5);
-      }
-
-      std::vector<char> ran(static_cast<size_t>(num_k), 0);
-
-      // Solves one frontier point of cluster k: its BIP under an
-      // allocation of `budget_rhs` pages, warm-started from `warm` (the
-      // cluster's entry, or the one it just parked). A finite `stop_at`
-      // lets the branch-and-bound
-      // stop as soon as its global lower bound reaches that value: the
-      // caller then gets a tail-bound CERTIFICATE (the sentinel can no
-      // longer win) at a fraction of a full proof's cost, and no point
-      // is appended. Returns +1 on a new proven point, 0 when the tail is
-      // certified or provably empty, -1 on failure (monolithic
-      // fallback).
-      auto solve_point = [&](int k, double budget_rhs, double stop_at,
-                             const CoPhySolverCache::Entry* warm) -> int {
-        CoPhySolverCache::Entry& e = entry_of(k);
-        BipSolve r =
-            solve_bip(part.clusters[static_cast<size_t>(k)],
-                      cluster_rows[static_cast<size_t>(k)], budget_rhs, warm,
-                      stop_at);
-        const BnbResult& bnb = r.bnb;
-        if (ran[static_cast<size_t>(k)] == 0) {
-          ran[static_cast<size_t>(k)] = 1;
-          ++rec.clusters_solved;
-        }
-        if (!bnb.feasible && !std::isfinite(bnb.lower_bound)) {
-          if (e.frontier.empty()) {
-            e.valid = false;  // even the full allocation failed: fallback
-            return -1;
-          }
-          e.frontier_complete = true;  // nothing fits below the last point
-          return 0;
-        }
-        if (!bnb.proven_optimal) {
-          if (bnb.lower_bound >= stop_at) {
-            // Early stop: every configuration under this allocation
-            // costs at least `lower_bound`, which is all the allocation
-            // DP needs to retire the sentinel. No exact point to record.
-            e.tail_bound = std::max(e.tail_bound, bnb.lower_bound);
-            return 0;
-          }
-          e.valid = false;
-          e.frontier.clear();
-          e.frontier_complete = false;
-          e.tail_bound = 0.0;
-          e.root_basis = bnb.root_basis;  // still warm material
-          return -1;  // let the monolithic path (with its own node
-                      // budget over the whole tree) arbitrate
-        }
-        CoPhySolverCache::Entry::ParetoPoint p;
-        p.cost = bnb.objective;
-        p.chosen = std::move(r.chosen);
-        for (int i : p.chosen) {
-          p.footprint += candidates[static_cast<size_t>(i)].size_pages;
-        }
-        e.root_basis = bnb.root_basis;
-        if (e.frontier.empty()) {
-          e.valid = true;
-          e.chosen = p.chosen;
-          e.objective = bnb.objective;
-          e.lower_bound = bnb.lower_bound;
-        } else if (p.footprint >
-                   e.frontier.back().footprint - kAllocEps * 0.5) {
-          // No strict footprint progress (numerically stuck): stop here
-          // rather than loop; the tail keeps its sentinel bound.
-          e.frontier_complete = true;
-          return 0;
-        }
-        if (p.footprint <= floor_of[static_cast<size_t>(k)] + kAllocEps) {
-          e.frontier_complete = true;  // pins-only: nothing below
-        }
-        // A new point is itself the strongest monotonicity bound for
-        // the tail below it (and never contradicts an earlier
-        // certificate, which bounded a superset of that tail).
-        e.tail_bound = std::max(e.tail_bound, p.cost);
-        e.frontier.push_back(std::move(p));
-        return 1;
-      };
-
-      // Freshness: a matching signature keeps the cached entry
-      // verbatim, and so does a signature the cache proved earlier (the
-      // entry parked under it comes back). Any other edit parks the
-      // entry and re-enumerates, its first BIP warm-started from the
-      // parked entry (basis + previous optimum). Every active cluster
-      // needs at least its top point before the DP can run.
-      for (int k : active) {
-        CoPhySolverCache::Entry& e = entry_of(k);
-        const CoPhySolverCache::Entry* warm = &e;
-        uint64_t sig = subproblem_signature(
-            part.clusters[static_cast<size_t>(k)],
-            cluster_rows[static_cast<size_t>(k)], dp_budget);
-        if ((e.signature != sig || (!e.valid && !e.frontier.empty())) &&
-            (cache == nullptr || !cache->Recall(k, sig, e))) {
-          if (cache != nullptr) {
-            if (const CoPhySolverCache::Entry* parked = cache->Park(k, e)) {
-              warm = parked;
-            }
-          }
-          e.signature = sig;
-          e.frontier.clear();
-          e.frontier_complete = false;
-          e.tail_bound = 0.0;
-        }
-        if (e.frontier.empty() &&
-            solve_point(k, dp_budget, std::numeric_limits<double>::infinity(),
-                        warm) != 1) {
-          return false;
-        }
-      }
-
-      // Allocation DP over frontier points. States are Pareto pairs
-      // (footprint, cost) with per-cluster picks; `-1` picks a cluster's
-      // unexplored tail (sentinel). Two passes per round: best REAL
-      // combination (achievable) vs best sentinel-augmented combination
-      // (lower bound); equality certifies the split as exactly optimal.
-      struct AllocState {
-        double f = 0.0;
-        double c = 0.0;
-        std::vector<int> pick;
-      };
-      constexpr size_t kMaxDpStates = 65536;
-      constexpr size_t kMaxFrontier = 64;
-      auto run_dp = [&](bool with_sentinels, AllocState* out) {
-        std::vector<AllocState> states(1);
-        for (int k : active) {
-          CoPhySolverCache::Entry& e = entry_of(k);
-          std::vector<AllocState> next;
-          for (const AllocState& st : states) {
-            for (size_t pi = 0; pi < e.frontier.size(); ++pi) {
-              const auto& p = e.frontier[pi];
-              double f = st.f + p.footprint;
-              if (f > dp_budget + kAllocEps) continue;
-              AllocState n = st;
-              n.f = f;
-              n.c += p.cost;
-              n.pick.push_back(static_cast<int>(pi));
-              next.push_back(std::move(n));
-            }
-            if (with_sentinels && !e.frontier_complete) {
-              double f = st.f + floor_of[static_cast<size_t>(k)];
-              if (f <= dp_budget + kAllocEps) {
-                AllocState n = st;
-                n.f = f;
-                n.c += e.tail_bound;
-                n.pick.push_back(-1);
-                next.push_back(std::move(n));
-              }
-            }
-          }
-          if (next.empty()) return false;
-          std::sort(next.begin(), next.end(),
-                    [](const AllocState& a, const AllocState& b) {
-                      if (a.f != b.f) return a.f < b.f;
-                      if (a.c != b.c) return a.c < b.c;
-                      return a.pick < b.pick;
-                    });
-          states.clear();
-          double best_c = std::numeric_limits<double>::infinity();
-          for (AllocState& st : next) {
-            if (st.c < best_c) {
-              best_c = st.c;
-              states.push_back(std::move(st));
-            }
-          }
-          // Guard on the PRUNED set: only Pareto-optimal (footprint,
-          // cost) pairs survive, so this bounds real state growth.
-          if (states.size() > kMaxDpStates) return false;
-        }
-        *out = states.back();  // costs strictly decrease with footprint
-        return true;
-      };
-
-      for (int round = 0;; ++round) {
-        if (round >= 64) return false;
-        AllocState real;
-        bool have_real = run_dp(/*with_sentinels=*/false, &real);
-        AllocState bound;
-        if (!run_dp(/*with_sentinels=*/true, &bound)) return false;
-        if (have_real &&
-            real.c <= bound.c + 1e-9 * std::max(1.0, std::abs(bound.c))) {
-          // The achievable split matches the lower bound: exact optimum.
-          std::set<int> stitched = admitted_pins;
-          for (size_t ai = 0; ai < active.size(); ++ai) {
-            const auto& p = entry_of(active[ai])
-                                .frontier[static_cast<size_t>(
-                                    real.pick[ai])];
-            stitched.insert(p.chosen.begin(), p.chosen.end());
-          }
-          lb_sum += real.c;
-          // Caps were relaxed per cluster: the split is only the global
-          // optimum when the union honors them too.
-          std::map<TableId, int> per_table;
-          for (int i : stitched) {
-            per_table[candidates[static_cast<size_t>(i)].index.table]++;
-          }
-          for (const auto& [table, cap] : constraints.max_indexes_per_table) {
-            auto it = per_table.find(table);
-            if (it != per_table.end() && it->second > cap) return false;
-          }
-          for (int k : active) {
-            if (ran[static_cast<size_t>(k)] == 0) ++rec.clusters_reused;
-          }
-          chosen = std::move(stitched);
-          solver_lower = lb_sum;
-          rec.proven_optimal = true;
-          return true;
-        }
-        // The bound lives in an unexplored tail: strengthen every
-        // sentinel cluster and re-run. When a real combination exists,
-        // the solve only needs to lift this cluster's tail bound past
-        // the sentinel's winning margin — a certificate the B&B reaches
-        // long before a full proof; without one it must produce exact
-        // points until combinations fit the budget at all.
-        bool progressed = false;
-        double scale = std::max(1.0, std::abs(bound.c));
-        for (size_t ai = 0; ai < active.size(); ++ai) {
-          if (bound.pick[ai] != -1) continue;
-          int k = active[ai];
-          CoPhySolverCache::Entry& e = entry_of(k);
-          if (e.frontier.size() >= kMaxFrontier) return false;
-          double next_rhs = e.frontier.back().footprint -
-                            cut_of[static_cast<size_t>(k)];
-          double stop_at =
-              have_real ? e.tail_bound + (real.c - bound.c) + 1e-7 * scale
-                        : std::numeric_limits<double>::infinity();
-          if (solve_point(k, next_rhs, stop_at, &e) < 0) return false;
-          progressed = true;  // point, certificate, or tail proved empty
-        }
-        if (!progressed) return false;
-      }
-    }();
+    solution = SolveDecomposed(bip, prepared, budget, *cache);
   }
-
-  // ---------------- Monolithic path (mode or fallback) ----------------
-  // The same BIP over every candidate, every row and the full budget.
-  // The mono cache entry answers an unchanged re-solve outright and
-  // otherwise warm-starts it: this is what keeps a DBA edit cheap when a
-  // cap binds across clusters and every solve lands here.
-  if (!solved) {
-    rec.solved_monolithic = true;
-    std::vector<int> all_rows(nq);
-    for (size_t q = 0; q < nq; ++q) all_rows[q] = static_cast<int>(q);
-    std::vector<int> all_cands(static_cast<size_t>(ny));
-    for (int i = 0; i < ny; ++i) all_cands[static_cast<size_t>(i)] = i;
-    uint64_t mono_sig = subproblem_signature(all_cands, all_rows, budget);
-    CoPhySolverCache::Entry* mono_entry =
-        cache != nullptr ? &cache->mono : nullptr;
-    if (mono_entry != nullptr &&
-        ((mono_entry->valid && mono_entry->signature == mono_sig) ||
-         cache->Recall(CoPhySolverCache::kMonoSlot, mono_sig, *mono_entry))) {
-      // Unchanged or earlier-proven problem: the cached proven optimum
-      // IS the answer.
-      chosen.insert(mono_entry->chosen.begin(), mono_entry->chosen.end());
-      chosen.insert(admitted_pins.begin(), admitted_pins.end());
-      solver_lower = mono_entry->lower_bound;
-      rec.proven_optimal = true;
-    } else {
-      // Unlike a cluster point, an incumbent that is not proven optimal
-      // is still the answer (the node budget is the time/quality knob).
-      // The old optimum is parked first and warm-starts the solve.
-      const CoPhySolverCache::Entry* warm = mono_entry;
-      if (mono_entry != nullptr) {
-        if (const CoPhySolverCache::Entry* parked =
-                cache->Park(CoPhySolverCache::kMonoSlot, *mono_entry)) {
-          warm = parked;
-        }
-      }
-      BipSolve r = solve_bip(all_cands, all_rows, budget, warm,
-                             options_.bnb.stop_at_bound);
-      rec.proven_optimal = r.bnb.proven_optimal;
-      solver_lower = r.bnb.lower_bound;
-      chosen = admitted_pins;
-      chosen.insert(r.chosen.begin(), r.chosen.end());
-      if (mono_entry != nullptr) {
-        mono_entry->root_basis = r.bnb.root_basis;
-        mono_entry->valid = r.bnb.feasible && r.bnb.proven_optimal;
-        if (mono_entry->valid) {
-          mono_entry->signature = mono_sig;
-          mono_entry->chosen.assign(chosen.begin(), chosen.end());
-          mono_entry->objective = r.bnb.objective;
-          mono_entry->lower_bound = r.bnb.lower_bound;
-        }
-      }
-    }
+  if (!solution.has_value()) {
+    solution = SolveMonolithic(bip, all_cands, all_rows, budget,
+                               options_.bnb.stop_at_bound, *cache);
   }
+  rec.proven_optimal = solution->proven;
 
   // ---------------- Shared extraction ----------------
-  // Both paths produce the same `chosen` for the same inputs (that is
-  // the decomposition theorem above, exercised by the differential
-  // suite), and everything below depends only on `chosen` — so the two
-  // paths yield bit-identical recommendations.
-  // Per-query best atom under the chosen set; drop unpinned indexes no
-  // atom uses.
-  std::set<int> kept = admitted_pins;
+  // Both paths produce the same chosen set for the same inputs (that is
+  // the decomposition theorem, exercised by the differential suite),
+  // and everything below depends only on it — so the two paths yield
+  // bit-identical recommendations. Per-query best atom under the chosen
+  // set; drop unpinned indexes no atom uses.
+  std::vector<const CoPhyAtom*> best;
+  bip.Price(solution->chosen, all_rows, &best);
+  std::set<int> kept = bip.pins();
   rec.per_query_cost.resize(nq, 0.0);
-  rec.recommended_cost = 0.0;
-  for (int i : chosen) in_chosen[static_cast<size_t>(i)] = 1;
   for (size_t q = 0; q < nq; ++q) {
-    const CoPhyAtom* best = cheapest_atom(q);
-    rec.per_query_cost[q] =
-        best != nullptr ? best->cost : std::numeric_limits<double>::infinity();
+    rec.per_query_cost[q] = best[q] != nullptr ? best[q]->cost : kInf;
     rec.recommended_cost += prepared.weights[q] * rec.per_query_cost[q];
-    if (best != nullptr) kept.insert(best->used.begin(), best->used.end());
+    if (best[q] != nullptr) {
+      kept.insert(best[q]->used.begin(), best[q]->used.end());
+    }
   }
-  for (int i : chosen) in_chosen[static_cast<size_t>(i)] = 0;
   for (int i : kept) {
     rec.indexes.push_back(candidates[static_cast<size_t>(i)].index);
     rec.total_size_pages += candidates[static_cast<size_t>(i)].size_pages;
@@ -1301,7 +1277,7 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
   if (std::isfinite(budget)) {
     penalty_cap = std::min(penalty_cap, kTieBreakPerPage * budget);
   }
-  rec.lower_bound = std::max(0.0, solver_lower - penalty_cap);
+  rec.lower_bound = std::max(0.0, solution->lower - penalty_cap);
   double denom = std::max(1e-12, rec.recommended_cost);
   rec.gap = std::max(0.0, (rec.recommended_cost - rec.lower_bound) / denom);
 
@@ -1313,10 +1289,9 @@ Result<IndexRecommendation> CoPhyAdvisor::SolvePrepared(
       rec.num_candidates, rec.num_atoms, rec.num_variables,
       rec.num_constraints, rec.indexes.size(), rec.base_cost,
       rec.recommended_cost, rec.gap, rec.bnb_nodes, rec.nodes_cut_off,
-      rec.vars_fixed_by_reduced_cost, rec.lp_pivots,
-      admitted_pins.size(), rec.infeasible_pins.size(), rec.num_clusters,
-      rec.clusters_solved, rec.clusters_reused,
-      rec.solved_monolithic ? ", monolithic" : ""));
+      rec.vars_fixed_by_reduced_cost, rec.lp_pivots, bip.pins().size(),
+      rec.infeasible_pins.size(), rec.num_clusters, rec.clusters_solved,
+      rec.clusters_reused, rec.solved_monolithic ? ", monolithic" : ""));
   return rec;
 }
 

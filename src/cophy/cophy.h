@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -70,7 +71,42 @@ struct CoPhyAtom {
   std::vector<int> used;  ///< sorted candidate ids
 };
 
-struct IndexRecommendation {
+/// B&B work of one kind of BIP solve.
+struct SolveKindWork {
+  int solves = 0;
+  int bnb_nodes = 0;
+  int lp_pivots = 0;
+};
+
+/// The solver work of one SolvePrepared call, TOTALLED over every BIP it
+/// solved: each cluster frontier point and tail certificate, plus the
+/// monolithic BIP when it ran (a fallback included). An answer from the
+/// solver cache or from a session's certificate reports zeros.
+struct SolverWork {
+  int bnb_nodes = 0;
+  double solve_time_sec = 0.0;
+  size_t num_variables = 0;    ///< BIP columns, summed over the BIPs
+  size_t num_constraints = 0;  ///< BIP rows, summed over the BIPs
+  int lp_pivots = 0;           ///< simplex pivots
+  // Sums of the BnbResult counters of the same names.
+  int nodes_cut_off = 0;
+  int vars_fixed_by_reduced_cost = 0;
+  int node_cold_solves = 0;
+  int root_warm_fallbacks = 0;
+
+  /// The B&B work split by the kind of solve; per-kind nodes and pivots
+  /// sum to bnb_nodes and lp_pivots.
+  SolveKindWork top_points;         ///< a cluster's top frontier point
+  SolveKindWork deeper_points;      ///< a point below the last footprint
+  SolveKindWork tail_certificates;  ///< a tail solve stopped at a bound
+  SolveKindWork monolithic_bips;    ///< the monolithic BIP
+
+  int clusters_solved = 0;   ///< clusters with at least one BIP this call
+  int clusters_reused = 0;  ///< from the solver cache, live or recalled
+  bool solved_monolithic = false;  ///< the monolithic BIP ran (mode/fallback)
+};
+
+struct IndexRecommendation : SolverWork {
   std::vector<IndexDef> indexes;
   double total_size_pages = 0.0;
 
@@ -89,37 +125,7 @@ struct IndexRecommendation {
   bool proven_optimal = false;
   size_t num_candidates = 0;
   size_t num_atoms = 0;
-
-  /// Solver work telemetry. Each counter is a TOTAL over every BIP this
-  /// call solved: every cluster BIP (each frontier point and tail
-  /// certificate is one) plus the monolithic BIP when it ran, a
-  /// fallback included. A call answered entirely from the solver cache
-  /// reports zeros.
-  int bnb_nodes = 0;
-  double solve_time_sec = 0.0;
-  size_t num_variables = 0;    ///< BIP columns, summed over the BIPs
-  size_t num_constraints = 0;  ///< BIP rows, summed over the BIPs
-  int lp_pivots = 0;           ///< simplex pivots
-  /// B&B nodes whose dual simplex stopped at the incumbent (see
-  /// BnbResult::nodes_cut_off).
-  int nodes_cut_off = 0;
-  /// Binaries the B&B fixed by reduced cost against the incumbent (see
-  /// BnbResult::vars_fixed_by_reduced_cost).
-  int vars_fixed_by_reduced_cost = 0;
-  /// B&B node LPs solved from scratch because the dual simplex could not
-  /// reoptimize them from the parent (see BnbResult::node_cold_solves).
-  int node_cold_solves = 0;
-  /// Root LPs whose warm basis gave no verdict and were solved cold (see
-  /// BnbResult::root_warm_fallbacks).
-  int root_warm_fallbacks = 0;
-
-  /// Decomposition telemetry: how the solve was actually executed.
-  int num_clusters = 0;      ///< interaction clusters in the prepared state
-  int clusters_solved = 0;   ///< clusters with at least one BIP this call
-  /// Cluster optima reused from the solver cache, live or parked under
-  /// an earlier signature (see CoPhySolverCache::Recall).
-  int clusters_reused = 0;
-  bool solved_monolithic = false;  ///< the monolithic BIP ran (mode/fallback)
+  int num_clusters = 0;  ///< interaction clusters in the prepared state
 
   /// Set when this recommendation was served from cached session state
   /// because the backend was down (see util/status.h). A degraded
@@ -268,32 +274,23 @@ struct CoPhyPrepared {
 /// incumbent. This is what makes a DBA veto cost one small cluster BIP
 /// instead of a full re-solve.
 ///
-/// A budget that binds ACROSS clusters no longer forces a monolithic
+/// A budget that binds ACROSS clusters does not force a monolithic
 /// solve: each cluster entry carries a lazily enumerated budget/cost
-/// frontier (see Entry::frontier) and an allocation DP in SolvePrepared
-/// splits the global budget over those frontiers, deepening a frontier
-/// only when the optimal split might lie below its last proven point.
-/// Only a per-table cap binding across clusters still falls back to the
-/// monolithic BIP — the one coupling the decomposition merely relaxes.
-///
-/// The cache therefore also keeps one entry for the MONOLITHIC BIP, so
-/// a constraint edit under a cap-bound workload does not pay a full
-/// cold B&B: the mono entry warm-starts the fallback exactly as a
-/// cluster entry warm-starts its top frontier point (previous root
-/// basis, plus the previous optimum when it is still feasible under the
-/// edited constraints), and answers an unchanged re-solve outright. It
-/// never holds a frontier.
+/// frontier (see Entry::frontier), AllocateBudget splits the budget over
+/// them, and the decomposed path deepens a frontier only when the
+/// optimal split might lie below its last point. Only a per-table cap
+/// binding across clusters falls back to the monolithic path, whose one
+/// entry (no frontier) answers an unchanged re-solve outright and
+/// otherwise warm-starts it, as a cluster entry does its top point.
 ///
 /// Proven entries of EARLIER signatures are kept too, so that a DBA who
 /// toggles a constraint and back (veto then un-veto, cut the budget then
 /// restore it, cap a table then un-cap it) gets the earlier optimum
-/// without a search. When a slot's signature changes, its live entry is
-/// parked in `proven` under its old signature, and an entry parked under
-/// the new signature is moved back into the slot: its frontier, tail
-/// bound and basis then serve exactly as an unchanged slot's do, and the
-/// cluster counts as reused. Otherwise the slot re-solves, warm-started
-/// from the entry it just parked. Entries only ever move, so a signature
-/// that matches nothing costs no copy.
+/// without a search. Every slot, cluster or mono, takes the same
+/// freshness step: a matching signature keeps the live entry; else an
+/// entry parked under the new signature is moved back (Recall), and the
+/// cluster counts as reused; else the live entry is parked (Park) and
+/// the slot re-solves, warm-started from it. Entries only ever move.
 struct CoPhySolverCache {
   struct Entry {
     bool valid = false;
@@ -313,9 +310,9 @@ struct CoPhySolverCache {
     };
     /// The cluster's budget/cost frontier, footprint strictly decreasing
     /// (cost nondecreasing), enumerated lazily top-down from the full
-    /// budget. The allocation DP in SolvePrepared consumes these and
-    /// deepens the frontier only when the optimal budget split might lie
-    /// below the last enumerated point.
+    /// budget. AllocateBudget splits the budget over these; the
+    /// decomposed solve deepens the frontier only when the optimal split
+    /// might lie below the last enumerated point.
     std::vector<ParetoPoint> frontier;
     /// True once the frontier bottoms out (pin floor reached, or no
     /// feasible configuration below the last point).
@@ -359,7 +356,7 @@ struct CoPhySolverCache {
   /// points are dropped deepest-first from the longest frontier (ties:
   /// lowest cluster index, mono last), restoring exactly the
   /// "enumeration stopped earlier" state the lazy top-down frontier
-  /// protocol already handles — the allocation DP re-deepens on demand,
+  /// protocol already handles — the decomposed path re-deepens on demand,
   /// so results are bit-identical, only re-solve work is traded. If
   /// shortening frontiers is not enough, whole entries are invalidated
   /// largest-first (their next solve is cold). Never touches signatures
@@ -387,6 +384,42 @@ struct CoPhySolverCache {
     proven.Clear();
   }
 };
+
+/// One active cluster's frontier as AllocateBudget sees it (see Entry).
+struct BudgetFrontier {
+  std::span<const CoPhySolverCache::Entry::ParetoPoint> points;
+  bool complete = false;     ///< no tail below the last point
+  double floor_pages = 0.0;  ///< the cluster's pinned pages
+  double tail_bound = 0.0;   ///< lower bound on the tail's cost
+};
+
+/// One point (or tail) per frontier and the summed cost of the pick.
+struct BudgetSplit {
+  std::vector<int> pick;  ///< per frontier: a point index, or -1 = its tail
+  double cost = 0.0;      ///< summed in frontier order
+};
+
+/// AllocateBudget's verdict for one round of the decomposed solve.
+struct BudgetAllocation {
+  /// The cheapest split of real points; none when no split fits.
+  std::optional<BudgetSplit> real;
+  /// The cheapest split when each incomplete frontier may also pick its
+  /// tail, a sentinel at (floor_pages, tail_bound): a lower bound on
+  /// every split. When it costs no more than `real`, `real` is optimal.
+  std::optional<BudgetSplit> bound;
+  bool guard_tripped = false;  ///< a pass passed kMaxAllocationStates
+};
+
+/// Pareto states one AllocateBudget pass may keep per frontier.
+inline constexpr size_t kMaxAllocationStates = 65536;
+
+/// Splits `dp_budget` pages over cluster frontiers by a DP over Pareto
+/// (pages, cost) states; calls no solver. A split fits when its pages
+/// are at most dp_budget + 1e-6. Among equal-cost splits the one with
+/// fewer pages wins, then the lexicographically smaller pick. A pass
+/// whose states pass kMaxAllocationStates gives up: its split is empty.
+BudgetAllocation AllocateBudget(std::span<const BudgetFrontier> frontiers,
+                                double dp_budget);
 
 class CoPhyAdvisor {
  public:
@@ -424,31 +457,28 @@ class CoPhyAdvisor {
   /// `constraints`. Makes no INUM and no backend cost calls: after a
   /// constraints-only edit this is the entire cost of re-recommending.
   ///
-  /// With solve_mode == kAuto the solve decomposes by interaction
-  /// cluster: each cluster's BIP is the restriction of the monolithic
-  /// one to the cluster's variables and rows, with its budget row at an
-  /// allocation of pages and its cap rows at their FULL right-hand sides
-  /// (a relaxation). Each cluster exposes a lazily enumerated
-  /// budget/cost frontier, and an allocation DP splits the global budget
+  /// With solve_mode == kAuto the decomposed path runs first: each
+  /// cluster's BIP is the restriction of the monolithic one to the
+  /// cluster's variables and rows, with its budget row at an allocation
+  /// of pages and its cap rows at their FULL right-hand sides (a
+  /// relaxation). Each cluster exposes a lazily enumerated
+  /// budget/cost frontier, and AllocateBudget splits the global budget
   /// over the frontiers exactly. When the stitched union also satisfies
   /// the caps it attains the lower bound and — optima being unique under
   /// the tie-break objective — IS the monolithic optimum. Otherwise (a
   /// cap binds across clusters, a size guard trips, or a cluster point
-  /// is not proven) the solve falls back to the monolithic BIP, so both
+  /// is not proven) the monolithic path solves the whole BIP, so both
   /// modes always return the same recommendation.
   ///
-  /// Every BIP — a cluster's at one frontier allocation, or the
-  /// monolithic one over every candidate, every row and the full budget
-  /// — is built, rounded by the LP heuristic, warm-started and counted
-  /// by the same code, so the two differ only in the subset they pass.
-  /// The telemetry in the result totals all of them (see
-  /// IndexRecommendation).
+  /// Both paths build, round, warm-start and count every BIP with the
+  /// same code; the result's SolverWork totals all of them.
   ///
   /// `cache` (optional, owned by the calling session) carries
   /// per-cluster optima and LP bases between calls: unchanged clusters
   /// are reused without solving, dirtied clusters warm-start. A cache
   /// keyed to another universe, row space or cluster count is reset
-  /// first. Pass nullptr for a stateless solve.
+  /// first. Pass nullptr for a stateless solve: the call then runs the
+  /// same code over a fresh cache of its own.
   Result<IndexRecommendation> SolvePrepared(
       const CoPhyPrepared& prepared, const DesignConstraints& constraints,
       CoPhySolverCache* cache = nullptr) const;

@@ -469,13 +469,7 @@ IndexRecommendation DesignSession::ReweightedLastRecommendation() const {
   // weights, and no solver ran.
   rec.lower_bound = rec.recommended_cost;
   rec.gap = 0.0;
-  rec.bnb_nodes = 0;
-  rec.lp_pivots = 0;
-  rec.nodes_cut_off = 0;
-  rec.vars_fixed_by_reduced_cost = 0;
-  rec.node_cold_solves = 0;
-  rec.root_warm_fallbacks = 0;
-  rec.solve_time_sec = 0.0;
+  static_cast<SolverWork&>(rec) = SolverWork{};
   return rec;
 }
 

@@ -331,8 +331,13 @@ TEST_F(SessionTest, EmptyRefineAnsweredByCertificateIsMarked) {
 
   auto refined = session_->Refine(ConstraintDelta{});
   ASSERT_TRUE(refined.ok());
+  // No solver ran, so every solver-work counter reads zero.
   EXPECT_EQ(refined.value().bnb_nodes, 0);
   EXPECT_EQ(refined.value().lp_pivots, 0);
+  EXPECT_EQ(refined.value().clusters_solved, 0);
+  EXPECT_FALSE(refined.value().solved_monolithic);
+  EXPECT_EQ(refined.value().num_variables, 0u);
+  EXPECT_EQ(refined.value().num_constraints, 0u);
   EXPECT_EQ(refined.value().indexes, initial.value().indexes);
   const std::string& line = session_->log().back();
   EXPECT_EQ(line.rfind("REFINE -> ", 0), 0u) << line;

@@ -12,7 +12,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "backend/inmemory_backend.h"
@@ -398,6 +400,18 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
                               const char* op) {
     EXPECT_EQ(rec.node_cold_solves, 0) << op << " " << n;
     EXPECT_EQ(rec.root_warm_fallbacks, 0) << op << " " << n;
+    // The work per solve kind partitions the totals.
+    const SolveKindWork* kinds[] = {&rec.top_points, &rec.deeper_points,
+                                    &rec.tail_certificates,
+                                    &rec.monolithic_bips};
+    int nodes = 0;
+    int pivots = 0;
+    for (const SolveKindWork* kind : kinds) {
+      nodes += kind->bnb_nodes;
+      pivots += kind->lp_pivots;
+    }
+    EXPECT_EQ(nodes, rec.bnb_nodes) << op << " " << n;
+    EXPECT_EQ(pivots, rec.lp_pivots) << op << " " << n;
   };
   for (int n : {50, 200, 1000, 4000}) {
     CoPhyPrepared prep = synthetic::MakeClusteredPrepared(*db_, n);
@@ -457,6 +471,12 @@ TEST_F(DecompTest, SolverBenchSweepHoldsItsGates) {
     expect_no_cold_lp(decomp, n, "decomposed");
     EXPECT_LE(mono.bnb_nodes, row.mono_nodes) << n;
     EXPECT_LE(decomp.bnb_nodes, row.decomp_nodes) << n;
+    // One monolithic BIP on one side; on the other, a cold cache solves
+    // each active cluster's top point once and then deepens frontiers.
+    EXPECT_EQ(mono.monolithic_bips.solves, 1) << n;
+    EXPECT_EQ(decomp.monolithic_bips.solves, 0) << n;
+    EXPECT_EQ(decomp.top_points.solves, decomp.clusters_solved) << n;
+    EXPECT_GT(decomp.deeper_points.solves, 0) << n;
   }
 }
 
@@ -500,6 +520,154 @@ TEST_F(DecompTest, DualCutoffKeepsTheSearchAndSavesPivots) {
     EXPECT_GT(rec.nodes_cut_off, 0) << c.budget_fraction;
     EXPECT_LT(rec.lp_pivots, c.old_pivots) << c.budget_fraction;
   }
+}
+
+// The cheapest split by exhaustive enumeration: every pick of one point
+// per frontier, plus each incomplete frontier's tail (-1) when
+// `with_tails`. Pages and costs are summed in frontier order, as
+// AllocateBudget sums them. Ties go to fewer pages, then the smaller
+// pick.
+std::optional<BudgetSplit> BruteForceSplit(
+    const std::vector<BudgetFrontier>& frontiers, double budget,
+    bool with_tails) {
+  std::optional<BudgetSplit> best;
+  double best_pages = 0.0;
+  std::vector<int> pick;
+  auto visit = [&](auto& self, double pages, double cost) -> void {
+    size_t k = pick.size();
+    if (k == frontiers.size()) {
+      if (pages > budget) return;
+      bool better =
+          !best.has_value() || cost < best->cost ||
+          (cost == best->cost &&
+           (pages < best_pages || (pages == best_pages && pick < best->pick)));
+      if (better) {
+        best = BudgetSplit{pick, cost};
+        best_pages = pages;
+      }
+      return;
+    }
+    const BudgetFrontier& fr = frontiers[k];
+    bool tail = with_tails && !fr.complete;
+    for (int p = tail ? -1 : 0; p < static_cast<int>(fr.points.size()); ++p) {
+      pick.push_back(p);
+      if (p < 0) {
+        self(self, pages + fr.floor_pages, cost + fr.tail_bound);
+      } else {
+        const auto& point = fr.points[static_cast<size_t>(p)];
+        self(self, pages + point.footprint, cost + point.cost);
+      }
+      pick.pop_back();
+    }
+  };
+  visit(visit, 0.0, 0.0);
+  return best;
+}
+
+TEST(AllocateBudgetTest, MatchesBruteForceOnRandomFrontiers) {
+  // Integer pages and costs keep every sum exact, so the optimum, its
+  // pick and every tie-break are compared exactly. Costs tie often, and
+  // a tail bound often equals its frontier's last cost, as after a
+  // proven point.
+  Rng rng(20260117);
+  int fitting = 0;
+  int empty = 0;
+  int tail_picked = 0;
+  int bound_below_real = 0;
+  for (int instance = 0; instance < 600; ++instance) {
+    SCOPED_TRACE(instance);
+    size_t num_frontiers = static_cast<size_t>(rng.UniformInt(1, 4));
+    std::vector<std::vector<CoPhySolverCache::Entry::ParetoPoint>> points(
+        num_frontiers);
+    std::vector<BudgetFrontier> frontiers(num_frontiers);
+    double max_pages = 0.0;
+    for (size_t k = 0; k < num_frontiers; ++k) {
+      BudgetFrontier& fr = frontiers[k];
+      fr.floor_pages =
+          rng.Bernoulli(0.5) ? static_cast<double>(rng.UniformInt(1, 20)) : 0.0;
+      // Footprints strictly decreasing down to the floor, costs
+      // nondecreasing.
+      std::vector<int> sample = rng.SampleWithoutReplacement(
+          60, static_cast<int>(rng.UniformInt(1, 5)));
+      std::sort(sample.rbegin(), sample.rend());
+      double cost = static_cast<double>(rng.UniformInt(0, 40));
+      for (int footprint : sample) {
+        CoPhySolverCache::Entry::ParetoPoint p;
+        p.footprint = fr.floor_pages + footprint;
+        p.cost = cost;
+        points[k].push_back(p);
+        cost += static_cast<double>(rng.UniformInt(0, 15));
+      }
+      fr.points = points[k];
+      fr.complete = rng.Bernoulli(0.4);
+      fr.tail_bound =
+          points[k].back().cost +
+          (rng.Bernoulli(0.5) ? 0.0
+                              : static_cast<double>(rng.UniformInt(1, 30)));
+      max_pages += points[k].front().footprint;
+    }
+    double budget = static_cast<double>(
+        rng.UniformInt(0, static_cast<int64_t>(max_pages)));
+    if (rng.Bernoulli(0.1)) budget = std::numeric_limits<double>::infinity();
+    if (rng.Bernoulli(0.1)) budget = -1.0;  // admits nothing at all
+
+    BudgetAllocation alloc = AllocateBudget(frontiers, budget);
+    EXPECT_FALSE(alloc.guard_tripped);
+    std::optional<BudgetSplit> real =
+        BruteForceSplit(frontiers, budget, /*with_tails=*/false);
+    std::optional<BudgetSplit> bound =
+        BruteForceSplit(frontiers, budget, /*with_tails=*/true);
+    ASSERT_EQ(alloc.real.has_value(), real.has_value());
+    ASSERT_EQ(alloc.bound.has_value(), bound.has_value());
+    if (real.has_value()) {
+      EXPECT_EQ(alloc.real->cost, real->cost);
+      EXPECT_EQ(alloc.real->pick, real->pick);
+      ++fitting;
+    }
+    if (!bound.has_value()) {
+      ++empty;
+      continue;
+    }
+    EXPECT_EQ(alloc.bound->cost, bound->cost);
+    EXPECT_EQ(alloc.bound->pick, bound->pick);
+    if (std::count(bound->pick.begin(), bound->pick.end(), -1) > 0) {
+      ++tail_picked;
+    }
+    if (real.has_value() && bound->cost < real->cost) ++bound_below_real;
+  }
+  // Every verdict the decomposed solve acts on occurred.
+  EXPECT_GT(fitting, 100);
+  EXPECT_GT(empty, 20);
+  EXPECT_GT(tail_picked, 50);
+  EXPECT_GT(bound_below_real, 20);
+}
+
+TEST(AllocateBudgetTest, GuardTripsPastTheStateCap) {
+  // Frontier k offers (2^k pages, cost 0) or (0 pages, cost 2^k): every
+  // split has pages + cost = 2^n - 1, so all 2^n splits are Pareto
+  // optimal. 16 frontiers keep exactly kMaxAllocationStates states; a
+  // 17th passes the cap.
+  std::vector<std::vector<CoPhySolverCache::Entry::ParetoPoint>> points;
+  for (int k = 0; k < 17; ++k) {
+    double w = std::ldexp(1.0, k);
+    points.push_back({{w, 0.0, {}}, {0.0, w, {}}});
+  }
+  std::vector<BudgetFrontier> frontiers;
+  for (const auto& p : points) frontiers.push_back({p, /*complete=*/true});
+  double inf = std::numeric_limits<double>::infinity();
+
+  BudgetAllocation at_cap = AllocateBudget(
+      std::span<const BudgetFrontier>(frontiers.data(), 16), inf);
+  ASSERT_EQ(size_t{1} << 16, kMaxAllocationStates);
+  EXPECT_FALSE(at_cap.guard_tripped);
+  ASSERT_TRUE(at_cap.real.has_value());
+  EXPECT_EQ(at_cap.real->cost, 0.0);
+  EXPECT_EQ(at_cap.real->pick, std::vector<int>(16, 0));
+
+  BudgetAllocation past_cap = AllocateBudget(frontiers, inf);
+  EXPECT_TRUE(past_cap.guard_tripped);
+  EXPECT_FALSE(past_cap.real.has_value());
+  EXPECT_FALSE(past_cap.bound.has_value());
 }
 
 }  // namespace
